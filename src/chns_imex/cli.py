@@ -7,9 +7,9 @@ Subcommands:
 
 Option precedence: command-line flags > environment variables > config file >
 defaults.  Environment variables mirror the flags with the prefix CHNS_ and
-upper-case names (e.g. CHNS_CP=1e4, CHNS_LINEAR_SOLVER=multigrid).  The
+upper-case names (e.g. CHNS_CP=1e4, CHNS_LINEAR_SOLVER=direct).  The
 config file (--config) holds plain "key = value" lines with the same keys as
-the flags.
+the flags.  Cases of an M-list or a C_p-list run one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import pathlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -199,7 +198,7 @@ def _integrator(grid, params, cfg, forcing=None):
 
 
 def _mms_case(cfg: RunConfig, M: int, outdir: pathlib.Path):
-    """One grid of the order study; fully independent of the other cases."""
+    """One grid of the order study."""
     grid = GridSpec(dim=cfg.dim, M=M)
     params = cfg.model_params()
     integ = _integrator(grid, params, cfg,
@@ -220,9 +219,7 @@ def _mms_case(cfg: RunConfig, M: int, outdir: pathlib.Path):
 
 def run_mms(cfg: RunConfig) -> int:
     outdir = pathlib.Path(cfg.out)
-    # one thread per grid; cases share no mutable state
-    with ThreadPoolExecutor(max_workers=len(cfg.M)) as pool:
-        results = list(pool.map(lambda M: _mms_case(cfg, M, outdir), cfg.M))
+    results = [_mms_case(cfg, M, outdir) for M in cfg.M]
     errors = [r[0] for r in results]
     times = [r[1] for r in results]
     eoc = compute_eoc(cfg.M, errors)
@@ -274,9 +271,7 @@ def run_sweep(cfg: RunConfig) -> int:
     if cfg.test is None:
         raise SystemExit("sweep: --test is required")
     outdir = pathlib.Path(cfg.out)
-    # one thread per stiffness value; cases share no mutable state
-    with ThreadPoolExecutor(max_workers=len(cfg.cp_list)) as pool:
-        rows = list(pool.map(lambda cp: _sweep_case(cfg, cp), cfg.cp_list))
+    rows = [_sweep_case(cfg, cp) for cp in cfg.cp_list]
     write_csv(outdir / "sweep.csv",
               ["cp", "steps", "mass_err", "phase_err", "walltime_s"], rows)
     write_manifest(outdir, cfg)
@@ -315,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--dump-times", dest="dump_times",
                        help="comma-separated snapshot times")
         q.add_argument("--linear-solver", dest="linear_solver",
-                       choices=("direct", "cg", "multigrid"))
+                       choices=("direct", "cg"))
         q.add_argument("--config", help="key=value config file")
     return p
 

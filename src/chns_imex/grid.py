@@ -9,9 +9,14 @@ identically zero.  Arrays are indexed [i, j] with axis 0 = x and axis 1 = y.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+#: axis names in array-axis order (axis 0 = x)
+AXES = ("x", "y")
 
 #: ghost layers added on each side; enough for WENO5 and the 6-point transfer
 GHOST = 3
@@ -54,6 +59,12 @@ def _axis_index(axis) -> int:
     if axis in (1, "y"):
         return 1
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+
+
+def axis_sum(terms):
+    """Sum of per-axis terms in axis order, the first term taken as is, so
+    rounding and signed zeros match a hand-written t_x + t_y."""
+    return functools.reduce(operator.add, terms)
 
 
 def _check_axis(f: np.ndarray, ax: int):
@@ -239,51 +250,3 @@ def faces_to_cells6(ext: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
     M = ext.shape[ax] - 2 * g - 1
     # cell i (i = 1..M) uses faces i-5/2..i+5/2
     return _window_dot(ext, ax, g - 2, M)
-
-
-def transfer6(field: np.ndarray, direction: str, axis, g: int = GHOST) -> np.ndarray:
-    """Sixth-order transfer between centers and faces on an extended field."""
-    if direction == "centers_to_faces":
-        return cells_to_faces6(field, axis, g)
-    if direction == "faces_to_centers":
-        return faces_to_cells6(field, axis, g)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# ---------------------------------------------------------------------------
-# Whole-state ghost extension
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GhostExtension:
-    """Primitive fields padded with GHOST mirror layers per the wall rules."""
-
-    rho: np.ndarray   # symmetric in every axis
-    q: np.ndarray     # symmetric (q = rho*c)
-    c: np.ndarray     # symmetric
-    v1: np.ndarray    # odd; face-positioned in x (walls stored as zeros)
-    v2: np.ndarray | None = None  # 2D only; face-positioned in y
-
-
-def ghost_extend(state, grid: GridSpec) -> GhostExtension:
-    """Extend the primitive fields of a state with GHOST reflection layers."""
-    rho_sx = face_average(state.rho, "x")
-    if grid.dim == 1:
-        v1 = state.mx / rho_sx
-        return GhostExtension(
-            rho=extend_cell(state.rho, "x", "sym"),
-            q=extend_cell(state.q, "x", "sym"),
-            c=extend_cell(state.q / state.rho, "x", "sym"),
-            v1=extend_face_interior(v1, "x"),
-        )
-    rho_sy = face_average(state.rho, "y")
-    v1 = state.mx / rho_sx
-    v2 = state.my / rho_sy
-    c = state.q / state.rho
-    return GhostExtension(
-        rho=extend_cell(extend_cell(state.rho, "x", "sym"), "y", "sym"),
-        q=extend_cell(extend_cell(state.q, "x", "sym"), "y", "sym"),
-        c=extend_cell(extend_cell(c, "x", "sym"), "y", "sym"),
-        v1=extend_cell(extend_face_interior(v1, "x"), "y", "odd"),
-        v2=extend_cell(extend_face_interior(v2, "y"), "x", "odd"),
-    )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .grid import GridSpec
+from .grid import AXES, GridSpec, face_average
 from .model import ModelParams, NonPositiveDensityError
 from .solvers import (HydroSolver, LinearSolverConfig, NewtonConfig,
                       SolveStats, SolverFailure, solve_c_stage)
@@ -75,6 +75,7 @@ class StepRecord:
     t: float
     dt: float
     newton_iters: int
+    #: Krylov iterations of the step's concentration solves
     lin_iters: int
     factorizations: int
     retries: int
@@ -95,7 +96,7 @@ class RunResult:
 class Integrator:
     def __init__(self, grid: GridSpec, params: ModelParams,
                  scheme: str = "star_dirksa", cfl: float = DEFAULT_CFL,
-                 forcing=None, mass_diffusion_mode: str = "reconstructed",
+                 forcing=None,
                  newton_cfg: NewtonConfig | None = None,
                  linear_cfg: LinearSolverConfig | None = None):
         self.grid = grid
@@ -103,8 +104,7 @@ class Integrator:
         self.tab = make_tableau(scheme)
         self.cfl = cfl
         self.forcing = forcing
-        self.sp = SpatialDiscretization(grid, params,
-                                        mass_diffusion_mode=mass_diffusion_mode)
+        self.sp = SpatialDiscretization(grid, params)
         self.hydro = HydroSolver(grid, params, newton_cfg)
         self.linear_cfg = linear_cfg or LinearSolverConfig()
         self._speed = None    # lagged non-stiff characteristic speed
@@ -112,9 +112,7 @@ class Integrator:
     # -- time-step selection -------------------------------------------------
 
     def _state_speed(self, U: State) -> float:
-        v = float(np.max(np.abs(U.v1()))) if U.mx.size else 0.0
-        if self.grid.dim == 2:
-            v = max(v, float(np.max(np.abs(U.v2()))))
+        v = max(float(np.max(np.abs(w))) for w in U.velocities())
         s = float(np.max(model.sound_speed(U.rho, self.params)))
         return v + s
 
@@ -128,27 +126,17 @@ class Integrator:
 
     def _solve_stage(self, hat: State, tilde: State, dta: float,
                      stats: SolveStats) -> State:
-        z0 = self.hydro.pack(tilde.rho, tilde.v1(),
-                             None if self.grid.dim == 1 else tilde.v2())
-        r = self.hydro.pack(hat.rho, hat.mx,
-                            None if self.grid.dim == 1 else hat.my)
+        z0 = self.hydro.pack(tilde.rho, *tilde.velocities())
+        r = self.hydro.pack(hat.rho, *hat.momenta)
         z = self.hydro.solve(z0, r, dta, stats)
-        rho_v, v1_v, v2_v = self.hydro.unpack(z)
-        M = self.grid.M
-        if self.grid.dim == 1:
-            rho = rho_v.copy()
-            v1 = v1_v.copy()
-            v2 = None
-        else:
-            rho = rho_v.reshape((M, M), order="F")
-            v1 = v1_v.reshape((M - 1, M), order="F")
-            v2 = v2_v.reshape((M, M - 1), order="F")
+        rho_v, v_v = self.hydro.unpack(z)
+        rho = rho_v.reshape(hat.rho.shape, order="F")
+        v = [vk.reshape(m.shape, order="F")
+             for vk, m in zip(v_v, hat.momenta)]
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
                           self.linear_cfg, stats)
-        U = State(rho=rho, mx=None, q=rho * C, my=None)
-        U.mx = U.rho_star_x() * v1
-        if self.grid.dim == 2:
-            U.my = U.rho_star_y() * v2
+        U = State(rho=rho, mx=None, q=rho * C)
+        U.momenta = [face_average(rho, a) * vk for a, vk in zip(AXES, v)]
         return U
 
     # -- one step ------------------------------------------------------------

@@ -99,17 +99,6 @@ def sound_speed(rho, params: ModelParams):
     return np.sqrt(dp1(rho, params))
 
 
-def eos_eval(rho, params: ModelParams) -> dict:
-    """Evaluate both pressure branches and the non-stiff sound speed."""
-    return {
-        "p1": p1(rho, params),
-        "p2": p2(rho, params),
-        "dp1": dp1(rho, params),
-        "dp2": dp2(rho, params),
-        "sound": sound_speed(rho, params),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Double-well potential and its convex/concave split
 # ---------------------------------------------------------------------------
@@ -132,11 +121,6 @@ def dpsi2(c):
 def ddpsi2(c):
     c = np.asarray(c)
     return 3.0 * c**2 - 3.0
-
-
-def potential_eval(c) -> dict:
-    return {"psi": psi(c), "dpsi1": dpsi1(c), "dpsi2": dpsi2(c),
-            "ddpsi2": ddpsi2(c)}
 
 
 def free_energy_density(rho, params: ModelParams):

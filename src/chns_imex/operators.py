@@ -2,7 +2,7 @@
 
 Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  These
-matrices back the Newton Jacobian and the direct/multigrid c-system solvers;
+matrices back the Newton Jacobian and the c-system assembly;
 tendency evaluation itself is matrix-free (see the spatial module).
 """
 
@@ -10,17 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def mat_center(M: int, h: float) -> sp.csr_matrix:
-    """Centered first derivative at cell centers, one-sided wall rows (M x M)."""
-    D = sp.lil_matrix((M, M))
-    for i in range(1, M - 1):
-        D[i, i - 1] = -1.0
-        D[i, i + 1] = 1.0
-    D[0, 0], D[0, 1] = -1.0, 1.0
-    D[M - 1, M - 2], D[M - 1, M - 1] = -1.0, 1.0
-    return (D / (2 * h)).tocsr()
 
 
 def mat_dual(M: int, h: float, star: bool = False) -> sp.csr_matrix:

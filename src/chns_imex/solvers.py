@@ -11,6 +11,7 @@ stalls, so the monotone decrease of ||H||_2 is always enforced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import model
-from .grid import GridSpec
+from .grid import GridSpec, axis_sum
 from .model import ModelParams, NonPositiveDensityError
-from .operators import (laplacian_nd, mat_average, mat_dual, viscous_blocks)
+from .operators import laplacian_nd, mat_average, mat_dual, viscous_blocks
 
 
 class SolverFailure(RuntimeError):
@@ -37,23 +38,20 @@ class NewtonConfig:
 
 @dataclass
 class LinearSolverConfig:
-    method: str = "cg"            # {'direct', 'cg', 'multigrid'}
+    method: str = "cg"            # {'direct', 'cg'}
     #: near-machine tolerance: the concentration system conserves the phase
     #: total exactly only up to the linear residual, and the sum over ~1e4
     #: cells and ~1e2 solves amplifies it; the system is well conditioned
     #: (diagonally dominant), so the tight tolerance costs few iterations
     tol: float = 1e-14
     maxiter: int = 20000
-    mg_pre: int = 2
-    mg_post: int = 2
-    mg_coarsest: int = 8
-    mg_max_cycles: int = 60
 
 
 @dataclass
 class SolveStats:
     newton_iters: int = 0
     newton_res: float = 0.0
+    #: Krylov (CG) iterations of the concentration solves; direct solves add 0
     lin_iters: int = 0
     factorizations: int = 0
     #: accepted residual norms per Newton iteration (scaled norm)
@@ -64,109 +62,86 @@ class SolveStats:
 # Hydro subsystem (density + velocities)
 # ---------------------------------------------------------------------------
 
+def _along(op, axis: int, dim: int, M: int) -> sp.csr_matrix:
+    """Lift a 1D operator to act along one axis of a column-major field
+    whose other axes have M entries: kron(I, op) along x, kron(op, I)
+    along y."""
+    factors = [sp.identity(M, format="csr")] * dim
+    factors[axis] = op
+    return functools.reduce(sp.kron, reversed(factors)).tocsr()
+
+
 class HydroSolver:
-    """Damped Newton solver for the implicit density/velocity subsystem."""
+    """Damped Newton solver for the implicit density/velocity subsystem.
+
+    Per-axis operator lists: D[k] (face flux difference), A[k] (face
+    average of cell values), G[k] (grad-transpose, cells -> faces) and the
+    viscous blocks B[k][j] coupling velocity j into momentum k.
+    """
 
     def __init__(self, grid: GridSpec, params: ModelParams,
                  cfg: NewtonConfig | None = None):
         self.grid = grid
         self.params = params
         self.cfg = cfg or NewtonConfig()
-        M, h = grid.M, grid.h
+        M, h, dim = grid.M, grid.h, grid.dim
         D = mat_dual(M, h)
         A = mat_average(M)
-        if grid.dim == 1:
-            self.Dx, self.Ax = D.tocsr(), A.tocsr()
-            self.Gx = D.T.tocsr()            # grad-transpose: cells -> faces
-            (self.B11,) = viscous_blocks(1, M, h, params.nu, params.lam)
-            self.nc, self.nx, self.ny = M, M - 1, 0
-        else:
-            I = sp.identity(M, format="csr")
-            self.Dx = sp.kron(I, D).tocsr()
-            self.Dy = sp.kron(D, I).tocsr()
-            self.Ax = sp.kron(I, A).tocsr()
-            self.Ay = sp.kron(A, I).tocsr()
-            self.Gx = sp.kron(I, D.T).tocsr()
-            self.Gy = sp.kron(D.T, I).tocsr()
-            self.B11, self.B12, self.B21, self.B22 = viscous_blocks(
-                2, M, h, params.nu, params.lam)
-            self.nc = M * M
-            self.nx = (M - 1) * M
-            self.ny = M * (M - 1)
+        self.D = [_along(D, k, dim, M) for k in range(dim)]
+        self.A = [_along(A, k, dim, M) for k in range(dim)]
+        self.G = [_along(D.T, k, dim, M) for k in range(dim)]
+        blocks = viscous_blocks(dim, M, h, params.nu, params.lam)
+        self.B = [blocks[k * dim:(k + 1) * dim] for k in range(dim)]
+        self.nc = M ** dim
+        #: unknowns per block: cells, then the faces of each axis
+        self.sizes = [self.nc] + [(M - 1) * M ** (dim - 1)] * dim
+        self._split = np.cumsum(self.sizes)[:-1]
         self._lu = None
         self._lu_key = None
 
     # vector packing: [rho; v1; v2], each flattened column-major
 
     def pack(self, rho, v1, v2=None):
-        parts = [np.ravel(rho, order="F"), np.ravel(v1, order="F")]
-        if self.grid.dim == 2:
-            parts.append(np.ravel(v2, order="F"))
-        return np.concatenate(parts)
+        parts = (rho, v1, v2)[:1 + self.grid.dim]
+        return np.concatenate([np.ravel(f, order="F") for f in parts])
 
     def unpack(self, z):
-        M = self.grid.M
-        rho = z[:self.nc]
-        v1 = z[self.nc:self.nc + self.nx]
-        if self.grid.dim == 1:
-            return rho, v1, None
-        v2 = z[self.nc + self.nx:]
-        return rho, v1, v2
+        """Split z into (rho, [v1, v2]) views; 1D has the single v1."""
+        rho, *v = np.split(z, self._split)
+        return rho, v
 
     def residual(self, z, r, dta):
-        rho, v1, v2 = self.unpack(z)
+        rho, v = self.unpack(z)
         if np.any(rho <= 0):
             raise NonPositiveDensityError("nonpositive density in Newton iterate")
         # centered stiff pressure: identical under the discrete gradient,
         # but free of cancellation noise at large cp2
         p2 = model.p2_centered(rho, self.params, float(rho.mean()))
-        rsx = self.Ax @ rho
-        if self.grid.dim == 1:
-            f_rho = rho + dta * (self.Dx @ (rsx * v1)) - r[:self.nc]
-            f_m = rsx * v1 + dta * (self.B11 @ v1 - self.Gx @ p2) \
-                - r[self.nc:]
-            return np.concatenate([f_rho, f_m])
-        rsy = self.Ay @ rho
-        f_rho = rho + dta * (self.Dx @ (rsx * v1) + self.Dy @ (rsy * v2)) \
-            - r[:self.nc]
-        f_m1 = rsx * v1 + dta * (self.B11 @ v1 + self.B12 @ v2
-                                 - self.Gx @ p2) \
-            - r[self.nc:self.nc + self.nx]
-        f_m2 = rsy * v2 + dta * (self.B21 @ v1 + self.B22 @ v2
-                                 - self.Gy @ p2) \
-            - r[self.nc + self.nx:]
-        return np.concatenate([f_rho, f_m1, f_m2])
+        r_rho, *r_m = np.split(r, self._split)
+        rs = [A @ rho for A in self.A]
+        f_rho = rho + dta * axis_sum([D @ (s * vk)
+                                      for D, s, vk in zip(self.D, rs, v)]) \
+            - r_rho
+        f_m = [s * vk + dta * (axis_sum([B @ vj for B, vj in zip(Bk, v)])
+                               - G @ p2) - rk
+               for s, vk, Bk, G, rk in zip(rs, v, self.B, self.G, r_m)]
+        return np.concatenate([f_rho] + f_m)
 
     def jacobian(self, z, dta) -> sp.csr_matrix:
-        rho, v1, v2 = self.unpack(z)
-        dp2 = model.dp2(rho, self.params)
-        rsx = self.Ax @ rho
-        Ic = sp.identity(self.nc, format="csr")
-        dgV1 = sp.diags(v1)
-        dgRx = sp.diags(rsx)
-        if self.grid.dim == 1:
-            J00 = Ic + dta * (self.Dx @ dgV1 @ self.Ax)
-            J01 = dta * (self.Dx @ dgRx)
-            J10 = dgV1 @ self.Ax - dta * (self.Gx @ sp.diags(dp2))
-            J11 = dgRx + dta * self.B11
-            return sp.bmat([[J00, J01], [J10, J11]], format="csc")
-        rsy = self.Ay @ rho
-        dgV2 = sp.diags(v2)
-        dgRy = sp.diags(rsy)
-        J00 = Ic + dta * (self.Dx @ dgV1 @ self.Ax
-                          + self.Dy @ dgV2 @ self.Ay)
-        J01 = dta * (self.Dx @ dgRx)
-        J02 = dta * (self.Dy @ dgRy)
-        Gp = sp.diags(dp2)
-        J10 = dgV1 @ self.Ax - dta * (self.Gx @ Gp)
-        J20 = dgV2 @ self.Ay - dta * (self.Gy @ Gp)
-        J11 = dgRx + dta * self.B11
-        J12 = dta * self.B12
-        J21 = dta * self.B21
-        J22 = dgRy + dta * self.B22
-        return sp.bmat([[J00, J01, J02],
-                        [J10, J11, J12],
-                        [J20, J21, J22]], format="csc")
+        rho, v = self.unpack(z)
+        dp2 = sp.diags(model.dp2(rho, self.params))
+        dgV = [sp.diags(vk) for vk in v]
+        dgR = [sp.diags(A @ rho) for A in self.A]
+        J00 = sp.identity(self.nc, format="csr") \
+            + dta * axis_sum([D @ dv @ A
+                              for D, dv, A in zip(self.D, dgV, self.A)])
+        rows = [[J00] + [dta * (D @ dr) for D, dr in zip(self.D, dgR)]]
+        for k in range(self.grid.dim):
+            row = [dgV[k] @ self.A[k] - dta * (self.G[k] @ dp2)]
+            for j, B in enumerate(self.B[k]):
+                row.append(dgR[k] + dta * B if j == k else dta * B)
+            rows.append(row)
+        return sp.bmat(rows, format="csc")
 
     def _row_scaling(self, z0, dta) -> np.ndarray:
         """Row-equilibration weights for the convergence norm.
@@ -178,12 +153,12 @@ class HydroSolver:
         equilibrated norm makes the tolerance meaningful at every stiffness;
         the Newton direction itself is invariant under row scaling.
         """
-        rho, _, _ = self.unpack(z0)
+        rho, _ = self.unpack(z0)
         h = self.grid.h
         p = self.params
         amp = 1.0 + dta * (float(np.max(model.dp2(rho, p))) / h
                            + (2 * p.nu + p.lam) * 8.0 / h**2)
-        w = np.ones(self.nc + self.nx + self.ny)
+        w = np.ones(sum(self.sizes))
         w[self.nc:] = 1.0 / amp
         return w
 
@@ -278,81 +253,15 @@ def assemble_c_matrix(rho: np.ndarray, dta: float, eps: float,
     return A.tocsr()
 
 
-def _prolongation_1d(Mc: int) -> sp.csr_matrix:
-    """Cell-centered linear interpolation from Mc coarse to 2*Mc fine cells."""
-    Mf = 2 * Mc
-    P = sp.lil_matrix((Mf, Mc))
-    for k in range(Mc):
-        # fine cell 2k sits a quarter-cell left of coarse cell k
-        if k == 0:
-            P[0, 0] = 1.0
-        else:
-            P[2 * k, k] = 0.75
-            P[2 * k, k - 1] = 0.25
-        if k == Mc - 1:
-            P[2 * k + 1, k] = 1.0
-        else:
-            P[2 * k + 1, k] = 0.75
-            P[2 * k + 1, k + 1] = 0.25
-    return P.tocsr()
-
-
-class MultigridSolver:
-    """Geometric V-cycle with Galerkin coarse operators and Gauss-Seidel
-    smoothing for the SPD concentration system."""
-
-    def __init__(self, A: sp.csr_matrix, grid: GridSpec,
-                 cfg: LinearSolverConfig):
-        self.cfg = cfg
-        self.levels = []
-        M = grid.M
-        while M > cfg.mg_coarsest and M % 2 == 0:
-            P1 = _prolongation_1d(M // 2)
-            P = P1 if grid.dim == 1 else sp.kron(P1, P1).tocsr()
-            lower = sp.tril(A, 0).tocsr()
-            self.levels.append({"A": A.tocsr(), "P": P, "lower": lower})
-            A = (P.T @ A @ P).tocsr()
-            M //= 2
-        self.coarse_lu = spla.splu(A.tocsc())
-        self.coarse_A = A
-
-    def _smooth(self, lev, x, b, sweeps):
-        A, lower = lev["A"], lev["lower"]
-        for _ in range(sweeps):
-            x = x + spla.spsolve_triangular(lower, b - A @ x, lower=True)
-        return x
-
-    def _vcycle(self, k, b):
-        if k == len(self.levels):
-            return self.coarse_lu.solve(b)
-        lev = self.levels[k]
-        x = self._smooth(lev, np.zeros_like(b), b, self.cfg.mg_pre)
-        r = b - lev["A"] @ x
-        e = self._vcycle(k + 1, lev["P"].T @ r)
-        x = x + lev["P"] @ e
-        return self._smooth(lev, x, b, self.cfg.mg_post)
-
-    def solve(self, b: np.ndarray, stats: SolveStats | None = None):
-        A = self.levels[0]["A"] if self.levels else self.coarse_A
-        x = np.zeros_like(b)
-        nb = float(np.linalg.norm(b))
-        if nb == 0.0:
-            return x
-        for it in range(self.cfg.mg_max_cycles):
-            x = x + self._vcycle(0, b - A @ x)
-            if stats is not None:
-                stats.lin_iters += 1
-            if np.linalg.norm(b - A @ x) <= self.cfg.tol * nb:
-                return x
-        raise SolverFailure("multigrid did not converge")
-
-
 def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
                   eps: float, grid: GridSpec,
                   cfg: LinearSolverConfig | None = None,
                   stats: SolveStats | None = None) -> np.ndarray:
-    """Solve the SPD concentration system; rhs_hat is the hat of rho*c."""
+    """Solve the SPD concentration system; rhs_hat is the hat of rho*c.
+
+    CG iterations are added to stats.lin_iters."""
     cfg = cfg or LinearSolverConfig()
+    stats = stats if stats is not None else SolveStats()
     if dta == 0.0:
         return rhs_hat / rho
     A = assemble_c_matrix(rho, dta, eps, grid)
@@ -360,13 +269,14 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     if cfg.method == "direct":
         x = spla.splu(A.tocsc()).solve(b)
     elif cfg.method == "cg":
+        def count(_xk):
+            stats.lin_iters += 1
+
         Minv = sp.diags(1.0 / A.diagonal())
         x, info = spla.cg(A, b, rtol=cfg.tol, atol=0.0,
-                          maxiter=cfg.maxiter, M=Minv)
+                          maxiter=cfg.maxiter, M=Minv, callback=count)
         if info != 0:
             raise SolverFailure(f"CG failed with info={info}")
-    elif cfg.method == "multigrid":
-        x = MultigridSolver(A, grid, cfg).solve(b, stats)
     else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
     return x.reshape(rho.shape, order="F")

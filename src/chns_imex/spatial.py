@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .grid import (GHOST, GridSpec, apply_fd_operator, cells_to_faces6,
-                   dual_transpose, extend_cell, extend_face_full,
-                   extend_face_interior, face_average, faces_to_cells6,
-                   laplacian_neumann)
+from .grid import (AXES, GHOST, GridSpec, _slc, apply_fd_operator,
+                   axis_sum, cells_to_faces6, dual_transpose, extend_cell,
+                   extend_face_full, extend_face_interior, face_average,
+                   faces_to_cells6, laplacian_neumann)
 from .model import ModelParams
 from .state import State
 from .weno import reconstruct_lr_cells, reconstruct_lr_faces
@@ -41,13 +41,15 @@ def _grad_to_faces(f: np.ndarray, axis, h: float) -> np.ndarray:
     return -dual_transpose(f, axis, h)
 
 
+def _diff(f: np.ndarray, ax: int) -> np.ndarray:
+    """Forward difference f[i+1] - f[i] along an axis."""
+    return _slc(f, ax, slice(1, None)) - _slc(f, ax, slice(None, -1))
+
+
 @dataclass
 class SpatialDiscretization:
     grid: GridSpec
     params: ModelParams
-    #: 'reconstructed' uses WENO states in the mass Rusanov diffusion,
-    #: 'cell' uses raw neighbouring cell values
-    mass_diffusion_mode: str = "reconstructed"
     _warned_sound: bool = field(default=False, repr=False)
 
     # -- small helpers ----------------------------------------------------
@@ -76,183 +78,93 @@ class SpatialDiscretization:
     # -- convection --------------------------------------------------------
 
     def convective(self, Ut: State, U: State) -> State:
-        if self.grid.dim == 1:
-            return self._convective_1d(Ut, U)
-        return self._convective_2d(Ut, U)
+        """Mass transport div(rho_* v) from the implicit state plus Rusanov
+        fluxes from the explicit state, one pass per axis.
 
-    def _mass_diffusion(self, rho: np.ndarray, lam: np.ndarray, axis,
-                        rho_m: np.ndarray, rho_p: np.ndarray) -> np.ndarray:
-        """Rusanov diffusion contribution to the mass tendency along an axis.
-
-        lam, rho_m, rho_p live at all faces 0..M; wall entries cancel by the
-        mirror symmetry of the density.
+        The mass diffusion and the phase-momentum flux along an axis share
+        its Rusanov speed.  Momentum component a gets the normal flux
+        rho v_a^2 + p1 along a and the corner flux rho v1 v2 along every
+        transverse axis.
         """
-        if self.mass_diffusion_mode == "reconstructed":
-            jump = rho_p - rho_m
-        elif self.mass_diffusion_mode == "cell":
-            jump = np.zeros_like(lam)
-            sl_lo = [slice(None)] * rho.ndim
-            sl_hi = [slice(None)] * rho.ndim
-            ax = 0 if axis in (0, "x") else 1
-            sl_lo[ax] = slice(None, -1)
-            sl_hi[ax] = slice(1, None)
-            interior = [slice(None)] * rho.ndim
-            interior[ax] = slice(1, -1)
-            jump[tuple(interior)] = rho[tuple(sl_hi)] - rho[tuple(sl_lo)]
-        else:
-            raise ValueError(self.mass_diffusion_mode)
-        d = 0.5 * lam * jump
-        ax = 0 if axis in (0, "x") else 1
-        interior = [slice(None)] * d.ndim
-        interior[ax] = slice(1, -1)
-        return self._dual(d[tuple(interior)], axis)
-
-    def _convective_1d(self, Ut: State, U: State) -> State:
         g, h, p = GHOST, self.grid.h, self.params
-        out = U.zeros_like()
+        axes = AXES[:self.grid.dim]
+        out = self.mass_divergence(U)
+        v = Ut.velocities()
+        v_ext = [extend_face_interior(va, a) for a, va in zip(axes, v)]
+        v_cell = [faces_to_cells6(ve, a) for a, ve in zip(axes, v_ext)]
+        rho_ext = [extend_cell(Ut.rho, a, "sym") for a in axes]
 
-        # explicit primitive data
-        rho_t = Ut.rho
-        v1_ext = extend_face_interior(Ut.v1(), "x")
-        v1c = faces_to_cells6(v1_ext, "x")
-        ext_rho = extend_cell(rho_t, "x", "sym")
+        # mass: Rusanov diffusion from WENO states at the faces 0..M; the
+        # wall entries cancel by the mirror symmetry of the density
+        lam_rho = []
+        for k, a in enumerate(axes):
+            r_m, r_p = reconstruct_lr_cells(rho_ext[k], a)
+            w_m, w_p = reconstruct_lr_cells(
+                extend_cell(v_cell[k], a, "odd"), a)
+            lam = self._lam(w_m, w_p, r_m, r_p)
+            lam_rho.append(lam)
+            d = 0.5 * lam * (r_p - r_m)
+            out.rho += self._dual(_slc(d, k, slice(1, -1)), a)
 
-        # mass: implicit centered transport + explicit Rusanov diffusion
-        out.rho = -self._dual(U.mx, "x")
-        rho_m, rho_p = reconstruct_lr_cells(ext_rho, "x")
-        vc_m, vc_p = reconstruct_lr_cells(extend_cell(v1c, "x", "odd"), "x")
-        lam_rho = self._lam(vc_m, vc_p, rho_m, rho_p)
-        out.rho += self._mass_diffusion(rho_t, lam_rho, "x", rho_m, rho_p)
+        # momentum: dual-grid reconstruction of rho v_a^2 + p1 and rho v_a
+        mom = []
+        for k, a in enumerate(axes):
+            rho_f = cells_to_faces6(rho_ext[k], a)      # faces 0..M along a
+            v_full = _slc(v_ext[k], k, slice(g, -g))
+            flux = rho_f * v_full**2 + model.p1(rho_f, p)
+            F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, a, 1.0), a)
+            m_m, m_p = reconstruct_lr_faces(
+                extend_face_full(rho_f * v_full, a, -1.0), a)
+            w_m, w_p = reconstruct_lr_faces(
+                extend_face_full(v_full, a, -1.0), a)
+            r_m, r_p = reconstruct_lr_faces(extend_face_full(rho_f, a, 1.0), a)
+            lam = self._lam(w_m, w_p, r_m, r_p)
+            Fhat = 0.5 * (F_p + F_m) - 0.5 * lam * (m_p - m_m)
+            m_a = dual_transpose(Fhat, a, h)
+            rho_fi = _slc(rho_f, k, slice(1, -1))
+            for j, b in enumerate(axes):
+                if j == k:
+                    continue
+                # corner flux at the a-faces: v_b brought there by corner
+                # averaging along a and a sixth-order transfer along b.
+                # Across a b-wall both velocity components are odd, so the
+                # flux rho v1 v2 is even and the momentum rho v_a is odd.
+                vb = faces_to_cells6(
+                    extend_face_interior(face_average(v[j], a), b), b)
+                v_at = list(v)
+                v_at[j] = vb
+                qty = rho_fi * v_at[0] * v_at[1]
+                c_m, c_p = reconstruct_lr_cells(extend_cell(qty, b, "sym"), b)
+                m_m, m_p = reconstruct_lr_cells(
+                    extend_cell(rho_fi * v[k], b, "odd"), b)
+                w_m, w_p = reconstruct_lr_cells(extend_cell(vb, b, "odd"), b)
+                r_m, r_p = reconstruct_lr_cells(
+                    extend_cell(rho_fi, b, "sym"), b)
+                lam = self._lam(w_m, w_p, r_m, r_p)
+                Ghat = 0.5 * (c_p + c_m) - 0.5 * lam * (m_p - m_m)
+                m_a += -_diff(Ghat, j) / h
+            mom.append(m_a)
+        out.momenta = mom
 
-        # momentum: dual-grid reconstruction of rho v^2 + p1 and rho v
-        rho_f = cells_to_faces6(ext_rho, "x")
-        v1_full = v1_ext[g:-g]
-        flux = rho_f * v1_full**2 + model.p1(rho_f, p)
-        F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, "x", 1.0), "x")
-        mom = rho_f * v1_full
-        m_m, m_p = reconstruct_lr_faces(extend_face_full(mom, "x", -1.0), "x")
-        vf_m, vf_p = reconstruct_lr_faces(
-            extend_face_full(v1_full, "x", -1.0), "x")
-        rf_m, rf_p = reconstruct_lr_faces(
-            extend_face_full(rho_f, "x", 1.0), "x")
-        lam_m = self._lam(vf_m, vf_p, rf_m, rf_p)
-        Fhat = 0.5 * (F_p + F_m) - 0.5 * lam_m * (m_p - m_m)
-        out.mx = dual_transpose(Fhat, "x", h)
-
-        # phase momentum: primal reconstruction of rho c v
-        r = Ut.q * v1c
-        r_m, r_p = reconstruct_lr_cells(extend_cell(r, "x", "odd"), "x")
-        q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, "x", "sym"), "x")
-        Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho * (q_p - q_m)
-        out.q = -(Fc[1:] - Fc[:-1]) / h
-        return out
-
-    def _convective_2d(self, Ut: State, U: State) -> State:
-        g, h, p = GHOST, self.grid.h, self.params
-        out = U.zeros_like()
-        rho_t = Ut.rho
-        v1, v2 = Ut.v1(), Ut.v2()
-        v1_ext = extend_face_interior(v1, "x")
-        v2_ext = extend_face_interior(v2, "y")
-        v1c = faces_to_cells6(v1_ext, "x")          # v1 at centers
-        v2c = faces_to_cells6(v2_ext, "y")
-        ext_rho_x = extend_cell(rho_t, "x", "sym")
-        ext_rho_y = extend_cell(rho_t, "y", "sym")
-
-        # ---- mass ----
-        out.rho = -self._dual(U.mx, "x") - self._dual(U.my, "y")
-        rxm, rxp = reconstruct_lr_cells(ext_rho_x, "x")
-        vxm, vxp = reconstruct_lr_cells(extend_cell(v1c, "x", "odd"), "x")
-        lam_rho_x = self._lam(vxm, vxp, rxm, rxp)
-        out.rho += self._mass_diffusion(rho_t, lam_rho_x, "x", rxm, rxp)
-        rym, ryp = reconstruct_lr_cells(ext_rho_y, "y")
-        vym, vyp = reconstruct_lr_cells(extend_cell(v2c, "y", "odd"), "y")
-        lam_rho_y = self._lam(vym, vyp, rym, ryp)
-        out.rho += self._mass_diffusion(rho_t, lam_rho_y, "y", rym, ryp)
-
-        # ---- x-momentum ----
-        rho_xf = cells_to_faces6(ext_rho_x, "x")    # (M+1, M), walls included
-        v1_full = v1_ext[g:-g, :]
-        flux = rho_xf * v1_full**2 + model.p1(rho_xf, p)
-        F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, "x", 1.0), "x")
-        mom = rho_xf * v1_full
-        m_m, m_p = reconstruct_lr_faces(extend_face_full(mom, "x", -1.0), "x")
-        vf_m, vf_p = reconstruct_lr_faces(
-            extend_face_full(v1_full, "x", -1.0), "x")
-        rf_m, rf_p = reconstruct_lr_faces(
-            extend_face_full(rho_xf, "x", 1.0), "x")
-        lam = self._lam(vf_m, vf_p, rf_m, rf_p)
-        Fhat = 0.5 * (F_p + F_m) - 0.5 * lam * (m_p - m_m)
-        out.mx = dual_transpose(Fhat, "x", h)
-
-        # corner flux rho v1 v2 at (i+1/2, j+1/2): v2 brought to x-faces by
-        # corner averaging in x and a sixth-order transfer in y
-        v2_xf = faces_to_cells6(
-            extend_face_interior(face_average(v2, "x"), "y"), "y")
-        rho_xfi = rho_xf[1:-1, :]
-        # parities across a y-wall: both velocity components are odd, so the
-        # transported flux rho*v1*v2 is even and the momentum rho*v1 is odd
-        qty = rho_xfi * v1 * v2_xf
-        c_m, c_p = reconstruct_lr_cells(extend_cell(qty, "y", "sym"), "y")
-        mx_s = rho_xfi * v1
-        mxm, mxp = reconstruct_lr_cells(extend_cell(mx_s, "y", "odd"), "y")
-        w_m, w_p = reconstruct_lr_cells(extend_cell(v2_xf, "y", "odd"), "y")
-        rr_m, rr_p = reconstruct_lr_cells(extend_cell(rho_xfi, "y", "sym"), "y")
-        lam_c = self._lam(w_m, w_p, rr_m, rr_p)
-        Ghat = 0.5 * (c_p + c_m) - 0.5 * lam_c * (mxp - mxm)
-        out.mx += -(Ghat[:, 1:] - Ghat[:, :-1]) / h
-
-        # ---- y-momentum ----
-        rho_yf = cells_to_faces6(ext_rho_y, "y")    # (M, M+1)
-        v2_full = v2_ext[:, g:-g]
-        flux = rho_yf * v2_full**2 + model.p1(rho_yf, p)
-        G_m, G_p = reconstruct_lr_faces(extend_face_full(flux, "y", 1.0), "y")
-        mom = rho_yf * v2_full
-        m_m, m_p = reconstruct_lr_faces(extend_face_full(mom, "y", -1.0), "y")
-        vf_m, vf_p = reconstruct_lr_faces(
-            extend_face_full(v2_full, "y", -1.0), "y")
-        rf_m, rf_p = reconstruct_lr_faces(
-            extend_face_full(rho_yf, "y", 1.0), "y")
-        lam = self._lam(vf_m, vf_p, rf_m, rf_p)
-        Ghat_c = 0.5 * (G_p + G_m) - 0.5 * lam * (m_p - m_m)
-        out.my = dual_transpose(Ghat_c, "y", h)
-
-        v1_yf = faces_to_cells6(
-            extend_face_interior(face_average(v1, "y"), "x"), "x")
-        rho_yfi = rho_yf[:, 1:-1]
-        qty = rho_yfi * v1_yf * v2
-        c_m, c_p = reconstruct_lr_cells(extend_cell(qty, "x", "sym"), "x")
-        my_s = rho_yfi * v2
-        mym, myp = reconstruct_lr_cells(extend_cell(my_s, "x", "odd"), "x")
-        w_m, w_p = reconstruct_lr_cells(extend_cell(v1_yf, "x", "odd"), "x")
-        rr_m, rr_p = reconstruct_lr_cells(extend_cell(rho_yfi, "x", "sym"), "x")
-        lam_c = self._lam(w_m, w_p, rr_m, rr_p)
-        Fhat_c = 0.5 * (c_p + c_m) - 0.5 * lam_c * (myp - mym)
-        out.my += -(Fhat_c[1:, :] - Fhat_c[:-1, :]) / h
-
-        # ---- phase momentum ----
-        r = Ut.q * v1c
-        r_m, r_p = reconstruct_lr_cells(extend_cell(r, "x", "odd"), "x")
-        q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, "x", "sym"), "x")
-        Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho_x * (q_p - q_m)
-        out.q = -(Fc[1:, :] - Fc[:-1, :]) / h
-        r = Ut.q * v2c
-        r_m, r_p = reconstruct_lr_cells(extend_cell(r, "y", "odd"), "y")
-        q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, "y", "sym"), "y")
-        Gc = 0.5 * (r_p + r_m) - 0.5 * lam_rho_y * (q_p - q_m)
-        out.q += -(Gc[:, 1:] - Gc[:, :-1]) / h
+        # phase momentum: primal reconstruction of rho c v_a
+        dq = []
+        for k, a in enumerate(axes):
+            r_m, r_p = reconstruct_lr_cells(
+                extend_cell(Ut.q * v_cell[k], a, "odd"), a)
+            q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, a, "sym"), a)
+            Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho[k] * (q_p - q_m)
+            dq.append(-_diff(Fc, k) / h)
+        out.q = axis_sum(dq)
         return out
 
     # -- pressure and gravity ----------------------------------------------
 
     def pressure(self, U: State) -> State:
         """Implicit stiff pressure gradient -grad p2."""
-        h = self.grid.h
         out = U.zeros_like()
         p2 = model.p2_centered(U.rho, self.params, float(U.rho.mean()))
-        out.mx = dual_transpose(p2, "x", h)
-        if self.grid.dim == 2:
-            out.my = dual_transpose(p2, "y", h)
+        out.momenta = [dual_transpose(p2, a, self.grid.h)
+                       for a in AXES[:self.grid.dim]]
         return out
 
     def gravity(self, Ut: State) -> State:
@@ -263,9 +175,6 @@ class SpatialDiscretization:
         else:
             out.my = self.params.g * face_average(Ut.rho, "y")
         return out
-
-    def pressure_gravity(self, Ut: State, U: State) -> State:
-        return self.pressure(U).axpy(1.0, self.gravity(Ut))
 
     # -- capillary forces ---------------------------------------------------
 
@@ -304,8 +213,7 @@ class SpatialDiscretization:
         out = Ut.zeros_like()
         ct = Ut.q / Ut.rho
         psi2 = model.ddpsi2(ct)
-        axes = ("x",) if self.grid.dim == 1 else ("x", "y")
-        for ax in axes:
+        for ax in AXES[:self.grid.dim]:
             a = 0 if ax == "x" else 1
             hi = [slice(None)] * ct.ndim
             lo = [slice(None)] * ct.ndim
@@ -314,9 +222,6 @@ class SpatialDiscretization:
             flux = 0.5 * (psi2[hi] + psi2[lo]) * (ct[hi] - ct[lo]) / h
             out.q += self._dual(flux, ax)
         return out
-
-    def cahn_hilliard(self, Ut: State, U: State) -> State:
-        return self.ch_convex(U).axpy(1.0, self.ch_concave(Ut))
 
     # -- viscosity -----------------------------------------------------------
 
@@ -350,26 +255,27 @@ class SpatialDiscretization:
         """Apply the symmetric viscous blocks to face velocities.
 
         Returns (A11 v1 + A12 v2, A21 v1 + A22 v2) in 2D, (A v,) in 1D.
+        Along its own axis a component feels (2 nu + lam) D^T D; along a
+        transverse axis b it feels nu times the no-slip second difference
+        and (nu + lam) times the grad-div coupling to v_b.
         """
-        nu, lam = self.params.nu, self.params.lam
-        if self.grid.dim == 1:
-            return ((2 * nu + lam) * self._dtd(v1, "x"),)
-        a1 = (2 * nu + lam) * self._dtd(v1, "x") + nu * self._rop(v1, "y") \
-            + (nu + lam) * dual_transpose(self._dual(v2, "y"), "x",
-                                          self.grid.h)
-        a2 = (2 * nu + lam) * self._dtd(v2, "y") + nu * self._rop(v2, "x") \
-            + (nu + lam) * dual_transpose(self._dual(v1, "x"), "y",
-                                          self.grid.h)
-        return a1, a2
+        nu, lam, h = self.params.nu, self.params.lam, self.grid.h
+        axes = AXES[:self.grid.dim]
+        v = (v1, v2)[:self.grid.dim]
+        out = []
+        for k, a in enumerate(axes):
+            acc = (2 * nu + lam) * self._dtd(v[k], a)
+            for j, b in enumerate(axes):
+                if j != k:
+                    acc = acc + nu * self._rop(v[k], b) \
+                        + (nu + lam) * dual_transpose(self._dual(v[j], b),
+                                                      a, h)
+            out.append(acc)
+        return tuple(out)
 
     def viscous(self, U: State) -> State:
         out = U.zeros_like()
-        if self.grid.dim == 1:
-            (a,) = self.viscous_apply(U.v1())
-            out.mx = -a
-            return out
-        a1, a2 = self.viscous_apply(U.v1(), U.v2())
-        out.mx, out.my = -a1, -a2
+        out.momenta = [-a for a in self.viscous_apply(*U.velocities())]
         return out
 
     # -- IMEX split and full right-hand side ----------------------------------
@@ -377,9 +283,8 @@ class SpatialDiscretization:
     def mass_divergence(self, U: State) -> State:
         """Implicit centered mass transport -div(rho_* v)."""
         out = U.zeros_like()
-        out.rho = -self._dual(U.mx, "x")
-        if self.grid.dim == 2:
-            out.rho -= self._dual(U.my, "y")
+        out.rho = axis_sum([-self._dual(m, a)
+                            for a, m in zip(AXES, U.momenta)])
         return out
 
     def explicit_tendency(self, Ut: State,

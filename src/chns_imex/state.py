@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, face_average
+from .grid import AXES, GridSpec, face_average
 
 
 @dataclass
@@ -54,23 +54,31 @@ class State:
             self.my += a * other.my
         return self
 
+    @property
+    def momenta(self) -> tuple:
+        """Face momenta in axis order: (mx,) in 1D, (mx, my) in 2D."""
+        return (self.mx,) if self.my is None else (self.mx, self.my)
+
+    @momenta.setter
+    def momenta(self, m):
+        self.mx = m[0]
+        self.my = m[1] if len(m) > 1 else None
+
+    def velocities(self) -> tuple:
+        """Face velocities in axis order: momenta over face-averaged rho."""
+        return tuple(m / face_average(self.rho, a)
+                     for a, m in zip(AXES, self.momenta))
+
     def zeros_like(self) -> "State":
         return State(np.zeros_like(self.rho), np.zeros_like(self.mx),
                      np.zeros_like(self.q),
                      None if self.my is None else np.zeros_like(self.my))
 
-    def rho_star_x(self) -> np.ndarray:
-        """Face-averaged density at vertical faces (momentum weighting)."""
-        return face_average(self.rho, "x")
-
-    def rho_star_y(self) -> np.ndarray:
-        return face_average(self.rho, "y")
-
     def v1(self) -> np.ndarray:
-        return self.mx / self.rho_star_x()
+        return self.mx / face_average(self.rho, "x")
 
     def v2(self) -> np.ndarray:
-        return self.my / self.rho_star_y()
+        return self.my / face_average(self.rho, "y")
 
     def c(self) -> np.ndarray:
         return self.q / self.rho
@@ -84,14 +92,6 @@ class State:
                 raise FloatingPointError("non-finite value in state")
         if np.any(self.rho <= 0):
             raise FloatingPointError("nonpositive density in state")
-
-    def flat(self) -> np.ndarray:
-        """Concatenated column-major vectorization (rho, mx[, my], q)."""
-        parts = [self.rho.flatten(order="F"), self.mx.flatten(order="F")]
-        if self.my is not None:
-            parts.append(self.my.flatten(order="F"))
-        parts.append(self.q.flatten(order="F"))
-        return np.concatenate(parts)
 
 
 def state_from_primitives(grid: GridSpec, rho: np.ndarray, v1: np.ndarray,

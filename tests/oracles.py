@@ -287,6 +287,17 @@ def capillary_2d(Ut, h, params):
 # dense matrices for the linear/implicit parts
 # ---------------------------------------------------------------------------
 
+def mat_center(M: int, h: float) -> sp.csr_matrix:
+    """Centered first derivative at cell centers, one-sided wall rows (M x M)."""
+    D = sp.lil_matrix((M, M))
+    for i in range(1, M - 1):
+        D[i, i - 1] = -1.0
+        D[i, i + 1] = 1.0
+    D[0, 0], D[0, 1] = -1.0, 1.0
+    D[M - 1, M - 2], D[M - 1, M - 1] = -1.0, 1.0
+    return (D / (2 * h)).tocsr()
+
+
 def dense_implicit_ops(M, h, params, dim):
     """Dense Kronecker assemblies of the implicit operators."""
     D = mat_dual(M, h).toarray()

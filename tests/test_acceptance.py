@@ -307,17 +307,16 @@ def test_criterion_09_solver_properties():
         np.testing.assert_allclose(A, A.T, atol=1e-13 * np.abs(A).max())
         assert np.linalg.eigvalsh(A).min() > 0.0
 
-    # direct / CG / multigrid agreement
+    # direct / CG agreement
     grid = GridSpec(dim=2, M=16)
     rho = 1.0 + 0.3 * rng.uniform(-1, 1, (16, 16))
     rhs = rng.standard_normal((16, 16))
     sols = {m: solve_c_stage(rho, rhs, 0.01, 1e-4, grid,
                              LinearSolverConfig(method=m, tol=1e-12))
-            for m in ("direct", "cg", "multigrid")}
+            for m in ("direct", "cg")}
     ref = np.abs(sols["direct"]).max()
-    for m in ("cg", "multigrid"):
-        np.testing.assert_allclose(sols[m], sols["direct"],
-                                   rtol=1e-9, atol=1e-9 * ref)
+    np.testing.assert_allclose(sols["cg"], sols["direct"],
+                               rtol=1e-9, atol=1e-9 * ref)
 
     # Newton monotonicity on 100 random stage problems
     grid = GridSpec(dim=1, M=16)

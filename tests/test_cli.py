@@ -47,10 +47,10 @@ def test_m_list_and_dump_times_parsing():
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv(ENV_PREFIX + "CP", "1e6")
-    monkeypatch.setenv(ENV_PREFIX + "LINEAR_SOLVER", "multigrid")
+    monkeypatch.setenv(ENV_PREFIX + "LINEAR_SOLVER", "direct")
     cfg = resolve_config(build_parser().parse_args(["run", "--test", "2"]))
     assert cfg.cp == 1e6
-    assert cfg.linear_solver == "multigrid"
+    assert cfg.linear_solver == "direct"
 
 
 def test_flag_beats_env_beats_file(tmp_path, monkeypatch):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from chns_imex.grid import (GHOST, GridSpec, apply_fd_operator, cells_to_faces6,
                             dual_transpose, extend_cell, extend_face_full,
                             extend_face_interior, face_average,
-                            faces_to_cells6, ghost_extend, laplacian_neumann)
-from chns_imex.operators import (laplacian_nd, mat_average, mat_center,
-                                 mat_dual, mat_laplacian_neumann)
-from chns_imex.state import State, state_from_primitives
+                            faces_to_cells6, laplacian_neumann)
+from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
+                                 mat_laplacian_neumann)
+from oracles import mat_center
 
 
 @pytest.mark.parametrize("M", [4, 8, 16])
@@ -124,23 +124,6 @@ def test_extend_face_full_signs(rng):
         for k in range(1, g + 1):
             assert ext[g - k] == sign * f[k]
             assert ext[g + 8 + k] == sign * f[8 - k]
-
-
-def test_ghost_extend_shapes_2d(rng):
-    grid = GridSpec(dim=2, M=8)
-    rho = 1.0 + 0.1 * rng.random((8, 8))
-    c = 0.1 * rng.standard_normal((8, 8))
-    v1 = rng.standard_normal((7, 8))
-    v2 = rng.standard_normal((8, 7))
-    U = state_from_primitives(grid, rho, v1, c, v2=v2)
-    ext = ghost_extend(U, grid)
-    g = GHOST
-    assert ext.rho.shape == (8 + 2 * g, 8 + 2 * g)
-    assert ext.v1.shape == (9 + 2 * g, 8 + 2 * g)
-    assert ext.v2.shape == (8 + 2 * g, 9 + 2 * g)
-    # interior recovery (involution compatibility)
-    np.testing.assert_allclose(ext.rho[g:-g, g:-g], rho)
-    np.testing.assert_allclose(ext.v1[g + 1:-g - 1, g:-g], v1)
 
 
 def test_face_average():

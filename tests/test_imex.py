@@ -8,7 +8,7 @@ from chns_imex.imex import (DEFAULT_CFL, MAX_RETRIES, Integrator, RunResult,
                             make_tableau)
 from chns_imex.mms import exact_state, make_forcing
 from chns_imex.model import ModelParams
-from chns_imex.solvers import NewtonConfig, SolverFailure
+from chns_imex.solvers import LinearSolverConfig, SolverFailure
 from chns_imex.state import state_from_primitives
 
 PARAMS = ModelParams(cp=1e2)
@@ -113,6 +113,36 @@ def test_temporal_orders():
                             np.abs(d.q).max()))
         order = np.log2(errs[0] / errs[1])
         assert lo <= order <= hi, f"{scheme}: order {order}, errors {errs}"
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_step_records_krylov_iterations(method, monkeypatch):
+    """lin_iters sums the CG iterations of all concentration stages of a
+    step; a direct solve does no Krylov work."""
+    import scipy.sparse.linalg as spla
+    from chns_imex.cases import initial_state
+    grid = GridSpec(dim=2, M=16)
+    params = ModelParams(cp=1e4)
+    integ = Integrator(grid, params,
+                       linear_cfg=LinearSolverConfig(method=method))
+    U0 = initial_state(1, grid, params)
+    seen = {"iters": 0}
+    real_cg = spla.cg
+
+    def counting_cg(A, b, *args, callback=None, **kwargs):
+        def count(xk):
+            seen["iters"] += 1
+            if callback is not None:
+                callback(xk)
+        return real_cg(A, b, *args, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    _, rec = integ.step(U0, 0.0, integ.select_dt(U0))
+    assert rec.lin_iters == seen["iters"]
+    if method == "cg":
+        assert rec.lin_iters > 0
+    else:
+        assert rec.lin_iters == 0
 
 
 # ---------------------------------------------------------------------------

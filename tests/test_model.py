@@ -92,14 +92,6 @@ def test_potential_split():
                                [0.0, 0.0, 0.25], atol=1e-15)
 
 
-def test_eval_helpers():
-    p = ModelParams()
-    out = model.eos_eval(np.array([1.0]), p)
-    assert set(out) == {"p1", "p2", "dp1", "dp2", "sound"}
-    pot = model.potential_eval(0.5)
-    assert set(pot) == {"psi", "dpsi1", "dpsi2", "ddpsi2"}
-
-
 def test_free_energy_density():
     p = ModelParams(cp=10.0, cp1=5.0, gamma=2.0)
     assert model.free_energy_density(2.0, p) == pytest.approx(20.0)

@@ -50,13 +50,11 @@ def test_linear_solvers_agree(dim, M, rng):
     rhs = rng.standard_normal(shape)
     dta, eps = 0.01, 1e-4
     sols = {}
-    for method in ("direct", "cg", "multigrid"):
+    for method in ("direct", "cg"):
         cfg = LinearSolverConfig(method=method, tol=1e-12)
         sols[method] = solve_c_stage(rho, rhs, dta, eps, grid, cfg)
     ref = np.abs(sols["direct"]).max()
     np.testing.assert_allclose(sols["cg"], sols["direct"],
-                               rtol=1e-9, atol=1e-9 * ref)
-    np.testing.assert_allclose(sols["multigrid"], sols["direct"],
                                rtol=1e-9, atol=1e-9 * ref)
 
 
