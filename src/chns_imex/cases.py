@@ -27,11 +27,9 @@ def initial_state(test: int, grid: GridSpec, params: ModelParams,
     if grid.dim != 2:
         raise ValueError("the physical test problems are two-dimensional")
     d = params.delta
-    x = grid.cell_centers()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    xf = grid.interior_faces()
-    Xfx, Yfx = np.meshgrid(xf, x, indexing="ij")
-    Xfy, Yfy = np.meshgrid(x, xf, indexing="ij")
+    X, Y = grid.coords()
+    Xfx, Yfx = grid.coords(0)
+    Xfy, Yfy = grid.coords(1)
 
     if test in (1, 2):
         rho = 1.0 + d * np.cos(2 * np.pi * X) * np.cos(np.pi * Y)

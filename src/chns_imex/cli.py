@@ -21,7 +21,7 @@ import os
 import pathlib
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import __version__
 from .cases import DUMP_TIMES, initial_state
 from .diagnostics import (ap_metrics, c_extrema, compute_eoc,
                           conservation_errors, error_norm, total_energy)
-from .grid import GridSpec, extend_face_interior, faces_to_cells6
+from .grid import AXES, GridSpec, extend_face_interior, faces_to_cells6
 from .imex import DEFAULT_CFL, Integrator
 from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
@@ -64,16 +64,21 @@ class RunConfig:
                            nu=self.nu, lam=self.lam, eps=self.eps, g=self.g)
 
 
-_FIELD_TYPES = {
-    "dim": int, "test": int, "scheme": str, "cp": float, "cp1": float,
-    "T": float, "cfl": float, "nu": float, "lam": float, "eps": float,
-    "g": float, "gamma": float, "seed": int, "out": str,
-    "linear_solver": str,
-}
-
-
 def _parse_list(text, conv):
-    return tuple(conv(tok) for tok in str(text).split(",") if tok.strip())
+    out = tuple(conv(tok) for tok in str(text).split(",") if tok.strip())
+    if not out:
+        raise ValueError(f"empty list {text!r}")
+    return out
+
+
+def int_list(text) -> tuple:
+    """Non-empty comma-separated list of integers."""
+    return _parse_list(text, int)
+
+
+def float_list(text) -> tuple:
+    """Non-empty comma-separated list of floats."""
+    return _parse_list(text, float)
 
 
 def _read_config_file(path: str) -> dict:
@@ -89,35 +94,58 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _convert(action: argparse.Action, text: str, source: str):
+    """Convert a text value from `source` as argparse converts the flag."""
+    flag = action.option_strings[0]
+    try:
+        val = action.type(text) if action.type else text
+    except ValueError as exc:
+        raise ValueError(f"{source}: invalid value {text!r} for {flag}: "
+                         f"{exc}") from exc
+    if action.choices is not None and val not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ValueError(f"{source}: invalid choice {val!r} for {flag} "
+                         f"(choose from {choices})")
+    return val
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, CHNS_* environment variables, and the config file."""
+    """Merge flags, CHNS_* environment variables, and the config file.
+
+    Environment and file values get the flags' types and choices; a bad
+    value from any source raises ValueError.
+    """
     file_vals = _read_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-
-    def lookup(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            return env
-        return file_vals.get(name)
-
-    for name, conv in _FIELD_TYPES.items():
-        if name == "cp" and args.command == "sweep":
-            continue
-        val = lookup(name)
-        if val is not None:
-            setattr(cfg, name, conv(val))
-    for name, conv in (("M", int), ("dump_times", float)):
-        val = lookup(name)
-        if val is not None:
-            setattr(cfg, name, _parse_list(val, conv))
-    if args.command == "sweep":
-        val = lookup("cp")
-        cfg.cp_list = _parse_list(val, float) if val is not None else (1e2,)
-    if args.command == "mms" and lookup("T") is None:
+    if args.command == "mms":
         cfg.T = 0.01
+    if args.command == "sweep":
+        cfg.cp_list = (cfg.cp,)
+    keys = set()
+    for action in _options(args.command):
+        key = action.option_strings[0][2:].replace("-", "_")
+        keys.add(key)
+        val = getattr(args, action.dest)
+        env = ENV_PREFIX + key.upper()
+        if val is None and env in os.environ:
+            val = _convert(action, os.environ[env], env)
+        if val is None and key in file_vals:
+            val = _convert(action, file_vals[key], args.config)
+        if val is not None:
+            setattr(cfg, action.dest, val)
+    unknown = sorted(set(file_vals) - keys)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
+    if args.command != "mms" and cfg.test is None:
+        raise ValueError(f"{args.command}: --test is required")
+    if not (cfg.T > 0 and cfg.cfl > 0):
+        raise ValueError(f"--T and --cfl must be positive, got {cfg.T:g} "
+                         f"and {cfg.cfl:g}")
+    # the grid and the physics check their own values
+    for M in cfg.M:
+        GridSpec(dim=cfg.dim, M=M)
+    for cp in getattr(cfg, "cp_list", (cfg.cp,)):
+        replace(cfg, cp=cp).model_params()
     return cfg
 
 
@@ -149,28 +177,15 @@ def write_manifest(outdir: pathlib.Path, cfg: RunConfig, extra=None):
                                                      sort_keys=True) + "\n")
 
 
-def _centered_fields(U, grid):
-    """Cell-centered primitive fields (velocities by sixth-order transfer)."""
-    v1c = faces_to_cells6(extend_face_interior(U.v1(), "x"), "x")
-    out = {"rho": U.rho, "v1": v1c, "c": U.q / U.rho}
-    if grid.dim == 2:
-        out["v2"] = faces_to_cells6(extend_face_interior(U.v2(), "y"), "y")
-    return out
-
-
 def write_fields(outdir, U, grid, t):
-    f = _centered_fields(U, grid)
-    x = grid.cell_centers()
-    path = outdir / f"fields_t{t:g}.csv"
-    if grid.dim == 1:
-        rows = [(x[i], f["rho"][i], f["v1"][i], f["c"][i])
-                for i in range(grid.M)]
-        write_csv(path, ["x", "rho", "v1", "c"], rows)
-    else:
-        rows = [(x[i], x[j], f["rho"][i, j], f["v1"][i, j],
-                 f["v2"][i, j], f["c"][i, j])
-                for i in range(grid.M) for j in range(grid.M)]
-        write_csv(path, ["x", "y", "rho", "v1", "v2", "c"], rows)
+    """Cell-centered rho, velocities (by sixth-order transfer) and c, one
+    row per cell with the last axis running fastest."""
+    v = [faces_to_cells6(extend_face_interior(vk, k), k)
+         for k, vk in enumerate(U.velocities())]
+    header = [*AXES[:grid.dim], "rho",
+              *(f"v{k + 1}" for k in range(grid.dim)), "c"]
+    cols = [f.ravel() for f in (*grid.coords(), U.rho, *v, U.q / U.rho)]
+    write_csv(outdir / f"fields_t{t:g}.csv", header, zip(*cols))
 
 
 DIAG_HEADER = ["t", "steps", "mass_err", "phase_err", "div_v_norm",
@@ -231,8 +246,6 @@ def run_mms(cfg: RunConfig) -> int:
 
 
 def run_test(cfg: RunConfig) -> int:
-    if cfg.test is None:
-        raise SystemExit("run: --test is required")
     outdir = pathlib.Path(cfg.out)
     grid = GridSpec(dim=cfg.dim, M=cfg.M[0])
     params = cfg.model_params()
@@ -256,8 +269,7 @@ def run_test(cfg: RunConfig) -> int:
 
 def _sweep_case(cfg: RunConfig, cp: float):
     grid = GridSpec(dim=cfg.dim, M=cfg.M[0])
-    params = ModelParams(cp=cp, cp1=cfg.cp1, gamma=cfg.gamma, nu=cfg.nu,
-                         lam=cfg.lam, eps=cfg.eps, g=cfg.g)
+    params = replace(cfg, cp=cp).model_params()
     U0 = initial_state(cfg.test, grid, params, seed=cfg.seed)
     integ = _integrator(grid, params, cfg)
     t0 = time.perf_counter()
@@ -268,8 +280,6 @@ def _sweep_case(cfg: RunConfig, cp: float):
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    if cfg.test is None:
-        raise SystemExit("sweep: --test is required")
     outdir = pathlib.Path(cfg.out)
     rows = [_sweep_case(cfg, cp) for cp in cfg.cp_list]
     write_csv(outdir / "sweep.csv",
@@ -290,34 +300,58 @@ def build_parser() -> argparse.ArgumentParser:
                         ("run", "physical test problem"),
                         ("sweep", "stiffness sweep over C_p")):
         q = sub.add_parser(name, help=help_)
-        q.add_argument("--dim", type=int, choices=(1, 2))
-        q.add_argument("--test", type=int, choices=(1, 2, 3))
-        q.add_argument("--scheme", choices=("ee_ie", "star_dirksa"))
-        q.add_argument("--M", help="grid size, or comma-separated list")
-        q.add_argument("--cp", help="total pressure coefficient C_p "
-                       "(comma list for sweep)")
-        q.add_argument("--cp1", type=float, help="non-stiff coefficient "
-                       "C_p1 (default sqrt(C_p))")
-        q.add_argument("--T", type=float, help="final time")
-        q.add_argument("--cfl", type=float)
-        q.add_argument("--nu", type=float)
-        q.add_argument("--lam", type=float)
-        q.add_argument("--eps", type=float)
-        q.add_argument("--g", type=float)
-        q.add_argument("--gamma", type=float)
-        q.add_argument("--seed", type=int)
-        q.add_argument("--out", help="output directory")
-        q.add_argument("--dump-times", dest="dump_times",
-                       help="comma-separated snapshot times")
-        q.add_argument("--linear-solver", dest="linear_solver",
-                       choices=("direct", "cg"))
+        _add_options(q, name)
         q.add_argument("--config", help="key=value config file")
     return p
 
 
+def _add_options(q: argparse.ArgumentParser, command: str):
+    """The options of a subcommand that a RunConfig field, a CHNS_*
+    variable or a config-file key can also set."""
+    # the physical test problems are two-dimensional
+    q.add_argument("--dim", type=int,
+                   choices=(1, 2) if command == "mms" else (2,))
+    q.add_argument("--test", type=int, choices=(1, 2, 3))
+    q.add_argument("--scheme", choices=("ee_ie", "star_dirksa"))
+    q.add_argument("--M", type=int_list,
+                   help="grid size, or comma-separated list")
+    if command == "sweep":
+        q.add_argument("--cp", dest="cp_list", type=float_list,
+                       help="comma-separated total pressure coefficients")
+    else:
+        q.add_argument("--cp", type=float,
+                       help="total pressure coefficient C_p")
+    q.add_argument("--cp1", type=float, help="non-stiff coefficient "
+                   "C_p1 (default sqrt(C_p))")
+    q.add_argument("--T", type=float, help="final time")
+    q.add_argument("--cfl", type=float)
+    q.add_argument("--nu", type=float)
+    q.add_argument("--lam", type=float)
+    q.add_argument("--eps", type=float)
+    q.add_argument("--g", type=float)
+    q.add_argument("--gamma", type=float)
+    q.add_argument("--seed", type=int)
+    q.add_argument("--out", help="output directory")
+    q.add_argument("--dump-times", dest="dump_times", type=float_list,
+                   help="comma-separated snapshot times")
+    q.add_argument("--linear-solver", dest="linear_solver",
+                   choices=("direct", "cg"))
+
+
+def _options(command: str) -> list:
+    """The argparse actions of _add_options for a subcommand."""
+    q = argparse.ArgumentParser(add_help=False)
+    _add_options(q, command)
+    return q._actions
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = resolve_config(args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     if args.command == "mms":
         return run_mms(cfg)
     if args.command == "run":

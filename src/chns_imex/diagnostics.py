@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model
-from .grid import GridSpec, apply_fd_operator, dual_transpose
+from .grid import AXES, GridSpec, apply_fd_operator, axis_sum, dual_transpose
 from .model import ModelParams
 from .state import State
 
@@ -14,10 +14,9 @@ def conserved_totals(U: State, grid: GridSpec) -> dict:
     """Cell-volume-weighted totals of the conserved fields."""
     w = grid.h ** grid.dim
     out = {"mass": w * float(U.rho.sum()),
-           "phase": w * float(U.q.sum()),
-           "mom_x": w * float(U.mx.sum())}
-    if U.my is not None:
-        out["mom_y"] = w * float(U.my.sum())
+           "phase": w * float(U.q.sum())}
+    for k, mk in enumerate(U.m):
+        out["mom_" + AXES[k]] = w * float(mk.sum())
     return out
 
 
@@ -31,13 +30,11 @@ def ap_metrics(U: State, grid: GridSpec, params: ModelParams) -> dict:
     """Low-Mach indicators: velocity divergence, density flatness, and the
     stiff pressure-gradient magnitude (full pressure)."""
     h = grid.h
-    div = apply_fd_operator("dual", "x", U.v1(), h)
-    if grid.dim == 2:
-        div = div + apply_fd_operator("dual", "y", U.v2(), h)
+    div = axis_sum([apply_fd_operator("dual", k, vk, h)
+                    for k, vk in enumerate(U.velocities())])
     p_full = model.p1(U.rho, params) + model.p2(U.rho, params)
-    gp = float(np.max(np.abs(dual_transpose(p_full, "x", h))))
-    if grid.dim == 2:
-        gp = max(gp, float(np.max(np.abs(dual_transpose(p_full, "y", h)))))
+    gp = max(float(np.max(np.abs(dual_transpose(p_full, k, h))))
+             for k in range(grid.dim))
     return {"div_v_norm": float(np.max(np.abs(div))),
             "rho_flatness": float(np.max(np.abs(U.rho - U.rho.mean()))),
             "grad_p_stiff_norm": gp}
@@ -51,19 +48,14 @@ def c_extrema(U: State) -> tuple[float, float]:
 def total_energy(U: State, grid: GridSpec, params: ModelParams) -> float:
     """Kinetic + internal + interfacial energy (quadrature at native points)."""
     w = grid.h ** grid.dim
-    kin = 0.5 * float((U.mx * U.v1()).sum())
-    if U.my is not None:
-        kin += 0.5 * float((U.my * U.v2()).sum())
+    kin = axis_sum([0.5 * float((mk * vk).sum())
+                    for mk, vk in zip(U.m, U.velocities())])
     c = U.q / U.rho
     internal = float((U.rho * model.free_energy_density(U.rho, params)).sum())
     mix = float((U.rho * model.psi(c)).sum())
-    h = grid.h
-    grad2 = (-dual_transpose(c, "x", h)) ** 2
-    if grid.dim == 2:
-        gy = (-dual_transpose(c, "y", h)) ** 2
-        interf = 0.5 * params.eps * (float(grad2.sum()) + float(gy.sum()))
-    else:
-        interf = 0.5 * params.eps * float(grad2.sum())
+    interf = 0.5 * params.eps * axis_sum([
+        float(((-dual_transpose(c, k, grid.h)) ** 2).sum())
+        for k in range(grid.dim)])
     return w * (kin + internal + mix + interf)
 
 
@@ -76,9 +68,8 @@ def error_norm(U: State, exact_rho, exact_momenta, exact_q,
     """
     w = grid.h ** grid.dim
     e = float(np.abs(U.rho - exact_rho).sum())
-    e += float(np.abs(U.mx - exact_momenta[0]).sum())
-    if U.my is not None:
-        e += float(np.abs(U.my - exact_momenta[1]).sum())
+    for mk, ek in zip(U.m, exact_momenta):
+        e += float(np.abs(mk - ek).sum())
     e += float(np.abs(U.q - exact_q).sum())
     return w * e
 

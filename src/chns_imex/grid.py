@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: axis names in array-axis order (axis 0 = x)
+#: axis labels for output columns and keys, in array-axis order (axis 0 = x)
 AXES = ("x", "y")
 
 #: ghost layers added on each side; enough for WENO5 and the 6-point transfer
@@ -52,13 +52,12 @@ class GridSpec:
     def interior_faces(self) -> np.ndarray:
         return np.arange(1, self.M) * self.h
 
-
-def _axis_index(axis) -> int:
-    if axis in (0, "x"):
-        return 0
-    if axis in (1, "y"):
-        return 1
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    def coords(self, face: int | None = None) -> tuple:
+        """Coordinate arrays (one per axis, indexing 'ij') of the cell
+        centres, or of the interior faces normal to axis `face`."""
+        xc, xf = self.cell_centers(), self.interior_faces()
+        return tuple(np.meshgrid(*[xf if k == face else xc
+                                   for k in range(self.dim)], indexing="ij"))
 
 
 def axis_sum(terms):
@@ -83,13 +82,12 @@ def _slc(f: np.ndarray, ax: int, s: slice):
 # Ghost-cell extension (mirror reflections about the walls)
 # ---------------------------------------------------------------------------
 
-def extend_cell(f: np.ndarray, axis, kind: str, g: int = GHOST) -> np.ndarray:
+def extend_cell(f: np.ndarray, ax: int, kind: str, g: int = GHOST) -> np.ndarray:
     """Extend a cell-positioned axis by g mirror ghosts on each side.
 
     kind='sym' mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
     kind='odd' mirrors with a sign flip (velocity components).
     """
-    ax = _axis_index(axis)
     _check_axis(f, ax)
     if f.shape[ax] < g:
         raise ShapeError(f"need at least {g} cells along axis {ax}")
@@ -99,13 +97,12 @@ def extend_cell(f: np.ndarray, axis, kind: str, g: int = GHOST) -> np.ndarray:
     return np.concatenate([left, f, right], axis=ax)
 
 
-def extend_face_interior(f: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
+def extend_face_interior(f: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
     """Extend interior face values (M-1 along axis) across no-slip walls.
 
     The wall faces (value 0) are inserted, then g odd-mirror ghosts are added
     on each side: v_{1/2 - k} = -v_{1/2 + k}.  Output length M + 1 + 2g.
     """
-    ax = _axis_index(axis)
     _check_axis(f, ax)
     if f.shape[ax] < g:
         raise ShapeError(f"need at least {g} interior faces along axis {ax}")
@@ -117,13 +114,12 @@ def extend_face_interior(f: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
     return np.concatenate([left, zero, f, zero, right], axis=ax)
 
 
-def extend_face_full(f: np.ndarray, axis, sign: float, g: int = GHOST) -> np.ndarray:
+def extend_face_full(f: np.ndarray, ax: int, sign: float, g: int = GHOST) -> np.ndarray:
     """Extend a quantity sampled at all faces 0..M (length M+1) by mirror ghosts.
 
     sign=+1 for even quantities (rho at faces, rho v^2 + p1), sign=-1 for odd
     ones.  The wall values themselves are kept as given.
     """
-    ax = _axis_index(axis)
     _check_axis(f, ax)
     if f.shape[ax] < g + 1:
         raise ShapeError(f"need at least {g + 1} faces along axis {ax}")
@@ -136,17 +132,15 @@ def extend_face_full(f: np.ndarray, axis, sign: float, g: int = GHOST) -> np.nda
 # One-dimensional finite-difference / averaging operators along an axis
 # ---------------------------------------------------------------------------
 
-def apply_fd_operator(kind: str, axis, f: np.ndarray, h: float) -> np.ndarray:
+def apply_fd_operator(kind: str, ax: int, f: np.ndarray, h: float) -> np.ndarray:
     """Apply one of the basic staggered-grid operators along an axis.
 
     kind='center'   : centered derivative at cell centers (M -> M),
                       one-sided rows at the walls with the same 1/(2h) factor.
     kind='dual'     : flux difference of interior-face values with homogeneous
                       wall faces ((M-1) -> M).
-    kind='dual_star': as 'dual' but with +-2/h wall rows ((M-1) -> M).
     kind='average'  : arithmetic mean of cell neighbours (M -> M-1).
     """
-    ax = _axis_index(axis)
     _check_axis(f, ax)
     n = f.shape[ax]
     if kind == "center":
@@ -158,15 +152,14 @@ def apply_fd_operator(kind: str, axis, f: np.ndarray, h: float) -> np.ndarray:
         _set(out, ax, slice(-1, None),
              (_slc(f, ax, slice(-1, None)) - _slc(f, ax, slice(-2, -1))) / (2 * h))
         return out
-    if kind in ("dual", "dual_star"):
-        w = 2.0 if kind == "dual_star" else 1.0
+    if kind == "dual":
         shape = list(f.shape)
         shape[ax] = n + 1
         out = np.empty(shape, dtype=float)
         _set(out, ax, slice(1, -1),
              (_slc(f, ax, slice(1, None)) - _slc(f, ax, slice(0, -1))) / h)
-        _set(out, ax, slice(0, 1), w * _slc(f, ax, slice(0, 1)) / h)
-        _set(out, ax, slice(-1, None), -w * _slc(f, ax, slice(-1, None)) / h)
+        _set(out, ax, slice(0, 1), _slc(f, ax, slice(0, 1)) / h)
+        _set(out, ax, slice(-1, None), -_slc(f, ax, slice(-1, None)) / h)
         return out
     if kind == "average":
         return 0.5 * (_slc(f, ax, slice(1, None)) + _slc(f, ax, slice(0, -1)))
@@ -179,19 +172,18 @@ def _set(out: np.ndarray, ax: int, s: slice, val: np.ndarray):
     out[tuple(idx)] = val
 
 
-def dual_transpose(f: np.ndarray, axis, h: float) -> np.ndarray:
+def dual_transpose(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     """D_M^T along an axis: (f_i - f_{i+1})/h at interior faces (M -> M-1).
 
     This is the negated centered gradient at faces; the stiff pressure term
     in the momentum tendency is exactly dual_transpose(p2(rho)).
     """
-    ax = _axis_index(axis)
     return (_slc(f, ax, slice(0, -1)) - _slc(f, ax, slice(1, None))) / h
 
 
-def face_average(f: np.ndarray, axis) -> np.ndarray:
+def face_average(f: np.ndarray, ax: int) -> np.ndarray:
     """A_M along an axis: neighbour mean, cells -> interior faces."""
-    return apply_fd_operator("average", axis, f, 1.0)
+    return apply_fd_operator("average", ax, f, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +224,8 @@ def _window_dot(ext: np.ndarray, ax: int, start: int, count: int) -> np.ndarray:
     return acc
 
 
-def cells_to_faces6(ext: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
+def cells_to_faces6(ext: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
     """Interpolate an extended cell field to all faces 0..M (length M+1)."""
-    ax = _axis_index(axis)
     if g < 3:
         raise ShapeError("transfer6 needs at least 3 ghost layers")
     M = ext.shape[ax] - 2 * g
@@ -242,9 +233,8 @@ def cells_to_faces6(ext: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
     return _window_dot(ext, ax, g - 3, M + 1)
 
 
-def faces_to_cells6(ext: np.ndarray, axis, g: int = GHOST) -> np.ndarray:
+def faces_to_cells6(ext: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
     """Interpolate an extended face field (walls included) to cells 1..M."""
-    ax = _axis_index(axis)
     if g < 3:
         raise ShapeError("transfer6 needs at least 3 ghost layers")
     M = ext.shape[ax] - 2 * g - 1

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .grid import AXES, GridSpec, face_average
+from .grid import GridSpec
 from .model import ModelParams, NonPositiveDensityError
 from .solvers import (HydroSolver, LinearSolverConfig, NewtonConfig,
                       SolveStats, SolverFailure, solve_c_stage)
 from .spatial import SpatialDiscretization
-from .state import State
+from .state import State, state_from_primitives
 
 log = logging.getLogger(__name__)
 
@@ -127,17 +127,14 @@ class Integrator:
     def _solve_stage(self, hat: State, tilde: State, dta: float,
                      stats: SolveStats) -> State:
         z0 = self.hydro.pack(tilde.rho, *tilde.velocities())
-        r = self.hydro.pack(hat.rho, *hat.momenta)
+        r = self.hydro.pack(hat.rho, *hat.m)
         z = self.hydro.solve(z0, r, dta, stats)
         rho_v, v_v = self.hydro.unpack(z)
         rho = rho_v.reshape(hat.rho.shape, order="F")
-        v = [vk.reshape(m.shape, order="F")
-             for vk, m in zip(v_v, hat.momenta)]
+        v = [vk.reshape(mk.shape, order="F") for vk, mk in zip(v_v, hat.m)]
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
                           self.linear_cfg, stats)
-        U = State(rho=rho, mx=None, q=rho * C)
-        U.momenta = [face_average(rho, a) * vk for a, vk in zip(AXES, v)]
-        return U
+        return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
 
     # -- one step ------------------------------------------------------------
 

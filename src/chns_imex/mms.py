@@ -36,62 +36,44 @@ def exact_solution(dim: int, delta: float, x, t, y=None):
     return rho, v1, v2, c
 
 
+def _exact_at(grid: GridSpec, params: ModelParams, t: float,
+              face: int | None = None):
+    """Exact (rho, v_1.., c) at the cell centres, or at the faces normal
+    to axis `face`."""
+    x, *y = grid.coords(face)
+    return exact_solution(grid.dim, params.delta, x, t, *y)
+
+
 def exact_state(grid: GridSpec, params: ModelParams, t: float) -> State:
     """Exact solution sampled on the staggered grid as a conserved state."""
-    xc = grid.cell_centers()
-    xf = grid.interior_faces()
-    d = params.delta
-    if grid.dim == 1:
-        rho, _, c = exact_solution(1, d, xc, t)
-        _, v1f, _ = exact_solution(1, d, xf, t)
-        return state_from_primitives(grid, rho, v1f, c)
-    Xc, Yc = np.meshgrid(xc, xc, indexing="ij")
-    rho, _, _, c = exact_solution(2, d, Xc, t, y=Yc)
-    Xfx, Yfx = np.meshgrid(xf, xc, indexing="ij")
-    _, v1, _, _ = exact_solution(2, d, Xfx, t, y=Yfx)
-    Xfy, Yfy = np.meshgrid(xc, xf, indexing="ij")
-    _, _, v2, _ = exact_solution(2, d, Xfy, t, y=Yfy)
-    return state_from_primitives(grid, rho, v1, c, v2=v2)
+    rho, *_, c = _exact_at(grid, params, t)
+    v = [_exact_at(grid, params, t, k)[1 + k] for k in range(grid.dim)]
+    return state_from_primitives(grid, rho, v[0], c, *v[1:])
 
 
 def exact_momenta(grid: GridSpec, params: ModelParams, t: float):
     """Pointwise exact momenta rho* v* at the faces (for error norms)."""
-    xc = grid.cell_centers()
-    xf = grid.interior_faces()
-    d = params.delta
-    if grid.dim == 1:
-        rho_f, v1f, _ = exact_solution(1, d, xf, t)
-        return (rho_f * v1f,)
-    Xfx, Yfx = np.meshgrid(xf, xc, indexing="ij")
-    rho1, v1, _, _ = exact_solution(2, d, Xfx, t, y=Yfx)
-    Xfy, Yfy = np.meshgrid(xc, xf, indexing="ij")
-    rho2, _, v2, _ = exact_solution(2, d, Xfy, t, y=Yfy)
-    return rho1 * v1, rho2 * v2
+    out = []
+    for k in range(grid.dim):
+        f = _exact_at(grid, params, t, k)
+        out.append(f[0] * f[1 + k])
+    return tuple(out)
 
 
 def forcing_state(grid: GridSpec, params: ModelParams, t: float) -> State:
     """Forcing sampled at the staggered locations, as a tendency."""
     p = params
     args = (p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
-    xc = grid.cell_centers()
-    xf = grid.interior_faces()
-    if grid.dim == 1:
-        s_rho, _, s_q = _forcing.forcing_1d(xc, t, *args)
-        _, s_m, _ = _forcing.forcing_1d(xf, t, *args)
-        return State(rho=np.broadcast_to(s_rho, xc.shape).astype(float),
-                     mx=np.asarray(s_m, dtype=float),
-                     q=np.asarray(s_q, dtype=float))
-    Xc, Yc = np.meshgrid(xc, xc, indexing="ij")
-    s_rho, _, _, s_q = _forcing.forcing_2d(Xc, Yc, t, *args)
-    Xfx, Yfx = np.meshgrid(xf, xc, indexing="ij")
-    _, s_m1, _, _ = _forcing.forcing_2d(Xfx, Yfx, t, *args)
-    Xfy, Yfy = np.meshgrid(xc, xf, indexing="ij")
-    _, _, s_m2, _ = _forcing.forcing_2d(Xfy, Yfy, t, *args)
-    shape = (grid.M, grid.M)
-    return State(rho=np.broadcast_to(s_rho, shape).astype(float).copy(),
-                 mx=np.broadcast_to(s_m1, (grid.M - 1, grid.M)).astype(float).copy(),
-                 q=np.broadcast_to(s_q, shape).astype(float).copy(),
-                 my=np.broadcast_to(s_m2, (grid.M, grid.M - 1)).astype(float).copy())
+    forcing = _forcing.forcing_1d if grid.dim == 1 else _forcing.forcing_2d
+
+    def at(face=None):
+        pts = grid.coords(face)
+        return [np.broadcast_to(s, pts[0].shape).astype(float)
+                for s in forcing(*pts, t, *args)]
+
+    s_rho, *_, s_q = at()
+    return State(rho=s_rho, q=s_q,
+                 m=tuple(at(k)[1 + k] for k in range(grid.dim)))
 
 
 def make_forcing(grid: GridSpec, params: ModelParams):

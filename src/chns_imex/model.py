@@ -10,7 +10,7 @@ explicit) so the Cahn-Hilliard update is unconditionally stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class ModelParams:
     g: float = -10.0
 
     def __post_init__(self):
+        if not self.cp > 0:
+            raise ValueError("cp must be positive")
         if self.cp1 is None:
             object.__setattr__(self, "cp1", float(np.sqrt(self.cp)))
         if not (self.cp1 > 0):

@@ -8,8 +8,22 @@ tendency evaluation itself is matrix-free (see the spatial module).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
+
+from .grid import axis_sum
+
+
+def _along(ops: dict, shape) -> sp.csr_matrix:
+    """Lift 1D operators {axis: op} to a column-major field of the given
+    shape: op acts along its axis, the identity along every other axis
+    (kron(I, op) along x, kron(op, I) along y).  The sizes in `shape` of
+    the axes in ops are unused."""
+    factors = [ops.get(ax, sp.identity(n, format="csr"))
+               for ax, n in enumerate(shape)]
+    return functools.reduce(sp.kron, reversed(factors)).tocsr()
 
 
 def mat_dual(M: int, h: float, star: bool = False) -> sp.csr_matrix:
@@ -43,31 +57,39 @@ def mat_laplacian_neumann(M: int, h: float) -> sp.csr_matrix:
 
 
 def laplacian_nd(dim: int, M: int, h: float) -> sp.csr_matrix:
+    """Neumann Laplacian of a cell field: the 1D one along every axis."""
     L = mat_laplacian_neumann(M, h)
-    if dim == 1:
-        return L
-    I = sp.identity(M, format="csr")
-    return (sp.kron(I, L) + sp.kron(L, I)).tocsr()
+    return axis_sum([_along({k: L}, (M,) * dim) for k in range(dim)])
 
 
 def viscous_blocks(dim: int, M: int, h: float, nu: float, lam: float):
-    """The symmetric velocity blocks of the implicit viscous operator.
+    """The symmetric velocity blocks B[k][j] of the implicit viscous
+    operator, coupling velocity j into momentum k.
 
-    2D returns (A11, A12, A21, A22) with A11 acting on v1 (length (M-1)*M,
-    x-fastest), A22 on v2 (length M*(M-1)).  1D returns the single block
-    (2nu+lam) D^T D of size (M-1) x (M-1).
+    A diagonal block is (2nu+lam) D^T D along its own axis plus nu times
+    the wall-damped second difference R along every transverse axis; an
+    off-diagonal block is the grad-div coupling (nu+lam) D^T_k D_j, D^T
+    along k and D along j in one Kronecker product.  In 1D this is the
+    single block (2nu+lam) D^T D of size (M-1) x (M-1).
     """
     D = mat_dual(M, h)
     DtD = (D.T @ D).tocsr()
-    if dim == 1:
-        return ((2 * nu + lam) * DtD,)
     Dp = mat_dual(M + 1, h)
     Dps = mat_dual(M + 1, h, star=True)
     R = (Dp.T @ Dps).tocsr()          # M x M wall-damped second difference
-    I_M = sp.identity(M, format="csr")
-    I_Mm1 = sp.identity(M - 1, format="csr")
-    A11 = (2 * nu + lam) * sp.kron(I_M, DtD) + nu * sp.kron(R, I_Mm1)
-    A22 = (2 * nu + lam) * sp.kron(DtD, I_M) + nu * sp.kron(I_Mm1, R)
-    A12 = (nu + lam) * sp.kron(D, D.T)
-    A21 = (nu + lam) * sp.kron(D.T, D)
-    return A11.tocsr(), A12.tocsr(), A21.tocsr(), A22.tocsr()
+    cells = (M,) * dim
+    B = []
+    for k in range(dim):
+        face = tuple(M - 1 if i == k else M for i in range(dim))
+        row = []
+        for j in range(dim):
+            if j == k:
+                blk = (2 * nu + lam) * _along({k: DtD}, face)
+                for i in range(dim):
+                    if i != k:
+                        blk = blk + nu * _along({i: R}, face)
+            else:
+                blk = (nu + lam) * _along({k: D.T, j: D}, cells)
+            row.append(blk.tocsr())
+        B.append(row)
+    return B

@@ -11,7 +11,6 @@ stalls, so the monotone decrease of ||H||_2 is always enforced.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,8 @@ import scipy.sparse.linalg as spla
 from . import model
 from .grid import GridSpec, axis_sum
 from .model import ModelParams, NonPositiveDensityError
-from .operators import laplacian_nd, mat_average, mat_dual, viscous_blocks
+from .operators import (_along, laplacian_nd, mat_average, mat_dual,
+                        viscous_blocks)
 
 
 class SolverFailure(RuntimeError):
@@ -62,15 +62,6 @@ class SolveStats:
 # Hydro subsystem (density + velocities)
 # ---------------------------------------------------------------------------
 
-def _along(op, axis: int, dim: int, M: int) -> sp.csr_matrix:
-    """Lift a 1D operator to act along one axis of a column-major field
-    whose other axes have M entries: kron(I, op) along x, kron(op, I)
-    along y."""
-    factors = [sp.identity(M, format="csr")] * dim
-    factors[axis] = op
-    return functools.reduce(sp.kron, reversed(factors)).tocsr()
-
-
 class HydroSolver:
     """Damped Newton solver for the implicit density/velocity subsystem.
 
@@ -87,11 +78,11 @@ class HydroSolver:
         M, h, dim = grid.M, grid.h, grid.dim
         D = mat_dual(M, h)
         A = mat_average(M)
-        self.D = [_along(D, k, dim, M) for k in range(dim)]
-        self.A = [_along(A, k, dim, M) for k in range(dim)]
-        self.G = [_along(D.T, k, dim, M) for k in range(dim)]
-        blocks = viscous_blocks(dim, M, h, params.nu, params.lam)
-        self.B = [blocks[k * dim:(k + 1) * dim] for k in range(dim)]
+        cells = (M,) * dim
+        self.D = [_along({k: D}, cells) for k in range(dim)]
+        self.A = [_along({k: A}, cells) for k in range(dim)]
+        self.G = [_along({k: D.T}, cells) for k in range(dim)]
+        self.B = viscous_blocks(dim, M, h, params.nu, params.lam)
         self.nc = M ** dim
         #: unknowns per block: cells, then the faces of each axis
         self.sizes = [self.nc] + [(M - 1) * M ** (dim - 1)] * dim
@@ -101,9 +92,9 @@ class HydroSolver:
 
     # vector packing: [rho; v1; v2], each flattened column-major
 
-    def pack(self, rho, v1, v2=None):
-        parts = (rho, v1, v2)[:1 + self.grid.dim]
-        return np.concatenate([np.ravel(f, order="F") for f in parts])
+    def pack(self, rho, *v):
+        """Stack rho and the face fields of each axis into one vector."""
+        return np.concatenate([np.ravel(f, order="F") for f in (rho, *v)])
 
     def unpack(self, z):
         """Split z into (rho, [v1, v2]) views; 1D has the single v1."""

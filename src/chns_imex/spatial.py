@@ -19,14 +19,16 @@ in the operators module and in the test-suite oracles.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .grid import (AXES, GHOST, GridSpec, _slc, apply_fd_operator,
-                   axis_sum, cells_to_faces6, dual_transpose, extend_cell,
+from .grid import (GHOST, GridSpec, _set, _slc, apply_fd_operator, axis_sum,
+                   cells_to_faces6, dual_transpose, extend_cell,
                    extend_face_full, extend_face_interior, face_average,
                    faces_to_cells6, laplacian_neumann)
 from .model import ModelParams
@@ -36,9 +38,9 @@ from .weno import reconstruct_lr_cells, reconstruct_lr_faces
 log = logging.getLogger(__name__)
 
 
-def _grad_to_faces(f: np.ndarray, axis, h: float) -> np.ndarray:
+def _grad_to_faces(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     """Two-point gradient of a cell field at interior faces: (f_{i+1}-f_i)/h."""
-    return -dual_transpose(f, axis, h)
+    return -dual_transpose(f, ax, h)
 
 
 def _diff(f: np.ndarray, ax: int) -> np.ndarray:
@@ -72,8 +74,8 @@ class SpatialDiscretization:
         return np.maximum(np.abs(vm) + self._sound(rm),
                           np.abs(vp) + self._sound(rp))
 
-    def _dual(self, f, axis):
-        return apply_fd_operator("dual", axis, f, self.grid.h)
+    def _dual(self, f, ax: int):
+        return apply_fd_operator("dual", ax, f, self.grid.h)
 
     # -- convection --------------------------------------------------------
 
@@ -82,76 +84,76 @@ class SpatialDiscretization:
         fluxes from the explicit state, one pass per axis.
 
         The mass diffusion and the phase-momentum flux along an axis share
-        its Rusanov speed.  Momentum component a gets the normal flux
-        rho v_a^2 + p1 along a and the corner flux rho v1 v2 along every
+        its Rusanov speed.  Momentum component k gets the normal flux
+        rho v_k^2 + p1 along k and the corner flux rho v1 v2 along every
         transverse axis.
         """
         g, h, p = GHOST, self.grid.h, self.params
-        axes = AXES[:self.grid.dim]
+        axes = range(self.grid.dim)
         out = self.mass_divergence(U)
         v = Ut.velocities()
-        v_ext = [extend_face_interior(va, a) for a, va in zip(axes, v)]
-        v_cell = [faces_to_cells6(ve, a) for a, ve in zip(axes, v_ext)]
-        rho_ext = [extend_cell(Ut.rho, a, "sym") for a in axes]
+        v_ext = [extend_face_interior(vk, k) for k, vk in enumerate(v)]
+        v_cell = [faces_to_cells6(ve, k) for k, ve in enumerate(v_ext)]
+        rho_ext = [extend_cell(Ut.rho, k, "sym") for k in axes]
 
         # mass: Rusanov diffusion from WENO states at the faces 0..M; the
         # wall entries cancel by the mirror symmetry of the density
         lam_rho = []
-        for k, a in enumerate(axes):
-            r_m, r_p = reconstruct_lr_cells(rho_ext[k], a)
+        for k in axes:
+            r_m, r_p = reconstruct_lr_cells(rho_ext[k], k)
             w_m, w_p = reconstruct_lr_cells(
-                extend_cell(v_cell[k], a, "odd"), a)
+                extend_cell(v_cell[k], k, "odd"), k)
             lam = self._lam(w_m, w_p, r_m, r_p)
             lam_rho.append(lam)
             d = 0.5 * lam * (r_p - r_m)
-            out.rho += self._dual(_slc(d, k, slice(1, -1)), a)
+            out.rho += self._dual(_slc(d, k, slice(1, -1)), k)
 
-        # momentum: dual-grid reconstruction of rho v_a^2 + p1 and rho v_a
+        # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
         mom = []
-        for k, a in enumerate(axes):
-            rho_f = cells_to_faces6(rho_ext[k], a)      # faces 0..M along a
+        for k in axes:
+            rho_f = cells_to_faces6(rho_ext[k], k)      # faces 0..M along k
             v_full = _slc(v_ext[k], k, slice(g, -g))
             flux = rho_f * v_full**2 + model.p1(rho_f, p)
-            F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, a, 1.0), a)
+            F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, k, 1.0), k)
             m_m, m_p = reconstruct_lr_faces(
-                extend_face_full(rho_f * v_full, a, -1.0), a)
+                extend_face_full(rho_f * v_full, k, -1.0), k)
             w_m, w_p = reconstruct_lr_faces(
-                extend_face_full(v_full, a, -1.0), a)
-            r_m, r_p = reconstruct_lr_faces(extend_face_full(rho_f, a, 1.0), a)
+                extend_face_full(v_full, k, -1.0), k)
+            r_m, r_p = reconstruct_lr_faces(extend_face_full(rho_f, k, 1.0), k)
             lam = self._lam(w_m, w_p, r_m, r_p)
             Fhat = 0.5 * (F_p + F_m) - 0.5 * lam * (m_p - m_m)
-            m_a = dual_transpose(Fhat, a, h)
+            m_k = dual_transpose(Fhat, k, h)
             rho_fi = _slc(rho_f, k, slice(1, -1))
-            for j, b in enumerate(axes):
+            for j in axes:
                 if j == k:
                     continue
-                # corner flux at the a-faces: v_b brought there by corner
-                # averaging along a and a sixth-order transfer along b.
-                # Across a b-wall both velocity components are odd, so the
-                # flux rho v1 v2 is even and the momentum rho v_a is odd.
-                vb = faces_to_cells6(
-                    extend_face_interior(face_average(v[j], a), b), b)
+                # corner flux at the k-faces: v_j brought there by corner
+                # averaging along k and a sixth-order transfer along j.
+                # Across a j-wall both velocity components are odd, so the
+                # flux rho v1 v2 is even and the momentum rho v_k is odd.
+                vj = faces_to_cells6(
+                    extend_face_interior(face_average(v[j], k), j), j)
                 v_at = list(v)
-                v_at[j] = vb
+                v_at[j] = vj
                 qty = rho_fi * v_at[0] * v_at[1]
-                c_m, c_p = reconstruct_lr_cells(extend_cell(qty, b, "sym"), b)
+                c_m, c_p = reconstruct_lr_cells(extend_cell(qty, j, "sym"), j)
                 m_m, m_p = reconstruct_lr_cells(
-                    extend_cell(rho_fi * v[k], b, "odd"), b)
-                w_m, w_p = reconstruct_lr_cells(extend_cell(vb, b, "odd"), b)
+                    extend_cell(rho_fi * v[k], j, "odd"), j)
+                w_m, w_p = reconstruct_lr_cells(extend_cell(vj, j, "odd"), j)
                 r_m, r_p = reconstruct_lr_cells(
-                    extend_cell(rho_fi, b, "sym"), b)
+                    extend_cell(rho_fi, j, "sym"), j)
                 lam = self._lam(w_m, w_p, r_m, r_p)
                 Ghat = 0.5 * (c_p + c_m) - 0.5 * lam * (m_p - m_m)
-                m_a += -_diff(Ghat, j) / h
-            mom.append(m_a)
-        out.momenta = mom
+                m_k += -_diff(Ghat, j) / h
+            mom.append(m_k)
+        out.m = tuple(mom)
 
-        # phase momentum: primal reconstruction of rho c v_a
+        # phase momentum: primal reconstruction of rho c v_k
         dq = []
-        for k, a in enumerate(axes):
+        for k in axes:
             r_m, r_p = reconstruct_lr_cells(
-                extend_cell(Ut.q * v_cell[k], a, "odd"), a)
-            q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, a, "sym"), a)
+                extend_cell(Ut.q * v_cell[k], k, "odd"), k)
+            q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, k, "sym"), k)
             Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho[k] * (q_p - q_m)
             dq.append(-_diff(Fc, k) / h)
         out.q = axis_sum(dq)
@@ -163,38 +165,46 @@ class SpatialDiscretization:
         """Implicit stiff pressure gradient -grad p2."""
         out = U.zeros_like()
         p2 = model.p2_centered(U.rho, self.params, float(U.rho.mean()))
-        out.momenta = [dual_transpose(p2, a, self.grid.h)
-                       for a in AXES[:self.grid.dim]]
+        out.m = tuple(dual_transpose(p2, k, self.grid.h)
+                      for k in range(self.grid.dim))
         return out
 
     def gravity(self, Ut: State) -> State:
-        """Explicit buoyancy source on the vertical momentum."""
+        """Explicit buoyancy source on the momentum of the last axis."""
         out = Ut.zeros_like()
-        if self.grid.dim == 1:
-            out.mx = self.params.g * face_average(Ut.rho, "x")
-        else:
-            out.my = self.params.g * face_average(Ut.rho, "y")
+        last = self.grid.dim - 1
+        out.m = out.m[:last] + (self.params.g * face_average(Ut.rho, last),)
         return out
 
     # -- capillary forces ---------------------------------------------------
 
     def capillary(self, Ut: State) -> State:
-        h, eps = self.grid.h, self.params.eps
+        """Explicit capillary force: momentum k gets
+        eps (grad_k(sum_{j!=k} c_j^2 - c_k^2)/2 - sum_{j!=k} dual_j(corner)),
+        c_j the centered derivatives and corner the product, in axis order,
+        of the face gradients of c averaged to the cell corners."""
+        h, eps, dim = self.grid.h, self.params.eps, self.grid.dim
         out = Ut.zeros_like()
         c = Ut.c()
-        if self.grid.dim == 1:
-            cx2 = apply_fd_operator("center", "x", c, h) ** 2
-            out.mx = -0.5 * eps * _grad_to_faces(cx2, "x", h)
-            return out
-        cx2 = apply_fd_operator("center", "x", c, h) ** 2
-        cy2 = apply_fd_operator("center", "y", c, h) ** 2
-        corner_cx = face_average(_grad_to_faces(c, "x", h), "y")
-        corner_cy = face_average(_grad_to_faces(c, "y", h), "x")
-        cxcy = corner_cx * corner_cy
-        out.mx = eps * (0.5 * _grad_to_faces(cy2 - cx2, "x", h)
-                        - self._dual(cxcy, "y"))
-        out.my = eps * (0.5 * _grad_to_faces(cx2 - cy2, "y", h)
-                        - self._dual(cxcy, "x"))
+        c2 = [apply_fd_operator("center", k, c, h) ** 2 for k in range(dim)]
+        grads = []
+        for k in range(dim):
+            gk = _grad_to_faces(c, k, h)
+            for j in range(dim):
+                if j != k:
+                    gk = face_average(gk, j)      # to the cell corners
+            grads.append(gk)
+        corner = functools.reduce(operator.mul, grads)
+        mom = []
+        for k in range(dim):
+            others = [j for j in range(dim) if j != k]
+            # -c_k^2 first: in 1D the sum is just -c_k^2
+            s = sum((c2[j] for j in others), -c2[k])
+            t = 0.5 * _grad_to_faces(s, k, h)
+            for j in others:
+                t = t - self._dual(corner, j)
+            mom.append(eps * t)
+        out.m = tuple(mom)
         return out
 
     # -- Cahn-Hilliard -------------------------------------------------------
@@ -213,69 +223,57 @@ class SpatialDiscretization:
         out = Ut.zeros_like()
         ct = Ut.q / Ut.rho
         psi2 = model.ddpsi2(ct)
-        for ax in AXES[:self.grid.dim]:
-            a = 0 if ax == "x" else 1
-            hi = [slice(None)] * ct.ndim
-            lo = [slice(None)] * ct.ndim
-            hi[a], lo[a] = slice(1, None), slice(None, -1)
-            hi, lo = tuple(hi), tuple(lo)
-            flux = 0.5 * (psi2[hi] + psi2[lo]) * (ct[hi] - ct[lo]) / h
-            out.q += self._dual(flux, ax)
+        for k in range(self.grid.dim):
+            flux = face_average(psi2, k) * _diff(ct, k) / h
+            out.q += self._dual(flux, k)
         return out
 
     # -- viscosity -----------------------------------------------------------
 
-    def _dtd(self, v: np.ndarray, axis) -> np.ndarray:
+    def _dtd(self, v: np.ndarray, ax: int) -> np.ndarray:
         """D^T D along an axis: wall-anchored negated second difference."""
-        return dual_transpose(self._dual(v, axis), axis, self.grid.h)
+        return dual_transpose(self._dual(v, ax), ax, self.grid.h)
 
-    def _rop(self, v: np.ndarray, axis) -> np.ndarray:
+    def _rop(self, v: np.ndarray, ax: int) -> np.ndarray:
         """Negated second difference transverse to a face field, with the
         stronger (-3v) no-slip wall rows."""
-        a = 0 if axis in (0, "x") else 1
         h2 = self.grid.h ** 2
+
+        def at(s):
+            return _slc(v, ax, s)
+
         out = np.empty_like(v, dtype=float)
-        mid = [slice(None)] * v.ndim
-        hi = [slice(None)] * v.ndim
-        lo = [slice(None)] * v.ndim
-        mid[a], hi[a], lo[a] = slice(1, -1), slice(2, None), slice(None, -2)
-        out[tuple(mid)] = (2 * v[tuple(mid)] - v[tuple(hi)]
-                           - v[tuple(lo)]) / h2
-        first = [slice(None)] * v.ndim
-        second = [slice(None)] * v.ndim
-        first[a], second[a] = slice(0, 1), slice(1, 2)
-        out[tuple(first)] = (3 * v[tuple(first)] - v[tuple(second)]) / h2
-        last = [slice(None)] * v.ndim
-        penult = [slice(None)] * v.ndim
-        last[a], penult[a] = slice(-1, None), slice(-2, -1)
-        out[tuple(last)] = (3 * v[tuple(last)] - v[tuple(penult)]) / h2
+        _set(out, ax, slice(1, -1), (2 * at(slice(1, -1)) - at(slice(2, None))
+                                     - at(slice(None, -2))) / h2)
+        _set(out, ax, slice(0, 1), (3 * at(slice(0, 1)) - at(slice(1, 2))) / h2)
+        _set(out, ax, slice(-1, None),
+             (3 * at(slice(-1, None)) - at(slice(-2, -1))) / h2)
         return out
 
-    def viscous_apply(self, v1: np.ndarray, v2: np.ndarray | None = None):
-        """Apply the symmetric viscous blocks to face velocities.
+    def viscous_apply(self, *v: np.ndarray):
+        """Apply the symmetric viscous blocks to face velocities in axis
+        order.
 
         Returns (A11 v1 + A12 v2, A21 v1 + A22 v2) in 2D, (A v,) in 1D.
         Along its own axis a component feels (2 nu + lam) D^T D; along a
-        transverse axis b it feels nu times the no-slip second difference
-        and (nu + lam) times the grad-div coupling to v_b.
+        transverse axis j it feels nu times the no-slip second difference
+        and (nu + lam) times the grad-div coupling to v_j.
         """
         nu, lam, h = self.params.nu, self.params.lam, self.grid.h
-        axes = AXES[:self.grid.dim]
-        v = (v1, v2)[:self.grid.dim]
         out = []
-        for k, a in enumerate(axes):
-            acc = (2 * nu + lam) * self._dtd(v[k], a)
-            for j, b in enumerate(axes):
+        for k, vk in enumerate(v):
+            acc = (2 * nu + lam) * self._dtd(vk, k)
+            for j, vj in enumerate(v):
                 if j != k:
-                    acc = acc + nu * self._rop(v[k], b) \
-                        + (nu + lam) * dual_transpose(self._dual(v[j], b),
-                                                      a, h)
+                    acc = acc + nu * self._rop(vk, j) \
+                        + (nu + lam) * dual_transpose(self._dual(vj, j),
+                                                      k, h)
             out.append(acc)
         return tuple(out)
 
     def viscous(self, U: State) -> State:
         out = U.zeros_like()
-        out.momenta = [-a for a in self.viscous_apply(*U.velocities())]
+        out.m = tuple(-a for a in self.viscous_apply(*U.velocities()))
         return out
 
     # -- IMEX split and full right-hand side ----------------------------------
@@ -283,8 +281,7 @@ class SpatialDiscretization:
     def mass_divergence(self, U: State) -> State:
         """Implicit centered mass transport -div(rho_* v)."""
         out = U.zeros_like()
-        out.rho = axis_sum([-self._dual(m, a)
-                            for a, m in zip(AXES, U.momenta)])
+        out.rho = axis_sum([-self._dual(mk, k) for k, mk in enumerate(U.m)])
         return out
 
     def explicit_tendency(self, Ut: State,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import GHOST, _axis_index
+from .grid import GHOST
 
 WENO_EPS = 1e-6
 D_LIN = np.array([0.1, 0.6, 0.3])
@@ -53,14 +53,13 @@ def _take(w: np.ndarray, axis: int, start: int, count: int) -> np.ndarray:
     return w[tuple(idx) + (slice(None),)]
 
 
-def reconstruct_lr_cells(ext: np.ndarray, axis, g: int = GHOST):
+def reconstruct_lr_cells(ext: np.ndarray, ax: int, g: int = GHOST):
     """Left/right states at all interfaces 0..M from an extended cell field.
 
     Returns (minus, plus): minus[k] is the left-biased state at interface
     k+1/2 built from cells k-2..k+2, plus[k] the right-biased state from
     cells k-1..k+3 (reversed stencil).
     """
-    ax = _axis_index(axis)
     M = ext.shape[ax] - 2 * g
     w = _windows(ext, ax)
     # cell i lives at extended index i+g-1; window starting at p covers
@@ -70,14 +69,13 @@ def reconstruct_lr_cells(ext: np.ndarray, axis, g: int = GHOST):
     return minus, plus
 
 
-def reconstruct_lr_faces(ext: np.ndarray, axis, g: int = GHOST):
+def reconstruct_lr_faces(ext: np.ndarray, ax: int, g: int = GHOST):
     """Left/right states at cell centers 1..M from an extended face field.
 
     The extended array includes the wall faces; face i+1/2 lives at extended
     index i+g.  minus[i-1] is the state at center i from faces i-5/2..i+3/2,
     plus[i-1] from faces i-3/2..i+5/2 (reversed stencil).
     """
-    ax = _axis_index(axis)
     M = ext.shape[ax] - 2 * g - 1
     w = _windows(ext, ax)
     minus = _weno5(_take(w, ax, g - 2, M))

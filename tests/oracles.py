@@ -84,8 +84,8 @@ def lam_max(vm, vp, rm, rp, params):
 def convective_1d(Ut, U, h, params):
     M = len(Ut.rho)
     rho_t, q_t = Ut.rho, Ut.q
-    V = vel_full(Ut.v1())          # explicit face velocities, walls zero
-    MX = vel_full(U.mx)            # implicit centered mass flux rho_* v
+    V = vel_full(Ut.velocities()[0])   # explicit face velocities, walls zero
+    MX = vel_full(U.m[0])              # implicit centered mass flux rho_* v
     vc = np.array([f2c6(V, i, -1.0) for i in range(M)])
     rho_f = np.array([c2f6(rho_t, k, 1.0) for k in range(M + 1)])
 
@@ -178,7 +178,7 @@ def _line_corner_flux(rho_row, v_row, w_row, h, params):
 def convective_2d(Ut, U, h, params):
     M = Ut.rho.shape[0]
     rho_t, q_t = Ut.rho, Ut.q
-    v1, v2 = Ut.v1(), Ut.v2()
+    v1, v2 = Ut.velocities()
     t_rho = np.zeros((M, M))
     t_q = np.zeros((M, M))
     t_mx = np.zeros((M - 1, M))
@@ -187,13 +187,13 @@ def convective_2d(Ut, U, h, params):
     # mass and phase: sweep x-lines then y-lines
     for j in range(M):
         F_rho, F_q = _line_mass_flux(rho_t[:, j], q_t[:, j],
-                                     vel_full(v1[:, j]), vel_full(U.mx[:, j]),
+                                     vel_full(v1[:, j]), vel_full(U.m[0][:, j]),
                                      h, params)
         t_rho[:, j] += -(F_rho[1:] - F_rho[:-1]) / h
         t_q[:, j] += -(F_q[1:] - F_q[:-1]) / h
     for i in range(M):
         G_rho, G_q = _line_mass_flux(rho_t[i, :], q_t[i, :],
-                                     vel_full(v2[i, :]), vel_full(U.my[i, :]),
+                                     vel_full(v2[i, :]), vel_full(U.m[1][i, :]),
                                      h, params)
         t_rho[i, :] += -(G_rho[1:] - G_rho[:-1]) / h
         t_q[i, :] += -(G_q[1:] - G_q[:-1]) / h
@@ -305,7 +305,7 @@ def dense_implicit_ops(M, h, params, dim):
     G = D.T
     L = laplacian_nd(dim, M, h).toarray()
     if dim == 1:
-        (B,) = viscous_blocks(1, M, h, params.nu, params.lam)
+        ((B,),) = viscous_blocks(1, M, h, params.nu, params.lam)
         return {"Dx": D, "Ax": A, "Gx": G, "L": L, "B11": B.toarray()}
     I = np.eye(M)
     out = {
@@ -314,7 +314,7 @@ def dense_implicit_ops(M, h, params, dim):
         "Gx": np.kron(I, G), "Gy": np.kron(G, I),
         "L": L,
     }
-    B11, B12, B21, B22 = viscous_blocks(2, M, h, params.nu, params.lam)
+    (B11, B12), (B21, B22) = viscous_blocks(2, M, h, params.nu, params.lam)
     out.update(B11=B11.toarray(), B12=B12.toarray(),
                B21=B21.toarray(), B22=B22.toarray())
     return out

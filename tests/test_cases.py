@@ -15,8 +15,8 @@ def test_shapes_and_positivity(test):
     grid = GridSpec(dim=2, M=16)
     U = initial_state(test, grid, PARAMS)
     assert U.rho.shape == (16, 16)
-    assert U.mx.shape == (15, 16)
-    assert U.my.shape == (16, 15)
+    assert U.m[0].shape == (15, 16)
+    assert U.m[1].shape == (16, 15)
     assert U.q.shape == (16, 16)
     assert np.all(U.rho > 0)
     np.testing.assert_allclose(U.rho, 1.0, atol=2 * PARAMS.delta)
@@ -35,7 +35,7 @@ def test_test1_fields():
     np.testing.assert_allclose(
         c, 0.1 * (1 - d) * np.cos(np.pi * X) * np.cos(np.pi * Y), atol=1e-14)
     # the velocity is O(1) (vortical), the density perturbation O(delta)
-    assert np.abs(U.v1()).max() > 1.0
+    assert np.abs(U.velocities()[0]).max() > 1.0
 
 
 def test_test2_concentration_offset():
@@ -45,7 +45,8 @@ def test_test2_concentration_offset():
     np.testing.assert_allclose(U2.c() - U1.c(), 0.75, rtol=0, atol=1e-13)
     assert 0.65 <= U2.c().min() and U2.c().max() <= 0.85
     # same flow field
-    np.testing.assert_allclose(U1.v1(), U2.v1(), atol=1e-15)
+    np.testing.assert_allclose(U1.velocities()[0], U2.velocities()[0],
+                               atol=1e-15)
     np.testing.assert_allclose(U1.rho, U2.rho, atol=1e-15)
 
 
@@ -53,8 +54,8 @@ def test_test3_quiescent_zero_mean():
     grid = GridSpec(dim=2, M=32)
     U = initial_state(3, grid, PARAMS, seed=4)
     assert np.all(U.rho == 1.0)
-    assert np.abs(U.mx).max() == 0.0
-    assert np.abs(U.my).max() == 0.0
+    assert np.abs(U.m[0]).max() == 0.0
+    assert np.abs(U.m[1]).max() == 0.0
     c = U.c()
     assert abs(c.mean()) < 1e-24
     assert np.abs(c).max() <= 2 * TEST3_AMP

@@ -143,6 +143,37 @@ def test_run_requires_test_flag():
         main(["run", "--M", "16", "--T", "0.001"])
 
 
+@pytest.mark.parametrize("argv,env,conf", [
+    pytest.param([], {"LINEAR_SOLVER": "multigrid"}, "", id="env-solver"),
+    pytest.param([], {}, "linear_solver = multigrid\n", id="file-solver"),
+    pytest.param([], {"M": ","}, "", id="env-empty-M"),
+    pytest.param([], {}, "cfl = 0\n", id="file-cfl"),
+    pytest.param([], {}, "no_such_key = 1\n", id="file-unknown-key"),
+    pytest.param(["--dim", "1"], {}, "", id="dim-1"),
+    pytest.param(["--cfl", "0"], {}, "", id="cfl-0"),
+    pytest.param(["--T", "-1"], {}, "", id="T-negative"),
+    pytest.param(["--M", ","], {}, "", id="empty-M"),
+    pytest.param(["--M", "2"], {}, "", id="M-too-small"),
+    pytest.param(["--nu", "0"], {}, "", id="nu-0"),
+])
+def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
+                                    capsys):
+    """Bad values from flags, CHNS_* variables or the config file end in
+    exit status 2 with a message, before any output is written."""
+    for key, val in env.items():
+        monkeypatch.setenv(ENV_PREFIX + key, val)
+    if conf:
+        (tmp_path / "case.conf").write_text(conf)
+        argv = argv + ["--config", str(tmp_path / "case.conf")]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--test", "2", "--T", "0.001", "--out", str(out)]
+             + argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fields_csv_header_2d(tmp_path):
     out = tmp_path / "t1"
     main(["run", "--test", "1", "--M", "8", "--T", "0.001", "--cp", "1e2",

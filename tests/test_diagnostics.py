@@ -113,7 +113,7 @@ def test_error_norm_is_scaled_l1():
     grid = GridSpec(dim=1, M=4)
     U = _uniform_state(grid, rho0=1.0, c0=0.0)
     exact_rho = U.rho + 0.25
-    exact_m = (U.mx + 1.0,)
+    exact_m = (U.m[0] + 1.0,)
     exact_q = U.q - 0.5
     # |drho| = 4*0.25, |dm| = 3*1, |dq| = 4*0.5 -> weighted by h = 1/4
     assert error_norm(U, exact_rho, exact_m, exact_q, grid) \

@@ -81,12 +81,12 @@ def test_exact_state_and_momenta_consistent():
     p = ModelParams(cp=1e2)
     U = mms.exact_state(grid, p, 0.2)
     assert U.rho.shape == (8, 8)
-    assert U.mx.shape == (7, 8) and U.my.shape == (8, 7)
+    assert U.m[0].shape == (7, 8) and U.m[1].shape == (8, 7)
     m1, m2 = mms.exact_momenta(grid, p, 0.2)
     assert m1.shape == (7, 8) and m2.shape == (8, 7)
     # state momenta use face-averaged density, the pointwise ones the exact
     # face density: both are O(delta) close for the well-prepared data
-    assert np.abs(U.mx - m1).max() < 5 * p.delta
+    assert np.abs(U.m[0] - m1).max() < 5 * p.delta
     assert np.all(U.rho > 0)
 
 
@@ -96,7 +96,7 @@ def test_make_forcing_matches_forcing_state():
     f = mms.make_forcing(grid, p)(0.37)
     g = mms.forcing_state(grid, p, 0.37)
     np.testing.assert_array_equal(f.rho, g.rho)
-    np.testing.assert_array_equal(f.mx, g.mx)
+    np.testing.assert_array_equal(f.m[0], g.m[0])
     np.testing.assert_array_equal(f.q, g.q)
 
 

@@ -34,6 +34,8 @@ def test_validation_errors():
         ModelParams(gamma=1.0)
     with pytest.raises(ValueError):
         ModelParams(nu=-1.0)
+    with pytest.raises(ValueError, match="cp must be positive"):
+        ModelParams(cp=-1.0)
 
 
 def test_nonpositive_density_raises():

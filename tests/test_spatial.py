@@ -46,7 +46,7 @@ def test_convective_1d_matches_oracle(M, rng):
     t_rho, t_mx, t_q = oracles.convective_1d(Ut, U, grid.h, PARAMS)
     scale = max(np.abs(t_rho).max(), np.abs(t_mx).max(), np.abs(t_q).max())
     np.testing.assert_allclose(out.rho, t_rho, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(out.mx, t_mx, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out.m[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(out.q, t_q, rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -60,8 +60,8 @@ def test_convective_2d_matches_oracle(M, rng):
     t_rho, t_mx, t_my, t_q = oracles.convective_2d(Ut, U, grid.h, PARAMS)
     scale = max(np.abs(t).max() for t in (t_rho, t_mx, t_my, t_q))
     np.testing.assert_allclose(out.rho, t_rho, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(out.mx, t_mx, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(out.my, t_my, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out.m[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out.m[1], t_my, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(out.q, t_q, rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -76,8 +76,8 @@ def test_capillary_2d_matches_oracle(rng):
     out = disc.capillary(Ut)
     t_mx, t_my = oracles.capillary_2d(Ut, grid.h, PARAMS)
     scale = max(np.abs(t_mx).max(), np.abs(t_my).max())
-    np.testing.assert_allclose(out.mx, t_mx, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(out.my, t_my, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out.m[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out.m[1], t_my, rtol=1e-12, atol=1e-12 * scale)
     assert np.all(out.rho == 0) and np.all(out.q == 0)
 
 
@@ -93,7 +93,7 @@ def test_capillary_1d_explicit_formula(rng):
     cx[-1] = (c[-1] - c[-2]) / (2 * h)
     expected = -0.5 * PARAMS.eps * (cx[1:] ** 2 - cx[:-1] ** 2) / h
     out = SpatialDiscretization(grid, PARAMS).capillary(Ut)
-    np.testing.assert_allclose(out.mx, expected, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out.m[0], expected, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +107,9 @@ def test_mass_divergence_matches_dense(dim, rng):
     U = random_state(grid, rng)
     ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
     out = SpatialDiscretization(grid, PARAMS).mass_divergence(U)
-    expected = -ops["Dx"] @ np.ravel(U.mx, order="F")
+    expected = -ops["Dx"] @ np.ravel(U.m[0], order="F")
     if dim == 2:
-        expected = expected - ops["Dy"] @ np.ravel(U.my, order="F")
+        expected = expected - ops["Dy"] @ np.ravel(U.m[1], order="F")
     np.testing.assert_allclose(np.ravel(out.rho, order="F"), expected,
                                rtol=1e-12, atol=1e-13)
 
@@ -122,10 +122,10 @@ def test_pressure_matches_dense_gradient(dim, rng):
     ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
     out = SpatialDiscretization(grid, PARAMS).pressure(U)
     p2 = model.p2(np.ravel(U.rho, order="F"), PARAMS)
-    np.testing.assert_allclose(np.ravel(out.mx, order="F"), ops["Gx"] @ p2,
+    np.testing.assert_allclose(np.ravel(out.m[0], order="F"), ops["Gx"] @ p2,
                                rtol=1e-11, atol=1e-9)
     if dim == 2:
-        np.testing.assert_allclose(np.ravel(out.my, order="F"),
+        np.testing.assert_allclose(np.ravel(out.m[1], order="F"),
                                    ops["Gy"] @ p2, rtol=1e-11, atol=1e-9)
     assert np.all(out.rho == 0) and np.all(out.q == 0)
 
@@ -136,8 +136,8 @@ def test_pressure_gradient_annihilates_constants():
     U = state_from_primitives(grid, rho, np.zeros((7, 8)),
                               np.zeros((8, 8)), v2=np.zeros((8, 7)))
     out = SpatialDiscretization(grid, ModelParams(cp=1e8)).pressure(U)
-    assert np.abs(out.mx).max() == 0.0
-    assert np.abs(out.my).max() == 0.0
+    assert np.abs(out.m[0]).max() == 0.0
+    assert np.abs(out.m[1]).max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -147,14 +147,14 @@ def test_viscous_matches_dense_blocks(dim, rng):
     U = random_state(grid, rng)
     ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
     disc = SpatialDiscretization(grid, PARAMS)
-    v1 = np.ravel(U.v1(), order="F")
+    v1 = np.ravel(U.velocities()[0], order="F")
     if dim == 1:
-        (a,) = disc.viscous_apply(U.v1())
+        (a,) = disc.viscous_apply(*U.velocities())
         np.testing.assert_allclose(np.ravel(a, order="F"), ops["B11"] @ v1,
                                    rtol=1e-12, atol=1e-9)
         return
-    v2 = np.ravel(U.v2(), order="F")
-    a1, a2 = disc.viscous_apply(U.v1(), U.v2())
+    v2 = np.ravel(U.velocities()[1], order="F")
+    a1, a2 = disc.viscous_apply(*U.velocities())
     np.testing.assert_allclose(np.ravel(a1, order="F"),
                                ops["B11"] @ v1 + ops["B12"] @ v2,
                                rtol=1e-12, atol=1e-9)
@@ -181,10 +181,10 @@ def test_viscous_blocks_against_hand_assembly():
     R[0, 0] = R[-1, -1] = 3.0
     R /= h ** 2
 
-    (B1,) = viscous_blocks(1, M, h, nu, lam)
+    ((B1,),) = viscous_blocks(1, M, h, nu, lam)
     np.testing.assert_allclose(B1.toarray(), (2 * nu + lam) * DtD, atol=1e-10)
 
-    B11, B12, B21, B22 = viscous_blocks(2, M, h, nu, lam)
+    (B11, B12), (B21, B22) = viscous_blocks(2, M, h, nu, lam)
     I_M = np.eye(M)
     I_f = np.eye(M - 1)
     np.testing.assert_allclose(
@@ -215,7 +215,7 @@ def test_ch_convex_matches_dense_laplacian(dim, rng):
     lap = laplacian_neumann(c, grid.h)
     expected = 2.0 * lap - eps * laplacian_neumann(lap / U.rho, grid.h)
     np.testing.assert_allclose(out.q, expected, rtol=1e-13, atol=1e-13)
-    assert np.all(out.rho == 0) and np.all(out.mx == 0)
+    assert np.all(out.rho == 0) and np.all(out.m[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +251,16 @@ def test_uniform_rest_state_only_feels_gravity(dim):
     assert np.abs(out.rho).max() < 1e-12
     assert np.abs(out.q).max() < 1e-12
     if dim == 1:
-        np.testing.assert_allclose(out.mx, PARAMS.g * rho0, rtol=1e-12)
+        np.testing.assert_allclose(out.m[0], PARAMS.g * rho0, rtol=1e-12)
     else:
-        assert np.abs(out.mx).max() < 1e-9       # no horizontal force
-        np.testing.assert_allclose(out.my, PARAMS.g * rho0, rtol=1e-12)
+        assert np.abs(out.m[0]).max() < 1e-9       # no horizontal force
+        np.testing.assert_allclose(out.m[1], PARAMS.g * rho0, rtol=1e-12)
 
 
 def _swap_xy(U):
     """Mirror a 2D state in the diagonal x = y."""
-    return State(rho=U.rho.T.copy(), mx=U.my.T.copy(), q=U.q.T.copy(),
-                 my=U.mx.T.copy())
+    return State(rho=U.rho.T.copy(), q=U.q.T.copy(),
+                 m=(U.m[1].T.copy(), U.m[0].T.copy()))
 
 
 @settings(max_examples=30)
@@ -276,8 +276,8 @@ def test_axis_swap_commutes_with_tendencies(M, cp, seed):
     for tendency in (disc.explicit_tendency, disc.implicit_tendency):
         want = _swap_xy(tendency(U))
         got = tendency(_swap_xy(U))
-        for f in ("rho", "mx", "my", "q"):
-            a, b = getattr(got, f), getattr(want, f)
+        for f, a, b in (("rho", got.rho, want.rho), ("q", got.q, want.q),
+                        *((f"m[{k}]", got.m[k], want.m[k]) for k in (0, 1))):
             scale = max(np.abs(b).max(), np.finfo(float).tiny)
             assert np.abs(a - b).max() <= 1e-12 * scale, \
                 f"{tendency.__name__}.{f}"
@@ -296,7 +296,7 @@ def test_hydro_residual_matches_implicit_tendency(dim, rng):
     hydro = HydroSolver(grid, PARAMS)
     U = random_state(grid, rng)
     dta = 0.013
-    z = hydro.pack(U.rho, U.v1(), None if dim == 1 else U.v2())
+    z = hydro.pack(U.rho, *U.velocities())
     r = np.zeros_like(z)
     res = hydro.residual(z, r, dta)
 
@@ -304,9 +304,9 @@ def test_hydro_residual_matches_implicit_tendency(dim, rng):
     T.axpy(1.0, disc.pressure(U))
     T.axpy(1.0, disc.viscous(U))
     parts = [np.ravel(U.rho - dta * T.rho, order="F"),
-             np.ravel(U.mx - dta * T.mx, order="F")]
+             np.ravel(U.m[0] - dta * T.m[0], order="F")]
     if dim == 2:
-        parts.append(np.ravel(U.my - dta * T.my, order="F"))
+        parts.append(np.ravel(U.m[1] - dta * T.m[1], order="F"))
     expected = np.concatenate(parts)
     np.testing.assert_allclose(res, expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
@@ -317,7 +317,7 @@ def test_hydro_jacobian_matches_finite_differences(dim, rng):
     grid = GridSpec(dim=dim, M=8)
     hydro = HydroSolver(grid, PARAMS)
     U = random_state(grid, rng, amp=0.2)
-    z = hydro.pack(U.rho, U.v1(), None if dim == 1 else U.v2())
+    z = hydro.pack(U.rho, *U.velocities())
     r = np.zeros_like(z)
     dta = 0.007
     J = hydro.jacobian(z, dta).toarray()
@@ -340,8 +340,8 @@ def test_hydro_jacobian_matches_dense_kronecker(rng):
     ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
     U = random_state(grid, rng, amp=0.2)
     rho = np.ravel(U.rho, order="F")
-    v1 = np.ravel(U.v1(), order="F")
-    v2 = np.ravel(U.v2(), order="F")
+    v1 = np.ravel(U.velocities()[0], order="F")
+    v2 = np.ravel(U.velocities()[1], order="F")
     z = np.concatenate([rho, v1, v2])
     dta = 0.011
     Dx, Dy, Ax, Ay, Gx, Gy = (ops[k] for k in

@@ -83,8 +83,8 @@ def test_fifth_order_convergence():
 def test_reversal_swaps_states(rng):
     f = rng.standard_normal(20)
     g = 3
-    minus, plus = reconstruct_lr_cells(f, "x", g=g)
-    minus_r, plus_r = reconstruct_lr_cells(f[::-1].copy(), "x", g=g)
+    minus, plus = reconstruct_lr_cells(f, 0, g=g)
+    minus_r, plus_r = reconstruct_lr_cells(f[::-1].copy(), 0, g=g)
     np.testing.assert_allclose(minus, plus_r[::-1], atol=1e-13)
     np.testing.assert_allclose(plus, minus_r[::-1], atol=1e-13)
 
@@ -93,10 +93,10 @@ def test_reconstruct_shapes():
     g = 3
     M = 8
     ext_c = np.zeros(M + 2 * g)
-    m, p = reconstruct_lr_cells(ext_c, "x", g=g)
+    m, p = reconstruct_lr_cells(ext_c, 0, g=g)
     assert m.shape == (M + 1,) and p.shape == (M + 1,)
     ext_f = np.zeros(M + 1 + 2 * g)
-    m, p = reconstruct_lr_faces(ext_f, "x", g=g)
+    m, p = reconstruct_lr_faces(ext_f, 0, g=g)
     assert m.shape == (M,) and p.shape == (M,)
 
 
