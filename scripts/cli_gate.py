@@ -1,4 +1,4 @@
-"""Run the fixed set of `chns` commands and print a sha256 of every output.
+"""Run the fixed set of `chns` commands, and check their outputs.
 
 A refactor that must not change behaviour is checked by running this script
 on both commits and comparing the printed lines:
@@ -10,6 +10,17 @@ this script (copy the script into another checkout to gate that one).  They
 write into OUTDIR with relative `--out` paths, so the manifests do not
 depend on OUTDIR.  The `walltime_s` column of `eoc.csv` and `sweep.csv` is
 dropped before hashing, because it is a timing and not a result.
+
+A change that moves rounding cannot be bit-identical; it compares the two
+output directories against the fixed tolerances below instead:
+
+    python3 scripts/cli_gate.py --compare DIR_A DIR_B
+
+Every file must exist on both sides.  Files other than CSV, text cells and
+the columns in EXACT_COLUMNS must be identical; the conservation errors may
+differ by CONSERVATION_TOL; any other value by COLUMN_TOL times the largest
+magnitude of its column in DIR_A.  One line per file gives its worst
+difference against its limit; the exit status is 1 when a rule fails.
 """
 
 from __future__ import annotations
@@ -38,6 +49,16 @@ GATE_RUNS = (
 )
 
 TIMING_COLUMN = "walltime_s"
+
+#: step counts, grid sizes, inputs and coordinates: equal as text
+EXACT_COLUMNS = frozenset({"steps", "M", "cp", "t", "x", "y"})
+#: absolute bound on the difference of the mass and phase errors
+CONSERVATION_COLUMNS = frozenset({"mass_err", "phase_err"})
+CONSERVATION_TOL = 1e-12
+#: bound on the difference of any other value, as a fraction of the largest
+#: magnitude in its column; a near-zero quantity such as div_v_norm at
+#: C_p=1e8 moves most under a change of rounding
+COLUMN_TOL = 1e-6
 
 
 def _content(path: pathlib.Path) -> bytes:
@@ -72,7 +93,71 @@ def main_gate(outdir: str) -> int:
     return 0
 
 
+def _float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _compare_csv(a: pathlib.Path, b: pathlib.Path):
+    """(worst ratio of difference to limit, description) of two CSV files;
+    a ratio above 1 breaks a rule."""
+    ra = list(csv.reader(io.StringIO(a.read_text(), newline="")))
+    rb = list(csv.reader(io.StringIO(b.read_text(), newline="")))
+    if not ra or ra[0] != rb[0] or len(ra) != len(rb):
+        return float("inf"), "header or row count differs"
+    worst, what = 0.0, "identical"
+    for j, name in enumerate(ra[0]):
+        if name == TIMING_COLUMN:
+            continue
+        col_a = [row[j] for row in ra[1:]]
+        col_b = [row[j] for row in rb[1:]]
+        nums = [_float(c) for c in col_a]
+        scale = max((abs(x) for x in nums if x is not None), default=0.0)
+        limit = (CONSERVATION_TOL if name in CONSERVATION_COLUMNS
+                 else COLUMN_TOL * scale)
+        for i, (ca, cb, xa) in enumerate(zip(col_a, col_b, nums), start=1):
+            if ca == cb:
+                continue
+            xb = _float(cb)
+            if name in EXACT_COLUMNS or xa is None or xb is None:
+                return float("inf"), f"{name} row {i}: {ca!r} != {cb!r}"
+            diff = abs(xa - xb)
+            ratio = diff / limit if limit > 0 else float("inf")
+            if ratio > worst:
+                worst = ratio
+                what = f"{name} row {i}: |a-b| = {diff:.2e}, limit {limit:.2e}"
+    return worst, what
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    a, b = pathlib.Path(dir_a), pathlib.Path(dir_b)
+    files = sorted({p.relative_to(root).as_posix()
+                    for root in (a, b) for p in root.rglob("*")
+                    if p.is_file()})
+    failed = 0
+    for rel in files:
+        fa, fb = a / rel, b / rel
+        if not (fa.is_file() and fb.is_file()):
+            worst, what = float("inf"), "missing on one side"
+        elif fa.suffix == ".csv":
+            worst, what = _compare_csv(fa, fb)
+        elif fa.read_bytes() == fb.read_bytes():
+            worst, what = 0.0, "identical"
+        else:
+            worst, what = float("inf"), "contents differ"
+        ok = worst <= 1.0
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'}  {rel}: {what}")
+    print(f"{len(files)} files, {failed} failed", file=sys.stderr)
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: cli_gate.py OUTDIR")
+        sys.exit("usage: cli_gate.py OUTDIR\n"
+                 "       cli_gate.py --compare DIR_A DIR_B")
     sys.exit(main_gate(sys.argv[1]))

@@ -138,6 +138,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
     if args.command != "mms" and cfg.test is None:
         raise ValueError(f"{args.command}: --test is required")
+    if args.command != "mms" and len(cfg.M) > 1:
+        raise ValueError(f"{args.command}: --M takes one grid size, got "
+                         f"{','.join(map(str, cfg.M))}")
     if not (cfg.T > 0 and cfg.cfl > 0):
         raise ValueError(f"--T and --cfl must be positive, got {cfg.T:g} "
                          f"and {cfg.cfl:g}")

@@ -56,8 +56,12 @@ def mat_laplacian_neumann(M: int, h: float) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
 
 
+@functools.lru_cache
 def laplacian_nd(dim: int, M: int, h: float) -> sp.csr_matrix:
-    """Neumann Laplacian of a cell field: the 1D one along every axis."""
+    """Neumann Laplacian of a cell field: the 1D one along every axis.
+
+    Built once per grid; every caller shares the matrix and must not
+    modify it."""
     L = mat_laplacian_neumann(M, h)
     return axis_sum([_along({k: L}, (M,) * dim) for k in range(dim)])
 

@@ -24,6 +24,17 @@ from .operators import (_along, laplacian_nd, mat_average, mat_dual,
                         viscous_blocks)
 
 
+#: SuperLU in its symmetric mode, for both factorized matrices (the Newton
+#: Jacobian and the c-matrix): they are structurally symmetric with positive
+#: diagonals, so a minimum-degree ordering of A^T + A with diagonal pivots
+#: fills less than the default COLAMD ordering with partial pivoting (Newton
+#: Jacobian at M=128: 8.3 M against 13.6 M entries in L+U).  A zero diagonal
+#: entry still gets an off-diagonal pivot.  The zero threshold is needed:
+#: with the default 1.0 the same ordering fills 8x more than COLAMD (M=32).
+SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+
+
 class SolverFailure(RuntimeError):
     """Newton or linear solver did not reach its tolerance."""
 
@@ -218,7 +229,7 @@ class HydroSolver:
                             f"tol = {tol:.3e}")
 
     def _refresh(self, z, dta, stats: SolveStats):
-        self._lu = spla.splu(self.jacobian(z, dta))
+        self._lu = spla.splu(self.jacobian(z, dta), **SPLU_SYMMETRIC)
         self._lu_key = dta
         stats.factorizations += 1
 
@@ -258,7 +269,7 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     A = assemble_c_matrix(rho, dta, eps, grid)
     b = np.ravel(rhs_hat, order="F")
     if cfg.method == "direct":
-        x = spla.splu(A.tocsc()).solve(b)
+        x = spla.splu(A.tocsc(), **SPLU_SYMMETRIC).solve(b)
     elif cfg.method == "cg":
         def count(_xk):
             stats.lin_iters += 1

@@ -8,12 +8,13 @@ shared, since those are certified separately against polynomial exactness).
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chns_imex import model
-from chns_imex.grid import MU6
+from chns_imex.grid import GHOST, MU6
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  viscous_blocks)
-from chns_imex.weno import weno5_point
+from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,41 @@ def weno_faces(full, i, sign):
     minus = weno5_point([face_val(full, i - 2 + j, sign) for j in range(5)])
     plus = weno5_point([face_val(full, i + 3 - j, sign) for j in range(5)])
     return minus, plus
+
+
+def weno5_one_sided(w):
+    """Left-biased WENO5 of stacked stencils (last axis holds the 5
+    samples), each stencil with its own smoothness indicators."""
+    v0, v1, v2, v3, v4 = (w[..., k] for k in range(5))
+    b0 = 13.0 / 12.0 * (v0 - 2 * v1 + v2) ** 2 + 0.25 * (v0 - 4 * v1 + 3 * v2) ** 2
+    b1 = 13.0 / 12.0 * (v1 - 2 * v2 + v3) ** 2 + 0.25 * (v1 - v3) ** 2
+    b2 = 13.0 / 12.0 * (v2 - 2 * v3 + v4) ** 2 + 0.25 * (3 * v2 - 4 * v3 + v4) ** 2
+    a0 = D_LIN[0] / (WENO_EPS + b0) ** 2
+    a1 = D_LIN[1] / (WENO_EPS + b1) ** 2
+    a2 = D_LIN[2] / (WENO_EPS + b2) ** 2
+    s = a0 + a1 + a2
+    q0 = (2 * v0 - 7 * v1 + 11 * v2) / 6.0
+    q1 = (-v1 + 5 * v2 + 2 * v3) / 6.0
+    q2 = (2 * v2 + 5 * v3 - v4) / 6.0
+    return (a0 * q0 + a1 * q1 + a2 * q2) / s
+
+
+def weno_lr_windows(ext, ax, faces, g=GHOST):
+    """(minus, plus) of `weno.reconstruct_lr_faces` (faces=True) or
+    `reconstruct_lr_cells`, each state from its own sliding window: minus
+    from the window starting at `first`, plus from the reversed window one
+    sample later."""
+    n = ext.shape[ax] - 2 * g - (1 if faces else -1)
+    first = g - 2 if faces else g - 3
+    w = sliding_window_view(ext, 5, axis=ax)
+
+    def take(start):
+        idx = [slice(None)] * ext.ndim
+        idx[ax] = slice(start, start + n)
+        return w[tuple(idx)]
+
+    return (weno5_one_sided(take(first)),
+            weno5_one_sided(take(first + 1)[..., ::-1]))
 
 
 def sound(r, params):

@@ -154,6 +154,7 @@ def test_run_requires_test_flag():
     pytest.param(["--T", "-1"], {}, "", id="T-negative"),
     pytest.param(["--M", ","], {}, "", id="empty-M"),
     pytest.param(["--M", "2"], {}, "", id="M-too-small"),
+    pytest.param(["--M", "8,16"], {}, "", id="M-list"),
     pytest.param(["--nu", "0"], {}, "", id="nu-0"),
 ])
 def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,

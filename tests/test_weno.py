@@ -13,6 +13,13 @@ from hypothesis import strategies as st
 from chns_imex.weno import (D_LIN, reconstruct_lr_cells, reconstruct_lr_faces,
                             weno5_point)
 
+import oracles
+
+#: the right-biased states share their smoothness indicators with the
+#: left-biased ones, which rounds them differently from a one-sided
+#: evaluation; measured worst 3 ulp of the field's largest magnitude
+PLUS_ULPS = 8
+
 
 def _candidates(v):
     q0 = (2 * v[0] - 7 * v[1] + 11 * v[2]) / 6.0
@@ -87,6 +94,39 @@ def test_reversal_swaps_states(rng):
     minus_r, plus_r = reconstruct_lr_cells(f[::-1].copy(), 0, g=g)
     np.testing.assert_allclose(minus, plus_r[::-1], atol=1e-13)
     np.testing.assert_allclose(plus, minus_r[::-1], atol=1e-13)
+
+
+def _field(kind, shape, rng):
+    if kind == "smooth":
+        x = np.linspace(0.0, 1.0, shape[0])[:, None] \
+            + 0.3 * np.linspace(0.0, 1.0, shape[1])[None, :]
+        return 1e4 * (1.0 + np.sin(2 * np.pi * x))
+    if kind == "step":
+        x = np.arange(shape[0])[:, None] + 0.5 * np.arange(shape[1])[None, :]
+        return np.where(x > shape[0] / 2, 2.5, -1e-3)
+    return 10.0 ** rng.uniform(-6, 6) * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "step", "random"])
+@pytest.mark.parametrize("faces", [False, True], ids=["cells", "faces"])
+@pytest.mark.parametrize("ax", [0, 1])
+@pytest.mark.parametrize("M", [4, 17, 64])
+def test_shared_beta_states_match_one_sided_windows(kind, faces, ax, M, rng):
+    """Both states from one kernel agree with one-sided evaluations on
+    sliding windows: the left-biased states bit for bit, the right-biased
+    ones within PLUS_ULPS ulp of the field's largest magnitude."""
+    g = 3
+    shape = [M + 2 * g + (1 if faces else 0), 7]
+    ext = _field(kind, shape, rng)
+    if ax == 1:
+        ext = ext.T.copy()
+    minus, plus = (reconstruct_lr_faces if faces
+                   else reconstruct_lr_cells)(ext, ax, g=g)
+    ref_minus, ref_plus = oracles.weno_lr_windows(ext, ax, faces, g=g)
+    assert np.array_equal(minus, ref_minus)
+    bound = PLUS_ULPS * np.finfo(float).eps * np.abs(ext).max()
+    assert plus.shape == ref_plus.shape
+    assert np.abs(plus - ref_plus).max() <= bound
 
 
 def test_reconstruct_shapes():
