@@ -22,8 +22,8 @@ import numpy as np
 from . import model
 from .grid import GridSpec
 from .model import ModelParams, NonPositiveDensityError
-from .solvers import (HydroSolver, LinearSolverConfig, NewtonConfig,
-                      SolveStats, SolverFailure, solve_c_stage)
+from .solvers import (ChordLU, HydroSolver, LinearSolverConfig,
+                      NewtonConfig, SolveStats, SolverFailure, solve_c_stage)
 from .spatial import SpatialDiscretization
 from .state import State, state_from_primitives
 
@@ -75,7 +75,8 @@ class StepRecord:
     t: float
     dt: float
     newton_iters: int
-    #: Krylov iterations of the step's concentration solves
+    #: iterations of the step's concentration solves: CG iterations, or the
+    #: refinement corrections of direct solves on a kept factorization
     lin_iters: int
     factorizations: int
     retries: int
@@ -107,6 +108,8 @@ class Integrator:
         self.sp = SpatialDiscretization(grid, params)
         self.hydro = HydroSolver(grid, params, newton_cfg)
         self.linear_cfg = linear_cfg or LinearSolverConfig()
+        #: the direct c-matrix factorization, kept across stages and steps
+        self.c_chord = ChordLU()
         self._speed = None    # lagged non-stiff characteristic speed
 
     # -- time-step selection -------------------------------------------------
@@ -128,12 +131,14 @@ class Integrator:
                      stats: SolveStats) -> State:
         z0 = self.hydro.pack(tilde.rho, *tilde.velocities())
         r = self.hydro.pack(hat.rho, *hat.m)
+        # free a c-matrix LU that is stale for dta before Newton may factorize
+        self.c_chord.current(dta)
         z = self.hydro.solve(z0, r, dta, stats)
         rho_v, v_v = self.hydro.unpack(z)
         rho = rho_v.reshape(hat.rho.shape, order="F")
         v = [vk.reshape(mk.shape, order="F") for vk, mk in zip(v_v, hat.m)]
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
-                          self.linear_cfg, stats)
+                          self.linear_cfg, stats, self.c_chord)
         return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
 
     # -- one step ------------------------------------------------------------
@@ -189,6 +194,7 @@ class Integrator:
             except (SolverFailure, NonPositiveDensityError,
                     FloatingPointError) as exc:
                 self.hydro.invalidate()
+                self.c_chord.drop()
                 retries += 1
                 if retries > MAX_RETRIES:
                     raise SolverFailure(

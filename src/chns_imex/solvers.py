@@ -7,6 +7,13 @@ concentration.  The Newton linear systems use a sparse LU factorization that
 is reused across iterations (and callers may reuse a solver object across
 stages); the factorization is refreshed whenever the damped line search
 stalls, so the monotone decrease of ||H||_2 is always enforced.
+
+The concentration system is solved by preconditioned CG or, with the direct
+method, by a sparse LU that the caller may keep across stages and steps (a
+`ChordLU`).  A kept factorization is refined, x <- x + LU^-1 (b - A x), to
+CG's criterion ||b - A x|| <= tol ||b||; when that does not converge within
+REFINE_MAX corrections, the matrix is factorized anew.  Both kept
+factorizations are rebuilt once dt*a moves by more than LU_KEY_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -33,6 +40,12 @@ from .operators import (_along, laplacian_nd, mat_average, mat_dual,
 #: with the default 1.0 the same ordering fills 8x more than COLAMD (M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
+#: a kept factorization is rebuilt once dt*a differs from the value it was
+#: built for by more than this fraction (the implicit blocks scale with it)
+LU_KEY_TOLERANCE = 0.2
+#: refinement corrections a kept c-matrix factorization may take in one
+#: solve before the c-stage factorizes anew (Test 3, M=64: about 4 each)
+REFINE_MAX = 8
 
 
 class SolverFailure(RuntimeError):
@@ -62,11 +75,41 @@ class LinearSolverConfig:
 class SolveStats:
     newton_iters: int = 0
     newton_res: float = 0.0
-    #: Krylov (CG) iterations of the concentration solves; direct solves add 0
+    #: iterations of the concentration solves: CG iterations, or the
+    #: refinement corrections of a direct solve on a kept factorization
     lin_iters: int = 0
+    #: Newton (chord Jacobian) factorizations; c-matrix ones are not counted
     factorizations: int = 0
     #: accepted residual norms per Newton iteration (scaled norm)
     history: list = field(default_factory=list)
+
+
+class ChordLU:
+    """A sparse LU factorization kept for reuse, and the dt*a it was built
+    for.  It is stale once dt*a moves by more than LU_KEY_TOLERANCE."""
+
+    def __init__(self):
+        self.lu = None
+        self.key = None
+
+    def current(self, key: float):
+        """The kept factorization, or None when there is none or it is stale
+        for key (a stale one is dropped)."""
+        if self.lu is not None \
+                and abs(key - self.key) > LU_KEY_TOLERANCE * abs(self.key):
+            self.drop()
+        return self.lu
+
+    def refactorize(self, A: sp.csc_matrix, key: float):
+        """Factorize A for key, freeing the old factorization first."""
+        self.drop()
+        self.lu = spla.splu(A, **SPLU_SYMMETRIC)
+        self.key = key
+        return self.lu
+
+    def drop(self):
+        self.lu = None
+        self.key = None
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +141,12 @@ class HydroSolver:
         #: unknowns per block: cells, then the faces of each axis
         self.sizes = [self.nc] + [(M - 1) * M ** (dim - 1)] * dim
         self._split = np.cumsum(self.sizes)[:-1]
-        self._lu = None
-        self._lu_key = None
+        self._chord = ChordLU()
+
+    @property
+    def _lu(self):
+        """The chord Jacobian's factorization, None until the first solve."""
+        return self._chord.lu
 
     # vector packing: [rho; v1; v2], each flattened column-major
 
@@ -183,11 +230,7 @@ class HydroSolver:
         stats.history.append(nrm0)
         nrm = nrm0
         fresh = False
-        # a factorization cached for a substantially different dt*alpha is
-        # useless as a chord Jacobian (the implicit blocks scale with it)
-        if self._lu is not None and self._lu_key is not None:
-            if abs(dta - self._lu_key) > 0.2 * abs(self._lu_key):
-                self._lu = None
+        self._chord.current(dta)     # drops one kept for a distant dt*a
         for it in range(cfg.maxit):
             if nrm <= tol:
                 stats.newton_res = nrm
@@ -229,13 +272,11 @@ class HydroSolver:
                             f"tol = {tol:.3e}")
 
     def _refresh(self, z, dta, stats: SolveStats):
-        self._lu = spla.splu(self.jacobian(z, dta), **SPLU_SYMMETRIC)
-        self._lu_key = dta
+        self._chord.refactorize(self.jacobian(z, dta), dta)
         stats.factorizations += 1
 
     def invalidate(self):
-        self._lu = None
-        self._lu_key = None
+        self._chord.drop()
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +299,13 @@ def assemble_c_matrix(rho: np.ndarray, dta: float, eps: float,
 def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
                   eps: float, grid: GridSpec,
                   cfg: LinearSolverConfig | None = None,
-                  stats: SolveStats | None = None) -> np.ndarray:
+                  stats: SolveStats | None = None,
+                  chord: ChordLU | None = None) -> np.ndarray:
     """Solve the SPD concentration system; rhs_hat is the hat of rho*c.
 
-    CG iterations are added to stats.lin_iters."""
+    The direct method reuses the factorization kept in `chord` while it is
+    fresh for dta (without one it factorizes every call).  CG iterations and
+    refinement corrections are added to stats.lin_iters."""
     cfg = cfg or LinearSolverConfig()
     stats = stats if stats is not None else SolveStats()
     if dta == 0.0:
@@ -269,7 +313,7 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     A = assemble_c_matrix(rho, dta, eps, grid)
     b = np.ravel(rhs_hat, order="F")
     if cfg.method == "direct":
-        x = spla.splu(A.tocsc(), **SPLU_SYMMETRIC).solve(b)
+        x = _solve_direct(A, b, dta, cfg.tol, chord or ChordLU(), stats)
     elif cfg.method == "cg":
         def count(_xk):
             stats.lin_iters += 1
@@ -282,3 +326,26 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
     return x.reshape(rho.shape, order="F")
+
+
+def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float, tol: float,
+                  chord: ChordLU, stats: SolveStats) -> np.ndarray:
+    """Refine on the kept factorization until ||b - A x|| <= tol ||b||;
+    factorize A anew when there is none, or when refinement stops reducing
+    the residual or runs out of corrections."""
+    lu = chord.current(dta)
+    if lu is not None:
+        x = lu.solve(b)
+        bound = tol * np.linalg.norm(b)
+        prev = np.inf
+        for k in range(REFINE_MAX + 1):
+            r = b - A @ x
+            nr = np.linalg.norm(r)
+            if nr <= bound:
+                return x
+            if k == REFINE_MAX or not nr < prev:
+                break
+            x += lu.solve(r)
+            stats.lin_iters += 1
+            prev = nr
+    return chord.refactorize(A.tocsc(), dta).solve(b)

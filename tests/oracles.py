@@ -14,6 +14,7 @@ from chns_imex import model
 from chns_imex.grid import GHOST, MU6
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  viscous_blocks)
+from chns_imex.state import State
 from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
 
 
@@ -360,3 +361,9 @@ def dense_c_matrix(rho_flat, dta, eps, M, h, dim):
     L = laplacian_nd(dim, M, h).toarray()
     return (np.diag(rho_flat) - 2.0 * dta * L
             + dta * eps * L @ np.diag(1.0 / rho_flat) @ L)
+
+
+def swap_xy(U):
+    """Mirror a 2D state in the diagonal x = y."""
+    return State(rho=U.rho.T.copy(), q=U.q.T.copy(),
+                 m=(U.m[1].T.copy(), U.m[0].T.copy()))

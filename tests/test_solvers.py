@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams, NonPositiveDensityError
 from chns_imex.operators import laplacian_nd
-from chns_imex.solvers import (HydroSolver, LinearSolverConfig, NewtonConfig,
+from chns_imex.solvers import (REFINE_MAX, SPLU_SYMMETRIC, ChordLU,
+                               HydroSolver, LinearSolverConfig, NewtonConfig,
                                SolveStats, SolverFailure, assemble_c_matrix,
                                solve_c_stage)
 
@@ -92,6 +93,108 @@ def test_solve_c_stage_residual_small(rng):
                       LinearSolverConfig(method="cg", tol=1e-12))
     res = A @ np.ravel(x, order="F") - np.ravel(rhs, order="F")
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the calls of scipy's splu."""
+    calls = []
+    real = spla.splu
+
+    def counting(A, **kwargs):
+        calls.append(A.shape)
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def _kept_c_factorization(rng, dta=0.004):
+    """A 2D c-stage problem solved once by the direct method, keeping its
+    factorization; returns (grid, rho, rhs, chord)."""
+    grid = GridSpec(dim=2, M=16)
+    rho = 1.0 + 0.3 * rng.uniform(-1, 1, (16, 16))
+    rhs = rng.standard_normal((16, 16))
+    chord = ChordLU()
+    solve_c_stage(rho, rhs, dta, 1e-4, grid,
+                  LinearSolverConfig(method="direct"), chord=chord)
+    assert chord.lu is not None and chord.key == dta
+    return grid, rho, rhs, chord
+
+
+def _c_residual(rho, rhs, x, dta, grid):
+    """||b - A x|| / ||b|| of the c-system."""
+    A = assemble_c_matrix(rho, dta, 1e-4, grid)
+    b = np.ravel(rhs, order="F")
+    return np.linalg.norm(b - A @ np.ravel(x, order="F")) / np.linalg.norm(b)
+
+
+def test_direct_c_stage_refines_on_kept_factorization(rng, splu_calls):
+    """A nearby density at the same dt*a reuses the kept factorization and
+    refines to CG's criterion, agreeing with a fresh factorization."""
+    dta = 0.004
+    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
+    kept = chord.lu
+    splu_calls.clear()
+    rho2 = rho * (1.0 + 1e-3 * rng.uniform(-1, 1, rho.shape))
+    cfg = LinearSolverConfig(method="direct")
+    stats = SolveStats()
+    x = solve_c_stage(rho2, rhs, dta, 1e-4, grid, cfg, stats, chord)
+    assert splu_calls == []
+    assert chord.lu is kept
+    assert 0 < stats.lin_iters <= REFINE_MAX
+    assert _c_residual(rho2, rhs, x, dta, grid) <= cfg.tol
+    A = assemble_c_matrix(rho2, dta, 1e-4, grid)
+    fresh = spla.splu(A.tocsc(), **SPLU_SYMMETRIC).solve(
+        np.ravel(rhs, order="F")).reshape(rho.shape, order="F")
+    np.testing.assert_allclose(x, fresh, rtol=0,
+                               atol=1e-12 * np.abs(fresh).max())
+
+
+def test_direct_c_stage_refactorizes_for_distant_dta(rng, splu_calls):
+    """A dt*a more than 20% from the kept one factorizes anew."""
+    dta = 0.004
+    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
+    splu_calls.clear()
+    stats = SolveStats()
+    solve_c_stage(rho, rhs, 1.25 * dta, 1e-4, grid,
+                  LinearSolverConfig(method="direct"), stats, chord)
+    assert splu_calls == [(256, 256)]
+    assert chord.key == 1.25 * dta
+    assert stats.lin_iters == 0
+
+
+def test_direct_c_stage_falls_back_on_distant_density(rng, splu_calls):
+    """Refinement that cannot reach the tolerance on a kept factorization
+    built for a very different density ends in a fresh factorization."""
+    dta = 0.004
+    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
+    kept = chord.lu
+    splu_calls.clear()
+    rho2 = 1.0 + 0.9 * rng.uniform(0, 1, rho.shape)
+    cfg = LinearSolverConfig(method="direct")
+    stats = SolveStats()
+    x = solve_c_stage(rho2, rhs, dta, 1e-4, grid, cfg, stats, chord)
+    assert splu_calls == [(256, 256)]
+    assert chord.lu is not kept and chord.key == dta
+    assert 0 < stats.lin_iters <= REFINE_MAX
+    assert _c_residual(rho2, rhs, x, dta, grid) <= cfg.tol
+
+
+def test_direct_c_stage_rejects_nonpositive_density_before_reuse(
+        rng, splu_calls, monkeypatch):
+    grid, rho, rhs, chord = _kept_c_factorization(rng)
+    splu_calls.clear()
+
+    def no_solve(b):
+        raise AssertionError("kept factorization used")
+
+    monkeypatch.setattr(chord, "lu", type("LU", (), {"solve": no_solve})())
+    rho[3, 5] = -0.1
+    with pytest.raises(NonPositiveDensityError):
+        solve_c_stage(rho, rhs, chord.key, 1e-4, grid,
+                      LinearSolverConfig(method="direct"), chord=chord)
+    assert splu_calls == []
 
 
 def test_unknown_linear_solver_rejected():

@@ -11,7 +11,7 @@ from chns_imex.model import ModelParams
 from chns_imex.operators import mat_dual, viscous_blocks
 from chns_imex.solvers import HydroSolver
 from chns_imex.spatial import SpatialDiscretization
-from chns_imex.state import State, state_from_primitives
+from chns_imex.state import state_from_primitives
 
 import oracles
 
@@ -257,12 +257,6 @@ def test_uniform_rest_state_only_feels_gravity(dim):
         np.testing.assert_allclose(out.m[1], PARAMS.g * rho0, rtol=1e-12)
 
 
-def _swap_xy(U):
-    """Mirror a 2D state in the diagonal x = y."""
-    return State(rho=U.rho.T.copy(), q=U.q.T.copy(),
-                 m=(U.m[1].T.copy(), U.m[0].T.copy()))
-
-
 @settings(max_examples=30)
 @given(M=st.integers(4, 12), cp=st.sampled_from([1e2, 1e8]),
        seed=st.integers(0, 2**32 - 1))
@@ -274,8 +268,8 @@ def test_axis_swap_commutes_with_tendencies(M, cp, seed):
     disc = SpatialDiscretization(grid, ModelParams(cp=cp, g=0.0))
     U = random_state(grid, np.random.default_rng(seed))
     for tendency in (disc.explicit_tendency, disc.implicit_tendency):
-        want = _swap_xy(tendency(U))
-        got = tendency(_swap_xy(U))
+        want = oracles.swap_xy(tendency(U))
+        got = tendency(oracles.swap_xy(U))
         for f, a, b in (("rho", got.rho, want.rho), ("q", got.q, want.q),
                         *((f"m[{k}]", got.m[k], want.m[k]) for k in (0, 1))):
             scale = max(np.abs(b).max(), np.finfo(float).tiny)
