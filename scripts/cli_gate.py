@@ -46,6 +46,9 @@ GATE_RUNS = (
      "--linear-solver", "direct", "--out", "test3"],
     ["sweep", "--test", "2", "--M", "16", "--cp", "1e2,1e8", "--T", "0.002",
      "--out", "sweep"],
+    # at a power-of-two M, h and 1/h are exact, so a stencil and its sparse
+    # matrix round alike; a non-dyadic grid shows a change of rounding
+    ["mms", "--dim", "2", "--M", "12", "--out", "mms2d-m12"],
 )
 
 TIMING_COLUMN = "walltime_s"

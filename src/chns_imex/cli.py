@@ -33,7 +33,7 @@ from .grid import AXES, GridSpec, extend_face_interior, faces_to_cells6
 from .imex import DEFAULT_CFL, Integrator
 from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
-from .solvers import LinearSolverConfig
+from .solvers import LINEAR_METHODS, LinearSolverConfig
 
 ENV_PREFIX = "CHNS_"
 
@@ -338,7 +338,7 @@ def _add_options(q: argparse.ArgumentParser, command: str):
     q.add_argument("--dump-times", dest="dump_times", type=float_list,
                    help="comma-separated snapshot times")
     q.add_argument("--linear-solver", dest="linear_solver",
-                   choices=("direct", "cg"))
+                   choices=LINEAR_METHODS)
 
 
 def _options(command: str) -> list:

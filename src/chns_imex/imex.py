@@ -3,8 +3,9 @@
 Each stage first assembles the explicit "hat" data, then solves the implicit
 subsystems in sequence: a Newton iteration for density and velocities,
 followed by a linear SPD solve for the concentration.  The stage tendency is
-reconstructed algebraically from the solved stage state, so the final update
-of a stiffly accurate scheme reproduces the last stage exactly.
+reconstructed algebraically from the solved stage state.  Both schemes are
+stiffly accurate (the last row of the implicit tableau is its weights), so a
+step ends at its last stage state.
 
 The time step is chosen from a CFL condition on the *non-stiff* part of the
 characteristic speed (advection plus the non-stiff pressure sound speed),
@@ -35,7 +36,8 @@ MAX_RETRIES = 5
 
 @dataclass
 class ButcherPair:
-    """An explicit tableau (at, bt) paired with a DIRK tableau (a, b)."""
+    """An explicit tableau (at, bt) paired with a stiffly accurate DIRK
+    tableau (a, b): a[-1] == b."""
     name: str
     at: np.ndarray
     bt: np.ndarray
@@ -49,10 +51,6 @@ class ButcherPair:
     @property
     def ct(self) -> np.ndarray:
         return self.at.sum(axis=1)
-
-    @property
-    def stiffly_accurate(self) -> bool:
-        return bool(np.allclose(self.a[-1], self.b))
 
 
 def make_tableau(name: str) -> ButcherPair:
@@ -134,9 +132,7 @@ class Integrator:
         # free a c-matrix LU that is stale for dta before Newton may factorize
         self.c_chord.current(dta)
         z = self.hydro.solve(z0, r, dta, stats)
-        rho_v, v_v = self.hydro.unpack(z)
-        rho = rho_v.reshape(hat.rho.shape, order="F")
-        v = [vk.reshape(mk.shape, order="F") for vk, mk in zip(v_v, hat.m)]
+        rho, v = self.hydro.unpack(z)
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
                           self.linear_cfg, stats, self.c_chord)
         return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
@@ -149,7 +145,6 @@ class Integrator:
         s = tab.stages
         K: list[State] = []
         speeds = [self._state_speed(Un)]
-        U_last = Un
         for i in range(s):
             tilde = Un.copy()
             for j in range(i):
@@ -166,17 +161,8 @@ class Integrator:
             U_i.check_valid()
             K.append((U_i - hat_pre) * (1.0 / dta))
             speeds.append(self._state_speed(U_i))
-            U_last = U_i
-        self._last_K = K
-        if tab.stiffly_accurate:
-            U_new = U_last
-        else:
-            U_new = Un.copy()
-            for j in range(s):
-                U_new.axpy(dt * tab.b[j], K[j])
-            U_new.check_valid()
         self._speed = max(speeds)
-        return U_new
+        return U_i
 
     def step(self, Un: State, t: float, dt: float):
         """Advance one step with up to MAX_RETRIES halvings on failure."""

@@ -109,18 +109,9 @@ def psi(c):
     return 0.25 * (np.asarray(c) ** 2 - 1.0) ** 2
 
 
-def dpsi1(c):
-    """Convex-branch derivative (implicit part)."""
-    return 2.0 * np.asarray(c)
-
-
-def dpsi2(c):
-    """Concave-branch derivative (explicit part)."""
-    c = np.asarray(c)
-    return c**3 - 3.0 * c
-
-
 def ddpsi2(c):
+    """Second derivative of the concave branch psi2' = c^3 - 3c (explicit
+    part); the convex branch psi1' = 2c is implicit."""
     c = np.asarray(c)
     return 3.0 * c**2 - 3.0
 

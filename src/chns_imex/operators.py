@@ -2,8 +2,9 @@
 
 Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  These
-matrices back the Newton Jacobian and the c-system assembly;
-tendency evaluation itself is matrix-free (see the spatial module).
+matrices back the Newton Jacobian and the c-system assembly, and the viscous
+blocks are also how the tendency applies the viscous term (see the spatial
+module).
 """
 
 from __future__ import annotations
@@ -66,9 +67,14 @@ def laplacian_nd(dim: int, M: int, h: float) -> sp.csr_matrix:
     return axis_sum([_along({k: L}, (M,) * dim) for k in range(dim)])
 
 
+@functools.lru_cache
 def viscous_blocks(dim: int, M: int, h: float, nu: float, lam: float):
     """The symmetric velocity blocks B[k][j] of the implicit viscous
     operator, coupling velocity j into momentum k.
+
+    The only definition of the viscous operator: the tendency applies it
+    and the Newton Jacobian holds it.  Built once per grid and viscosities;
+    every caller shares the matrices and must not modify them.
 
     A diagonal block is (2nu+lam) D^T D along its own axis plus nu times
     the wall-damped second difference R along every transverse axis; an
@@ -95,5 +101,5 @@ def viscous_blocks(dim: int, M: int, h: float, nu: float, lam: float):
             else:
                 blk = (nu + lam) * _along({k: D.T, j: D}, cells)
             row.append(blk.tocsr())
-        B.append(row)
-    return B
+        B.append(tuple(row))
+    return tuple(B)

@@ -2,18 +2,21 @@
 
 Each implicit Runge-Kutta stage splits into (a) a nonlinear system for the
 density and face velocities, solved with a damped Newton method on
-H(z) = L(z) + dt*a_ii*D(z) - r, and (b) a linear SPD system for the
-concentration.  The Newton linear systems use a sparse LU factorization that
-is reused across iterations (and callers may reuse a solver object across
-stages); the factorization is refreshed whenever the damped line search
+H(z) = U(z) - dt*a_ii*T(z) - r, with U(z) the density and face momenta of z
+and T the implicit hydro tendency of SpatialDiscretization.hydro_tendency,
+and (b) a linear SPD system for the concentration.  The Newton Jacobian is
+assembled from the sparse operators of the operators module; its sparse LU
+factorization is reused across iterations (and callers may reuse a solver
+object across stages), and refreshed whenever the damped line search
 stalls, so the monotone decrease of ||H||_2 is always enforced.
 
 The concentration system is solved by preconditioned CG or, with the direct
 method, by a sparse LU that the caller may keep across stages and steps (a
 `ChordLU`).  A kept factorization is refined, x <- x + LU^-1 (b - A x), to
-CG's criterion ||b - A x|| <= tol ||b||; when that does not converge within
-REFINE_MAX corrections, the matrix is factorized anew.  Both kept
-factorizations are rebuilt once dt*a moves by more than LU_KEY_TOLERANCE.
+CG's criterion ||b - A x|| <= tol ||b||; once the contraction so far shows
+that REFINE_MAX corrections cannot get there, the matrix is factorized anew.
+Both kept factorizations are rebuilt once dt*a moves by more than
+LU_KEY_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import model
-from .grid import GridSpec, axis_sum
+from .grid import GridSpec, axis_sum, face_average
 from .model import ModelParams, NonPositiveDensityError
 from .operators import (_along, laplacian_nd, mat_average, mat_dual,
                         viscous_blocks)
+from .spatial import SpatialDiscretization
 
 
 #: SuperLU in its symmetric mode, for both factorized matrices (the Newton
@@ -47,6 +51,9 @@ LU_KEY_TOLERANCE = 0.2
 #: solve before the c-stage factorizes anew (Test 3, M=64: about 4 each)
 REFINE_MAX = 8
 
+#: the concentration solvers a LinearSolverConfig may name
+LINEAR_METHODS = ("direct", "cg")
+
 
 class SolverFailure(RuntimeError):
     """Newton or linear solver did not reach its tolerance."""
@@ -62,13 +69,18 @@ class NewtonConfig:
 
 @dataclass
 class LinearSolverConfig:
-    method: str = "cg"            # {'direct', 'cg'}
+    method: str = "cg"            # one of LINEAR_METHODS
     #: near-machine tolerance: the concentration system conserves the phase
     #: total exactly only up to the linear residual, and the sum over ~1e4
     #: cells and ~1e2 solves amplifies it; the system is well conditioned
     #: (diagonally dominant), so the tight tolerance costs few iterations
     tol: float = 1e-14
     maxiter: int = 20000
+
+    def __post_init__(self):
+        if self.method not in LINEAR_METHODS:
+            raise ValueError(f"unknown linear solver {self.method!r}; "
+                             f"expected one of {LINEAR_METHODS}")
 
 
 @dataclass
@@ -119,9 +131,11 @@ class ChordLU:
 class HydroSolver:
     """Damped Newton solver for the implicit density/velocity subsystem.
 
-    Per-axis operator lists: D[k] (face flux difference), A[k] (face
-    average of cell values), G[k] (grad-transpose, cells -> faces) and the
-    viscous blocks B[k][j] coupling velocity j into momentum k.
+    The residual evaluates the implicit hydro tendency of `spatial`.  The
+    Jacobian is assembled from per-axis operator lists: D[k] (face flux
+    difference), A[k] (face average of cell values), G[k] (grad-transpose,
+    cells -> faces) and the viscous blocks B[k][j] coupling velocity j into
+    momentum k.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams,
@@ -129,6 +143,7 @@ class HydroSolver:
         self.grid = grid
         self.params = params
         self.cfg = cfg or NewtonConfig()
+        self.spatial = SpatialDiscretization(grid, params)
         M, h, dim = grid.M, grid.h, grid.dim
         D = mat_dual(M, h)
         A = mat_average(M)
@@ -138,9 +153,11 @@ class HydroSolver:
         self.G = [_along({k: D.T}, cells) for k in range(dim)]
         self.B = viscous_blocks(dim, M, h, params.nu, params.lam)
         self.nc = M ** dim
-        #: unknowns per block: cells, then the faces of each axis
-        self.sizes = [self.nc] + [(M - 1) * M ** (dim - 1)] * dim
-        self._split = np.cumsum(self.sizes)[:-1]
+        #: field shape per block: cells, then the faces of each axis
+        self.shapes = [cells] + [tuple(M - 1 if i == k else M
+                                       for i in range(dim))
+                                 for k in range(dim)]
+        self._split = np.cumsum([np.prod(s) for s in self.shapes])[:-1]
         self._chord = ChordLU()
 
     @property
@@ -155,29 +172,24 @@ class HydroSolver:
         return np.concatenate([np.ravel(f, order="F") for f in (rho, *v)])
 
     def unpack(self, z):
-        """Split z into (rho, [v1, v2]) views; 1D has the single v1."""
-        rho, *v = np.split(z, self._split)
+        """Split z into (rho, [v1, v2]) field-shaped views; 1D has the
+        single v1."""
+        rho, *v = (f.reshape(s, order="F")
+                   for f, s in zip(np.split(z, self._split), self.shapes))
         return rho, v
 
     def residual(self, z, r, dta):
+        """H(z) = U(z) - dta*T(z) - r: the density and face momenta of z
+        less dta times their implicit hydro tendency, less r."""
         rho, v = self.unpack(z)
         if np.any(rho <= 0):
             raise NonPositiveDensityError("nonpositive density in Newton iterate")
-        # centered stiff pressure: identical under the discrete gradient,
-        # but free of cancellation noise at large cp2
-        p2 = model.p2_centered(rho, self.params, float(rho.mean()))
-        r_rho, *r_m = np.split(r, self._split)
-        rs = [A @ rho for A in self.A]
-        f_rho = rho + dta * axis_sum([D @ (s * vk)
-                                      for D, s, vk in zip(self.D, rs, v)]) \
-            - r_rho
-        f_m = [s * vk + dta * (axis_sum([B @ vj for B, vj in zip(Bk, v)])
-                               - G @ p2) - rk
-               for s, vk, Bk, G, rk in zip(rs, v, self.B, self.G, r_m)]
-        return np.concatenate([f_rho] + f_m)
+        m = [face_average(rho, k) * vk for k, vk in enumerate(v)]
+        t_rho, t_m = self.spatial.hydro_tendency(rho, m, v)
+        return self.pack(rho, *m) - dta * self.pack(t_rho, *t_m) - r
 
     def jacobian(self, z, dta) -> sp.csr_matrix:
-        rho, v = self.unpack(z)
+        rho, *v = np.split(z, self._split)
         dp2 = sp.diags(model.dp2(rho, self.params))
         dgV = [sp.diags(vk) for vk in v]
         dgR = [sp.diags(A @ rho) for A in self.A]
@@ -207,7 +219,7 @@ class HydroSolver:
         p = self.params
         amp = 1.0 + dta * (float(np.max(model.dp2(rho, p))) / h
                            + (2 * p.nu + p.lam) * 8.0 / h**2)
-        w = np.ones(sum(self.sizes))
+        w = np.ones_like(z0)
         w[self.nc:] = 1.0 / amp
         return w
 
@@ -314,7 +326,7 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     b = np.ravel(rhs_hat, order="F")
     if cfg.method == "direct":
         x = _solve_direct(A, b, dta, cfg.tol, chord or ChordLU(), stats)
-    elif cfg.method == "cg":
+    else:
         def count(_xk):
             stats.lin_iters += 1
 
@@ -323,16 +335,14 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
                           maxiter=cfg.maxiter, M=Minv, callback=count)
         if info != 0:
             raise SolverFailure(f"CG failed with info={info}")
-    else:
-        raise ValueError(f"unknown linear solver {cfg.method!r}")
     return x.reshape(rho.shape, order="F")
 
 
 def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float, tol: float,
                   chord: ChordLU, stats: SolveStats) -> np.ndarray:
     """Refine on the kept factorization until ||b - A x|| <= tol ||b||;
-    factorize A anew when there is none, or when refinement stops reducing
-    the residual or runs out of corrections."""
+    factorize A anew when there is none, or when the residual, shrinking at
+    its last ratio for the corrections left, would not reach the bound."""
     lu = chord.current(dta)
     if lu is not None:
         x = lu.solve(b)
@@ -343,7 +353,9 @@ def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float, tol: float,
             nr = np.linalg.norm(r)
             if nr <= bound:
                 return x
-            if k == REFINE_MAX or not nr < prev:
+            # also stops when the residual grows, at the last correction
+            # (exponent 0) and on a non-finite residual
+            if not nr * (nr / prev) ** (REFINE_MAX - k) <= bound:
                 break
             x += lu.solve(r)
             stats.lin_iters += 1

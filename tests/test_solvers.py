@@ -166,7 +166,9 @@ def test_direct_c_stage_refactorizes_for_distant_dta(rng, splu_calls):
 
 def test_direct_c_stage_falls_back_on_distant_density(rng, splu_calls):
     """Refinement that cannot reach the tolerance on a kept factorization
-    built for a very different density ends in a fresh factorization."""
+    built for a very different density ends in a fresh factorization, as
+    soon as the residual's contraction shows it (here 0.3 per correction
+    against the 1e-14 tolerance)."""
     dta = 0.004
     grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
     kept = chord.lu
@@ -177,7 +179,7 @@ def test_direct_c_stage_falls_back_on_distant_density(rng, splu_calls):
     x = solve_c_stage(rho2, rhs, dta, 1e-4, grid, cfg, stats, chord)
     assert splu_calls == [(256, 256)]
     assert chord.lu is not kept and chord.key == dta
-    assert 0 < stats.lin_iters <= REFINE_MAX
+    assert 0 < stats.lin_iters <= 2
     assert _c_residual(rho2, rhs, x, dta, grid) <= cfg.tol
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chns_imex import model
 from chns_imex.grid import GridSpec, laplacian_neumann
+from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
 from chns_imex.operators import mat_dual, viscous_blocks
 from chns_imex.solvers import HydroSolver
@@ -204,6 +205,21 @@ def test_viscous_blocks_against_hand_assembly():
     assert w.min() >= -1e-9          # positive semidefinite (dissipative)
 
 
+def test_viscous_blocks_built_once_and_shared(rng):
+    """An integrator builds the viscous blocks once; its Newton Jacobian
+    and its tendency use the same matrices."""
+    grid = GridSpec(dim=2, M=8)
+    viscous_blocks.cache_clear()
+    integ = Integrator(grid, PARAMS)
+    U = random_state(grid, rng)
+    integ.sp.viscous(U)
+    z = integ.hydro.pack(U.rho, *U.velocities())
+    integ.hydro.residual(z, np.zeros_like(z), 0.01)
+    assert viscous_blocks.cache_info().misses == 1
+    assert integ.hydro.B is viscous_blocks(grid.dim, grid.M, grid.h,
+                                           PARAMS.nu, PARAMS.lam)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ch_convex_matches_dense_laplacian(dim, rng):
     M = 8
@@ -228,7 +244,7 @@ def test_mass_and_phase_tendencies_sum_to_zero(dim, rng):
     disc = SpatialDiscretization(grid, PARAMS)
     Ut = random_state(grid, rng)
     U = random_state(grid, rng)
-    out = disc.total_rhs(Ut, U)
+    out = disc.explicit_tendency(Ut).axpy(1.0, disc.implicit_tendency(U))
     scale = max(np.abs(out.rho).max(), np.abs(out.q).max())
     assert abs(out.rho.sum()) < 1e-12 * scale * out.rho.size
     assert abs(out.q.sum()) < 1e-12 * scale * out.q.size
@@ -247,7 +263,7 @@ def test_uniform_rest_state_only_feels_gravity(dim):
                                   np.zeros((M - 1, M)), np.full((M, M), 0.3),
                                   v2=np.zeros((M, M - 1)))
     disc = SpatialDiscretization(grid, PARAMS)
-    out = disc.total_rhs(U, U)
+    out = disc.explicit_tendency(U).axpy(1.0, disc.implicit_tendency(U))
     assert np.abs(out.rho).max() < 1e-12
     assert np.abs(out.q).max() < 1e-12
     if dim == 1:
