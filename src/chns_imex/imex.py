@@ -159,7 +159,8 @@ class Integrator:
             hat = hat_pre.copy().axpy(dta, E)
             U_i = self._solve_stage(hat, tilde, dta, stats)
             U_i.check_valid()
-            K.append((U_i - hat_pre) * (1.0 / dta))
+            if i + 1 < s:               # read by the later stages only
+                K.append((U_i - hat_pre) * (1.0 / dta))
             speeds.append(self._state_speed(U_i))
         self._speed = max(speeds)
         return U_i

@@ -4,7 +4,8 @@ Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  These
 matrices back the Newton Jacobian and the c-system assembly, and the viscous
 blocks are also how the tendency applies the viscous term (see the spatial
-module).
+module).  The Neumann Laplacian's DCT-II eigenvalues precondition the
+concentration solve.
 """
 
 from __future__ import annotations
@@ -65,6 +66,19 @@ def laplacian_nd(dim: int, M: int, h: float) -> sp.csr_matrix:
     modify it."""
     L = mat_laplacian_neumann(M, h)
     return axis_sum([_along({k: L}, (M,) * dim) for k in range(dim)])
+
+
+@functools.lru_cache
+def laplacian_eigenvalues(dim: int, M: int, h: float) -> np.ndarray:
+    """Eigenvalues of `laplacian_nd` on the DCT-II basis, as a (M,)*dim
+    array: the sum over axes of the 1D Neumann eigenvalues
+    -(4/h^2) sin^2(pi k / 2M), k = 0..M-1.
+
+    Built once per grid; every caller shares the array and must not
+    modify it."""
+    lam1 = -4.0 / h**2 * np.sin(np.pi * np.arange(M) / (2 * M)) ** 2
+    return axis_sum([lam1.reshape([M if i == k else 1 for i in range(dim)])
+                     for k in range(dim)])
 
 
 @functools.lru_cache

@@ -84,8 +84,13 @@ class SpatialDiscretization:
     # -- convection --------------------------------------------------------
 
     def convective(self, Ut: State, U: State) -> State:
-        """Mass transport div(rho_* v) from the implicit state plus Rusanov
-        fluxes from the explicit state, one pass per axis.
+        """Mass transport div(rho_* v) from the implicit state plus the
+        Rusanov fluxes of `rusanov` from the explicit state."""
+        return self.mass_divergence(U) + self.rusanov(Ut)
+
+    def rusanov(self, Ut: State) -> State:
+        """The explicit convective terms: WENO5-reconstructed Rusanov fluxes
+        from the explicit state, one pass per axis.
 
         The mass diffusion and the phase-momentum flux along an axis share
         its Rusanov speed.  Momentum component k gets the normal flux
@@ -94,7 +99,6 @@ class SpatialDiscretization:
         """
         g, h, p = GHOST, self.grid.h, self.params
         axes = range(self.grid.dim)
-        out = self.mass_divergence(U)
         v = Ut.velocities()
         v_ext = [extend_face_interior(vk, k) for k, vk in enumerate(v)]
         v_cell = [faces_to_cells6(ve, k) for k, ve in enumerate(v_ext)]
@@ -102,7 +106,7 @@ class SpatialDiscretization:
 
         # mass: Rusanov diffusion from WENO states at the faces 0..M; the
         # wall entries cancel by the mirror symmetry of the density
-        lam_rho = []
+        lam_rho, diff = [], []
         for k in axes:
             r_m, r_p = reconstruct_lr_cells(rho_ext[k], k)
             w_m, w_p = reconstruct_lr_cells(
@@ -110,7 +114,7 @@ class SpatialDiscretization:
             lam = self._lam(w_m, w_p, r_m, r_p)
             lam_rho.append(lam)
             d = 0.5 * lam * (r_p - r_m)
-            out.rho += self._dual(_slc(d, k, slice(1, -1)), k)
+            diff.append(self._dual(_slc(d, k, slice(1, -1)), k))
 
         # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
         mom = []
@@ -150,7 +154,6 @@ class SpatialDiscretization:
                 Ghat = 0.5 * (c_p + c_m) - 0.5 * lam * (m_p - m_m)
                 m_k += -_diff(Ghat, j) / h
             mom.append(m_k)
-        out.m = tuple(mom)
 
         # phase momentum: primal reconstruction of rho c v_k
         dq = []
@@ -160,8 +163,7 @@ class SpatialDiscretization:
             q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, k, "sym"), k)
             Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho[k] * (q_p - q_m)
             dq.append(-_diff(Fc, k) / h)
-        out.q = axis_sum(dq)
-        return out
+        return State(axis_sum(diff), axis_sum(dq), tuple(mom))
 
     # -- gravity -------------------------------------------------------------
 
@@ -205,12 +207,21 @@ class SpatialDiscretization:
 
     # -- Cahn-Hilliard -------------------------------------------------------
 
+    @staticmethod
+    def ch_convex_term(c: np.ndarray, rho: np.ndarray, eps: float,
+                       h: float) -> np.ndarray:
+        """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on cell
+        arrays, L the Neumann Laplacian.  The only definition of the
+        operator the concentration stage solves with; `ch_convex` applies
+        it to c = q/rho, the c-stage CG to its iterates."""
+        lap = laplacian_neumann(c, h)
+        return 2.0 * lap - eps * laplacian_neumann(lap / rho, h)
+
     def ch_convex(self, U: State) -> State:
         """Implicit (convex) phase-field tendency."""
-        h, eps = self.grid.h, self.params.eps
         out = U.zeros_like()
-        lap = laplacian_neumann(U.q / U.rho, h)
-        out.q = 2.0 * lap - eps * laplacian_neumann(lap / U.rho, h)
+        out.q = self.ch_convex_term(U.q / U.rho, U.rho, self.params.eps,
+                                    self.grid.h)
         return out
 
     def ch_concave(self, Ut: State) -> State:
@@ -285,7 +296,7 @@ class SpatialDiscretization:
     def explicit_tendency(self, Ut: State,
                           forcing: State | None = None) -> State:
         """All terms evaluated at the explicitly-known stage state."""
-        out = self.convective(Ut, Ut.zeros_like())
+        out = self.rusanov(Ut)
         for t in (self.gravity(Ut), self.capillary(Ut), self.ch_concave(Ut)):
             out.axpy(1.0, t)
         if forcing is not None:

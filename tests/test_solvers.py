@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from chns_imex.cases import initial_state
 from chns_imex.grid import GridSpec
+from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams, NonPositiveDensityError
 from chns_imex.operators import laplacian_nd
 from chns_imex.solvers import (REFINE_MAX, SPLU_SYMMETRIC, ChordLU,
                                HydroSolver, LinearSolverConfig, NewtonConfig,
                                SolveStats, SolverFailure, assemble_c_matrix,
-                               solve_c_stage)
+                               c_stage_operator, solve_c_stage)
 
 import oracles
 
@@ -93,6 +95,75 @@ def test_solve_c_stage_residual_small(rng):
                       LinearSolverConfig(method="cg", tol=1e-12))
     res = A @ np.ravel(x, order="F") - np.ravel(rhs, order="F")
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("M", [4, 12, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_c_stage_operator_matches_assembled_matrix(dim, M, rng):
+    """CG's stencil operator is the assembled c-matrix."""
+    grid = GridSpec(dim=dim, M=M)
+    rho = rng.uniform(0.5, 1.5, (M,) * dim)
+    dta, eps = grid.h / 2, 1e-3
+    A = assemble_c_matrix(rho, dta, eps, grid)
+    op = c_stage_operator(rho, dta, eps, grid)
+    for x in rng.standard_normal((3, rho.size)):
+        Ax = A @ x
+        np.testing.assert_allclose(op.matvec(x), Ax, rtol=0,
+                                   atol=1e-13 * np.abs(Ax).max())
+
+
+@pytest.mark.parametrize("dta", [1e-4, 1e-2])
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 16), (2, 64)])
+def test_cg_exact_at_constant_density(dim, M, dta, rng):
+    """At a constant density the DCT preconditioner is the exact inverse:
+    CG converges in one iteration, to the direct solution."""
+    grid = GridSpec(dim=dim, M=M)
+    rho = np.full((M,) * dim, 1.3)
+    rhs = rng.standard_normal(rho.shape)
+    stats = SolveStats()
+    x = solve_c_stage(rho, rhs, dta, 1e-4, grid, LinearSolverConfig("cg"),
+                      stats)
+    assert stats.lin_iters == 1
+    ref = solve_c_stage(rho, rhs, dta, 1e-4, grid,
+                        LinearSolverConfig("direct"))
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("M", [32, 64, 128])
+@pytest.mark.parametrize("cp", [1e2, 1e4])
+def test_cg_iterations_do_not_grow_with_M(cp, M):
+    """On Test 1 initial data at the CFL dt*a of the first stage, CG takes
+    at most 10 iterations at every M (Jacobi-preconditioned CG took
+    112-272 at M = 64-128)."""
+    grid, params = GridSpec(dim=2, M=M), ModelParams(cp=cp)
+    U0 = initial_state(1, grid, params)
+    integ = Integrator(grid, params)
+    dta = integ.select_dt(U0) * integ.tab.a[0, 0]
+    stats = SolveStats()
+    x = solve_c_stage(U0.rho, U0.q, dta, params.eps, grid,
+                      LinearSolverConfig("cg"), stats)
+    assert 0 < stats.lin_iters <= 10
+    A = assemble_c_matrix(U0.rho, dta, params.eps, grid)
+    b = np.ravel(U0.q, order="F")
+    res = b - A @ np.ravel(x, order="F")
+    assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_c_stage_rejects_nonpositive_density(method, monkeypatch):
+    """A nonpositive density is a NonPositiveDensityError before any
+    linear solve starts."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("linear solver called")
+
+    monkeypatch.setattr(spla, "cg", no_solve)
+    monkeypatch.setattr(spla, "splu", no_solve)
+    grid = GridSpec(dim=2, M=8)
+    rho = np.ones((8, 8))
+    rho[2, 5] = 0.0
+    with pytest.raises(NonPositiveDensityError):
+        solve_c_stage(rho, np.ones((8, 8)), 0.01, 1e-4, grid,
+                      LinearSolverConfig(method))
 
 
 @pytest.fixture
