@@ -2,9 +2,16 @@
 
 Plugs the prescribed exact solutions into the continuous equations and emits
 the residual (the forcing that makes them exact) as a generated module,
-src/chns_imex/_forcing.py.  Run from the repository root:
+src/chns_imex/_forcing.py.  The source terms are kept in the factored form
+the differentiation gives (no expansion before common-subexpression
+elimination), and each staggered location gets its own function: per
+dimension, one for the cell centres returning (s_rho, s_q) and one per face
+axis k returning s_m_k.  Run from the repository root:
 
     python scripts/derive_forcing.py
+
+`render()` returns the module source without writing it; the test suite
+checks that it evaluates to the committed module.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ def forcing_1d():
         - sp.diff((2 * nu + lam) * sp.diff(v, x)
                   - (eps / 2) * sp.diff(c, x) ** 2, x)
     s_q = sp.diff(rho * c, t) + sp.diff(rho * c * v, x) - sp.diff(mu, x, 2)
-    return [sp.expand_mul(e.doit()) for e in (s_rho, s_m, s_q)]
+    return [e.doit() for e in (s_rho, s_m, s_q)]
 
 
 def forcing_2d():
@@ -83,47 +90,63 @@ def forcing_2d():
                                        + sp.diff(v2, y, 2))
     s_q = sp.diff(rho * c, t) + sp.diff(rho * c * v1, x) \
         + sp.diff(rho * c * v2, y) - lap(mu)
-    return [sp.expand_mul(e.doit()) for e in (s_rho, s_m1, s_m2, s_q)]
+    return [e.doit() for e in (s_rho, s_m1, s_m2, s_q)]
 
 
 def emit_function(name, args, exprs, printer):
+    """Source of `name(*args)`: a bare array for one expression, else a
+    tuple."""
     reps, reduced = sp.cse(exprs, optimizations="basic")
     lines = [f"def {name}({', '.join(args)}):"]
     for sym, e in reps:
         lines.append(f"    {sym} = {printer.doprint(e)}")
     out = ", ".join(printer.doprint(e) for e in reduced)
-    lines.append(f"    return ({out})")
+    lines.append(f"    return {out}" if len(reduced) == 1
+                 else f"    return ({out})")
     return "\n".join(lines)
 
 
 HEADER = '''"""Closed-form manufactured-solution forcing terms.
 
 GENERATED by scripts/derive_forcing.py -- do not edit by hand.
-Each function returns the source terms that, added to the right-hand side,
-make the prescribed space-time fields an exact solution of the continuous
-equations.  Arguments are coordinate arrays plus scalar parameters.
+Each function returns source terms that, added to the right-hand side, make
+the prescribed space-time fields an exact solution of the continuous
+equations, at one staggered location: `cell_<d>d` gives (s_rho, s_q) at the
+cell centres, `face_<d>d_<k>` gives s_m_k at the faces normal to axis k.
+Arguments are coordinate arrays plus scalar parameters.  `CELL[dim]` and
+`FACE[dim][k]` look them up by dimension.
 """
 
 import numpy
-from numpy import pi
-
 '''
+
+COORDS = {1: ["x"], 2: ["x", "y"]}
+PARAMS = ["t", "delta", "cp", "gamma", "nu", "lam", "eps", "g"]
+
+
+def render() -> str:
+    """Source of the generated module."""
+    printer = NumPyPrinter()
+    parts = [HEADER]
+    for dim, terms in ((1, forcing_1d()), (2, forcing_2d())):
+        args = COORDS[dim] + PARAMS
+        s_rho, *s_m, s_q = terms
+        parts.append(emit_function(f"cell_{dim}d", args, [s_rho, s_q],
+                                   printer))
+        for k, e in enumerate(s_m):
+            parts.append(emit_function(f"face_{dim}d_{k}", args, [e],
+                                       printer))
+    faces = {dim: ", ".join(f"face_{dim}d_{k}" for k in range(dim))
+             for dim in COORDS}
+    parts.append(f"CELL = {{1: cell_1d, 2: cell_2d}}\n"
+                 f"FACE = {{1: ({faces[1]},), 2: ({faces[2]})}}\n")
+    return "\n\n\n".join(parts)
 
 
 def main():
-    printer = NumPyPrinter()
-    parts = [HEADER]
-    parts.append(emit_function(
-        "forcing_1d", ["x", "t", "delta", "cp", "gamma", "nu", "lam",
-                       "eps", "g"], forcing_1d(), printer))
-    parts.append("\n\n")
-    parts.append(emit_function(
-        "forcing_2d", ["x", "y", "t", "delta", "cp", "gamma", "nu", "lam",
-                       "eps", "g"], forcing_2d(), printer))
-    parts.append("\n")
     dest = pathlib.Path(__file__).resolve().parents[1] / "src" / \
         "chns_imex" / "_forcing.py"
-    dest.write_text("".join(parts))
+    dest.write_text(render())
     print(f"wrote {dest}")
 
 

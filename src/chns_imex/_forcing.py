@@ -1,302 +1,170 @@
 """Closed-form manufactured-solution forcing terms.
 
 GENERATED by scripts/derive_forcing.py -- do not edit by hand.
-Each function returns the source terms that, added to the right-hand side,
-make the prescribed space-time fields an exact solution of the continuous
-equations.  Arguments are coordinate arrays plus scalar parameters.
+Each function returns source terms that, added to the right-hand side, make
+the prescribed space-time fields an exact solution of the continuous
+equations, at one staggered location: `cell_<d>d` gives (s_rho, s_q) at the
+cell centres, `face_<d>d_<k>` gives s_m_k at the faces normal to axis k.
+Arguments are coordinate arrays plus scalar parameters.  `CELL[dim]` and
+`FACE[dim][k]` look them up by dimension.
 """
 
 import numpy
-from numpy import pi
 
-def forcing_1d(x, t, delta, cp, gamma, nu, lam, eps, g):
+
+
+def cell_1d(x, t, delta, cp, gamma, nu, lam, eps, g):
     x0 = numpy.pi*x
     x1 = 2*x0
-    x2 = numpy.cos(x1)
-    x3 = delta*x2
-    x4 = g*x3
-    x5 = numpy.sin(x0)
-    x6 = numpy.cos(x0)
-    x7 = t*x3
-    x8 = x3 + x7 + 1
-    x9 = x8**(-1.0)
-    x10 = numpy.sin(x1)
-    x11 = 2*numpy.pi*cp*gamma*x10*x8**gamma*x9
-    x12 = delta*t
-    x13 = 400*x6
-    x14 = numpy.pi**2
-    x15 = x13*x14
-    x16 = x5**2
-    x17 = x14*x16
-    x18 = 180*x17
-    x19 = delta**2
-    x20 = t**2
-    x21 = x18*x20
-    x22 = x17*x6
-    x23 = 24*x22
-    x24 = 216*x22
-    x25 = 72*x22
-    x26 = delta**3
-    x27 = t**3
-    x28 = numpy.pi**4
-    x29 = eps*x28
-    x30 = x29*x9
-    x31 = x8**(-2.0)
-    x32 = x29*x6
-    x33 = 1600*x31
-    x34 = x32*x33
-    x35 = x10*x29*x33*x5
-    x36 = 2*x6
-    x37 = t*x36
-    x38 = (-delta*x36 + delta*x37 + x36 - x37 + 15)**2
-    x39 = 3*x14*x38*x6
-    x40 = (t + 1)**2
-    x41 = x8**(-3.0)
-    x42 = x10**2
-    x43 = 3200*x32*x40*x41*x42
-    return (x3, -delta*x11 + (1/100)*numpy.pi**3*eps*x5*x6*(delta - 1)**2*(t - 1)**2 - g - t*x4 - x11*x12 - x4, (1/10)*delta*eps*t*x28*x6*x9 + (2/5)*delta*eps*x10*x28*x31*x5 + (2/5)*delta*eps*x2*x20*x28*x31*x6 + (3/4000)*delta*t*x14*x38*x6 - 1/4000*delta*t*x15 - 1/4000*delta*x13*x30 + (27/500)*delta*x14*x16*x20*x6 + (9/100)*delta*x14*x16*x20 + (9/500)*delta*x14*x16*x6 + (9/100)*delta*x14*x16 + (1/10)*delta*x14*x6 + (3/4)*delta*x2 - 1/4000*delta*x20*x35 - 1/4000*delta*x25*x27 - 1/4000*delta*x39 + (1/10)*delta*x6 + (4/5)*eps*t*x19*x28*x40*x41*x42*x6 + (2/5)*eps*x10*x19*x20*x28*x31*x5 + (2/5)*eps*x19*x2*x28*x31*x6 + (4/5)*eps*x26*x28*x40*x41*x42*x6 + (1/10)*eps*x28*x6*x9 - 1/4000*t*x13*x30 + (27/500)*t*x14*x16*x19*x6 + (9/100)*t*x14*x16*x19 + (9/500)*t*x14*x16*x6 + (9/100)*t*x14*x16 + (1/10)*t*x14*x6 + (1/5)*t*x19*x2*x6 - 1/4000*t*x25*x26 - 1/4000*t*x26*x43 - 1/4000*t*x39 - 9/50*x12*x17 - 1/4000*x12*x24 - 1/4000*x13 + (9/500)*x14*x16*x19*x27*x6 + (9/500)*x14*x16*x20*x26*x6 + (3/500)*x14*x16*x26*x6 + (3/500)*x14*x16*x27*x6 + (3/4000)*x14*x38*x6 - 1/4000*x15 - 1/4000*x18*x19 - 1/4000*x18 - 1/4000*x19*x2*x20*x34 - 1/4000*x19*x20*x24 - 1/4000*x19*x21 - 1/4000*x19*x25 - 1/4000*x19*x35 - 1/4000*x19*x43 - 1/4000*x20*x25 - 1/4000*x21 - 1/4000*x23*x26*x27 - 1/4000*x23 - 1/4000*x3*x34 - 1/5*x6*x7)
+    x2 = delta*numpy.cos(x1)
+    x3 = delta - 1
+    x4 = numpy.cos(x0)
+    x5 = t + 1
+    x6 = x2*x5
+    x7 = x6 + 1
+    x8 = t - 1
+    x9 = 2*x4*x8
+    x10 = numpy.pi**2
+    x11 = 400*x4
+    x12 = x3*x9 + 15
+    x13 = eps*x10
+    x14 = numpy.sin(x0)
+    x15 = x3*x8
+    x16 = numpy.sin(x1)
+    x17 = 1600*x13/x7**2
+    return (x2, -1/4000*x10*x15*(3200*delta**2*x13*x16**2*x4*x5**2/x7**3 - delta*x14*x16*x17*x5 - x11*x13/x7 + x11 - 3*x12**2*x4 + 12*x12*x14**2*x15 + x17*x4*x6) - 1/20*x2*(-x3*x9 - 15) + (1/10)*x3*x4*x7)
 
-def forcing_2d(x, y, t, delta, cp, gamma, nu, lam, eps, g):
+
+def face_1d_0(x, t, delta, cp, gamma, nu, lam, eps, g):
+    x0 = numpy.pi*x
+    x1 = 2*x0
+    x2 = delta*(t + 1)
+    x3 = x2*numpy.cos(x1) + 1
+    return -2*numpy.pi*cp*gamma*x2*x3**gamma*numpy.sin(x1)/x3 + (1/100)*numpy.pi**3*eps*(delta - 1)**2*(t - 1)**2*numpy.sin(x0)*numpy.cos(x0) - g*x3
+
+
+def cell_2d(x, y, t, delta, cp, gamma, nu, lam, eps, g):
     x0 = numpy.pi*y
     x1 = numpy.cos(x0)
     x2 = numpy.pi*x
     x3 = 2*x2
     x4 = numpy.cos(x3)
     x5 = x1*x4
-    x6 = numpy.sin(x0)
-    x7 = numpy.sin(x3)
-    x8 = numpy.pi*x7
-    x9 = x6*x8
-    x10 = x4*x9
-    x11 = 2*x8
-    x12 = 2*x0
-    x13 = numpy.sin(x12)
-    x14 = x1*x13
+    x6 = t + 1
+    x7 = x4*x6
+    x8 = 2*x0
+    x9 = numpy.cos(x8) - 1
+    x10 = numpy.sin(x0)
+    x11 = numpy.sin(x3)
+    x12 = delta + 1
+    x13 = 2*t**2 - 1
+    x14 = numpy.pi*x12*x13
     x15 = x11*x14
-    x16 = delta*x10
-    x17 = t*x10
-    x18 = delta*x13
-    x19 = x1*x18
-    x20 = x11*x19
-    x21 = delta*x17
-    x22 = t**2
-    x23 = 2*x22
-    x24 = x1*x8
-    x25 = 4*x13
-    x26 = x22*x25
-    x27 = x24*x26
-    x28 = t**3
-    x29 = 2*x28
-    x30 = x25*x28
-    x31 = x24*x30
-    x32 = numpy.cos(x12)
-    x33 = x10*x32
-    x34 = x11*x13*x5
-    x35 = x16*x32
-    x36 = delta*x5
-    x37 = x13*x36
-    x38 = x11*x37
-    x39 = x17*x32
-    x40 = x21*x32
-    x41 = x5*x8
-    x42 = x36*x8
-    x43 = 4*t
-    x44 = x13*x43
-    x45 = numpy.pi**2
-    x46 = 8*x22
-    x47 = nu*x45
-    x48 = x13*x47
-    x49 = x18*x47
-    x50 = 8*x4
-    x51 = (delta + 1)**2
-    x52 = x11*x51
-    x53 = x32*x52
-    x54 = x4**2
-    x55 = x1*x54
-    x56 = x18*x55
-    x57 = x36*x44
-    x58 = delta**2
-    x59 = x13**2
-    x60 = x52*x59
-    x61 = x32**2
-    x62 = x13*x58
-    x63 = 6*x22
-    x64 = x5*x58
-    x65 = 8*x32
-    x66 = t**4
-    x67 = x51*x8
-    x68 = x66*x67
-    x69 = x65*x68
-    x70 = x5*x62
-    x71 = x46*x67
-    x72 = x61*x71
-    x73 = 8*x68
-    x74 = x59*x73
-    x75 = x52*x61
-    x76 = x32*x71
-    x77 = x59*x71
-    x78 = (x23 - 1)**2
-    x79 = x18*x51
-    x80 = x54*x9
-    x81 = x79*x80
-    x82 = t*x36
-    x83 = numpy.pi**3
-    x84 = numpy.sin(x2)
-    x85 = numpy.cos(x2)
-    x86 = (delta - 1)**2
-    x87 = (t - 1)**2
-    x88 = x1**2
-    x89 = x16*x51
-    x90 = t**5
-    x91 = x36*x67
-    x92 = x65*x90
-    x93 = delta*x55
-    x94 = delta*t
-    x95 = 8*x28
-    x96 = x67*x93
-    x97 = x25*x66
-    x98 = delta*x51*x80
-    x99 = x25*x90
-    x100 = 8*x90
-    x101 = x59*x67
-    x102 = 4*x101*x78
-    x103 = x35*x51
-    x104 = x43*x7
-    x105 = numpy.pi*x51
-    x106 = delta*x1
-    x107 = x60*x78*(x4 - 1)**2
-    x108 = x1*x94
-    x109 = x36 + x82 + 1
-    x110 = x109**(-1.0)
-    x111 = cp*gamma*x109**gamma*x110
-    x112 = x11*x111
-    x113 = x47*x7
-    x114 = 4*x113
-    x115 = x104*x32
-    x116 = x36*x7
-    x117 = numpy.pi*x13
-    x118 = x117*x51
-    x119 = 2*x118
-    x120 = x64*x7
-    x121 = 16*x22*x32
-    x122 = x113*x121
-    x123 = x7**2
-    x124 = x118*x66
-    x125 = x118*x46
-    x126 = 8*x123
-    x127 = 2*x105
-    x128 = x127*x56
-    x129 = x4**3
-    x130 = x105*x123
-    x131 = x130*x19
-    x132 = x129*x19
-    x133 = x105*x132
-    x134 = x105*x28
-    x135 = x105*x56
-    x136 = x130*x25
-    x137 = 2*x131*x32
-    x138 = x127*x132*x32
-    x139 = x85**2
-    x140 = x130*x37
-    x141 = 16*x140
-    x142 = x65*x66
-    x143 = x136*x32*x78
-    x144 = delta*x4*x6
-    x145 = x130*x78
-    x146 = x145*(x32 - 1)**2
-    x147 = x4*x6*x94
-    x148 = numpy.pi*x111
-    x149 = x1*x85
-    x150 = x149*x45
-    x151 = (1/5)*x150
-    x152 = (1/10)*x84
-    x153 = numpy.pi*x14
-    x154 = (9/200)*x45
-    x155 = x84**2
-    x156 = x155*x88
-    x157 = x154*x156
-    x158 = x6**2
-    x159 = x139*x158
-    x160 = x154*x159
-    x161 = x85*x9
-    x162 = (1/10)*x161
-    x163 = t*x162
-    x164 = (3/2)*x19*x8
-    x165 = (1/5)*x22
-    x166 = x161*x165
-    x167 = (1/5)*x28
-    x168 = x45*x94
-    x169 = (9/50)*x168
-    x170 = x4*x88
-    x171 = (1/5)*x85
-    x172 = x170*x171
-    x173 = x157*x22
-    x174 = x160*x22
-    x175 = (3/2)*x24*x62
-    x176 = numpy.pi*x152
-    x177 = x1*x62
-    x178 = (3/500)*x45
-    x179 = x1**3
-    x180 = x179*x85
-    x181 = x155*x180
-    x182 = x178*x181
-    x183 = x85**3
-    x184 = x1*x158*x183
-    x185 = x178*x184
-    x186 = (3/2)*x16
-    x187 = x165*x84
-    x188 = x161*x167
-    x189 = x117*x5
-    x190 = (3/2)*x10*x58
-    x191 = (27/500)*x168
-    x192 = (9/500)*x45
-    x193 = x192*x58
-    x194 = delta**3
-    x195 = x192*x22
-    x196 = x170*x18
-    x197 = x18*x88
-    x198 = (3/4)*x58
-    x199 = delta*x192
-    x200 = t*x192
-    x201 = 3*x8
-    x202 = x201*x37
-    x203 = x22*x58
-    x204 = (27/500)*x45
-    x205 = (1/5)*x66
-    x206 = numpy.pi*x84
-    x207 = (2/5)*x66
-    x208 = x8*x85
-    x209 = x194*x88
-    x210 = x209*x54
-    x211 = x201*x70
-    x212 = (1/5)*x161
-    x213 = x194*x5
-    x214 = (3/10)*x22
-    x215 = x170*x194
-    x216 = x117*x84
-    x217 = (3/5)*x22
-    x218 = x161*x36
-    x219 = x161*x213
-    x220 = numpy.pi**4
-    x221 = eps*x220
-    x222 = (2/5)*x221
-    x223 = x149*x222
-    x224 = x110*x223
-    x225 = x109**(-2.0)
-    x226 = x225*x85
-    x227 = x170*x226
-    x228 = x221*x58
-    x229 = (4/5)*x225*x7*x84*x88
-    x230 = x158*x58
-    x231 = x222*x226*x4
-    x232 = delta*x22
-    x233 = (t + 1)**2
-    x234 = x109**(-3.0)
-    x235 = x233*x234
-    x236 = (8/5)*x123*x180*x235
-    x237 = 2*x149
-    x238 = t*x237
-    x239 = (-delta*x237 + delta*x238 + x237 - x238 + 15)**2
-    x240 = (3/2000)*x150*x239
-    x241 = x223*x235*x54
-    return (delta*(delta*x27 + delta*x31 - t*x15 - t*x20 + t*x34 + t*x38 - x10*x23 - x10*x29 + x10 - x15 - x16*x23 - x16*x29 + x16 + x17 - x20 + x21 + x23*x33 + x23*x35 - x26*x41 - x26*x42 + x27 + x29*x33 + x29*x35 - x30*x41 - x30*x42 + x31 - x33 + x34 - x35 + x38 - x39 - x40 + x5), 16*delta*nu*x13*x22*x4*x45 + 4*delta*nu*x13*x45 + 4*delta*t*x1*x13*x54 + 2*numpy.pi*delta*t*x1*x32*x51*x54*x7 + 4*numpy.pi*delta*t*x1*x4*x51*x59*x7*x78 + 2*numpy.pi*delta*t*x1*x4*x51*x61*x7 + 2*numpy.pi*delta*t*x1*x51*x54*x59*x7 + numpy.pi*delta*t*x13*x32*x51*x54*x6*x7 + numpy.pi*delta*t*x13*x4*x51*x6*x7 + 4*delta*t*x13*x4 + 6*delta*x1*x13*x22*x54 + delta*x1*x13*x4 + 8*numpy.pi*delta*x1*x22*x32*x4*x51*x7 + 8*numpy.pi*delta*x1*x22*x4*x51*x59*x7 + 8*numpy.pi*delta*x1*x22*x51*x54*x61*x7 + 8*numpy.pi*delta*x1*x28*x32*x4*x51*x7 + 8*numpy.pi*delta*x1*x28*x4*x51*x59*x7 + 8*numpy.pi*delta*x1*x28*x51*x54*x61*x7 + 8*numpy.pi*delta*x1*x32*x51*x54*x66*x7 + 8*numpy.pi*delta*x1*x32*x51*x54*x7*x90 + 2*numpy.pi*delta*x1*x32*x51*x54*x7 + 4*numpy.pi*delta*x1*x4*x51*x59*x7*x78 + 8*numpy.pi*delta*x1*x4*x51*x61*x66*x7 + 8*numpy.pi*delta*x1*x4*x51*x61*x7*x90 + 2*numpy.pi*delta*x1*x4*x51*x61*x7 + 8*numpy.pi*delta*x1*x51*x54*x59*x66*x7 + 8*numpy.pi*delta*x1*x51*x54*x59*x7*x90 + 2*numpy.pi*delta*x1*x51*x54*x59*x7 - delta*x104*x105*x55*x59*x78 + 4*numpy.pi*delta*x13*x22*x32*x4*x51*x6*x7 + 4*numpy.pi*delta*x13*x22*x51*x54*x6*x7 + 4*numpy.pi*delta*x13*x28*x32*x4*x51*x6*x7 + 4*numpy.pi*delta*x13*x28*x51*x54*x6*x7 + 4*numpy.pi*delta*x13*x32*x51*x54*x6*x66*x7 + 4*numpy.pi*delta*x13*x32*x51*x54*x6*x7*x90 + numpy.pi*delta*x13*x32*x51*x54*x6*x7 + 4*numpy.pi*delta*x13*x4*x51*x6*x66*x7 + 4*numpy.pi*delta*x13*x4*x51*x6*x7*x90 + numpy.pi*delta*x13*x4*x51*x6*x7 - delta*x44 + (1/50)*eps*x83*x84*x85*x86*x87*x88 + 16*nu*x13*x22*x4*x45 + 4*nu*x13*x45 + 4*t*x1*x13*x54*x58 + 4*t*x13*x4 - t*x81 + 6*x1*x13*x22*x54*x58 + x1*x13*x4*x58 - x100*x101*x36 - x100*x61*x96 - x101*x93*x95 - x102*x4 - x102*x93 - x103*x97 - x103*x99 - x106*x107 - x106*x112 - x107*x108 - x108*x112 + 8*numpy.pi*x22*x32*x51*x7 + 8*numpy.pi*x22*x4*x51*x61*x7 + 8*numpy.pi*x22*x51*x59*x7 - x26*x32*x98 - x26*x89 - x28*x65*x96 - x30*x32*x98 - x30*x89 + 8*numpy.pi*x32*x4*x51*x66*x7 + 2*numpy.pi*x32*x4*x51*x7 - x33*x79 - x36*x53 - x36*x60 - x36*x69 - x36*x72 - x36*x74 - x37*x63 - x39*x79 + 8*numpy.pi*x4*x51*x59*x66*x7 + 2*numpy.pi*x4*x51*x59*x7 - x4*x75 - x4*x76 - x4*x77 - x44*x64 - x44 - x46*x48 - x46*x49 - x48*x50 - x49*x50 - x50*x61*x68 + 4*numpy.pi*x51*x59*x7*x78 + 8*numpy.pi*x51*x61*x66*x7 + 2*numpy.pi*x51*x61*x7 - x53*x82 - x53 - x55*x62 - x55*x75*x94 - x56 - x57 - x60*x82 - x60 - x61*x73*x93 - x61*x91*x95 - x63*x70 - x69 - x72 - x74 - x75*x93 - x76*x93 - x77*x93 - x81 - x91*x92 - x97*x98 - x98*x99, 8*delta*nu*x22*x45*x7 + 8*delta*nu*x32*x45*x7 + 4*numpy.pi*delta*t*x1*x123*x13*x32*x4*x51 + 4*numpy.pi*delta*t*x1*x123*x13*x4*x51*x78 + 2*numpy.pi*delta*t*x1*x123*x13*x51 + 2*numpy.pi*delta*t*x1*x129*x13*x51 + 2*numpy.pi*delta*t*x1*x13*x32*x51*x54 + 4*delta*t*x1*x4*x7 + 4*delta*t*x7 + 8*numpy.pi*delta*x1*x123*x13*x22*x32*x51 + 16*numpy.pi*delta*x1*x123*x13*x22*x4*x51 + 8*numpy.pi*delta*x1*x123*x13*x28*x32*x51 + 16*numpy.pi*delta*x1*x123*x13*x28*x4*x51 + 16*numpy.pi*delta*x1*x123*x13*x32*x4*x51*x66 + 16*numpy.pi*delta*x1*x123*x13*x32*x4*x51*x90 + 4*numpy.pi*delta*x1*x123*x13*x32*x4*x51 + 4*numpy.pi*delta*x1*x123*x13*x4*x51*x78 + 8*numpy.pi*delta*x1*x123*x13*x51*x66 + 8*numpy.pi*delta*x1*x123*x13*x51*x90 + 2*numpy.pi*delta*x1*x123*x13*x51 + 8*numpy.pi*delta*x1*x129*x13*x22*x32*x51 + 8*numpy.pi*delta*x1*x129*x13*x28*x32*x51 + 8*numpy.pi*delta*x1*x129*x13*x51*x66 + 8*numpy.pi*delta*x1*x129*x13*x51*x90 + 2*numpy.pi*delta*x1*x129*x13*x51 + 8*numpy.pi*delta*x1*x13*x22*x51*x54 + 8*numpy.pi*delta*x1*x13*x28*x51*x54 + 8*numpy.pi*delta*x1*x13*x32*x51*x54*x66 + 8*numpy.pi*delta*x1*x13*x32*x51*x54*x90 + 2*numpy.pi*delta*x1*x13*x32*x51*x54 + 6*delta*x1*x22*x4*x7 + delta*x1*x32*x4*x7 - delta*x114 - delta*x115 - delta*x122 + (1/50)*eps*x1*x139*x6*x83*x86*x87 - g*x36 - g*x82 - g + 8*nu*x22*x45*x7 + 8*nu*x32*x45*x7 + 4*t*x1*x4*x58*x7 - t*x128 - t*x137 - t*x138 + 4*t*x7 + 6*x1*x22*x4*x58*x7 + x1*x32*x4*x58*x7 - x100*x135 - x114 - x115*x36 - x115*x64 - x115 - x116*x32*x63 - x116 - x119*x123 - x119*x32*x54 - x119*x4 - x120*x32*x63 - x120 - x121*x140 - x122 - x123*x125*x32 + 8*numpy.pi*x123*x13*x22*x51 + 8*numpy.pi*x123*x13*x32*x51*x66 + 2*numpy.pi*x123*x13*x32*x51 + 4*numpy.pi*x123*x13*x51*x78 - x124*x126 - x124*x50 - x124*x54*x65 - x125*x32*x4 - x125*x54 - x126*x134*x19 - x128 + 8*numpy.pi*x13*x22*x32*x51*x54 + 8*numpy.pi*x13*x22*x4*x51 + 8*numpy.pi*x13*x32*x4*x51*x66 + 2*numpy.pi*x13*x32*x4*x51 + 8*numpy.pi*x13*x51*x54*x66 + 2*numpy.pi*x13*x51*x54 - x130*x57 - x131*x142 - x131*x46 - x131*x92 - x133*x142 - x133*x46 - x133*x92 - x133*x95 - x134*x56*x65 - x135*x32*x46 - 8*x135*x66 - x136*x36 - x137 - x138 - x141*x28*x32 - x141*x66 - x141*x90 - x143*x36 - x143 - x144*x146 - x144*x148 - x145*x32*x57 - x146*x147 - x147*x148, (2/5)*delta*eps*t*x1*x110*x220*x85 + (2/5)*delta*eps*x158*x220*x225*x4*x85 + delta*eps*x22*x220*x225*x4*x85*x88 + (4/5)*delta*eps*x220*x225*x7*x84*x88 + (3/2)*numpy.pi*delta*t*x1*x13*x4*x7 + (3/2000)*delta*t*x1*x239*x45*x85 - delta*t*x151 + (3/4)*numpy.pi*delta*t*x4*x6*x7 + 3*numpy.pi*delta*x1*x13*x22*x7 + 3*numpy.pi*delta*x1*x13*x28*x7 + (3/2)*numpy.pi*delta*x1*x13*x4*x7 + (27/500)*delta*x1*x158*x183*x22*x45 + (9/500)*delta*x1*x158*x183*x45 + (3/5)*numpy.pi*delta*x1*x22*x32*x4*x6*x7*x85 + (2/5)*numpy.pi*delta*x1*x4*x6*x66*x7*x85 + (1/5)*numpy.pi*delta*x1*x4*x6*x7*x85 + (3/4)*delta*x1*x4 + (1/5)*delta*x1*x45*x85 + (1/10)*delta*x1*x85 + (3/10)*numpy.pi*delta*x13*x22*x4*x84*x88 + (3/5)*numpy.pi*delta*x13*x22*x7*x85*x88 + (2/5)*numpy.pi*delta*x13*x4*x66*x7*x85*x88 + (1/5)*numpy.pi*delta*x13*x4*x7*x85*x88 + (1/5)*numpy.pi*delta*x13*x54*x66*x84*x88 + (1/10)*numpy.pi*delta*x13*x54*x84*x88 + (9/100)*delta*x139*x158*x22*x45 + (9/100)*delta*x139*x158*x45 + (27/500)*delta*x155*x179*x22*x45*x85 + (9/500)*delta*x155*x179*x45*x85 + (9/100)*delta*x155*x22*x45*x88 + (9/100)*delta*x155*x45*x88 + (3/2)*numpy.pi*delta*x22*x32*x4*x6*x7 - delta*x221*x227 - delta*x224 - delta*x240 + (3/2)*numpy.pi*delta*x28*x32*x4*x6*x7 + (3/4)*numpy.pi*delta*x4*x6*x7 + (2/5)*eps*t*x1*x158*x220*x233*x234*x54*x58*x85 + (8/5)*eps*t*x123*x179*x220*x233*x234*x58*x85 + (2/5)*eps*x1*x110*x220*x85 + (2/5)*eps*x1*x158*x194*x220*x233*x234*x54*x85 + (8/5)*eps*x123*x179*x194*x220*x233*x234*x85 + (2/5)*eps*x158*x22*x220*x225*x4*x58*x85 + (4/5)*eps*x22*x220*x225*x58*x7*x84*x88 + eps*x220*x225*x4*x58*x85*x88 + (3/2)*numpy.pi*t*x1*x13*x4*x58*x7 + (1/10)*numpy.pi*t*x1*x13*x4*x58*x84 + (1/10)*numpy.pi*t*x1*x13*x84 + (27/500)*t*x1*x158*x183*x45*x58 + (9/500)*t*x1*x158*x183*x45 + (1/5)*t*x1*x45*x85 + (9/100)*t*x139*x158*x45*x58 + (9/100)*t*x139*x158*x45 - t*x152*x189 + (27/500)*t*x155*x179*x45*x58*x85 + (9/500)*t*x155*x179*x45*x85 + (9/100)*t*x155*x45*x58*x88 + (9/100)*t*x155*x45*x88 - t*x158*x194*x241 - t*x164 - t*x175 - t*x176*x177 - t*x194*x221*x236 - t*x224 - t*x240 + (1/10)*numpy.pi*t*x32*x6*x7*x85 + (3/4)*numpy.pi*t*x4*x58*x6*x7 + (1/5)*t*x4*x58*x85*x88 + (1/10)*numpy.pi*t*x58*x6*x7*x85 + (1/5)*numpy.pi*x1*x13*x22*x4*x58*x84 + 3*numpy.pi*x1*x13*x22*x58*x7 + (1/5)*numpy.pi*x1*x13*x22*x84 + (1/5)*numpy.pi*x1*x13*x28*x4*x84 + 3*numpy.pi*x1*x13*x28*x58*x7 + (1/5)*numpy.pi*x1*x13*x28*x58*x84 + (3/2)*numpy.pi*x1*x13*x4*x58*x7 + (1/10)*numpy.pi*x1*x13*x4*x84 + (1/10)*numpy.pi*x1*x13*x58*x84 + (9/500)*x1*x158*x183*x194*x22*x45 + (3/500)*x1*x158*x183*x194*x45 + (9/500)*x1*x158*x183*x28*x45*x58 + (3/500)*x1*x158*x183*x28*x45 + (3/5)*numpy.pi*x1*x194*x22*x4*x6*x7*x85 + (2/5)*numpy.pi*x1*x194*x32*x4*x6*x66*x7*x85 + (1/5)*numpy.pi*x1*x194*x32*x4*x6*x7*x85 + (3/2000)*x1*x239*x45*x85 - x117*x152*x210 - x13*x172*x194*x8 + (3/5)*numpy.pi*x13*x194*x22*x4*x7*x85*x88 + (3/10)*numpy.pi*x13*x194*x22*x54*x84*x88 + (1/5)*numpy.pi*x13*x194*x4*x66*x84*x88 + (1/10)*numpy.pi*x13*x194*x4*x84*x88 + (2/5)*numpy.pi*x13*x194*x66*x7*x85*x88 + (1/5)*numpy.pi*x13*x194*x7*x85*x88 - x13*x207*x208*x215 - x13*x208*x209*x217 - 1/10*x149 - x151 - x152*x153 - x153*x167*x84 + (9/500)*x155*x179*x194*x22*x45*x85 + (3/500)*x155*x179*x194*x45*x85 + (9/500)*x155*x179*x28*x45*x58*x85 + (3/500)*x155*x179*x28*x45*x85 - x156*x169 - x157*x58 - x157 - x158*x231*x232 - x159*x169 - x160*x58 - x160 - x162*x32 - x162*x58 - x163*x32*x58 - x163 - x164 - x166*x32*x58 - x166 - numpy.pi*x167*x70*x84 - x171*x197*x8 - x172*x94 - x173*x58 - x173 - x174*x58 - x174 - x175 - x176*x196 - x176*x70 - numpy.pi*x177*x187 - x181*x191 - x181*x193 - x181*x194*x200 - x181*x195 - x181*x199*x28 - x181*x203*x204 - x182*x194*x28 - x182 - x184*x191 - x184*x193 - x184*x194*x200 - x184*x195 - x184*x199*x28 - x184*x203*x204 - x185*x194*x28 - x185 - x186*x22 - x186*x28 - x187*x189 - x188*x32 - x188*x58 - x190*x22 - x190*x28 - x196*x205*x206 - x196*x208*x217 - x197*x206*x214*x54 - x197*x207*x208 - x198*x33 - x198*x39 - x202*x22 - x202*x28 - x203*x221*x227 - x205*x210*x216 - x207*x218*x32 - x207*x219 - x211*x22 - x211*x28 - x212*x213 - x212*x32*x36 - x214*x215*x216 - x217*x218 - x217*x219*x32 + (3/2)*numpy.pi*x22*x32*x4*x58*x6*x7 + (1/5)*numpy.pi*x22*x32*x6*x7*x85 + (1/5)*numpy.pi*x22*x58*x6*x7*x85 - x221*x229*x232 - x228*x229 - x228*x236 - x230*x231 - x230*x241 + (3/2)*numpy.pi*x28*x32*x4*x58*x6*x7 + (1/5)*numpy.pi*x28*x32*x58*x6*x7*x85 + (1/5)*numpy.pi*x28*x6*x7*x85 + (1/10)*numpy.pi*x32*x58*x6*x7*x85 - 3/4*x35 + (3/4)*numpy.pi*x4*x58*x6*x7 - 3/4*x40 + (1/10)*numpy.pi*x6*x7*x85)
+    x16 = x10*x15*x7*x9
+    x17 = x4 - 1
+    x18 = numpy.sin(x8)
+    x19 = x17*x18
+    x20 = delta - 1
+    x21 = numpy.cos(x2)
+    x22 = delta*x5
+    x23 = x22*x6
+    x24 = x23 + 1
+    x25 = t - 1
+    x26 = x1*x25
+    x27 = 2*x21*x26
+    x28 = -x20*x27 - 15
+    x29 = 200*x28
+    x30 = numpy.sin(x2)
+    x31 = 400*x1
+    x32 = x20*x27 + 15
+    x33 = 3*x32**2
+    x34 = 800*eps
+    x35 = x34/x24
+    x36 = numpy.pi**2
+    x37 = x1*x36
+    x38 = x10**2
+    x39 = x20*x25
+    x40 = 12*x32
+    x41 = x24**(-2.0)
+    x42 = eps*x41
+    x43 = delta*x42
+    x44 = 1600*x38
+    x45 = x36*x7
+    x46 = x1**2
+    x47 = delta**2*eps*x6**2/x24**3
+    x48 = x21*x36
+    x49 = x20*x26
+    return (delta*(-2*x1*x15*x19*x6 + x16 + x5), (1/10)*numpy.pi*delta*x1*x11*x12*x13*x17*x18*x28*x6 - 1/4000*delta*x16*x29 + (1/10)*x1*x20*x21*x24 + (1/10)*numpy.pi*x10*x11*x12*x13*x20*x21*x24*x25*x9 - 1/4000*x14*x19*x20*x24*x25*x30*x31 - 1/4000*x22*x29 - 1/4000*x36*x49*(6400*x11**2*x46*x47*x48 - 3200*x11*x30*x37*x43*x6 - x21*x33 + 400*x21 + 3200*x23*x42*x48 + x30**2*x40*x49 - x35*x48) - 1/4000*x39*x48*(delta*x34*x41*x45*x46 - x1*x33 + x21*x38*x39*x40 + x31 - x35*x37 + x37*x4**2*x44*x47 - x43*x44*x45))
+
+
+def face_2d_0(x, y, t, delta, cp, gamma, nu, lam, eps, g):
+    x0 = delta + 1
+    x1 = numpy.pi*y
+    x2 = 2*x1
+    x3 = numpy.sin(x2)
+    x4 = 2*t**2 - 1
+    x5 = numpy.pi*x
+    x6 = 2*x5
+    x7 = numpy.cos(x6)
+    x8 = x7 - 1
+    x9 = t + 1
+    x10 = numpy.cos(x1)
+    x11 = delta*x10*x7*x9 + 1
+    x12 = numpy.pi**3
+    x13 = numpy.sin(x5)
+    x14 = numpy.cos(x5)
+    x15 = (t - 1)**2
+    x16 = (1 - delta)**2
+    x17 = numpy.sin(x1)
+    x18 = x17**2
+    x19 = x10**2
+    x20 = x3**2
+    x21 = x0**2
+    x22 = x4**2
+    x23 = x21*x22
+    x24 = numpy.sin(x6)
+    x25 = 2*numpy.pi*x24
+    x26 = delta*x10*x25*x9
+    x27 = x11*x23*x25*x8
+    x28 = numpy.cos(x2)
+    x29 = x28 - 1
+    return -cp*gamma*x11**gamma*x26/x11 + delta*x0*x10*x3*x4*x7*x8 + numpy.pi*delta*x17*x21*x22*x24*x29*x3*x7*x8*x9 - 1/100*eps*x12*x13*x14*x15*x16*(x18 - x19) + (1/100)*eps*x12*x13*x14*x15*x16*(x18 + x19) + 4*numpy.pi**2*nu*x0*x3*x4*(2*x7 - 1) + 4*t*x0*x11*x3*x8 - x20*x23*x26*x8**2 - x20*x27 - x27*x28*x29
+
+
+def face_2d_1(x, y, t, delta, cp, gamma, nu, lam, eps, g):
+    x0 = t + 1
+    x1 = numpy.pi*y
+    x2 = numpy.cos(x1)
+    x3 = numpy.pi*x
+    x4 = 2*x3
+    x5 = numpy.cos(x4)
+    x6 = delta*x2*x5
+    x7 = x0*x6 + 1
+    x8 = 2*t**2 - 1
+    x9 = 2*x1
+    x10 = numpy.cos(x9)
+    x11 = delta + 1
+    x12 = numpy.sin(x4)
+    x13 = 4*x11*x12
+    x14 = x10 - 1
+    x15 = x14*x7
+    x16 = numpy.pi**3
+    x17 = numpy.sin(x1)
+    x18 = (t - 1)**2
+    x19 = (1 - delta)**2
+    x20 = numpy.sin(x3)**2
+    x21 = numpy.cos(x3)**2
+    x22 = x11**2
+    x23 = x8**2
+    x24 = x12**2
+    x25 = numpy.pi*x22*x23*x24
+    x26 = delta*x0*x17
+    x27 = numpy.sin(x9)
+    x28 = x5 - 1
+    x29 = 2*x15*x27
+    x30 = numpy.pi*x5
+    return -cp*gamma*x26*x30*x7**gamma/x7 + 2*numpy.pi*delta*x0*x14*x2*x22*x23*x24*x27*x28 - 1/100*eps*x16*x17*x18*x19*x2*(x20 - x21) + (1/100)*eps*x16*x17*x18*x19*x2*(x20 + x21) - g*x7 - numpy.pi**2*nu*x13*x8*(2*x10 - 1) - t*x13*x15 - x11*x12*x14*x6*x8 - x14**2*x25*x26*x5 - x22*x23*x28*x29*x30 - x25*x29
+
+
+CELL = {1: cell_1d, 2: cell_2d}
+FACE = {1: (face_1d_0,), 2: (face_2d_0, face_2d_1)}

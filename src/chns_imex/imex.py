@@ -73,6 +73,8 @@ class StepRecord:
     t: float
     dt: float
     newton_iters: int
+    #: largest final scaled Newton residual over the step's stages
+    newton_res: float
     #: iterations of the step's concentration solves: CG iterations, or the
     #: refinement corrections of direct solves on a kept factorization
     lin_iters: int
@@ -174,6 +176,7 @@ class Integrator:
                 U_new = self.attempt_step(Un, t, dt, stats)
                 rec = StepRecord(t=t + dt, dt=dt,
                                  newton_iters=stats.newton_iters,
+                                 newton_res=stats.newton_res,
                                  lin_iters=stats.lin_iters,
                                  factorizations=stats.factorizations,
                                  retries=retries)

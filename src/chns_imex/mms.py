@@ -3,9 +3,16 @@
 The exact space-time fields are divergence-free at t=0 with density constant
 in space to leading order in the squared Mach number delta.  The forcing that
 makes them exact solutions of the continuous system was derived symbolically
-offline (scripts/derive_forcing.py) and committed as _forcing.py; the test
-suite certifies it against an independent high-order finite-difference
-residual oracle.
+offline and committed as the generated module _forcing.py, in the factored
+form the differentiation gives (not expanded) and as one function per
+staggered location: (s_rho, s_q) at the cell centres and s_m_k at the faces
+normal to axis k.  Regenerate it from the repository root with
+
+    python scripts/derive_forcing.py
+
+The test suite certifies it against an independent high-order
+finite-difference residual oracle, and checks that the script still renders
+the committed module.
 """
 
 from __future__ import annotations
@@ -61,19 +68,21 @@ def exact_momenta(grid: GridSpec, params: ModelParams, t: float):
 
 
 def forcing_state(grid: GridSpec, params: ModelParams, t: float) -> State:
-    """Forcing sampled at the staggered locations, as a tendency."""
+    """Forcing sampled at the staggered locations, as a tendency: each
+    generated function is evaluated only where its component lives."""
     p = params
-    args = (p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
-    forcing = _forcing.forcing_1d if grid.dim == 1 else _forcing.forcing_2d
+    args = (t, p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
 
-    def at(face=None):
-        pts = grid.coords(face)
-        return [np.broadcast_to(s, pts[0].shape).astype(float)
-                for s in forcing(*pts, t, *args)]
+    def full(s, pts):
+        return np.broadcast_to(s, pts[0].shape).astype(float)
 
-    s_rho, *_, s_q = at()
-    return State(rho=s_rho, q=s_q,
-                 m=tuple(at(k)[1 + k] for k in range(grid.dim)))
+    pts = grid.coords()
+    s_rho, s_q = (full(s, pts) for s in _forcing.CELL[grid.dim](*pts, *args))
+    m = []
+    for k, face in enumerate(_forcing.FACE[grid.dim]):   # a bare array each
+        pts = grid.coords(k)
+        m.append(full(face(*pts, *args), pts))
+    return State(rho=s_rho, q=s_q, m=tuple(m))
 
 
 def make_forcing(grid: GridSpec, params: ModelParams):

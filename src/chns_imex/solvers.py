@@ -93,6 +93,7 @@ class LinearSolverConfig:
 @dataclass
 class SolveStats:
     newton_iters: int = 0
+    #: largest final scaled Newton residual over the converged solves
     newton_res: float = 0.0
     #: iterations of the concentration solves: CG iterations, or the
     #: refinement corrections of a direct solve on a kept factorization
@@ -252,7 +253,7 @@ class HydroSolver:
         self._chord.current(dta)     # drops one kept for a distant dt*a
         for it in range(cfg.maxit):
             if nrm <= tol:
-                stats.newton_res = nrm
+                stats.newton_res = max(stats.newton_res, nrm)
                 return z
             if self._lu is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
@@ -285,7 +286,7 @@ class HydroSolver:
             stats.history.append(nrm)
             fresh = False
         if nrm <= tol:
-            stats.newton_res = nrm
+            stats.newton_res = max(stats.newton_res, nrm)
             return z
         raise SolverFailure(f"Newton did not converge: |H| = {nrm:.3e}, "
                             f"tol = {tol:.3e}")

@@ -3,9 +3,10 @@
 The right-hand side is split for IMEX integration into terms evaluated at an
 explicit ("tilde") state and terms evaluated at the implicit state:
 
-* convective:  mass transport div(rho_* v) from the implicit state plus its
-  Rusanov diffusion from the explicit state; momentum and phase-momentum
-  fluxes fully explicit (WENO5-reconstructed Rusanov fluxes);
+* convective:  mass transport div(rho_* v) from the implicit state
+  (`mass_divergence`, part of `hydro_tendency`) plus its Rusanov diffusion
+  from the explicit state; momentum and phase-momentum fluxes fully explicit
+  (`rusanov`: WENO5-reconstructed Rusanov fluxes);
 * pressure/gravity:  stiff pressure gradient -grad p2 implicit, gravity on
   the explicit density;
 * capillary:  explicit, from the explicit concentration;
@@ -82,11 +83,6 @@ class SpatialDiscretization:
         return apply_fd_operator("dual", ax, f, self.grid.h)
 
     # -- convection --------------------------------------------------------
-
-    def convective(self, Ut: State, U: State) -> State:
-        """Mass transport div(rho_* v) from the implicit state plus the
-        Rusanov fluxes of `rusanov` from the explicit state."""
-        return self.mass_divergence(U) + self.rusanov(Ut)
 
     def rusanov(self, Ut: State) -> State:
         """The explicit convective terms: WENO5-reconstructed Rusanov fluxes

@@ -6,7 +6,9 @@ the package (only the scalar 5-point WENO kernel and the transfer weights are
 shared, since those are certified separately against polynomial exactness).
 The viscous stencil is the exception: it is written with the grid's slice
 helpers, and is the reference the package's sparse viscous blocks are
-checked against.
+checked against.  `convective` is not an oracle: it sums the package's own
+implicit mass transport and explicit Rusanov terms into the quantity that
+`convective_1d`/`convective_2d` compute.
 """
 
 import numpy as np
@@ -115,6 +117,17 @@ def sound(r, params):
 
 def lam_max(vm, vp, rm, rp, params):
     return max(abs(vm) + sound(rm, params), abs(vp) + sound(rp, params))
+
+
+# ---------------------------------------------------------------------------
+# the package's convective terms, as the oracles below define them
+# ---------------------------------------------------------------------------
+
+def convective(disc, Ut, U):
+    """Implicit mass transport from U plus the explicit Rusanov terms from
+    Ut, as `SpatialDiscretization` splits them; the quantity that
+    `convective_1d`/`convective_2d` compute."""
+    return disc.mass_divergence(U) + disc.rusanov(Ut)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_criterion_08_operator_and_jacobian_oracles():
             U = _random_state(grid, rng)
 
             # convective terms vs scalar-loop oracle
-            conv = disc.convective(Ut, U)
+            conv = oracles.convective(disc, Ut, U)
             if dim == 1:
                 t_rho, t_mx, t_q = oracles.convective_1d(Ut, U, grid.h, params)
                 ref = (t_rho, t_mx, t_q)

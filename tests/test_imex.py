@@ -242,6 +242,41 @@ def test_step_records_krylov_iterations(method, monkeypatch, c_lu_events):
         assert seen["iters"] == 0
 
 
+def test_step_records_final_newton_residual():
+    """newton_res is the largest final scaled Newton residual over a step's
+    stages: finite, >= 0 and within the Newton tolerance on every record."""
+    from chns_imex.cases import initial_state
+    grid = GridSpec(dim=2, M=16)
+    params = ModelParams(cp=1e4)
+    integ = Integrator(grid, params)
+    cfg = integ.hydro.cfg
+    solves = []             # (stats, final norm, tolerance) of each solve
+    real_solve = integ.hydro.solve
+
+    def spy(z0, r, dta, stats):
+        first = len(stats.history)
+        z = real_solve(z0, r, dta, stats)
+        tol = cfg.tol_abs + cfg.tol_rel * stats.history[first]
+        solves.append((stats, stats.history[-1], tol))
+        return z
+
+    integ.hydro.solve = spy
+    records = []
+
+    def check(U, rec):
+        step = [s for s in solves if s[0] is solves[-1][0]]
+        assert len(step) == integ.tab.stages
+        assert np.isfinite(rec.newton_res) and rec.newton_res >= 0.0
+        assert rec.newton_res == max(final for _, final, _ in step)
+        assert all(final <= tol for _, final, tol in step)
+        records.append(rec)
+
+    U0 = initial_state(1, grid, params)
+    integ.run_to_time(U0, 0.01, on_step=check)
+    assert len(records) >= 3
+    assert any(rec.newton_res > 0.0 for rec in records)
+
+
 def test_retry_refactorizes_c_matrix(monkeypatch, c_lu_events):
     """A failed attempt drops the kept c-matrix factorization: the retried
     attempt factorizes before its first c-stage solve instead of refining

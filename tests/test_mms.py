@@ -2,13 +2,17 @@
 
 The committed symbolic forcing is verified by assembling the PDE residual of
 the exact fields with high-order finite differences: for the exact fields the
-residual must equal the forcing at every point.
+residual must equal the forcing at every point.  The generator script must
+still render the committed module.
 """
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
 
-from chns_imex import mms
+from chns_imex import _forcing, mms
 from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams
 
@@ -100,6 +104,26 @@ def test_make_forcing_matches_forcing_state():
     np.testing.assert_array_equal(f.q, g.q)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_forcing_state_samples_each_location(dim):
+    """rho and q come from the cell function at the cell centres, m_k from
+    the axis-k face function at the faces normal to axis k, each the full
+    array it returns."""
+    grid = GridSpec(dim=dim, M=8)
+    p = ModelParams(cp=1e2)
+    t = 0.37
+    args = (t, p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
+    f = mms.forcing_state(grid, p, t)
+    s_rho, s_q = getattr(_forcing, f"cell_{dim}d")(*grid.coords(), *args)
+    np.testing.assert_array_equal(f.rho, s_rho)
+    np.testing.assert_array_equal(f.q, s_q)
+    assert len(f.m) == dim
+    for k in range(dim):
+        want = getattr(_forcing, f"face_{dim}d_{k}")(*grid.coords(k), *args)
+        assert f.m[k].shape == want.shape == grid.coords(k)[0].shape
+        np.testing.assert_array_equal(f.m[k], want)
+
+
 def test_mass_forcing_1d_analytic():
     """With zero velocity the mass forcing is exactly d rho/dt."""
     grid = GridSpec(dim=1, M=32)
@@ -149,10 +173,10 @@ def test_forcing_1d_matches_pde_residual():
     p = ModelParams(cp=1e2)
     args = (p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
     rng = np.random.default_rng(11)
-    from chns_imex import _forcing
     for _ in range(6):
         x, t = rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.5)
-        s_rho, s_m, s_q = _forcing.forcing_1d(np.array([x]), t, *args)
+        s_rho, s_q = _forcing.cell_1d(np.array([x]), t, *args)
+        s_m = _forcing.face_1d_0(np.array([x]), t, *args)
         f_rho, f_m, f_q = _residual_1d(x, t, p)
         assert float(np.ravel(s_rho)[0]) == pytest.approx(f_rho, abs=2e-7)
         assert float(np.ravel(s_m)[0]) == pytest.approx(
@@ -237,13 +261,51 @@ def test_forcing_2d_matches_pde_residual():
     p = ModelParams(cp=1e2)
     args = (p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
     rng = np.random.default_rng(5)
-    from chns_imex import _forcing
     for _ in range(4):
         x, y, t = rng.uniform(0.1, 0.9, 2).tolist() + [rng.uniform(0.0, 0.4)]
-        s = _forcing.forcing_2d(np.array([x]), np.array([y]), t, *args)
+        pt = (np.array([x]), np.array([y]), t, *args)
+        s_rho, s_q = _forcing.cell_2d(*pt)
+        s = (s_rho, _forcing.face_2d_0(*pt), _forcing.face_2d_1(*pt), s_q)
         f = _residual_2d(x, y, t, p)
         labels = ("rho", "m1", "m2", "q")
         for got, want, lab in zip(s, f, labels):
             scale = max(1.0, abs(want))
             assert float(np.ravel(got)[0]) == pytest.approx(
                 want, abs=5e-6 * scale), lab
+
+
+# ---------------------------------------------------------------------------
+# generated module vs its generator
+# ---------------------------------------------------------------------------
+
+def test_generated_forcing_matches_generator():
+    """The committed _forcing.py evaluates like a fresh rendering of
+    scripts/derive_forcing.py.  Values are compared, not text, because the
+    names common-subexpression elimination picks may differ across sympy
+    versions."""
+    pytest.importorskip("sympy")
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
+        "derive_forcing.py"
+    spec = importlib.util.spec_from_file_location("derive_forcing", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fresh = {}
+    exec(compile(script.render(), "<rendered _forcing>", "exec"), fresh)
+
+    p = ModelParams(cp=1e2)
+    rng = np.random.default_rng(3)
+    for dim in (1, 2):
+        pts = [rng.uniform(0.0, 1.0, 16) for _ in range(dim)]
+        t = rng.uniform(0.0, 0.5)
+        args = (*pts, t, p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
+        names = [f"cell_{dim}d"] + [f"face_{dim}d_{k}" for k in range(dim)]
+        for tables in (fresh, vars(_forcing)):
+            assert tables["CELL"][dim].__name__ == names[0]
+            assert [f.__name__ for f in tables["FACE"][dim]] == names[1:]
+        for name in names:
+            got = np.atleast_2d(fresh[name](*args))
+            want = np.atleast_2d(getattr(_forcing, name)(*args))
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want).max(),
+                                       err_msg=name)
