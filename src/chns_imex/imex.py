@@ -79,6 +79,8 @@ class StepRecord:
     #: refinement corrections of direct solves on a kept factorization
     lin_iters: int
     factorizations: int
+    #: solves with the Newton factorizations, corrections included
+    lu_solves: int
     retries: int
 
 
@@ -179,6 +181,7 @@ class Integrator:
                                  newton_res=stats.newton_res,
                                  lin_iters=stats.lin_iters,
                                  factorizations=stats.factorizations,
+                                 lu_solves=stats.lu_solves,
                                  retries=retries)
                 return U_new, rec
             except (SolverFailure, NonPositiveDensityError,

@@ -5,10 +5,14 @@ density and face velocities, solved with a damped Newton method on
 H(z) = U(z) - dt*a_ii*T(z) - r, with U(z) the density and face momenta of z
 and T the implicit hydro tendency of SpatialDiscretization.hydro_tendency,
 and (b) a linear SPD system for the concentration.  The Newton Jacobian is
-assembled from the sparse operators of the operators module; its sparse LU
-factorization is reused across iterations (and callers may reuse a solver
-object across stages), and refreshed whenever the damped line search
-stalls, so the monotone decrease of ||H||_2 is always enforced.
+assembled from the sparse operators of the operators module.  Only the
+velocity Schur complement S = J_vv - J_vr d^-1 J_rv of this chord Jacobian
+is factorized, with d the diagonal of the density block J_rr; the density
+unknowns are eliminated through d, and one correction accounts for the
+off-diagonal (advective) part of J_rr.  The factorization is reused across
+iterations (and callers may reuse a solver object across stages), and
+refreshed whenever the damped line search stalls, so the monotone decrease
+of ||H||_2 is always enforced.
 
 The concentration system is solved by matrix-free CG or, with the direct
 method, by a sparse LU of the assembled matrix.  CG applies the operator by
@@ -27,6 +31,7 @@ LU_KEY_TOLERANCE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,13 +46,15 @@ from .operators import (_along, laplacian_eigenvalues, laplacian_nd,
 from .spatial import SpatialDiscretization
 
 
-#: SuperLU in its symmetric mode, for both factorized matrices (the Newton
-#: Jacobian and the c-matrix): they are structurally symmetric with positive
-#: diagonals, so a minimum-degree ordering of A^T + A with diagonal pivots
-#: fills less than the default COLAMD ordering with partial pivoting (Newton
-#: Jacobian at M=128: 8.3 M against 13.6 M entries in L+U).  A zero diagonal
-#: entry still gets an off-diagonal pivot.  The zero threshold is needed:
-#: with the default 1.0 the same ordering fills 8x more than COLAMD (M=32).
+#: SuperLU in its symmetric mode, for both factorized matrices (the Schur
+#: complement of the Newton Jacobian and the c-matrix): they are
+#: structurally symmetric with positive diagonals, so a minimum-degree
+#: ordering of A^T + A with diagonal pivots fills less than the default
+#: COLAMD ordering with partial pivoting (the whole Newton Jacobian at
+#: M=128: 8.3 M against 13.6 M entries in L+U; its Schur complement fills
+#: 3.0 M).  A zero diagonal entry still gets an off-diagonal pivot.  The
+#: zero threshold is needed: with the default 1.0 the same ordering fills
+#: 8x more than COLAMD (whole Jacobian, M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
 #: a kept factorization is rebuilt once dt*a differs from the value it was
@@ -100,17 +107,29 @@ class SolveStats:
     lin_iters: int = 0
     #: Newton (chord Jacobian) factorizations; c-matrix ones are not counted
     factorizations: int = 0
+    #: solves with the Newton factorization, corrections included
+    lu_solves: int = 0
     #: accepted residual norms per Newton iteration (scaled norm)
     history: list = field(default_factory=list)
 
 
+class SchurBlocks(NamedTuple):
+    """The parts of the chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]] that
+    a Newton direction needs next to the LU of its Schur complement:
+    1/d with d = diag(J_rr), the coupling blocks, and N = J_rr - diag(d)."""
+    inv_d: np.ndarray
+    J_rv: sp.csr_matrix
+    J_vr: sp.csr_matrix
+    N: sp.csr_matrix
+
+
 class ChordLU:
-    """A sparse LU factorization kept for reuse, and the dt*a it was built
-    for.  It is stale once dt*a moves by more than LU_KEY_TOLERANCE."""
+    """A sparse LU factorization kept for reuse, the dt*a it was built for,
+    and the data its caller needs next to it (`aux`, dropped with it).  It
+    is stale once dt*a moves by more than LU_KEY_TOLERANCE."""
 
     def __init__(self):
-        self.lu = None
-        self.key = None
+        self.drop()
 
     def current(self, key: float):
         """The kept factorization, or None when there is none or it is stale
@@ -120,16 +139,16 @@ class ChordLU:
             self.drop()
         return self.lu
 
-    def refactorize(self, A: sp.csc_matrix, key: float):
+    def refactorize(self, A: sp.csc_matrix, key: float, aux=None):
         """Factorize A for key, freeing the old factorization first."""
         self.drop()
         self.lu = spla.splu(A, **SPLU_SYMMETRIC)
         self.key = key
+        self.aux = aux
         return self.lu
 
     def drop(self):
-        self.lu = None
-        self.key = None
+        self.lu = self.key = self.aux = None
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +189,8 @@ class HydroSolver:
 
     @property
     def _lu(self):
-        """The chord Jacobian's factorization, None until the first solve."""
+        """The factorization of the chord Jacobian's Schur complement, None
+        until the first solve."""
         return self._chord.lu
 
     # vector packing: [rho; v1; v2], each flattened column-major
@@ -258,7 +278,7 @@ class HydroSolver:
             if self._lu is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
                 fresh = True
-            delta = self._lu.solve(-res)
+            delta = self._direction(-res, stats)
             alpha, z_new, nrm_new = 1.0, None, np.inf
             while alpha >= cfg.damping_floor:
                 cand = z + alpha * delta
@@ -271,7 +291,7 @@ class HydroSolver:
                 if alpha < 0.25 and not fresh:
                     self._refresh(z, dta, stats)
                     fresh = True
-                    delta = self._lu.solve(-res)
+                    delta = self._direction(-res, stats)
                     alpha = 1.0
             if z_new is None:
                 if not fresh:
@@ -292,8 +312,47 @@ class HydroSolver:
                             f"tol = {tol:.3e}")
 
     def _refresh(self, z, dta, stats: SolveStats):
-        self._chord.refactorize(self.jacobian(z, dta), dta)
+        """Factorize the Schur complement S = J_vv - J_vr d^-1 J_rv of the
+        Jacobian at z, with d = diag(J_rr) = 1 + (dta/2) div_h v, and keep
+        its SchurBlocks with it.  A d that is not finite and positive is a
+        SolverFailure, so the step is retried at a smaller dt."""
+        J = self.jacobian(z, dta)
+        n = self.nc
+        d = J.diagonal()[:n]
+        if not (np.isfinite(d).all() and (d > 0).all()):
+            # dta * div_h v <= -2 somewhere: the compression outruns the step
+            raise SolverFailure("density block of the Newton Jacobian has "
+                                "a non-finite or nonpositive diagonal "
+                                f"(min {d.min():.3e})")
+        J = J.tocsr()
+        J_rr, J_rv = J[:n, :n], J[:n, n:]
+        J_vr, J_vv = J[n:, :n], J[n:, n:]
+        inv_d = 1.0 / d
+        S = J_vv - J_vr @ sp.diags(inv_d) @ J_rv
+        self._chord.refactorize(
+            S.tocsc(), dta, SchurBlocks(inv_d, J_rv, J_vr, J_rr - sp.diags(d)))
         stats.factorizations += 1
+
+    def _eliminate(self, b, stats: SolveStats) -> np.ndarray:
+        """P^-1 b for P, the chord Jacobian with J_rr replaced by diag(d):
+        one S-solve for the velocities, then the densities through d."""
+        blk = self._chord.aux
+        b_rho, b_v = b[:self.nc], b[self.nc:]
+        dv = self._lu.solve(b_v - blk.J_vr @ (blk.inv_d * b_rho))
+        stats.lu_solves += 1
+        return np.concatenate([blk.inv_d * (b_rho - blk.J_rv @ dv), dv])
+
+    def _direction(self, b, stats: SolveStats) -> np.ndarray:
+        """The chord direction for b = -H.  P^-1 b leaves J delta - b = 0 in
+        the velocity rows and N delta_rho in the density rows; unless that
+        is at round-off of b (v = 0 makes N = 0), one correction with the
+        right-hand side (-N delta_rho, 0) follows."""
+        delta = self._eliminate(b, stats)
+        r = np.zeros_like(b)
+        r[:self.nc] = -(self._chord.aux.N @ delta[:self.nc])
+        if np.linalg.norm(r) > np.finfo(float).eps * np.linalg.norm(b):
+            delta += self._eliminate(r, stats)
+        return delta
 
     def invalidate(self):
         self._chord.drop()

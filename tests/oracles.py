@@ -8,7 +8,9 @@ The viscous stencil is the exception: it is written with the grid's slice
 helpers, and is the reference the package's sparse viscous blocks are
 checked against.  `convective` is not an oracle: it sums the package's own
 implicit mass transport and explicit Rusanov terms into the quantity that
-`convective_1d`/`convective_2d` compute.
+`convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
+`full_jacobian_direction` are the Newton chord step before the Schur
+complement: the whole (rho, v) Jacobian factorized and solved exactly.
 """
 
 import numpy as np
@@ -447,3 +449,20 @@ def swap_xy(U):
     """Mirror a 2D state in the diagonal x = y."""
     return State(rho=U.rho.T.copy(), q=U.q.T.copy(),
                  m=(U.m[1].T.copy(), U.m[0].T.copy()))
+
+
+# ---------------------------------------------------------------------------
+# the chord Newton step on the whole Jacobian
+# ---------------------------------------------------------------------------
+
+def full_jacobian_refresh(hydro, z, dta, stats):
+    """Stands in for `HydroSolver._refresh`: factorize the whole Jacobian."""
+    hydro._chord.refactorize(hydro.jacobian(z, dta), dta)
+    stats.factorizations += 1
+
+
+def full_jacobian_direction(hydro, b, stats):
+    """Stands in for `HydroSolver._direction`: one solve with the LU of the
+    whole Jacobian."""
+    stats.lu_solves += 1
+    return hydro._lu.solve(b)

@@ -277,6 +277,80 @@ def test_step_records_final_newton_residual():
     assert any(rec.newton_res > 0.0 for rec in records)
 
 
+def _test1_steps(grid, params, n):
+    """n steps of Test 1 from t = 0 at the CFL dt; returns (state, records)."""
+    from chns_imex.cases import initial_state
+    integ = Integrator(grid, params)
+    U, t, records = initial_state(1, grid, params), 0.0, []
+    for _ in range(n):
+        U, rec = integ.step(U, t, integ.select_dt(U))
+        t = rec.t
+        records.append(rec)
+    return U, records
+
+
+def test_step_records_newton_lu_solves(lu_solves):
+    """lu_solves counts every solve with the Newton factorizations of a
+    step, corrections included: over three steps of Test 1 it sums to the
+    solves made on the factors, and exceeds the Newton iterations once the
+    fluid moves."""
+    grid = GridSpec(dim=2, M=16)
+    _, records = _test1_steps(grid, ModelParams(cp=1e4), 3)
+    faces = 2 * grid.M * (grid.M - 1)
+    assert sum(rec.lu_solves for rec in records) == lu_solves[faces] > 0
+    assert sum(rec.lu_solves for rec in records) \
+        > sum(rec.newton_iters for rec in records)
+
+
+@pytest.mark.parametrize("cp", [1e2, 1e4, 1e8])
+def test_schur_chord_step_matches_full_jacobian_lu(cp, monkeypatch):
+    """Four steps of Test 1 take the same Newton iterations and
+    factorizations, step by step, as with the LU of the whole Jacobian,
+    and end in the same state to 1e-9 of its largest value."""
+    from chns_imex.solvers import HydroSolver
+    grid, params = GridSpec(dim=2, M=32), ModelParams(cp=cp)
+    U, records = _test1_steps(grid, params, 4)
+    monkeypatch.setattr(HydroSolver, "_refresh",
+                        oracles.full_jacobian_refresh)
+    monkeypatch.setattr(HydroSolver, "_direction",
+                        oracles.full_jacobian_direction)
+    U_ref, records_ref = _test1_steps(grid, params, 4)
+
+    def work(recs):
+        return [(rec.newton_iters, rec.factorizations) for rec in recs]
+
+    assert work(records) == work(records_ref)
+    for f, ref in zip((U.rho, U.q, *U.m), (U_ref.rho, U_ref.q, *U_ref.m)):
+        assert np.abs(f - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_compression_beyond_the_step_halves_dt(monkeypatch, caplog):
+    """Two face velocities of +-1 colliding at a cell give dta * div_h v =
+    -3 at the given dt, so d = diag(J_rr) = -0.5: the step fails with
+    SolverFailure, before anything non-finite reaches SuperLU, and
+    succeeds at dt / 2 (d = 0.25)."""
+    import scipy.sparse.linalg as spla
+    grid = GridSpec(dim=2, M=16)
+    M, h = grid.M, grid.h
+    xf = np.arange(1, M) * h
+    v1 = np.repeat(np.where(xf < 0.5, 1.0, -1.0)[:, None], M, axis=1)
+    U0 = state_from_primitives(grid, np.ones((M, M)), v1, np.zeros((M, M)),
+                               v1.T.copy())
+    integ = Integrator(grid, PARAMS)
+    dt = 1.5 * h / (2.0 * integ.tab.a[0, 0])   # div_h v = -4/h at one cell
+    real_splu = spla.splu
+
+    def finite_splu(A, **kwargs):
+        assert np.isfinite(A.data).all()
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", finite_splu)
+    with caplog.at_level("WARNING", logger="chns_imex.imex"):
+        _, rec = integ.step(U0, 0.0, dt)
+    assert rec.retries == 1 and rec.dt == pytest.approx(dt / 2)
+    assert "nonpositive diagonal" in caplog.records[0].getMessage()
+
+
 def test_retry_refactorizes_c_matrix(monkeypatch, c_lu_events):
     """A failed attempt drops the kept c-matrix factorization: the retried
     attempt factorizes before its first c-stage solve instead of refining
