@@ -82,18 +82,18 @@ def _slc(f: np.ndarray, ax: int, s: slice):
 # Ghost-cell extension (mirror reflections about the walls)
 # ---------------------------------------------------------------------------
 
-def extend_cell(f: np.ndarray, ax: int, kind: str, g: int = GHOST) -> np.ndarray:
+def extend_cell(f: np.ndarray, ax: int, sign, g: int = GHOST) -> np.ndarray:
     """Extend a cell-positioned axis by g mirror ghosts on each side.
 
-    kind='sym' mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
-    kind='odd' mirrors with a sign flip (velocity components).
+    sign=+1 mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
+    sign=-1 mirrors with a sign flip (velocity components).  An array sign
+    broadcast against f gives each field of a stack its own parity.
     """
     _check_axis(f, ax)
     if f.shape[ax] < g:
         raise ShapeError(f"need at least {g} cells along axis {ax}")
-    sgn = {"sym": 1.0, "odd": -1.0}[kind]
-    left = sgn * np.flip(_slc(f, ax, slice(0, g)), axis=ax)
-    right = sgn * np.flip(_slc(f, ax, slice(-g, None)), axis=ax)
+    left = sign * np.flip(_slc(f, ax, slice(0, g)), axis=ax)
+    right = sign * np.flip(_slc(f, ax, slice(-g, None)), axis=ax)
     return np.concatenate([left, f, right], axis=ax)
 
 
@@ -114,11 +114,12 @@ def extend_face_interior(f: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
     return np.concatenate([left, zero, f, zero, right], axis=ax)
 
 
-def extend_face_full(f: np.ndarray, ax: int, sign: float, g: int = GHOST) -> np.ndarray:
+def extend_face_full(f: np.ndarray, ax: int, sign, g: int = GHOST) -> np.ndarray:
     """Extend a quantity sampled at all faces 0..M (length M+1) by mirror ghosts.
 
     sign=+1 for even quantities (rho at faces, rho v^2 + p1), sign=-1 for odd
-    ones.  The wall values themselves are kept as given.
+    ones, or an array of signs as in `extend_cell`.  The wall values
+    themselves are kept as given.
     """
     _check_axis(f, ax)
     if f.shape[ax] < g + 1:

@@ -16,6 +16,7 @@ as the stiff pressure coefficient grows.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,11 @@ class StepRecord:
     #: solves with the Newton factorizations, corrections included
     lu_solves: int
     retries: int
+    #: seconds in the explicit tendencies, the Newton solves and the
+    #: concentration solves of the accepted attempt
+    explicit_s: float
+    newton_s: float
+    cstage_s: float
 
 
 @dataclass
@@ -135,10 +141,14 @@ class Integrator:
         r = self.hydro.pack(hat.rho, *hat.m)
         # free a c-matrix LU that is stale for dta before Newton may factorize
         self.c_chord.current(dta)
+        t0 = time.perf_counter()
         z = self.hydro.solve(z0, r, dta, stats)
+        t1 = time.perf_counter()
+        stats.newton_s += t1 - t0
         rho, v = self.hydro.unpack(z)
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
                           self.linear_cfg, stats, self.c_chord)
+        stats.cstage_s += time.perf_counter() - t1
         return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
 
     # -- one step ------------------------------------------------------------
@@ -155,7 +165,9 @@ class Integrator:
                 tilde.axpy(dt * tab.at[i, j], K[j])
             tilde.check_valid()
             frc = self.forcing(t + tab.ct[i] * dt) if self.forcing else None
+            t0 = time.perf_counter()
             E = self.sp.explicit_tendency(tilde, frc)
+            stats.explicit_s += time.perf_counter() - t0
             hat_pre = Un.copy()
             for j in range(i):
                 hat_pre.axpy(dt * tab.a[i, j], K[j])
@@ -182,7 +194,10 @@ class Integrator:
                                  lin_iters=stats.lin_iters,
                                  factorizations=stats.factorizations,
                                  lu_solves=stats.lu_solves,
-                                 retries=retries)
+                                 retries=retries,
+                                 explicit_s=stats.explicit_s,
+                                 newton_s=stats.newton_s,
+                                 cstage_s=stats.cstage_s)
                 return U_new, rec
             except (SolverFailure, NonPositiveDensityError,
                     FloatingPointError) as exc:

@@ -109,6 +109,11 @@ class SolveStats:
     factorizations: int = 0
     #: solves with the Newton factorization, corrections included
     lu_solves: int = 0
+    #: seconds (time.perf_counter) in the explicit tendencies, the Newton
+    #: solves and the concentration solves
+    explicit_s: float = 0.0
+    newton_s: float = 0.0
+    cstage_s: float = 0.0
     #: accepted residual norms per Newton iteration (scaled norm)
     history: list = field(default_factory=list)
 

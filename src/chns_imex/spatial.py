@@ -42,6 +42,9 @@ from .weno import reconstruct_lr_cells, reconstruct_lr_faces
 
 log = logging.getLogger(__name__)
 
+#: mirror parity of the four fields of a reconstructed stack
+_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
+
 
 def _grad_to_faces(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     """Two-point gradient of a cell field at interior faces: (f_{i+1}-f_i)/h."""
@@ -84,51 +87,58 @@ class SpatialDiscretization:
 
     # -- convection --------------------------------------------------------
 
+    def _rusanov_flux(self, minus, plus) -> np.ndarray:
+        """Rusanov flux 0.5 (F+ + F-) - 0.5 lam (u+ - u-) from the states of
+        a stack [F, u, v, rho]: a flux, its conserved quantity, the normal
+        velocity and the density, which give the speed lam."""
+        (F_m, u_m, v_m, r_m), (F_p, u_p, v_p, r_p) = minus, plus
+        lam = self._lam(v_m, v_p, r_m, r_p)
+        return 0.5 * (F_p + F_m) - 0.5 * lam * (u_p - u_m)
+
     def rusanov(self, Ut: State) -> State:
         """The explicit convective terms: WENO5-reconstructed Rusanov fluxes
         from the explicit state, one pass per axis.
 
-        The mass diffusion and the phase-momentum flux along an axis share
-        its Rusanov speed.  Momentum component k gets the normal flux
-        rho v_k^2 + p1 along k and the corner flux rho v1 v2 along every
-        transverse axis.
+        A pass reconstructs one stack of four fields per staggered location,
+        ghost-extended once with a parity per field (even, odd, odd, even):
+        [rho, v_k, q v_k, q] at the cells along k, v_k transferred to the
+        cells, where the mass diffusion and the phase-momentum flux share
+        the Rusanov speed;
+        [rho v_k^2 + p1, rho v_k, v_k, rho] at the faces along k, the normal
+        flux of momentum component k; and [rho v1 v2, rho v_k, v_j, rho] at
+        the k-faces along every transverse axis j, its corner flux.
         """
         g, h, p = GHOST, self.grid.h, self.params
-        axes = range(self.grid.dim)
+        dim = self.grid.dim
+        parity = _PARITY.reshape((-1,) + (1,) * dim)
         v = Ut.velocities()
-        v_ext = [extend_face_interior(vk, k) for k, vk in enumerate(v)]
-        v_cell = [faces_to_cells6(ve, k) for k, ve in enumerate(v_ext)]
-        rho_ext = [extend_cell(Ut.rho, k, "sym") for k in axes]
-
-        # mass: Rusanov diffusion from WENO states at the faces 0..M; the
-        # wall entries cancel by the mirror symmetry of the density
-        lam_rho, diff = [], []
-        for k in axes:
-            r_m, r_p = reconstruct_lr_cells(rho_ext[k], k)
-            w_m, w_p = reconstruct_lr_cells(
-                extend_cell(v_cell[k], k, "odd"), k)
+        diff, dq, mom = [], [], []
+        for k in range(dim):
+            v_ext = extend_face_interior(v[k], k)
+            v_cell = faces_to_cells6(v_ext, k)
+            cells = extend_cell(np.stack([Ut.rho, v_cell, Ut.q * v_cell,
+                                          Ut.q]), k + 1, parity)
+            (r_m, w_m, f_m, q_m), (r_p, w_p, f_p, q_p) = \
+                reconstruct_lr_cells(cells, k + 1)
             lam = self._lam(w_m, w_p, r_m, r_p)
-            lam_rho.append(lam)
+            # mass: Rusanov diffusion from WENO states at the faces 0..M; the
+            # wall entries cancel by the mirror symmetry of the density
             d = 0.5 * lam * (r_p - r_m)
             diff.append(self._dual(_slc(d, k, slice(1, -1)), k))
+            # phase momentum: primal reconstruction of rho c v_k
+            Fc = 0.5 * (f_p + f_m) - 0.5 * lam * (q_p - q_m)
+            dq.append(-_diff(Fc, k) / h)
 
-        # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
-        mom = []
-        for k in axes:
-            rho_f = cells_to_faces6(rho_ext[k], k)      # faces 0..M along k
-            v_full = _slc(v_ext[k], k, slice(g, -g))
+            # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
+            rho_f = cells_to_faces6(cells[0], k)        # faces 0..M along k
+            v_full = _slc(v_ext, k, slice(g, -g))
             flux = rho_f * v_full**2 + model.p1(rho_f, p)
-            F_m, F_p = reconstruct_lr_faces(extend_face_full(flux, k, 1.0), k)
-            m_m, m_p = reconstruct_lr_faces(
-                extend_face_full(rho_f * v_full, k, -1.0), k)
-            w_m, w_p = reconstruct_lr_faces(
-                extend_face_full(v_full, k, -1.0), k)
-            r_m, r_p = reconstruct_lr_faces(extend_face_full(rho_f, k, 1.0), k)
-            lam = self._lam(w_m, w_p, r_m, r_p)
-            Fhat = 0.5 * (F_p + F_m) - 0.5 * lam * (m_p - m_m)
-            m_k = dual_transpose(Fhat, k, h)
+            faces = extend_face_full(np.stack([flux, rho_f * v_full, v_full,
+                                               rho_f]), k + 1, parity)
+            m_k = dual_transpose(
+                self._rusanov_flux(*reconstruct_lr_faces(faces, k + 1)), k, h)
             rho_fi = _slc(rho_f, k, slice(1, -1))
-            for j in axes:
+            for j in range(dim):
                 if j == k:
                     continue
                 # corner flux at the k-faces: v_j brought there by corner
@@ -140,25 +150,12 @@ class SpatialDiscretization:
                 v_at = list(v)
                 v_at[j] = vj
                 qty = rho_fi * v_at[0] * v_at[1]
-                c_m, c_p = reconstruct_lr_cells(extend_cell(qty, j, "sym"), j)
-                m_m, m_p = reconstruct_lr_cells(
-                    extend_cell(rho_fi * v[k], j, "odd"), j)
-                w_m, w_p = reconstruct_lr_cells(extend_cell(vj, j, "odd"), j)
-                r_m, r_p = reconstruct_lr_cells(
-                    extend_cell(rho_fi, j, "sym"), j)
-                lam = self._lam(w_m, w_p, r_m, r_p)
-                Ghat = 0.5 * (c_p + c_m) - 0.5 * lam * (m_p - m_m)
+                corners = extend_cell(np.stack([qty, rho_fi * v[k], vj,
+                                                rho_fi]), j + 1, parity)
+                Ghat = self._rusanov_flux(
+                    *reconstruct_lr_cells(corners, j + 1))
                 m_k += -_diff(Ghat, j) / h
             mom.append(m_k)
-
-        # phase momentum: primal reconstruction of rho c v_k
-        dq = []
-        for k in axes:
-            r_m, r_p = reconstruct_lr_cells(
-                extend_cell(Ut.q * v_cell[k], k, "odd"), k)
-            q_m, q_p = reconstruct_lr_cells(extend_cell(Ut.q, k, "sym"), k)
-            Fc = 0.5 * (r_p + r_m) - 0.5 * lam_rho[k] * (q_p - q_m)
-            dq.append(-_diff(Fc, k) / h)
         return State(axis_sum(diff), axis_sum(dq), tuple(mom))
 
     # -- gravity -------------------------------------------------------------

@@ -1,14 +1,35 @@
 """WENO5 (Jiang-Shu) point-value reconstruction on primal and dual grids.
 
-One kernel serves both interface states.  For a target with the five
-samples v0..v4 it returns the left-biased state at its right edge (between
-v2 and v3) and the right-biased state at its left edge (between v1 and v2),
-which is the same reconstruction applied to the reversed stencil.  Under
-reversal the smoothness indicators map as beta0 <-> beta2 and beta1 -> beta1
-(Jiang & Shu, JCP 126, 1996), so the two states share their three betas
-and only the linear weights d0 and d2 swap.  The samples are five shifted
-slices of a ghost-extended field, so every physical interface (walls
-included) gets both states.
+The kernel works in difference form along the line.  A target with the five
+samples v0..v4 has the first differences Dk = v(k+1) - vk, k = 0..3, and its
+left-biased state at its right edge (between v2 and v3) is
+
+    right = v2 + (a0 c0 + a1 c1 + a2 c2) / (6 (a0 + a1 + a2)),
+    c0 = 5 D1 - 2 D0,   c1 = D1 + 2 D2,   c2 = 4 D2 - D3,
+    ak = dk (eps + bk)^-2,
+    b0 = 13/12 (D1 - D0)^2 + 1/4 (3 D1 - D0)^2,
+    b1 = 13/12 (D2 - D1)^2 + 1/4 (D1 + D2)^2,
+    b2 = 13/12 (D3 - D2)^2 + 1/4 (3 D2 - D3)^2
+
+(Jiang & Shu, JCP 126, 1996).  The differences and the term
+13/12 (Delta D)^2 are computed once per line, and each beta reads the latter
+at its own shift.  The right-biased state at the left edge (between v1 and
+v2) is the same reconstruction of the reversed stencil, whose differences
+are -D3..-D0.  Its betas are b2, b1, b0, so both states share them, and
+
+    left = v2 - (a0' c0' + a1' c1' + a2' c2') / (6 (a0' + a1' + a2')),
+    c0' = 5 D2 - 2 D3,   c1' = D2 + 2 D1,   c2' = 4 D1 - D0,
+    a0' = d0 (eps + b2)^-2,   a1' = a1,   a2' = d2 (eps + b0)^-2.
+
+It runs the operations of `right` in the same order, and rounding commutes
+with negation, so the left state of a field is bit for bit the right state
+of the mirrored field.
+
+The entry points reconstruct every line of an array along one axis.  Fields
+that share axis, staggered location and shape are stacked along a further
+axis and reconstructed in one call; each line is computed exactly as it
+would be alone.  The samples come from a ghost-extended field, so every
+physical interface (walls included) gets both states.
 """
 
 from __future__ import annotations
@@ -21,77 +42,60 @@ WENO_EPS = 1e-6
 D_LIN = np.array([0.1, 0.6, 0.3])
 
 
-def _beta(d2, d1):
-    """13/12 d2^2 + 1/4 d1^2, computed in the storage of d2 and d1."""
-    np.square(d2, out=d2)
-    d2 *= 13.0 / 12.0
-    np.square(d1, out=d1)
-    d1 *= 0.25
-    d2 += d1
-    return d2
+def _weno5_states(ext: np.ndarray, ax: int, first: int, count: int):
+    """(right, left) states of the targets at indices first..first+count-1
+    along ax of ext (the samples first-2..first+count+1 are read)."""
+    seg = _slc(ext, ax, slice(first - 2, first + count + 2))
+    D = _slc(seg, ax, slice(1, None)) - _slc(seg, ax, slice(None, -1))
+    S = _slc(D, ax, slice(1, None)) - _slc(D, ax, slice(None, -1))
+    np.square(S, out=S)
+    S *= 13.0 / 12.0
+    # the multiples of D the windows read, each computed once per line
+    D2, D3, D5 = 2 * D, 3 * D, 5 * D
+    D4 = 2 * D2
 
+    def at(a, s):
+        """The entry s of each target's window (D0..D3, or S0..S2)."""
+        return _slc(a, ax, slice(s, s + count))
 
-def _mix(a0, a1, a2, q0, q1, q2):
-    """(a0 q0 + a1 q1 + a2 q2) / (a0 + a1 + a2), in the storage of q0..q2."""
-    q0 *= a0
-    q1 *= a1
-    q0 += q1
-    q2 *= a2
-    q0 += q2
-    q0 /= a0 + a1 + a2
-    return q0
+    def beta(lin, s):
+        """(eps + S_s + lin^2 / 4)^2, in the storage of lin."""
+        np.square(lin, out=lin)
+        lin *= 0.25
+        lin += at(S, s)
+        lin += WENO_EPS
+        np.square(lin, out=lin)
+        return lin
 
+    # (eps + beta)^2 of the three sub-stencils, shared by both states
+    e0 = beta(at(D3, 1) - at(D, 0), 0)
+    e1 = beta(at(D, 1) + at(D, 2), 1)
+    e2 = beta(at(D3, 2) - at(D, 3), 2)
+    a1 = D_LIN[1] / e1
 
-def _weno5_edges(v0, v1, v2, v3, v4):
-    """(right, left) WENO5 states of targets with stencils v0..v4.
+    def state(e_lo, e_hi, c0, c1, c2):
+        """(a0 c0 + a1 c1 + a2 c2) / (6 (a0 + a1 + a2)), in the storage of
+        c0..c2, with a0 = d0 / e_lo and a2 = d2 / e_hi."""
+        a0 = D_LIN[0] / e_lo
+        a2 = D_LIN[2] / e_hi
+        c0 *= a0
+        c1 *= a1
+        c0 += c1
+        c2 *= a2
+        c0 += c2
+        a0 += a1
+        a0 += a2
+        a0 *= 6.0
+        c0 /= a0
+        return c0
 
-    right is the left-biased state between v2 and v3, left the state
-    between v1 and v2 from the reversed stencil v4..v0.  The in-place
-    updates keep the operation order of the formulas, so right rounds
-    exactly like a one-sided evaluation; left differs from one only in
-    the rounding of its shared betas (a few ulp of max |v|).
-    """
-    v1x2, v2x2, v3x2, v2x3, v2x5, v2x11 = (2 * v1, 2 * v2, 2 * v3, 3 * v2,
-                                           5 * v2, 11 * v2)
-    b0 = v0 - v1x2
-    b0 += v2
-    d = v0 - 4 * v1
-    d += v2x3
-    b0 = _beta(b0, d)
-    b1 = v1 - v2x2
-    b1 += v3
-    b1 = _beta(b1, v1 - v3)
-    b2 = v2 - v3x2
-    b2 += v4
-    d = v2x3 - 4 * v3
-    d += v4
-    b2 = _beta(b2, d)
-    # (eps + beta)^2 of the three sub-stencils, shared by both edges
-    for b in (b0, b1, b2):
-        b += WENO_EPS
-        np.square(b, out=b)
-
-    q0 = 2 * v0
-    q0 -= 7 * v1
-    q0 += v2x11
-    q1 = v2x5 - v1
-    q1 += v3x2
-    q2 = v2x2 + 5 * v3
-    q2 -= v4
-    for q in (q0, q1, q2):
-        q /= 6.0
-    right = _mix(D_LIN[0] / b0, D_LIN[1] / b1, D_LIN[2] / b2, q0, q1, q2)
-
-    q0 = 2 * v4
-    q0 -= 7 * v3
-    q0 += v2x11
-    q1 = v2x5 - v3
-    q1 += v1x2
-    q2 = v2x2 + 5 * v1
-    q2 -= v0
-    for q in (q0, q1, q2):
-        q /= 6.0
-    left = _mix(D_LIN[0] / b2, D_LIN[1] / b1, D_LIN[2] / b0, q0, q1, q2)
+    v2 = at(seg, 2)
+    right = state(e0, e2, at(D5, 1) - at(D2, 0), at(D, 1) + at(D2, 2),
+                  at(D4, 2) - at(D, 3))
+    right += v2
+    left = state(e2, e0, at(D5, 2) - at(D2, 3), at(D, 2) + at(D2, 1),
+                 at(D4, 1) - at(D, 0))
+    np.subtract(v2, left, out=left)
     return right, left
 
 
@@ -100,15 +104,7 @@ def weno5_point(stencil) -> float:
     w = np.asarray(stencil, dtype=float)
     if w.shape != (5,):
         raise ValueError("stencil must contain exactly 5 samples")
-    return float(_weno5_edges(*w[:, None])[0][0])
-
-
-def _edges(ext: np.ndarray, ax: int, first: int, count: int):
-    """(right, left) states of the targets at extended indices
-    first..first+count-1 along ax."""
-    lo = first - 2
-    return _weno5_edges(*(_slc(ext, ax, slice(lo + s, lo + s + count))
-                          for s in range(5)))
+    return float(_weno5_states(w, 0, 2, 1)[0][0])
 
 
 def reconstruct_lr_cells(ext: np.ndarray, ax: int, g: int = GHOST):
@@ -121,7 +117,7 @@ def reconstruct_lr_cells(ext: np.ndarray, ax: int, g: int = GHOST):
     M = ext.shape[ax] - 2 * g
     # cell i lives at extended index i+g-1: interface k+1/2 is the right
     # edge of cell k and the left edge of cell k+1, for k = 0..M
-    right, left = _edges(ext, ax, g - 1, M + 2)
+    right, left = _weno5_states(ext, ax, g - 1, M + 2)
     return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))
 
 
@@ -134,5 +130,5 @@ def reconstruct_lr_faces(ext: np.ndarray, ax: int, g: int = GHOST):
     """
     M = ext.shape[ax] - 2 * g - 1
     # center i is the right edge of face i-1/2 and the left edge of i+1/2
-    right, left = _edges(ext, ax, g, M + 1)
+    right, left = _weno5_states(ext, ax, g, M + 1)
     return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))

@@ -95,9 +95,8 @@ def test_transfer6_polynomial_exact(deg):
 def test_extend_cell_reflection(parity):
     rng = np.random.default_rng(parity)
     f = rng.standard_normal(8)
-    kind = "sym" if parity == 0 else "odd"
     sgn = 1.0 if parity == 0 else -1.0
-    ext = extend_cell(f, 0, kind)
+    ext = extend_cell(f, 0, sgn)
     g = GHOST
     for k in range(g):
         assert ext[g - 1 - k] == sgn * f[k]

@@ -1,5 +1,7 @@
 """Time integrator: tableau structure, update identities, step control."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,23 @@ def test_step_records_newton_lu_solves(lu_solves):
     assert sum(rec.lu_solves for rec in records) == lu_solves[faces] > 0
     assert sum(rec.lu_solves for rec in records) \
         > sum(rec.newton_iters for rec in records)
+
+
+def test_step_records_layer_seconds():
+    """The seconds of the explicit tendency, the Newton solves and the
+    c-stage are each positive on a Test 1 step and sum to at most the
+    step's wall time."""
+    from chns_imex.cases import initial_state
+    grid, params = GridSpec(dim=2, M=16), ModelParams(cp=1e4)
+    integ = Integrator(grid, params)
+    U = initial_state(1, grid, params)
+    dt = integ.select_dt(U)
+    t0 = time.perf_counter()
+    _, rec = integ.step(U, 0.0, dt)
+    wall = time.perf_counter() - t0
+    layers = (rec.explicit_s, rec.newton_s, rec.cstage_s)
+    assert all(s > 0.0 for s in layers)
+    assert sum(layers) <= wall
 
 
 @pytest.mark.parametrize("cp", [1e2, 1e4, 1e8])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chns_imex import model
+from chns_imex import model, spatial
 from chns_imex.grid import GridSpec, laplacian_neumann
 from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
@@ -291,6 +291,32 @@ def test_axis_swap_commutes_with_tendencies(M, cp, seed):
             scale = max(np.abs(b).max(), np.finfo(float).tiny)
             assert np.abs(a - b).max() <= 1e-12 * scale, \
                 f"{tendency.__name__}.{f}"
+
+
+@pytest.mark.parametrize("dim, calls", [(1, 2), (2, 6)])
+def test_explicit_tendency_reconstructs_one_stack_per_location(
+        dim, calls, monkeypatch, rng):
+    """One explicit tendency reconstructs one stack of four fields per axis
+    and staggered location: 2 WENO calls in 1D and 6 in 2D, covering the
+    points of 8 and 24 single-field reconstructions."""
+    M = 8
+    seen = []
+    for name in ("reconstruct_lr_cells", "reconstruct_lr_faces"):
+        def counted(ext, ax, g=3, _fn=getattr(spatial, name)):
+            minus, plus = _fn(ext, ax, g)
+            seen.append((ext.shape[0], minus.size))
+            return minus, plus
+        monkeypatch.setattr(spatial, name, counted)
+    grid = GridSpec(dim=dim, M=M)
+    SpatialDiscretization(grid, PARAMS).explicit_tendency(
+        random_state(grid, rng))
+    # per field and axis: interfaces of the cells, centres of the faces,
+    # and in 2D the interfaces of the k-faces along the transverse axis
+    per_field = (M + 1) + M if dim == 1 \
+        else 2 * ((M + 1) * M + M * M + (M - 1) * (M + 1))
+    assert len(seen) == calls
+    assert all(fields == 4 for fields, _ in seen)
+    assert sum(points for _, points in seen) == 4 * per_field
 
 
 # ---------------------------------------------------------------------------
