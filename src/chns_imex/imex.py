@@ -80,8 +80,10 @@ class StepRecord:
     #: refinement corrections of direct solves on a kept factorization
     lin_iters: int
     factorizations: int
-    #: solves with the Newton factorizations, corrections included
+    #: solves with the Newton factorizations: one per Newton direction
     lu_solves: int
+    #: Newton directions corrected by the spectral Schur inverse
+    spectral_corrections: int
     retries: int
     #: seconds in the explicit tendencies, the Newton solves and the
     #: concentration solves of the accepted attempt
@@ -194,6 +196,8 @@ class Integrator:
                                  lin_iters=stats.lin_iters,
                                  factorizations=stats.factorizations,
                                  lu_solves=stats.lu_solves,
+                                 spectral_corrections=(
+                                     stats.spectral_corrections),
                                  retries=retries,
                                  explicit_s=stats.explicit_s,
                                  newton_s=stats.newton_s,

@@ -4,8 +4,9 @@ Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  These
 matrices back the Newton Jacobian and the c-system assembly, and the viscous
 blocks are also how the tendency applies the viscous term (see the spatial
-module).  The Neumann Laplacian's DCT-II eigenvalues precondition the
-concentration solve.
+module).  The DST-I/DCT-II factors of the flux difference give the Neumann
+Laplacian's eigenvalues, which precondition the concentration solve, and
+diagonalize the free-slip velocity operator of the Newton correction.
 """
 
 from __future__ import annotations
@@ -69,16 +70,34 @@ def laplacian_nd(dim: int, M: int, h: float) -> sp.csr_matrix:
 
 
 @functools.lru_cache
+def dct_frequencies(M: int, h: float):
+    """The 1D factors (w, w^2) of the orthonormal DST-I/DCT-II transforms:
+    w_m = (2/h) sin(pi m / 2M), m = 0..M-1, and its square taken from the
+    sine's square, so that `laplacian_eigenvalues` rounds as the closed
+    form -(4/h^2) sin^2(pi m / 2M).
+
+    The flux difference D of `mat_dual` maps DST-I mode m = 1..M-1 of a
+    face field to w_m times DCT-II mode m of a cell field, so D^T D has the
+    DST-I eigenvalues w_m^2 (m >= 1) and the Neumann Laplacian the DCT-II
+    eigenvalues -w_m^2.
+
+    Built once per grid; every caller shares the arrays and must not
+    modify them."""
+    s = np.sin(np.pi * np.arange(M) / (2 * M))
+    return 2.0 / h * s, 4.0 / h**2 * s**2
+
+
+@functools.lru_cache
 def laplacian_eigenvalues(dim: int, M: int, h: float) -> np.ndarray:
     """Eigenvalues of `laplacian_nd` on the DCT-II basis, as a (M,)*dim
-    array: the sum over axes of the 1D Neumann eigenvalues
-    -(4/h^2) sin^2(pi k / 2M), k = 0..M-1.
+    array: minus the sum over axes of the squares w_m^2 of
+    `dct_frequencies`, -(4/h^2) sin^2(pi m / 2M), m = 0..M-1.
 
     Built once per grid; every caller shares the array and must not
     modify it."""
-    lam1 = -4.0 / h**2 * np.sin(np.pi * np.arange(M) / (2 * M)) ** 2
-    return axis_sum([lam1.reshape([M if i == k else 1 for i in range(dim)])
-                     for k in range(dim)])
+    wsq = dct_frequencies(M, h)[1]
+    return -axis_sum([wsq.reshape([M if i == k else 1 for i in range(dim)])
+                      for k in range(dim)])
 
 
 @functools.lru_cache

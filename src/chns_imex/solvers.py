@@ -8,11 +8,15 @@ and (b) a linear SPD system for the concentration.  The Newton Jacobian is
 assembled from the sparse operators of the operators module.  Only the
 velocity Schur complement S = J_vv - J_vr d^-1 J_rv of this chord Jacobian
 is factorized, with d the diagonal of the density block J_rr; the density
-unknowns are eliminated through d, and one correction accounts for the
-off-diagonal (advective) part of J_rr.  The factorization is reused across
-iterations (and callers may reuse a solver object across stages), and
-refreshed whenever the damped line search stalls, so the monotone decrease
-of ||H||_2 is always enforced.
+unknowns are eliminated through d with one LU solve of S, and one
+correction accounts for the off-diagonal (advective) part of J_rr.  The
+correction's S-solve is the exact spectral inverse of S at rest under
+free-slip walls and at the mean density (DST-I/DCT-II transforms and a
+Sherman-Morrison solve per mode), built with each factorization.  The
+factorization is reused across iterations (and callers may reuse a solver
+object across stages), and refreshed whenever the damped line search
+stalls, so the monotone decrease of ||H||_2 is always enforced.  An initial
+guess is accepted only if its residual meets the tolerance unscaled too.
 
 The concentration system is solved by matrix-free CG or, with the direct
 method, by a sparse LU of the assembled matrix.  CG applies the operator by
@@ -31,18 +35,18 @@ LU_KEY_TOLERANCE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from . import model
 from .grid import GridSpec, axis_sum, face_average
 from .model import ModelParams, NonPositiveDensityError
-from .operators import (_along, laplacian_eigenvalues, laplacian_nd,
-                        mat_average, mat_dual, viscous_blocks)
+from .operators import (_along, dct_frequencies, laplacian_eigenvalues,
+                        laplacian_nd, mat_average, mat_dual, viscous_blocks)
 from .spatial import SpatialDiscretization
 
 
@@ -107,8 +111,11 @@ class SolveStats:
     lin_iters: int = 0
     #: Newton (chord Jacobian) factorizations; c-matrix ones are not counted
     factorizations: int = 0
-    #: solves with the Newton factorization, corrections included
+    #: solves with the Newton factorization: one per Newton direction
     lu_solves: int = 0
+    #: Newton directions corrected for the advective rest of the density
+    #: block, each by one application of the spectral Schur inverse
+    spectral_corrections: int = 0
     #: seconds (time.perf_counter) in the explicit tendencies, the Newton
     #: solves and the concentration solves
     explicit_s: float = 0.0
@@ -121,11 +128,14 @@ class SolveStats:
 class SchurBlocks(NamedTuple):
     """The parts of the chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]] that
     a Newton direction needs next to the LU of its Schur complement:
-    1/d with d = diag(J_rr), the coupling blocks, and N = J_rr - diag(d)."""
+    1/d with d = diag(J_rr), the coupling blocks, N = J_rr - diag(d), and
+    the spectral inverse of the Schur complement at rest
+    (`free_slip_schur_inverse`) that solves the correction."""
     inv_d: np.ndarray
     J_rv: sp.csr_matrix
     J_vr: sp.csr_matrix
     N: sp.csr_matrix
+    inv_P: Callable[[np.ndarray], np.ndarray]
 
 
 class ChordLU:
@@ -159,6 +169,71 @@ class ChordLU:
 # ---------------------------------------------------------------------------
 # Hydro subsystem (density + velocities)
 # ---------------------------------------------------------------------------
+
+def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
+                            rbar: float, dta: float):
+    """r -> P^-1 r on packed face velocities, for the velocity Schur
+    complement at rest and at the flat density rbar under free-slip walls,
+    P = rbar I + dta B_fs + dta^2 rbar p2'(rbar) D^T D, where B_fs is
+    `viscous_blocks` with the transverse second difference R replaced by
+    the Neumann one (minus `mat_laplacian_neumann`).
+
+    Velocity k is transformed by the orthonormal DST-I along k and the
+    DCT-II along every other axis; with w the per-axis factors of
+    `dct_frequencies`, P is a I + gamma w w^T in each cell mode, with
+    a = rbar + dta nu |w|^2 and gamma = dta (nu + lam) + dta^2 rbar p2',
+    and Sherman-Morrison inverts it:
+    x_k = r_k / a - c w_k (w.r), c = gamma / (a (a + gamma |w|^2)).  It is
+    evaluated as x_k = (1/a - c w_k^2) r_k - c w_k sum_{j!=k} w_j r_j, the
+    first factor formed without cancellation, so in 1D it is one division
+    by a + gamma w^2 to round-off.  Each velocity is stacked with its own
+    axis first, so one `dst` and one `dct` per other axis (none in 1D)
+    transform all of them."""
+    dim, M = grid.dim, grid.M
+    w = dct_frequencies(M, grid.h)[0][1:].reshape((M - 1,) + (1,) * (dim - 1))
+    wsq = -laplacian_eigenvalues(dim, M, grid.h)
+    a = rbar + dta * params.nu * wsq
+    gamma = dta * (params.nu + params.lam) \
+        + dta**2 * rbar * float(model.dp2(rbar, params))
+    # a and wsq are symmetric in the axes, so their modes m_0 >= 1 are in
+    # the order of every stacked velocity, and their row m_0 = 0 holds the
+    # sum over the other axes
+    denom = a[1:] * (a[1:] + gamma * wsq[1:])
+    own = (a[1:] + gamma * wsq[0]) / denom
+    wc = w * (gamma / denom)
+    faces = [tuple(M - 1 if i == k else M for i in range(dim))
+             for k in range(dim)]
+    split = np.cumsum([np.prod(f) for f in faces])[:-1]
+    # velocity k with its own axis first, and back
+    order = [(k,) + tuple(i for i in range(dim) if i != k)
+             for k in range(dim)]
+    back = [tuple(np.argsort(o)) for o in order]
+    stacked = (dim, M - 1) + (M,) * (dim - 1)
+
+    def apply(r):
+        f = np.empty(stacked)
+        for k, x in enumerate(np.split(r, split)):
+            f[k] = x.reshape(faces[k], order="F").transpose(order[k])
+        f = dst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
+        for ax in range(2, dim + 1):
+            f = dct(f, type=2, axis=ax, norm="ortho", overwrite_x=True)
+        wf = w * f
+        wr = np.zeros(a.shape)                  # w.r per cell mode
+        for k in range(dim):
+            wr.transpose(order[k])[1:] += wf[k]
+        for k in range(dim):
+            wf[k] -= wr.transpose(order[k])[1:]
+        f *= own
+        wf *= wc
+        f += wf
+        for ax in range(2, dim + 1):
+            f = idct(f, type=2, axis=ax, norm="ortho", overwrite_x=True)
+        f = idst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
+        return np.concatenate([x.transpose(back[k]).ravel(order="F")
+                               for k, x in enumerate(f)])
+
+    return apply
+
 
 class HydroSolver:
     """Damped Newton solver for the implicit density/velocity subsystem.
@@ -274,12 +349,15 @@ class HydroSolver:
         tol = cfg.tol_abs + cfg.tol_rel * nrm0
         stats.history.append(nrm0)
         nrm = nrm0
+        # the scaled norm divides the momentum rows by amp ~ dta p2'/h, so
+        # at large C_p an O(1) momentum residual falls below tol_abs: the
+        # initial guess is accepted only if it also meets tol unscaled
+        if nrm <= tol and float(np.linalg.norm(res)) <= tol:
+            stats.newton_res = max(stats.newton_res, nrm)
+            return z
         fresh = False
         self._chord.current(dta)     # drops one kept for a distant dt*a
         for it in range(cfg.maxit):
-            if nrm <= tol:
-                stats.newton_res = max(stats.newton_res, nrm)
-                return z
             if self._lu is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
                 fresh = True
@@ -309,17 +387,18 @@ class HydroSolver:
             nrm = float(np.linalg.norm(w * res))
             stats.newton_iters += 1
             stats.history.append(nrm)
+            if nrm <= tol:
+                stats.newton_res = max(stats.newton_res, nrm)
+                return z
             fresh = False
-        if nrm <= tol:
-            stats.newton_res = max(stats.newton_res, nrm)
-            return z
         raise SolverFailure(f"Newton did not converge: |H| = {nrm:.3e}, "
                             f"tol = {tol:.3e}")
 
     def _refresh(self, z, dta, stats: SolveStats):
         """Factorize the Schur complement S = J_vv - J_vr d^-1 J_rv of the
         Jacobian at z, with d = diag(J_rr) = 1 + (dta/2) div_h v, and keep
-        its SchurBlocks with it.  A d that is not finite and positive is a
+        its SchurBlocks with it, the spectral inverse built at the mean
+        density of z.  A d that is not finite and positive is a
         SolverFailure, so the step is retried at a smaller dt."""
         J = self.jacobian(z, dta)
         n = self.nc
@@ -334,29 +413,35 @@ class HydroSolver:
         J_vr, J_vv = J[n:, :n], J[n:, n:]
         inv_d = 1.0 / d
         S = J_vv - J_vr @ sp.diags(inv_d) @ J_rv
+        inv_P = free_slip_schur_inverse(self.grid, self.params,
+                                        float(z[:n].mean()), dta)
         self._chord.refactorize(
-            S.tocsc(), dta, SchurBlocks(inv_d, J_rv, J_vr, J_rr - sp.diags(d)))
+            S.tocsc(), dta,
+            SchurBlocks(inv_d, J_rv, J_vr, J_rr - sp.diags(d), inv_P))
         stats.factorizations += 1
 
-    def _eliminate(self, b, stats: SolveStats) -> np.ndarray:
-        """P^-1 b for P, the chord Jacobian with J_rr replaced by diag(d):
-        one S-solve for the velocities, then the densities through d."""
+    def _eliminate(self, b, solve_S) -> np.ndarray:
+        """The solution of the chord Jacobian with J_rr replaced by diag(d),
+        for b: solve_S for the velocities, then the densities through d."""
         blk = self._chord.aux
         b_rho, b_v = b[:self.nc], b[self.nc:]
-        dv = self._lu.solve(b_v - blk.J_vr @ (blk.inv_d * b_rho))
-        stats.lu_solves += 1
+        dv = solve_S(b_v - blk.J_vr @ (blk.inv_d * b_rho))
         return np.concatenate([blk.inv_d * (b_rho - blk.J_rv @ dv), dv])
 
     def _direction(self, b, stats: SolveStats) -> np.ndarray:
-        """The chord direction for b = -H.  P^-1 b leaves J delta - b = 0 in
-        the velocity rows and N delta_rho in the density rows; unless that
-        is at round-off of b (v = 0 makes N = 0), one correction with the
-        right-hand side (-N delta_rho, 0) follows."""
-        delta = self._eliminate(b, stats)
+        """The chord direction for b = -H.  The elimination with the LU of S
+        leaves J delta - b = 0 in the velocity rows and N delta_rho in the
+        density rows; unless that is at round-off of b (v = 0 makes N = 0),
+        one correction with the right-hand side (-N delta_rho, 0) follows,
+        its S-solve the spectral inverse at rest."""
+        blk = self._chord.aux
+        delta = self._eliminate(b, self._lu.solve)
+        stats.lu_solves += 1
         r = np.zeros_like(b)
-        r[:self.nc] = -(self._chord.aux.N @ delta[:self.nc])
+        r[:self.nc] = -(blk.N @ delta[:self.nc])
         if np.linalg.norm(r) > np.finfo(float).eps * np.linalg.norm(b):
-            delta += self._eliminate(r, stats)
+            delta += self._eliminate(r, blk.inv_P)
+            stats.spectral_corrections += 1
         return delta
 
     def invalidate(self):

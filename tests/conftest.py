@@ -1,9 +1,20 @@
 import collections
+import os
+import sys
 
-import numpy as np
-import pytest
-import scipy.sparse.linalg as spla
-from hypothesis import HealthCheck, settings
+# one BLAS/OpenMP thread: the solver's vectors are small, and threads only
+# contend; the variables are read when NumPy loads its BLAS, so they are set
+# here, before the first import of NumPy
+if "numpy" in sys.modules:
+    raise RuntimeError("NumPy was imported before tests/conftest.py, so its "
+                       "BLAS thread count can no longer be set")
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile(
     "default", deadline=None,

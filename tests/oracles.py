@@ -11,11 +11,14 @@ implicit mass transport and explicit Rusanov terms into the quantity that
 `convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
 `full_jacobian_direction` are the Newton chord step before the Schur
 complement: the whole (rho, v) Jacobian factorized and solved exactly.
+`dense_free_slip_schur` assembles the free-slip operator whose inverse the
+Newton correction applies spectrally.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import block_diag
 
 from chns_imex import model
 from chns_imex.grid import (GHOST, MU6, _set, _slc, apply_fd_operator,
@@ -466,3 +469,39 @@ def full_jacobian_direction(hydro, b, stats):
     whole Jacobian."""
     stats.lu_solves += 1
     return hydro._lu.solve(b)
+
+
+# ---------------------------------------------------------------------------
+# the free-slip velocity Schur operator
+# ---------------------------------------------------------------------------
+
+def _kron_along(ops, shape):
+    """Dense lift of 1D operators {axis: op} to a column-major field of the
+    given shape (identity along the other axes)."""
+    out = np.eye(1)
+    for ax, n in enumerate(shape):
+        out = np.kron(ops.get(ax, np.eye(n)), out)
+    return out
+
+
+def dense_free_slip_schur(M, h, params, dim, rbar, dta):
+    """rbar I + dta B_fs + dta^2 rbar p2'(rbar) D^T D on the packed face
+    velocities, assembled densely: B_fs is the viscous operator with the
+    Neumann second difference (one-sided wall rows) across each face field
+    in place of the no-slip one, and D = [D_1 ... D_dim] the divergence."""
+    D1 = mat_dual(M, h).toarray()
+    neumann = (np.diag(np.r_[1.0, 2.0 * np.ones(M - 2), 1.0])
+               - np.eye(M, k=1) - np.eye(M, k=-1)) / h**2
+    faces = [tuple(M - 1 if i == k else M for i in range(dim))
+             for k in range(dim)]
+    Dk = [_kron_along({k: D1}, f) for k, f in enumerate(faces)]
+    D = np.hstack(Dk)
+    # minus the Laplacian of each face field: D^T D along its own axis, the
+    # Neumann second difference across it
+    lap = block_diag(*[Dk[k].T @ Dk[k]
+                       + sum(_kron_along({i: neumann}, f)
+                             for i in range(dim) if i != k)
+                       for k, f in enumerate(faces)])
+    B = params.nu * lap + (params.nu + params.lam) * D.T @ D
+    return rbar * np.eye(D.shape[1]) + dta * B \
+        + dta**2 * rbar * float(model.dp2(rbar, params)) * D.T @ D

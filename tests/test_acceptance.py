@@ -153,6 +153,32 @@ def test_step_count_uniform_in_cp_at_fixed_cp1():
     assert time.perf_counter() - t0 < 60.0
 
 
+def test_newton_solves_every_stage_at_extreme_cp(monkeypatch):
+    """At C_p = 1e14 (C_p1 = 10) the explicit guess of a stage has an O(1)
+    momentum residual that the row-scaled norm hides below its tolerance;
+    Newton still takes at least one iteration on every stage, and the
+    velocities end within 1e-5 of the C_p = 1e12 run (without the unscaled
+    check on the guess: 0 iterations and a difference of 0.84)."""
+    real_solve = HydroSolver.solve
+    iters = []
+
+    def counting_solve(self, z0, r, dta, stats):
+        before = stats.newton_iters
+        z = real_solve(self, z0, r, dta, stats)
+        iters.append(stats.newton_iters - before)
+        return z
+
+    monkeypatch.setattr(HydroSolver, "solve", counting_solve)
+    grid, v = GridSpec(dim=2, M=32), {}
+    for cp in (1e12, 1e14):
+        iters.clear()
+        params = ModelParams(cp=cp, cp1=10.0)
+        v[cp] = Integrator(grid, params).run_to_time(
+            initial_state(1, grid, params), 0.01).state.m
+    assert iters and min(iters) >= 1, f"Newton iterations per stage: {iters}"
+    assert max(np.abs(a - b).max() for a, b in zip(v[1e12], v[1e14])) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: conservation to round-off
 # ---------------------------------------------------------------------------

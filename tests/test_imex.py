@@ -292,16 +292,18 @@ def _test1_steps(grid, params, n):
 
 
 def test_step_records_newton_lu_solves(lu_solves):
-    """lu_solves counts every solve with the Newton factorizations of a
-    step, corrections included: over three steps of Test 1 it sums to the
-    solves made on the factors, and exceeds the Newton iterations once the
-    fluid moves."""
+    """lu_solves counts the solves with the Newton factorizations of a
+    step, one per Newton iteration, and spectral_corrections the directions
+    corrected by the spectral inverse: over three steps of Test 1 the first
+    sums to the solves made on the factors and to the Newton iterations,
+    and the second is positive once the fluid moves and at most that."""
     grid = GridSpec(dim=2, M=16)
     _, records = _test1_steps(grid, ModelParams(cp=1e4), 3)
     faces = 2 * grid.M * (grid.M - 1)
-    assert sum(rec.lu_solves for rec in records) == lu_solves[faces] > 0
-    assert sum(rec.lu_solves for rec in records) \
-        > sum(rec.newton_iters for rec in records)
+    iters = sum(rec.newton_iters for rec in records)
+    assert sum(rec.lu_solves for rec in records) == lu_solves[faces] \
+        == iters > 0
+    assert 0 < sum(rec.spectral_corrections for rec in records) <= iters
 
 
 def test_step_records_layer_seconds():

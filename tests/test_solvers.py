@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dct, dst
 
 from chns_imex.cases import initial_state
 from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams, NonPositiveDensityError
-from chns_imex.operators import laplacian_nd
+from chns_imex.operators import (dct_frequencies, laplacian_eigenvalues,
+                                 laplacian_nd, mat_dual)
 from chns_imex.solvers import (REFINE_MAX, SPLU_SYMMETRIC, ChordLU,
                                HydroSolver, LinearSolverConfig, NewtonConfig,
                                SolveStats, SolverFailure, assemble_c_matrix,
-                               c_stage_operator, solve_c_stage)
+                               c_stage_operator, free_slip_schur_inverse,
+                               solve_c_stage)
 
 import oracles
 
@@ -399,10 +402,11 @@ def test_schur_factorization_fills_less_than_full_jacobian(cp, rng):
 @pytest.mark.parametrize("dta", [1e-3, 1e-2])
 @pytest.mark.parametrize("cp", [1e2, 1e8])
 def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
-    """Block elimination through d = diag(J_rr) solves the velocity rows of
-    J delta = b to round-off and leaves N delta_rho in the density rows;
-    the correction cuts that residual at least 20-fold (measured: 40 to
-    7000-fold)."""
+    """Block elimination through d = diag(J_rr) with the LU of S solves the
+    velocity rows of J delta = b to round-off and leaves N delta_rho in the
+    density rows; the correction, solved with the spectral inverse of S at
+    rest, cuts the error against the full-Jacobian solve at least 3-fold
+    (measured: 4.5 to 16-fold on these far-from-rest problems)."""
     grid = GridSpec(dim=2, M=16)
     hydro = HydroSolver(grid, ModelParams(cp=cp))
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
@@ -410,18 +414,20 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
     J = hydro.jacobian(z0, dta)
     b = -hydro.residual(z0, r, dta)
     n, nb = hydro.nc, np.linalg.norm(b)
-    plain = J @ hydro._eliminate(b, SolveStats()) - b
-    corrected = J @ hydro._direction(b, SolveStats()) - b
-    for res in (plain, corrected):
-        assert np.linalg.norm(res[n:]) <= 1e-13 * nb
-    assert np.linalg.norm(corrected) <= 0.05 * np.linalg.norm(plain)
+    exact = spla.spsolve(J, b)
+    plain = hydro._eliminate(b, hydro._lu.solve)
+    corrected = hydro._direction(b, SolveStats())
+    assert np.linalg.norm((J @ plain - b)[n:]) <= 1e-13 * nb
+    assert np.linalg.norm(corrected - exact) \
+        <= np.linalg.norm(plain - exact) / 3
 
 
 @pytest.mark.parametrize("still", [True, False])
 def test_chord_direction_corrects_only_a_moving_stage(still, rng, lu_solves):
-    """A stage linearized at rest (v = 0, so N = 0) takes one S-solve per
-    Newton iteration; a moving one takes two.  stats.lu_solves counts
-    them all."""
+    """Every Newton iteration takes one LU solve of S; a stage linearized at
+    rest (v = 0, so N = 0) takes no correction, a moving one a spectral
+    correction per iteration.  stats.lu_solves and
+    stats.spectral_corrections count them."""
     grid = GridSpec(dim=2, M=16)
     hydro = HydroSolver(grid, PARAMS)
     dta = 1e-2
@@ -432,8 +438,44 @@ def test_chord_direction_corrects_only_a_moving_stage(still, rng, lu_solves):
     hydro.solve(z0, r, dta, stats)
     assert stats.factorizations == 1
     faces = z0.size - hydro.nc
-    assert lu_solves[faces] == stats.lu_solves
-    assert stats.lu_solves == (1 if still else 2) * stats.newton_iters > 0
+    assert lu_solves[faces] == stats.lu_solves == stats.newton_iters > 0
+    assert stats.spectral_corrections == (0 if still else stats.newton_iters)
+
+
+@pytest.mark.parametrize("cp", [1e2, 1e8])
+@pytest.mark.parametrize("M", [8, 12])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_slip_schur_inverse_matches_dense_solve(dim, M, cp, rng):
+    """The spectral inverse solves the assembled free-slip operator
+    rbar I + dta B_fs + dta^2 rbar p2' D^T D to 1e-12 of the solution, at
+    a dta where that operator's condition number is at most about 2e3."""
+    grid, params, rbar, dta = GridSpec(dim=dim, M=M), ModelParams(cp=cp), \
+        1.07, 1e-4
+    P = oracles.dense_free_slip_schur(M, grid.h, params, dim, rbar, dta)
+    r = rng.standard_normal(P.shape[0])
+    x = free_slip_schur_inverse(grid, params, rbar, dta)(r)
+    ref = np.linalg.solve(P, r)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("M", [8, 12])
+def test_dct_frequencies_diagonalize_flux_difference(M):
+    """D of `mat_dual` maps the orthonormal DST-I basis of the faces to w
+    times the orthonormal DCT-II basis of the cells, and the squares of w
+    summed over the axes are minus `laplacian_eigenvalues`, bit for bit
+    the closed form -(4/h^2) sin^2(pi m / 2M) that the c-stage
+    preconditioner divides by."""
+    h = 1.0 / M
+    w, wsq = dct_frequencies(M, h)
+    S = dst(np.eye(M - 1), type=1, axis=0, norm="ortho")
+    C = dct(np.eye(M), type=2, axis=0, norm="ortho")
+    np.testing.assert_allclose(C @ (mat_dual(M, h) @ S.T),
+                               np.eye(M)[:, 1:] * w[1:], atol=1e-12 / h)
+    lam1 = -4.0 / h**2 * np.sin(np.pi * np.arange(M) / (2 * M)) ** 2
+    assert np.array_equal(laplacian_eigenvalues(1, M, h), lam1)
+    assert np.array_equal(laplacian_eigenvalues(2, M, h),
+                          lam1[:, None] + lam1[None, :])
+    np.testing.assert_allclose(wsq, w**2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("bad", ["compression", "nan"])
