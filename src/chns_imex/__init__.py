@@ -8,8 +8,8 @@ partitioned Runge-Kutta integrator.
 from .grid import GridSpec
 from .imex import ButcherPair, Integrator, RunResult, make_tableau
 from .model import ModelParams, NonPositiveDensityError
-from .solvers import (HydroSolver, LinearSolverConfig, NewtonConfig,
-                      SolverFailure, solve_c_stage)
+from .solvers import (HydroSolver, LinearSolverConfig, SolverFailure,
+                      solve_c_stage)
 from .spatial import SpatialDiscretization
 from .state import State, state_from_primitives
 
@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ButcherPair", "GridSpec", "HydroSolver", "Integrator",
-    "LinearSolverConfig", "ModelParams", "NewtonConfig",
-    "NonPositiveDensityError", "RunResult", "SolverFailure",
-    "SpatialDiscretization", "State", "make_tableau", "solve_c_stage",
-    "state_from_primitives", "__version__",
+    "LinearSolverConfig", "ModelParams", "NonPositiveDensityError",
+    "RunResult", "SolverFailure", "SpatialDiscretization", "State",
+    "make_tableau", "solve_c_stage", "state_from_primitives", "__version__",
 ]

@@ -141,9 +141,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command != "mms" and len(cfg.M) > 1:
         raise ValueError(f"{args.command}: --M takes one grid size, got "
                          f"{','.join(map(str, cfg.M))}")
-    if not (cfg.T > 0 and cfg.cfl > 0):
-        raise ValueError(f"--T and --cfl must be positive, got {cfg.T:g} "
-                         f"and {cfg.cfl:g}")
+    if not (0 < cfg.T < np.inf and 0 < cfg.cfl < np.inf):
+        raise ValueError(f"--T and --cfl must be positive and finite, got "
+                         f"{cfg.T:g} and {cfg.cfl:g}")
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {cfg.seed}")
     # the grid and the physics check their own values
     for M in cfg.M:
         GridSpec(dim=cfg.dim, M=M)

@@ -24,9 +24,8 @@ import numpy as np
 from . import model
 from .grid import GridSpec
 from .model import ModelParams, NonPositiveDensityError
-from .solvers import (ChordLU, HydroSolver, LinearSolverConfig,
-                      NewtonConfig, SolveStats, SolverFailure, solve_c_stage)
-from .spatial import SpatialDiscretization
+from .solvers import (ChordLU, HydroSolver, LinearSolverConfig, SolveStats,
+                      SolverFailure, solve_c_stage)
 from .state import State, state_from_primitives
 
 log = logging.getLogger(__name__)
@@ -55,11 +54,11 @@ class ButcherPair:
 
 
 def make_tableau(name: str) -> ButcherPair:
-    if name in ("ee_ie", "ee-ie"):
+    if name == "ee_ie":
         return ButcherPair("ee_ie",
                            at=np.array([[0.0]]), bt=np.array([1.0]),
                            a=np.array([[1.0]]), b=np.array([1.0]))
-    if name in ("star_dirksa", "*-dirksa", "dirksa"):
+    if name == "star_dirksa":
         s = 1.0 / np.sqrt(2.0)
         return ButcherPair("star_dirksa",
                            at=np.array([[0.0, 0.0], [1.0 + s, 0.0]]),
@@ -69,27 +68,13 @@ def make_tableau(name: str) -> ButcherPair:
     raise ValueError(f"unknown scheme {name!r}")
 
 
-@dataclass
-class StepRecord:
+@dataclass(kw_only=True)
+class StepRecord(SolveStats):
+    """The solver counters and seconds of a step's accepted attempt, at the
+    time t it ends, with its dt and the halvings retried before it."""
     t: float
     dt: float
-    newton_iters: int
-    #: largest final scaled Newton residual over the step's stages
-    newton_res: float
-    #: iterations of the step's concentration solves: CG iterations, or the
-    #: refinement corrections of direct solves on a kept factorization
-    lin_iters: int
-    factorizations: int
-    #: solves with the Newton factorizations: one per Newton direction
-    lu_solves: int
-    #: Newton directions corrected by the spectral Schur inverse
-    spectral_corrections: int
     retries: int
-    #: seconds in the explicit tendencies, the Newton solves and the
-    #: concentration solves of the accepted attempt
-    explicit_s: float
-    newton_s: float
-    cstage_s: float
 
 
 @dataclass
@@ -108,15 +93,14 @@ class Integrator:
     def __init__(self, grid: GridSpec, params: ModelParams,
                  scheme: str = "star_dirksa", cfl: float = DEFAULT_CFL,
                  forcing=None,
-                 newton_cfg: NewtonConfig | None = None,
                  linear_cfg: LinearSolverConfig | None = None):
         self.grid = grid
         self.params = params
         self.tab = make_tableau(scheme)
         self.cfl = cfl
         self.forcing = forcing
-        self.sp = SpatialDiscretization(grid, params)
-        self.hydro = HydroSolver(grid, params, newton_cfg)
+        self.hydro = HydroSolver(grid, params)
+        self.sp = self.hydro.spatial
         self.linear_cfg = linear_cfg or LinearSolverConfig()
         #: the direct c-matrix factorization, kept across stages and steps
         self.c_chord = ChordLU()
@@ -187,22 +171,10 @@ class Integrator:
         """Advance one step with up to MAX_RETRIES halvings on failure."""
         retries = 0
         while True:
-            stats = SolveStats()
+            # a fresh record per attempt: it counts the accepted one only
+            rec = StepRecord(t=t + dt, dt=dt, retries=retries)
             try:
-                U_new = self.attempt_step(Un, t, dt, stats)
-                rec = StepRecord(t=t + dt, dt=dt,
-                                 newton_iters=stats.newton_iters,
-                                 newton_res=stats.newton_res,
-                                 lin_iters=stats.lin_iters,
-                                 factorizations=stats.factorizations,
-                                 lu_solves=stats.lu_solves,
-                                 spectral_corrections=(
-                                     stats.spectral_corrections),
-                                 retries=retries,
-                                 explicit_s=stats.explicit_s,
-                                 newton_s=stats.newton_s,
-                                 cstage_s=stats.cstage_s)
-                return U_new, rec
+                return self.attempt_step(Un, t, dt, rec), rec
             except (SolverFailure, NonPositiveDensityError,
                     FloatingPointError) as exc:
                 self.hydro.invalidate()

@@ -10,7 +10,7 @@ explicit) so the Cahn-Hilliard update is unconditionally stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class ModelParams:
             raise ValueError("cp must be positive")
         if self.cp1 is None:
             object.__setattr__(self, "cp1", float(np.sqrt(self.cp)))
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (self.cp1 > 0):
             raise ValueError("cp1 must be positive")
         if self.cp2 < 0:

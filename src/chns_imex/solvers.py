@@ -15,8 +15,9 @@ free-slip walls and at the mean density (DST-I/DCT-II transforms and a
 Sherman-Morrison solve per mode), built with each factorization.  The
 factorization is reused across iterations (and callers may reuse a solver
 object across stages), and refreshed whenever the damped line search
-stalls, so the monotone decrease of ||H||_2 is always enforced.  An initial
-guess is accepted only if its residual meets the tolerance unscaled too.
+stalls, so the monotone decrease of ||H||_2 is always enforced.  Newton
+stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm; an
+initial guess is accepted only if its residual meets that unscaled too.
 
 The concentration system is solved by matrix-free CG or, with the direct
 method, by a sparse LU of the assembled matrix.  CG applies the operator by
@@ -26,10 +27,11 @@ which the DCT-II diagonalizes; in the low-Mach regime the density is nearly
 flat, so CG takes a few iterations per solve at every grid size.  The
 direct LU may be kept across stages and steps (a `ChordLU`); a kept
 factorization is refined, x <- x + LU^-1 (b - A x), to
-CG's criterion ||b - A x|| <= tol ||b||; once the contraction so far shows
-that REFINE_MAX corrections cannot get there, the matrix is factorized anew.
-Both kept factorizations are rebuilt once dt*a moves by more than
-LU_KEY_TOLERANCE.
+CG's criterion ||b - A x|| <= LINEAR_TOL ||b||; once the contraction so far
+shows that REFINE_MAX corrections cannot get there, the matrix is
+factorized anew.  Both kept factorizations are rebuilt once dt*a moves by
+more than LU_KEY_TOLERANCE.  The counters of both solves go into a
+SolveStats, which the integrator's per-step StepRecord extends.
 """
 
 from __future__ import annotations
@@ -70,6 +72,21 @@ REFINE_MAX = 8
 
 #: the concentration solvers a LinearSolverConfig may name
 LINEAR_METHODS = ("direct", "cg")
+#: Newton stops once the scaled residual norm is at most
+#: NEWTON_TOL_ABS + NEWTON_TOL_REL * (the initial one), and fails after
+#: NEWTON_MAXIT iterations or once the line search damps below DAMPING_FLOOR
+NEWTON_TOL_ABS = 1e-11
+NEWTON_TOL_REL = 1e-9
+NEWTON_MAXIT = 30
+DAMPING_FLOOR = 2.0 ** -20
+#: relative residual of the concentration solves, near machine precision:
+#: the concentration system conserves the phase total exactly only up to
+#: the linear residual, and the sum over ~1e4 cells and ~1e2 solves
+#: amplifies it; the mean-density preconditioner is exact up to the
+#: density's spread, so this costs few CG iterations (Test 1: at most 10
+#: per solve at M = 32...128)
+LINEAR_TOL = 1e-14
+CG_MAXITER = 20000
 
 
 class SolverFailure(RuntimeError):
@@ -77,23 +94,8 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass
-class NewtonConfig:
-    tol_abs: float = 1e-11
-    tol_rel: float = 1e-9
-    maxit: int = 30
-    damping_floor: float = 2.0 ** -20
-
-
-@dataclass
 class LinearSolverConfig:
     method: str = "cg"            # one of LINEAR_METHODS
-    #: near-machine tolerance: the concentration system conserves the phase
-    #: total exactly only up to the linear residual, and the sum over ~1e4
-    #: cells and ~1e2 solves amplifies it; the mean-density preconditioner
-    #: is exact up to the density's spread, so the tight tolerance costs few
-    #: CG iterations (Test 1: at most 10 per solve at M = 32...128)
-    tol: float = 1e-14
-    maxiter: int = 20000
 
     def __post_init__(self):
         if self.method not in LINEAR_METHODS:
@@ -245,11 +247,9 @@ class HydroSolver:
     momentum k.
     """
 
-    def __init__(self, grid: GridSpec, params: ModelParams,
-                 cfg: NewtonConfig | None = None):
+    def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.cfg = cfg or NewtonConfig()
         self.spatial = SpatialDiscretization(grid, params)
         M, h, dim = grid.M, grid.h, grid.dim
         D = mat_dual(M, h)
@@ -340,49 +340,42 @@ class HydroSolver:
     def solve(self, z0: np.ndarray, r: np.ndarray, dta: float,
               stats: SolveStats | None = None):
         """Damped (chord) Newton iteration; returns the converged vector."""
-        cfg = self.cfg
         stats = stats if stats is not None else SolveStats()
         z = z0.copy()
         w = self._row_scaling(z0, dta)
         res = self.residual(z, r, dta)
-        nrm0 = float(np.linalg.norm(w * res))
-        tol = cfg.tol_abs + cfg.tol_rel * nrm0
-        stats.history.append(nrm0)
-        nrm = nrm0
+        nrm = float(np.linalg.norm(w * res))
+        tol = NEWTON_TOL_ABS + NEWTON_TOL_REL * nrm
+        stats.history.append(nrm)
         # the scaled norm divides the momentum rows by amp ~ dta p2'/h, so
-        # at large C_p an O(1) momentum residual falls below tol_abs: the
-        # initial guess is accepted only if it also meets tol unscaled
+        # at large C_p an O(1) momentum residual falls below NEWTON_TOL_ABS:
+        # the initial guess is accepted only if it also meets tol unscaled
         if nrm <= tol and float(np.linalg.norm(res)) <= tol:
             stats.newton_res = max(stats.newton_res, nrm)
             return z
         fresh = False
         self._chord.current(dta)     # drops one kept for a distant dt*a
-        for it in range(cfg.maxit):
+        for it in range(NEWTON_MAXIT):
             if self._lu is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
                 fresh = True
             delta = self._direction(-res, stats)
-            alpha, z_new, nrm_new = 1.0, None, np.inf
-            while alpha >= cfg.damping_floor:
+            alpha = 1.0
+            while True:
                 cand = z + alpha * delta
-                n = self._norm(cand, r, dta, w)
-                if n < nrm:
-                    z_new, nrm_new = cand, n
+                if self._norm(cand, r, dta, w) < nrm:
                     break
                 alpha *= 0.5
-                # a stale factorization that needs heavy damping is refreshed
+                # a stale factorization that needs heavy damping is
+                # refreshed, so the floor is reached only on a fresh one
                 if alpha < 0.25 and not fresh:
                     self._refresh(z, dta, stats)
                     fresh = True
                     delta = self._direction(-res, stats)
                     alpha = 1.0
-            if z_new is None:
-                if not fresh:
-                    self._refresh(z, dta, stats)
-                    fresh = True
-                    continue
-                raise SolverFailure("Newton damping underflow")
-            z, nrm = z_new, nrm_new
+                if alpha < DAMPING_FLOOR:
+                    raise SolverFailure("Newton damping underflow")
+            z = cand
             res = self.residual(z, r, dta)
             nrm = float(np.linalg.norm(w * res))
             stats.newton_iters += 1
@@ -519,13 +512,13 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     b = np.ravel(rhs_hat, order="F")
     if cfg.method == "direct":
         A = assemble_c_matrix(rho, dta, eps, grid)
-        x = _solve_direct(A, b, dta, cfg.tol, chord or ChordLU(), stats)
+        x = _solve_direct(A, b, dta, chord or ChordLU(), stats)
     else:
         def count(_xk):
             stats.lin_iters += 1
 
         x, info = spla.cg(c_stage_operator(rho, dta, eps, grid), b,
-                          rtol=cfg.tol, atol=0.0, maxiter=cfg.maxiter,
+                          rtol=LINEAR_TOL, atol=0.0, maxiter=CG_MAXITER,
                           M=c_stage_preconditioner(rho, dta, eps, grid),
                           callback=count)
         if info != 0:
@@ -533,15 +526,16 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
     return x.reshape(rho.shape, order="F")
 
 
-def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float, tol: float,
+def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float,
                   chord: ChordLU, stats: SolveStats) -> np.ndarray:
-    """Refine on the kept factorization until ||b - A x|| <= tol ||b||;
+    """Refine on the kept factorization until
+    ||b - A x|| <= LINEAR_TOL ||b||;
     factorize A anew when there is none, or when the residual, shrinking at
     its last ratio for the corrections left, would not reach the bound."""
     lu = chord.current(dta)
     if lu is not None:
         x = lu.solve(b)
-        bound = tol * np.linalg.norm(b)
+        bound = LINEAR_TOL * np.linalg.norm(b)
         prev = np.inf
         for k in range(REFINE_MAX + 1):
             r = b - A @ x

@@ -156,6 +156,10 @@ def test_run_requires_test_flag():
     pytest.param(["--M", "2"], {}, "", id="M-too-small"),
     pytest.param(["--M", "8,16"], {}, "", id="M-list"),
     pytest.param(["--nu", "0"], {}, "", id="nu-0"),
+    pytest.param(["--nu", "nan"], {}, "", id="nu-nan"),
+    pytest.param(["--cp", "inf"], {}, "", id="cp-inf"),
+    pytest.param(["--seed", "-1"], {}, "", id="seed-negative"),
+    pytest.param([], {"CFL": "inf"}, "", id="env-cfl-inf"),
 ])
 def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
                                     capsys):
@@ -173,6 +177,15 @@ def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--T", "inf"), ("--T", "nan"),
+                                        ("--cfl", "inf")])
+def test_non_finite_time_or_cfl_rejected(flag, value):
+    """Resolved without running: a run to T = inf would never end."""
+    args = build_parser().parse_args(["run", "--test", "1", flag, value])
+    with pytest.raises(ValueError, match="positive and finite"):
+        resolve_config(args)
 
 
 def test_fields_csv_header_2d(tmp_path):

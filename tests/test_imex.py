@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chns_imex import solvers
 from chns_imex.grid import GridSpec
 from chns_imex.imex import (DEFAULT_CFL, MAX_RETRIES, Integrator, RunResult,
                             make_tableau)
@@ -251,14 +252,14 @@ def test_step_records_final_newton_residual():
     grid = GridSpec(dim=2, M=16)
     params = ModelParams(cp=1e4)
     integ = Integrator(grid, params)
-    cfg = integ.hydro.cfg
     solves = []             # (stats, final norm, tolerance) of each solve
     real_solve = integ.hydro.solve
 
     def spy(z0, r, dta, stats):
         first = len(stats.history)
         z = real_solve(z0, r, dta, stats)
-        tol = cfg.tol_abs + cfg.tol_rel * stats.history[first]
+        tol = solvers.NEWTON_TOL_ABS \
+            + solvers.NEWTON_TOL_REL * stats.history[first]
         solves.append((stats, stats.history[-1], tol))
         return z
 
@@ -498,6 +499,32 @@ def test_step_retries_then_succeeds(monkeypatch):
     U1, rec = integ.step(U0, 0.0, dt)
     assert rec.retries == 1
     assert rec.dt == pytest.approx(dt / 2)
+
+
+def test_retried_step_records_only_the_accepted_attempt(monkeypatch):
+    """A step whose second stage fails is retried at dt/2, and its record
+    counts the retry's work alone: the counts of a clean step at dt/2 on a
+    fresh Integrator, without the failed attempt's first stage."""
+    grid, params, integ = _small_problem("star_dirksa")
+    U0 = exact_state(grid, params, 0.0)
+    dt = integ.select_dt(U0)
+    real = integ._solve_stage
+    calls = {"n": 0}
+
+    def fail_stage_2_once(hat, tilde, dta, stats):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise SolverFailure("synthetic failure")
+        return real(hat, tilde, dta, stats)
+
+    monkeypatch.setattr(integ, "_solve_stage", fail_stage_2_once)
+    _, rec = integ.step(U0, 0.0, dt)
+    assert calls["n"] == 2 + integ.tab.stages
+    assert rec.retries == 1 and rec.dt == dt / 2
+    _, clean = _small_problem("star_dirksa")[2].step(U0, 0.0, dt / 2)
+    assert clean.factorizations > 0 and clean.newton_iters > 0
+    for name in ("newton_iters", "factorizations", "lu_solves"):
+        assert getattr(rec, name) == getattr(clean, name), name
 
 
 def test_step_gives_up_after_max_retries(monkeypatch):

@@ -38,6 +38,16 @@ def test_validation_errors():
         ModelParams(cp=-1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cp", np.inf), ("cp1", np.inf), ("gamma", np.nan), ("nu", np.nan),
+    ("lam", np.inf), ("eps", np.nan), ("g", -np.inf)])
+def test_non_finite_parameters_rejected(field, value):
+    """NaN passes every comparison test, and C_p = inf gives C_p2 = nan; a
+    non-finite value would reach the solvers as a singular matrix."""
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(**{field: value})
+
+
 def test_nonpositive_density_raises():
     p = ModelParams()
     with pytest.raises(NonPositiveDensityError):

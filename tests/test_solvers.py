@@ -12,9 +12,10 @@ from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams, NonPositiveDensityError
 from chns_imex.operators import (dct_frequencies, laplacian_eigenvalues,
                                  laplacian_nd, mat_dual)
+from chns_imex import solvers
 from chns_imex.solvers import (REFINE_MAX, SPLU_SYMMETRIC, ChordLU,
-                               HydroSolver, LinearSolverConfig, NewtonConfig,
-                               SolveStats, SolverFailure, assemble_c_matrix,
+                               HydroSolver, LinearSolverConfig, SolveStats,
+                               SolverFailure, assemble_c_matrix,
                                c_stage_operator, free_slip_schur_inverse,
                                solve_c_stage)
 
@@ -74,7 +75,7 @@ def test_linear_solvers_agree(dim, M, rng):
     dta, eps = 0.01, 1e-4
     sols = {}
     for method in ("direct", "cg"):
-        cfg = LinearSolverConfig(method=method, tol=1e-12)
+        cfg = LinearSolverConfig(method=method)
         sols[method] = solve_c_stage(rho, rhs, dta, eps, grid, cfg)
     ref = np.abs(sols["direct"]).max()
     np.testing.assert_allclose(sols["cg"], sols["direct"],
@@ -96,7 +97,7 @@ def test_solve_c_stage_residual_small(rng):
     dta, eps = 0.004, 1e-4
     A = assemble_c_matrix(rho, dta, eps, grid)
     x = solve_c_stage(rho, rhs, dta, eps, grid,
-                      LinearSolverConfig(method="cg", tol=1e-12))
+                      LinearSolverConfig(method="cg"))
     res = A @ np.ravel(x, order="F") - np.ravel(rhs, order="F")
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -218,7 +219,7 @@ def test_direct_c_stage_refines_on_kept_factorization(rng, splu_calls):
     assert splu_calls == []
     assert chord.lu is kept
     assert 0 < stats.lin_iters <= REFINE_MAX
-    assert _c_residual(rho2, rhs, x, dta, grid) <= cfg.tol
+    assert _c_residual(rho2, rhs, x, dta, grid) <= solvers.LINEAR_TOL
     A = assemble_c_matrix(rho2, dta, 1e-4, grid)
     fresh = spla.splu(A.tocsc(), **SPLU_SYMMETRIC).solve(
         np.ravel(rhs, order="F")).reshape(rho.shape, order="F")
@@ -255,7 +256,7 @@ def test_direct_c_stage_falls_back_on_distant_density(rng, splu_calls):
     assert splu_calls == [(256, 256)]
     assert chord.lu is not kept and chord.key == dta
     assert 0 < stats.lin_iters <= 2
-    assert _c_residual(rho2, rhs, x, dta, grid) <= cfg.tol
+    assert _c_residual(rho2, rhs, x, dta, grid) <= solvers.LINEAR_TOL
 
 
 def test_direct_c_stage_rejects_nonpositive_density_before_reuse(
@@ -352,10 +353,12 @@ def test_newton_converges_at_stiff_pressure(rng):
     assert np.linalg.norm(w * hydro.residual(z, r, dta)) < 1e-8
 
 
-def test_newton_failure_reported():
+def test_newton_failure_reported(monkeypatch):
+    monkeypatch.setattr(solvers, "NEWTON_MAXIT", 1)
+    monkeypatch.setattr(solvers, "NEWTON_TOL_ABS", 0.0)
+    monkeypatch.setattr(solvers, "NEWTON_TOL_REL", 0.0)
     grid = GridSpec(dim=1, M=8)
-    hydro = HydroSolver(grid, PARAMS,
-                        NewtonConfig(maxit=1, tol_abs=0.0, tol_rel=0.0))
+    hydro = HydroSolver(grid, PARAMS)
     rng = np.random.default_rng(3)
     z_true, z0, r = _random_stage_problem(hydro, grid, rng, dta=0.01)
     with pytest.raises(SolverFailure):
