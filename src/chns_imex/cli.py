@@ -144,6 +144,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not (0 < cfg.T < np.inf and 0 < cfg.cfl < np.inf):
         raise ValueError(f"--T and --cfl must be positive and finite, got "
                          f"{cfg.T:g} and {cfg.cfl:g}")
+    bad = [t for t in cfg.dump_times if not 0 <= t <= cfg.T]
+    if bad:
+        raise ValueError(f"--dump-times must lie in [0, T] = [0, {cfg.T:g}], "
+                         f"got {', '.join(f'{t:g}' for t in bad)}")
     if cfg.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {cfg.seed}")
     # the grid and the physics check their own values

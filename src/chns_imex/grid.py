@@ -52,12 +52,15 @@ class GridSpec:
     def interior_faces(self) -> np.ndarray:
         return np.arange(1, self.M) * self.h
 
-    def coords(self, face: int | None = None) -> tuple:
+    def coords(self, face: int | None = None, sparse: bool = False) -> tuple:
         """Coordinate arrays (one per axis, indexing 'ij') of the cell
-        centres, or of the interior faces normal to axis `face`."""
+        centres, or of the interior faces normal to axis `face`; with
+        `sparse`, one vector per axis shaped to broadcast against the
+        others."""
         xc, xf = self.cell_centers(), self.interior_faces()
         return tuple(np.meshgrid(*[xf if k == face else xc
-                                   for k in range(self.dim)], indexing="ij"))
+                                   for k in range(self.dim)], indexing="ij",
+                                 sparse=sparse))
 
 
 def axis_sum(terms):
@@ -185,32 +188,6 @@ def dual_transpose(f: np.ndarray, ax: int, h: float) -> np.ndarray:
 def face_average(f: np.ndarray, ax: int) -> np.ndarray:
     """A_M along an axis: neighbour mean, cells -> interior faces."""
     return apply_fd_operator("average", ax, f, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Laplacian with homogeneous Neumann boundary rows
-# ---------------------------------------------------------------------------
-
-def laplacian_neumann(f: np.ndarray, h: float) -> np.ndarray:
-    """Second-order Neumann Laplacian on a cell-centered field (1D or 2D).
-
-    Interior rows are the 3/5-point stencil; wall rows drop the outside
-    neighbour, e.g. (f_2 - f_1)/h^2, which is the stencil with a symmetric
-    ghost.  Symmetric, negative semidefinite, constants in the kernel.
-    """
-    out = np.zeros_like(f, dtype=float)
-    for ax in range(f.ndim):
-        _set(out, ax, slice(1, -1),
-             _slc(out, ax, slice(1, -1))
-             + (_slc(f, ax, slice(2, None)) - 2 * _slc(f, ax, slice(1, -1))
-                + _slc(f, ax, slice(0, -2))) / h**2)
-        _set(out, ax, slice(0, 1),
-             _slc(out, ax, slice(0, 1))
-             + (_slc(f, ax, slice(1, 2)) - _slc(f, ax, slice(0, 1))) / h**2)
-        _set(out, ax, slice(-1, None),
-             _slc(out, ax, slice(-1, None))
-             + (_slc(f, ax, slice(-2, -1)) - _slc(f, ax, slice(-1, None))) / h**2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,15 @@ class Integrator:
 
     def _solve_stage(self, hat: State, tilde: State, dta: float,
                      stats: SolveStats) -> State:
-        z0 = self.hydro.pack(tilde.rho, *tilde.velocities())
-        r = self.hydro.pack(hat.rho, *hat.m)
+        z0 = self.sp.pack(tilde.rho, *tilde.velocities())
+        r = self.sp.pack(hat.rho, *hat.m)
         # free a c-matrix LU that is stale for dta before Newton may factorize
         self.c_chord.current(dta)
         t0 = time.perf_counter()
         z = self.hydro.solve(z0, r, dta, stats)
         t1 = time.perf_counter()
         stats.newton_s += t1 - t0
-        rho, v = self.hydro.unpack(z)
+        rho, v = self.sp.unpack(z)
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
                           self.linear_cfg, stats, self.c_chord)
         stats.cstage_s += time.perf_counter() - t1

@@ -69,18 +69,21 @@ def exact_momenta(grid: GridSpec, params: ModelParams, t: float):
 
 def forcing_state(grid: GridSpec, params: ModelParams, t: float) -> State:
     """Forcing sampled at the staggered locations, as a tendency: each
-    generated function is evaluated only where its component lives."""
+    generated function is evaluated only where its component lives, on the
+    broadcastable coordinate vectors of `GridSpec.coords(sparse=True)`, and
+    only its results are broadcast to the full arrays."""
     p = params
     args = (t, p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
 
     def full(s, pts):
-        return np.broadcast_to(s, pts[0].shape).astype(float)
+        shape = np.broadcast_shapes(*(x.shape for x in pts))
+        return np.broadcast_to(s, shape).astype(float)
 
-    pts = grid.coords()
+    pts = grid.coords(sparse=True)
     s_rho, s_q = (full(s, pts) for s in _forcing.CELL[grid.dim](*pts, *args))
     m = []
     for k, face in enumerate(_forcing.FACE[grid.dim]):   # a bare array each
-        pts = grid.coords(k)
+        pts = grid.coords(k, sparse=True)
         m.append(full(face(*pts, *args), pts))
     return State(rho=s_rho, q=s_q, m=tuple(m))
 

@@ -1,17 +1,22 @@
 """Sparse 1D operator matrices and their Kronecker-product 2D assemblies.
 
 Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
-operator acting along x is kron(I, Op) and along y is kron(Op, I).  These
-matrices back the Newton Jacobian and the c-system assembly, and the viscous
-blocks are also how the tendency applies the viscous term (see the spatial
-module).  The DST-I/DCT-II factors of the flux difference give the Neumann
-Laplacian's eigenvalues, which precondition the concentration solve, and
-diagonalize the free-slip velocity operator of the Newton correction.
+operator acting along x is kron(I, Op) and along y is kron(Op, I).  The
+implicit terms are these matrices and nothing else: `implicit_operators`
+holds, per grid, the face average, the flux difference and its transpose
+on the packed vector [rho; v_1; ...; v_dim], the viscous block matrix and
+the Neumann Laplacian.  The tendency applies them (see the spatial
+module), the Newton Jacobian is built from them, and the concentration
+solve applies and assembles the same Laplacian.  The DST-I/DCT-II factors of the flux
+difference give the Neumann Laplacian's eigenvalues, which precondition the
+concentration solve, and diagonalize the free-slip velocity operator of the
+Newton correction.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,14 +105,13 @@ def laplacian_eigenvalues(dim: int, M: int, h: float) -> np.ndarray:
                       for k in range(dim)])
 
 
-@functools.lru_cache
 def viscous_blocks(dim: int, M: int, h: float, nu: float, lam: float):
     """The symmetric velocity blocks B[k][j] of the implicit viscous
     operator, coupling velocity j into momentum k.
 
-    The only definition of the viscous operator: the tendency applies it
-    and the Newton Jacobian holds it.  Built once per grid and viscosities;
-    every caller shares the matrices and must not modify them.
+    The only definition of the viscous operator: `implicit_operators`
+    joins the blocks into the one matrix, cached per grid and viscosities,
+    that the tendency applies and the Newton Jacobian holds.
 
     A diagonal block is (2nu+lam) D^T D along its own axis plus nu times
     the wall-damped second difference R along every transverse axis; an
@@ -136,3 +140,35 @@ def viscous_blocks(dim: int, M: int, h: float, nu: float, lam: float):
             row.append(blk.tocsr())
         B.append(tuple(row))
     return tuple(B)
+
+
+class ImplicitOperators(NamedTuple):
+    """The matrices of the implicit terms on one grid, acting on
+    column-major cell vectors and on the packed face vector
+    v = [v_1; ...; v_dim] of the interior faces of each axis in turn."""
+    #: face average, cells -> all interior faces
+    A: sp.csr_matrix
+    #: flux difference, all interior faces -> cells (the divergence)
+    D: sp.csr_matrix
+    #: its transpose D^T, the negated gradient, cells -> faces
+    G: sp.csr_matrix
+    #: the viscous blocks of `viscous_blocks` as one matrix on v
+    B: sp.csr_matrix
+    #: the Neumann Laplacian of a cell field, `laplacian_nd`
+    L: sp.csr_matrix
+
+
+@functools.lru_cache
+def implicit_operators(dim: int, M: int, h: float, nu: float,
+                       lam: float) -> ImplicitOperators:
+    """The implicit operators of one grid and viscosities, built once;
+    every caller shares the matrices and must not modify them."""
+    cells = (M,) * dim
+    A = sp.vstack([_along({k: mat_average(M)}, cells) for k in range(dim)],
+                  format="csr")
+    D = sp.hstack([_along({k: mat_dual(M, h)}, cells) for k in range(dim)],
+                  format="csr")
+    return ImplicitOperators(
+        A=A, D=D, G=D.T.tocsr(),
+        B=sp.bmat(viscous_blocks(dim, M, h, nu, lam), format="csr"),
+        L=laplacian_nd(dim, M, h))

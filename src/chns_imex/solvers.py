@@ -4,8 +4,10 @@ Each implicit Runge-Kutta stage splits into (a) a nonlinear system for the
 density and face velocities, solved with a damped Newton method on
 H(z) = U(z) - dt*a_ii*T(z) - r, with U(z) the density and face momenta of z
 and T the implicit hydro tendency of SpatialDiscretization.hydro_tendency,
-and (b) a linear SPD system for the concentration.  The Newton Jacobian is
-assembled from the sparse operators of the operators module.  Only the
+and (b) a linear SPD system for the concentration.  Both work on packed
+column-major vectors with the cached matrices of
+`operators.implicit_operators`: the residual applies them, and the four
+blocks of the Newton Jacobian are built from the same ones.  Only the
 velocity Schur complement S = J_vv - J_vr d^-1 J_rv of this chord Jacobian
 is factorized, with d the diagonal of the density block J_rr; the density
 unknowns are eliminated through d with one LU solve of S, and one
@@ -20,8 +22,9 @@ stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm; an
 initial guess is accepted only if its residual meets that unscaled too.
 
 The concentration system is solved by matrix-free CG or, with the direct
-method, by a sparse LU of the assembled matrix.  CG applies the operator by
-stencils (`SpatialDiscretization.ch_convex_term`) and is preconditioned by
+method, by a sparse LU of the assembled matrix.  CG applies the operator
+with the Laplacian matrix the assembly uses
+(`SpatialDiscretization.ch_convex_term`) and is preconditioned by
 the exact inverse of the constant-coefficient operator at the mean density,
 which the DCT-II diagonalizes; in the low-Mach regime the density is nearly
 flat, so CG takes a few iterations per solve at every grid size.  The
@@ -45,10 +48,9 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from . import model
-from .grid import GridSpec, axis_sum, face_average
+from .grid import GridSpec
 from .model import ModelParams, NonPositiveDensityError
-from .operators import (_along, dct_frequencies, laplacian_eigenvalues,
-                        laplacian_nd, mat_average, mat_dual, viscous_blocks)
+from .operators import dct_frequencies, laplacian_eigenvalues, laplacian_nd
 from .spatial import SpatialDiscretization
 
 
@@ -237,34 +239,35 @@ def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
     return apply
 
 
-class HydroSolver:
-    """Damped Newton solver for the implicit density/velocity subsystem.
+def _scale_rows(X: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
+    """diag(s) X for a CSR matrix X, without a sparse product."""
+    Y = X.copy()
+    Y.data *= np.repeat(s, np.diff(X.indptr))
+    return Y
 
-    The residual evaluates the implicit hydro tendency of `spatial`.  The
-    Jacobian is assembled from per-axis operator lists: D[k] (face flux
-    difference), A[k] (face average of cell values), G[k] (grad-transpose,
-    cells -> faces) and the viscous blocks B[k][j] coupling velocity j into
-    momentum k.
+
+def _scale_cols(X: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
+    """X diag(s) for a CSR matrix X, without a sparse product."""
+    Y = X.copy()
+    Y.data *= s[X.indices]
+    return Y
+
+
+class HydroSolver:
+    """Damped Newton solver for the implicit density/velocity subsystem on
+    the packed vector z = [rho; v] of `SpatialDiscretization.pack`.
+
+    The residual evaluates the implicit hydro tendency of `spatial`, and
+    the Jacobian is built from the same matrices `spatial.ops`: the face
+    average A, the flux difference D, its transpose G and the viscous
+    matrix B.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
         self.params = params
         self.spatial = SpatialDiscretization(grid, params)
-        M, h, dim = grid.M, grid.h, grid.dim
-        D = mat_dual(M, h)
-        A = mat_average(M)
-        cells = (M,) * dim
-        self.D = [_along({k: D}, cells) for k in range(dim)]
-        self.A = [_along({k: A}, cells) for k in range(dim)]
-        self.G = [_along({k: D.T}, cells) for k in range(dim)]
-        self.B = viscous_blocks(dim, M, h, params.nu, params.lam)
-        self.nc = M ** dim
-        #: field shape per block: cells, then the faces of each axis
-        self.shapes = [cells] + [tuple(M - 1 if i == k else M
-                                       for i in range(dim))
-                                 for k in range(dim)]
-        self._split = np.cumsum([np.prod(s) for s in self.shapes])[:-1]
+        self.nc = grid.M ** grid.dim
         self._chord = ChordLU()
 
     @property
@@ -273,44 +276,33 @@ class HydroSolver:
         until the first solve."""
         return self._chord.lu
 
-    # vector packing: [rho; v1; v2], each flattened column-major
-
-    def pack(self, rho, *v):
-        """Stack rho and the face fields of each axis into one vector."""
-        return np.concatenate([np.ravel(f, order="F") for f in (rho, *v)])
-
-    def unpack(self, z):
-        """Split z into (rho, [v1, v2]) field-shaped views; 1D has the
-        single v1."""
-        rho, *v = (f.reshape(s, order="F")
-                   for f, s in zip(np.split(z, self._split), self.shapes))
-        return rho, v
-
     def residual(self, z, r, dta):
-        """H(z) = U(z) - dta*T(z) - r: the density and face momenta of z
-        less dta times their implicit hydro tendency, less r."""
-        rho, v = self.unpack(z)
+        """H(z) = U(z) - dta*T(z) - r: the density and face momenta
+        m = (A rho) v of z = [rho; v] less dta times their implicit hydro
+        tendency, less r."""
+        rho, v = z[:self.nc], z[self.nc:]
         if np.any(rho <= 0):
             raise NonPositiveDensityError("nonpositive density in Newton iterate")
-        m = [face_average(rho, k) * vk for k, vk in enumerate(v)]
+        m = (self.spatial.ops.A @ rho) * v
         t_rho, t_m = self.spatial.hydro_tendency(rho, m, v)
-        return self.pack(rho, *m) - dta * self.pack(t_rho, *t_m) - r
+        return np.concatenate([rho - dta * t_rho, m - dta * t_m]) - r
 
-    def jacobian(self, z, dta) -> sp.csr_matrix:
-        rho, *v = np.split(z, self._split)
-        dp2 = sp.diags(model.dp2(rho, self.params))
-        dgV = [sp.diags(vk) for vk in v]
-        dgR = [sp.diags(A @ rho) for A in self.A]
-        J00 = sp.identity(self.nc, format="csr") \
-            + dta * axis_sum([D @ dv @ A
-                              for D, dv, A in zip(self.D, dgV, self.A)])
-        rows = [[J00] + [dta * (D @ dr) for D, dr in zip(self.D, dgR)]]
-        for k in range(self.grid.dim):
-            row = [dgV[k] @ self.A[k] - dta * (self.G[k] @ dp2)]
-            for j, B in enumerate(self.B[k]):
-                row.append(dgR[k] + dta * B if j == k else dta * B)
-            rows.append(row)
-        return sp.bmat(rows, format="csc")
+    def jacobian(self, z, dta) -> tuple:
+        """The blocks (J_rr, J_rv, J_vr, J_vv) of the Jacobian of the
+        residual at z = [rho; v], with m = (A rho) v:
+        J_rr = I + dta D diag(v) A,  J_rv = dta D diag(A rho),
+        J_vr = diag(v) A - dta G diag(p2'(rho)), G = D^T,
+        J_vv = diag(A rho) + dta B."""
+        ops, n = self.spatial.ops, self.nc
+        rho, v = z[:n], z[n:]
+        rho_f = ops.A @ rho
+        J_rr = sp.identity(n, format="csr") \
+            + dta * (_scale_cols(ops.D, v) @ ops.A)
+        J_rv = dta * _scale_cols(ops.D, rho_f)
+        J_vr = _scale_rows(ops.A, v) \
+            - dta * _scale_cols(ops.G, model.dp2(rho, self.params))
+        J_vv = sp.diags(rho_f, format="csr") + dta * ops.B
+        return J_rr, J_rv, J_vr, J_vv
 
     def _row_scaling(self, z0, dta) -> np.ndarray:
         """Row-equilibration weights for the convergence norm.
@@ -322,7 +314,7 @@ class HydroSolver:
         equilibrated norm makes the tolerance meaningful at every stiffness;
         the Newton direction itself is invariant under row scaling.
         """
-        rho, _ = self.unpack(z0)
+        rho = z0[:self.nc]
         h = self.grid.h
         p = self.params
         amp = 1.0 + dta * (float(np.max(model.dp2(rho, p))) / h
@@ -393,21 +385,17 @@ class HydroSolver:
         its SchurBlocks with it, the spectral inverse built at the mean
         density of z.  A d that is not finite and positive is a
         SolverFailure, so the step is retried at a smaller dt."""
-        J = self.jacobian(z, dta)
-        n = self.nc
-        d = J.diagonal()[:n]
+        J_rr, J_rv, J_vr, J_vv = self.jacobian(z, dta)
+        d = J_rr.diagonal()
         if not (np.isfinite(d).all() and (d > 0).all()):
             # dta * div_h v <= -2 somewhere: the compression outruns the step
             raise SolverFailure("density block of the Newton Jacobian has "
                                 "a non-finite or nonpositive diagonal "
                                 f"(min {d.min():.3e})")
-        J = J.tocsr()
-        J_rr, J_rv = J[:n, :n], J[:n, n:]
-        J_vr, J_vv = J[n:, :n], J[n:, n:]
         inv_d = 1.0 / d
-        S = J_vv - J_vr @ sp.diags(inv_d) @ J_rv
+        S = J_vv - J_vr @ _scale_rows(J_rv, inv_d)
         inv_P = free_slip_schur_inverse(self.grid, self.params,
-                                        float(z[:n].mean()), dta)
+                                        float(z[:self.nc].mean()), dta)
         self._chord.refactorize(
             S.tocsc(), dta,
             SchurBlocks(inv_d, J_rv, J_vr, J_rr - sp.diags(d), inv_P))
@@ -460,19 +448,20 @@ def assemble_c_matrix(rho: np.ndarray, dta: float, eps: float,
 
 def c_stage_operator(rho: np.ndarray, dta: float, eps: float,
                      grid: GridSpec) -> spla.LinearOperator:
-    """The c-matrix of `assemble_c_matrix` applied by stencils to
-    column-major vectors: x -> rho x - dta (2 L x - eps L(L x / rho))."""
+    """The c-matrix of `assemble_c_matrix` applied to column-major vectors
+    with the same Laplacian matrix L:
+    x -> rho x - dta (2 L x - eps L(L x / rho))."""
     if np.any(rho <= 0):
         raise NonPositiveDensityError("nonpositive density in c-system")
-    shape, n = rho.shape, rho.size
+    rv = np.ravel(rho, order="F")
+    L = laplacian_nd(grid.dim, grid.M, grid.h)
 
     def matvec(x):
-        f = x.reshape(shape, order="F")
-        Af = rho * f - dta * SpatialDiscretization.ch_convex_term(
-            f, rho, eps, grid.h)
-        return np.ravel(Af, order="F")
+        return rv * x - dta * SpatialDiscretization.ch_convex_term(
+            x, rv, eps, L)
 
-    return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    return spla.LinearOperator((rv.size, rv.size), matvec=matvec,
+                               dtype=float)
 
 
 def c_stage_preconditioner(rho: np.ndarray, dta: float, eps: float,

@@ -3,10 +3,10 @@
 The right-hand side is split for IMEX integration into terms evaluated at an
 explicit ("tilde") state and terms evaluated at the implicit state:
 
-* convective:  mass transport div(rho_* v) from the implicit state
-  (`mass_divergence`, part of `hydro_tendency`) plus its Rusanov diffusion
-  from the explicit state; momentum and phase-momentum fluxes fully explicit
-  (`rusanov`: WENO5-reconstructed Rusanov fluxes);
+* convective:  mass transport div(rho_* v) from the implicit state (part of
+  `hydro_tendency`) plus its Rusanov diffusion from the explicit state;
+  momentum and phase-momentum fluxes fully explicit (`rusanov`:
+  WENO5-reconstructed Rusanov fluxes);
 * pressure/gravity:  stiff pressure gradient -grad p2 implicit, gravity on
   the explicit density;
 * capillary:  explicit, from the explicit concentration;
@@ -14,11 +14,12 @@ explicit ("tilde") state and terms evaluated at the implicit state:
   implicit, concave flux-form part explicit;
 * viscous:  implicit.
 
-The implicit hydro terms (mass transport, stiff pressure, viscosity) have one
-array-level definition, `hydro_tendency`, which the Newton residual of the
-solvers module evaluates.  The viscous term is applied as the sparse blocks
-of `operators.viscous_blocks`, the same matrices the Newton Jacobian holds;
-every other term is a stencil on the field arrays.
+The implicit terms are the sparse matrices of `operators.implicit_operators`
+applied to packed column-major vectors: `hydro_tendency` (mass transport,
+stiff pressure, viscosity), which the Newton residual of the solvers module
+evaluates and whose Jacobian is built from the same matrices, and
+`ch_convex_term`, which the concentration solve applies.  The explicit terms
+are stencils on the field arrays.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from . import model
 from .grid import (GHOST, GridSpec, _slc, apply_fd_operator, axis_sum,
                    cells_to_faces6, dual_transpose, extend_cell,
                    extend_face_full, extend_face_interior, face_average,
-                   faces_to_cells6, laplacian_neumann)
+                   faces_to_cells6)
 from .model import ModelParams
-from .operators import viscous_blocks
+from .operators import implicit_operators
 from .state import State
 from .weno import reconstruct_lr_cells, reconstruct_lr_faces
 
@@ -61,6 +62,31 @@ class SpatialDiscretization:
     grid: GridSpec
     params: ModelParams
     _warned_sound: bool = field(default=False, repr=False)
+
+    def __post_init__(self):
+        g, p = self.grid, self.params
+        #: the implicit operators of the grid, shared through their cache
+        self.ops = implicit_operators(g.dim, g.M, g.h, p.nu, p.lam)
+        #: field shape per packed block: cells, then the faces of each axis
+        self.shapes = [(g.M,) * g.dim] + [
+            tuple(g.M - 1 if i == k else g.M for i in range(g.dim))
+            for k in range(g.dim)]
+        self._split = np.cumsum([np.prod(s) for s in self.shapes])[:-1]
+
+    # -- packed vectors: [rho; v_1; v_2], each flattened column-major ------
+
+    @staticmethod
+    def pack(*fields) -> np.ndarray:
+        """Stack fields into one column-major vector: a cell field and the
+        face fields of each axis in axis order, or the face fields alone."""
+        return np.concatenate([np.ravel(f, order="F") for f in fields])
+
+    def unpack(self, z):
+        """Split a packed [rho; v_1; ...] into (rho, [v_1, ...]) field-shaped
+        views; 1D has the single v_1."""
+        rho, *v = (f.reshape(s, order="F")
+                   for f, s in zip(np.split(z, self._split), self.shapes))
+        return rho, v
 
     # -- small helpers ----------------------------------------------------
 
@@ -202,19 +228,22 @@ class SpatialDiscretization:
 
     @staticmethod
     def ch_convex_term(c: np.ndarray, rho: np.ndarray, eps: float,
-                       h: float) -> np.ndarray:
-        """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on cell
-        arrays, L the Neumann Laplacian.  The only definition of the
-        operator the concentration stage solves with; `ch_convex` applies
-        it to c = q/rho, the c-stage CG to its iterates."""
-        lap = laplacian_neumann(c, h)
-        return 2.0 * lap - eps * laplacian_neumann(lap / rho, h)
+                       L) -> np.ndarray:
+        """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on
+        column-major cell vectors, L the Neumann Laplacian matrix.  The only
+        definition of the operator the concentration stage solves with;
+        `ch_convex` applies it to c = q/rho, the c-stage CG to its
+        iterates."""
+        lap = L @ c
+        return 2.0 * lap - eps * (L @ (lap / rho))
 
     def ch_convex(self, U: State) -> State:
         """Implicit (convex) phase-field tendency."""
         out = U.zeros_like()
-        out.q = self.ch_convex_term(U.q / U.rho, U.rho, self.params.eps,
-                                    self.grid.h)
+        rho = np.ravel(U.rho, order="F")
+        out.q = self.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
+                                    self.params.eps, self.ops.L) \
+            .reshape(U.q.shape, order="F")
         return out
 
     def ch_concave(self, Ut: State) -> State:
@@ -230,59 +259,18 @@ class SpatialDiscretization:
 
     # -- implicit hydro terms ------------------------------------------------
 
-    def _mass_transport(self, m) -> np.ndarray:
-        """-div m of the face momenta m, in axis order."""
-        return axis_sum([-self._dual(mk, k) for k, mk in enumerate(m)])
+    def hydro_tendency(self, rho: np.ndarray, m: np.ndarray,
+                       v: np.ndarray) -> tuple:
+        """The implicit hydro tendency T on packed vectors, for the density
+        rho, the face momenta m = (A rho) v and the face velocities v.
 
-    def _pressure_force(self, rho: np.ndarray) -> list:
-        """-grad p2 at the faces of each axis.  The centered stiff pressure
-        is identical under the discrete gradient, but free of cancellation
-        noise at large cp2."""
+        Returns (T_rho, T_m): the mass transport -D m, and the stiff
+        pressure force G p2 = D^T p2 less the viscous force B v.  The
+        centered stiff pressure is identical under G, which annihilates
+        constants, but free of cancellation noise at large cp2."""
+        ops = self.ops
         p2 = model.p2_centered(rho, self.params, float(rho.mean()))
-        return [dual_transpose(p2, k, self.grid.h)
-                for k in range(self.grid.dim)]
-
-    def viscous_apply(self, *v: np.ndarray):
-        """Apply the symmetric viscous blocks B[k][j] of
-        operators.viscous_blocks to face velocities in axis order.
-
-        Returns (B11 v1 + B12 v2, B21 v1 + B22 v2) in 2D, (B v,) in 1D.
-        """
-        g, p = self.grid, self.params
-        B = viscous_blocks(g.dim, g.M, g.h, p.nu, p.lam)
-        flat = [np.ravel(vj, order="F") for vj in v]
-        return tuple(axis_sum([Bkj @ vj for Bkj, vj in zip(Bk, flat)])
-                     .reshape(vk.shape, order="F")
-                     for Bk, vk in zip(B, v))
-
-    def hydro_tendency(self, rho: np.ndarray, m, v) -> tuple:
-        """The implicit hydro tendency T on arrays, for the density rho and
-        the face momenta m = A(rho) v and velocities v in axis order.
-
-        Returns (T_rho, T_m): the mass transport -div m, and per axis k
-        the stiff pressure force -grad p2 plus the viscous force -(B v)_k.
-        """
-        visc = self.viscous_apply(*v)
-        return self._mass_transport(m), \
-            tuple(f - a for f, a in zip(self._pressure_force(rho), visc))
-
-    def mass_divergence(self, U: State) -> State:
-        """Implicit centered mass transport -div(rho_* v)."""
-        out = U.zeros_like()
-        out.rho = self._mass_transport(U.m)
-        return out
-
-    def pressure(self, U: State) -> State:
-        """Implicit stiff pressure gradient -grad p2."""
-        out = U.zeros_like()
-        out.m = tuple(self._pressure_force(U.rho))
-        return out
-
-    def viscous(self, U: State) -> State:
-        """Implicit viscous force -B v."""
-        out = U.zeros_like()
-        out.m = tuple(-a for a in self.viscous_apply(*U.velocities()))
-        return out
+        return -(ops.D @ m), ops.G @ p2 - ops.B @ v
 
     # -- IMEX split ---------------------------------------------------------
 
@@ -299,5 +287,9 @@ class SpatialDiscretization:
     def implicit_tendency(self, U: State) -> State:
         """All terms evaluated at the implicitly-solved stage state."""
         out = self.ch_convex(U)
-        out.rho, out.m = self.hydro_tendency(U.rho, U.m, U.velocities())
+        t_rho, t_m = self.hydro_tendency(np.ravel(U.rho, order="F"),
+                                         self.pack(*U.m),
+                                         self.pack(*U.velocities()))
+        out.rho, m = self.unpack(np.concatenate([t_rho, t_m]))
+        out.m = tuple(m)
         return out

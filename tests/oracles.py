@@ -4,13 +4,15 @@ Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
 the package (only the scalar 5-point WENO kernel and the transfer weights are
 shared, since those are certified separately against polynomial exactness).
-The viscous stencil is the exception: it is written with the grid's slice
-helpers, and is the reference the package's sparse viscous blocks are
-checked against.  `convective` is not an oracle: it sums the package's own
+The stencils of the implicit terms are the exception: the viscous operator,
+the mass transport, the pressure force and the Neumann Laplacian are written
+with the grid's slice helpers, and are the references the package's sparse
+matrices are checked against.  `convective` is not an oracle: it sums the package's own
 implicit mass transport and explicit Rusanov terms into the quantity that
 `convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
 `full_jacobian_direction` are the Newton chord step before the Schur
-complement: the whole (rho, v) Jacobian factorized and solved exactly.
+complement: the whole (rho, v) Jacobian (`full_jacobian`) factorized and
+solved exactly.
 `dense_free_slip_schur` assembles the free-slip operator whose inverse the
 Newton correction applies spectrally.
 """
@@ -132,7 +134,9 @@ def convective(disc, Ut, U):
     """Implicit mass transport from U plus the explicit Rusanov terms from
     Ut, as `SpatialDiscretization` splits them; the quantity that
     `convective_1d`/`convective_2d` compute."""
-    return disc.mass_divergence(U) + disc.rusanov(Ut)
+    out = disc.rusanov(Ut)
+    out.rho = disc.implicit_tendency(U).rho + out.rho
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +346,51 @@ def capillary_2d(Ut, h, params):
 
 
 # ---------------------------------------------------------------------------
-# viscous stencil
+# stencils of the implicit terms
 # ---------------------------------------------------------------------------
+
+def laplacian_neumann(f, h):
+    """Second-order Neumann Laplacian on a cell-centered field (1D or 2D).
+
+    Interior rows are the 3/5-point stencil; wall rows drop the outside
+    neighbour, e.g. (f_2 - f_1)/h^2, which is the stencil with a symmetric
+    ghost.  Symmetric, negative semidefinite, constants in the kernel.
+    """
+    out = np.zeros_like(f, dtype=float)
+    for ax in range(f.ndim):
+        _set(out, ax, slice(1, -1),
+             _slc(out, ax, slice(1, -1))
+             + (_slc(f, ax, slice(2, None)) - 2 * _slc(f, ax, slice(1, -1))
+                + _slc(f, ax, slice(0, -2))) / h**2)
+        _set(out, ax, slice(0, 1),
+             _slc(out, ax, slice(0, 1))
+             + (_slc(f, ax, slice(1, 2)) - _slc(f, ax, slice(0, 1))) / h**2)
+        _set(out, ax, slice(-1, None),
+             _slc(out, ax, slice(-1, None))
+             + (_slc(f, ax, slice(-2, -1)) - _slc(f, ax, slice(-1, None)))
+             / h**2)
+    return out
+
+
+def ch_convex_stencil(c, rho, eps, h):
+    """2 L c - eps L(L c / rho) on cell arrays, L the Neumann stencil."""
+    lap = laplacian_neumann(c, h)
+    return 2.0 * lap - eps * laplacian_neumann(lap / rho, h)
+
+
+def mass_transport(m, h):
+    """-div m of the face momenta m, in axis order: the flux difference of
+    each face field, homogeneous at the walls."""
+    return -sum(apply_fd_operator("dual", k, mk, h) for k, mk in enumerate(m))
+
+
+def pressure_force(rho, params, h):
+    """-grad p2 at the faces of each axis, from the centered stiff pressure
+    (identical under the gradient, without its cancellation at large
+    cp2)."""
+    p2 = model.p2_centered(rho, params, float(rho.mean()))
+    return [dual_transpose(p2, k, h) for k in range(rho.ndim)]
+
 
 def _dtd(v, ax, h):
     """D^T D along an axis: wall-anchored negated second difference."""
@@ -458,9 +505,15 @@ def swap_xy(U):
 # the chord Newton step on the whole Jacobian
 # ---------------------------------------------------------------------------
 
+def full_jacobian(hydro, z, dta):
+    """The whole Jacobian of the hydro residual, from its four blocks."""
+    J_rr, J_rv, J_vr, J_vv = hydro.jacobian(z, dta)
+    return sp.bmat([[J_rr, J_rv], [J_vr, J_vv]], format="csc")
+
+
 def full_jacobian_refresh(hydro, z, dta, stats):
     """Stands in for `HydroSolver._refresh`: factorize the whole Jacobian."""
-    hydro._chord.refactorize(hydro.jacobian(z, dta), dta)
+    hydro._chord.refactorize(full_jacobian(hydro, z, dta), dta)
     stats.factorizations += 1
 
 

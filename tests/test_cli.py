@@ -160,6 +160,11 @@ def test_run_requires_test_flag():
     pytest.param(["--cp", "inf"], {}, "", id="cp-inf"),
     pytest.param(["--seed", "-1"], {}, "", id="seed-negative"),
     pytest.param([], {"CFL": "inf"}, "", id="env-cfl-inf"),
+    pytest.param(["--dump-times", "nan"], {}, "", id="dump-nan"),
+    pytest.param(["--dump-times", "0,-1"], {}, "", id="dump-negative"),
+    pytest.param(["--dump-times", "inf"], {}, "", id="dump-inf"),
+    pytest.param(["--dump-times", "0.002"], {}, "", id="dump-past-T"),
+    pytest.param([], {"DUMP_TIMES": "0,0.0011"}, "", id="env-dump-past-T"),
 ])
 def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
                                     capsys):

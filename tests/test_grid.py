@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from chns_imex.grid import (GHOST, GridSpec, apply_fd_operator, cells_to_faces6,
                             dual_transpose, extend_cell, extend_face_full,
                             extend_face_interior, face_average,
-                            faces_to_cells6, laplacian_neumann)
+                            faces_to_cells6)
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  mat_laplacian_neumann)
-from oracles import mat_center
+from oracles import laplacian_neumann, mat_center
 
 
 @pytest.mark.parametrize("M", [4, 8, 16])

@@ -1,5 +1,7 @@
 """Time integrator: tableau structure, update identities, step control."""
 
+import collections
+import sys
 import time
 
 import numpy as np
@@ -305,6 +307,35 @@ def test_step_records_newton_lu_solves(lu_solves):
     assert sum(rec.lu_solves for rec in records) == lu_solves[faces] \
         == iters > 0
     assert 0 < sum(rec.spectral_corrections for rec in records) <= iters
+
+
+def test_newton_call_pattern_matches_step_records(monkeypatch):
+    """The Newton counts can be read off the calls: one Jacobian per
+    factorization, and one residual called directly from
+    HydroSolver.solve before its first iteration and one per iteration,
+    the line-search residuals coming from elsewhere.  Over three steps of
+    Test 1 the calls agree with the step records."""
+    calls = collections.Counter()
+    Hydro = solvers.HydroSolver
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            calls[name] += 1
+            if name == "residual" \
+                    and sys._getframe(1).f_code.co_name == "solve":
+                calls["direct residual"] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("solve", "residual", "jacobian"):
+        monkeypatch.setattr(Hydro, name, counted(name, getattr(Hydro, name)))
+    _, records = _test1_steps(GridSpec(dim=2, M=16), ModelParams(cp=1e4), 3)
+    assert all(rec.retries == 0 for rec in records)
+    iters = sum(rec.newton_iters for rec in records)
+    assert calls["jacobian"] == sum(rec.factorizations for rec in records) > 0
+    assert calls["solve"] == 3 * 2                # two stages per step
+    assert calls["direct residual"] == calls["solve"] + iters
+    assert calls["residual"] > calls["direct residual"]
 
 
 def test_step_records_layer_seconds():

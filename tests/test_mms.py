@@ -107,21 +107,24 @@ def test_make_forcing_matches_forcing_state():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_forcing_state_samples_each_location(dim):
     """rho and q come from the cell function at the cell centres, m_k from
-    the axis-k face function at the faces normal to axis k, each the full
-    array it returns."""
-    grid = GridSpec(dim=dim, M=8)
+    the axis-k face function at the faces normal to axis k: bit for bit the
+    full arrays each returns on the full coordinate arrays, though
+    forcing_state evaluates it on broadcastable coordinate vectors."""
     p = ModelParams(cp=1e2)
     t = 0.37
     args = (t, p.delta, p.cp, p.gamma, p.nu, p.lam, p.eps, p.g)
-    f = mms.forcing_state(grid, p, t)
-    s_rho, s_q = getattr(_forcing, f"cell_{dim}d")(*grid.coords(), *args)
-    np.testing.assert_array_equal(f.rho, s_rho)
-    np.testing.assert_array_equal(f.q, s_q)
-    assert len(f.m) == dim
-    for k in range(dim):
-        want = getattr(_forcing, f"face_{dim}d_{k}")(*grid.coords(k), *args)
-        assert f.m[k].shape == want.shape == grid.coords(k)[0].shape
-        np.testing.assert_array_equal(f.m[k], want)
+    for M in (8, 12, 16):
+        grid = GridSpec(dim=dim, M=M)
+        f = mms.forcing_state(grid, p, t)
+        s_rho, s_q = getattr(_forcing, f"cell_{dim}d")(*grid.coords(), *args)
+        np.testing.assert_array_equal(f.rho, s_rho)
+        np.testing.assert_array_equal(f.q, s_q)
+        assert len(f.m) == dim
+        for k in range(dim):
+            want = getattr(_forcing, f"face_{dim}d_{k}")(*grid.coords(k),
+                                                         *args)
+            assert f.m[k].shape == want.shape == grid.coords(k)[0].shape
+            np.testing.assert_array_equal(f.m[k], want)
 
 
 def test_mass_forcing_1d_analytic():

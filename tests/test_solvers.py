@@ -102,10 +102,11 @@ def test_solve_c_stage_residual_small(rng):
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("M", [4, 12, 64])
+@pytest.mark.parametrize("M", [4, 8, 12, 64])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_c_stage_operator_matches_assembled_matrix(dim, M, rng):
-    """CG's stencil operator is the assembled c-matrix."""
+    """CG's operator is the assembled c-matrix, and applies the Laplacian
+    matrix as the Neumann stencil does (M = 12: 1/h^2 rounds)."""
     grid = GridSpec(dim=dim, M=M)
     rho = rng.uniform(0.5, 1.5, (M,) * dim)
     dta, eps = grid.h / 2, 1e-3
@@ -115,6 +116,11 @@ def test_c_stage_operator_matches_assembled_matrix(dim, M, rng):
         Ax = A @ x
         np.testing.assert_allclose(op.matvec(x), Ax, rtol=0,
                                    atol=1e-13 * np.abs(Ax).max())
+        f = x.reshape(rho.shape, order="F")
+        stencil = np.ravel(rho * f - dta * oracles.ch_convex_stencil(
+            f, rho, eps, grid.h), order="F")
+        np.testing.assert_allclose(op.matvec(x), stencil, rtol=1e-13,
+                                   atol=1e-13 * np.abs(stencil).max())
 
 
 @pytest.mark.parametrize("dta", [1e-4, 1e-2])
@@ -293,12 +299,12 @@ def _random_stage_problem(hydro, grid, rng, dta, stiff=False):
     if grid.dim == 1:
         rho = 1.0 + 0.2 * rng.uniform(-1, 1, M)
         v1 = 0.2 * rng.standard_normal(M - 1)
-        z_true = hydro.pack(rho, v1)
+        z_true = hydro.spatial.pack(rho, v1)
     else:
         rho = 1.0 + 0.2 * rng.uniform(-1, 1, (M, M))
         v1 = 0.2 * rng.standard_normal((M - 1, M))
         v2 = 0.2 * rng.standard_normal((M, M - 1))
-        z_true = hydro.pack(rho, v1, v2)
+        z_true = hydro.spatial.pack(rho, v1, v2)
     r = hydro.residual(z_true, np.zeros_like(z_true), dta)
     z0 = z_true.copy()
     z0[:hydro.nc] = 1.0            # flat-density initial guess
@@ -388,7 +394,7 @@ def test_schur_factorization_fills_less_than_full_jacobian(cp, rng):
     dta = 1e-3
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
     hydro._refresh(z0, dta, SolveStats())
-    J = hydro.jacobian(z0, dta)
+    J = oracles.full_jacobian(hydro, z0, dta)
     S = _schur_complement(J, hydro.nc)
     b = -hydro.residual(z0, r, dta)[hydro.nc:]
 
@@ -414,7 +420,7 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
     hydro = HydroSolver(grid, ModelParams(cp=cp))
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
     hydro._refresh(z0, dta, SolveStats())
-    J = hydro.jacobian(z0, dta)
+    J = oracles.full_jacobian(hydro, z0, dta)
     b = -hydro.residual(z0, r, dta)
     n, nb = hydro.nc, np.linalg.norm(b)
     exact = spla.spsolve(J, b)
@@ -495,7 +501,7 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
         v1[3, 4] = np.nan
     else:                       # dta * div_h v = -4, so d = -1
         v1 *= -2.0 / dta
-    z = hydro.pack(np.ones((grid.M, grid.M)), v1, v1.T.copy())
+    z = hydro.spatial.pack(np.ones((grid.M, grid.M)), v1, v1.T.copy())
     stats = SolveStats()
     with pytest.raises(SolverFailure):
         hydro._refresh(z, dta, stats)

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chns_imex import model, spatial
-from chns_imex.grid import GridSpec, laplacian_neumann
+from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
-from chns_imex.operators import mat_dual, viscous_blocks
+from chns_imex.operators import implicit_operators, mat_dual, viscous_blocks
 from chns_imex.solvers import HydroSolver
 from chns_imex.spatial import SpatialDiscretization
 from chns_imex.state import state_from_primitives
@@ -31,6 +32,12 @@ def random_state(grid, rng, amp=0.3):
     v2 = amp * rng.standard_normal((M, M - 1))
     c = amp * rng.uniform(-1, 1, (M, M))
     return state_from_primitives(grid, rho, v1, c, v2=v2)
+
+
+def packed(disc, U):
+    """(rho, m, v) of U as the packed vectors `hydro_tendency` takes."""
+    return (np.ravel(U.rho, order="F"), disc.pack(*U.m),
+            disc.pack(*U.velocities()))
 
 
 # ---------------------------------------------------------------------------
@@ -103,63 +110,76 @@ def test_capillary_1d_explicit_formula(rng):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mass_divergence_matches_dense(dim, rng):
-    M = 8
-    grid = GridSpec(dim=dim, M=M)
-    U = random_state(grid, rng)
-    ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
-    out = SpatialDiscretization(grid, PARAMS).mass_divergence(U)
-    expected = -ops["Dx"] @ np.ravel(U.m[0], order="F")
-    if dim == 2:
-        expected = expected - ops["Dy"] @ np.ravel(U.m[1], order="F")
-    np.testing.assert_allclose(np.ravel(out.rho, order="F"), expected,
-                               rtol=1e-12, atol=1e-13)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_pressure_matches_dense_gradient(dim, rng):
-    M = 8
-    grid = GridSpec(dim=dim, M=M)
-    U = random_state(grid, rng)
-    ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
-    out = SpatialDiscretization(grid, PARAMS).pressure(U)
-    p2 = model.p2(np.ravel(U.rho, order="F"), PARAMS)
-    np.testing.assert_allclose(np.ravel(out.m[0], order="F"), ops["Gx"] @ p2,
-                               rtol=1e-11, atol=1e-9)
-    if dim == 2:
-        np.testing.assert_allclose(np.ravel(out.m[1], order="F"),
-                                   ops["Gy"] @ p2, rtol=1e-11, atol=1e-9)
-    assert np.all(out.rho == 0) and np.all(out.q == 0)
-
-
-def test_pressure_gradient_annihilates_constants():
-    grid = GridSpec(dim=2, M=8)
-    rho = np.full((8, 8), 1.3)
-    U = state_from_primitives(grid, rho, np.zeros((7, 8)),
-                              np.zeros((8, 8)), v2=np.zeros((8, 7)))
-    out = SpatialDiscretization(grid, ModelParams(cp=1e8)).pressure(U)
-    assert np.abs(out.m[0]).max() == 0.0
-    assert np.abs(out.m[1]).max() == 0.0
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_viscous_matches_dense_blocks(dim, rng):
+    """The mass transport of the tendency, -D m, is minus the flux
+    difference of each face momentum; the pressure and viscous parts drop
+    out at zero velocity and a flat density."""
     M = 8
     grid = GridSpec(dim=dim, M=M)
     U = random_state(grid, rng)
     ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
     disc = SpatialDiscretization(grid, PARAMS)
+    _, m, v = packed(disc, U)
+    t_rho, t_m = disc.hydro_tendency(np.ones(grid.M ** dim), m,
+                                     np.zeros_like(v))
+    expected = -ops["Dx"] @ np.ravel(U.m[0], order="F")
+    if dim == 2:
+        expected = expected - ops["Dy"] @ np.ravel(U.m[1], order="F")
+    np.testing.assert_allclose(t_rho, expected, rtol=1e-12, atol=1e-13)
+    assert np.all(t_m == 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pressure_matches_dense_gradient(dim, rng):
+    """At zero momentum and velocity the tendency is the pressure force
+    D^T p2 alone, and the mass transport vanishes."""
+    M = 8
+    grid = GridSpec(dim=dim, M=M)
+    U = random_state(grid, rng)
+    ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
+    disc = SpatialDiscretization(grid, PARAMS)
+    rho, m, _ = packed(disc, U)
+    t_rho, t_m = disc.hydro_tendency(rho, np.zeros_like(m),
+                                     np.zeros_like(m))
+    _, force = disc.unpack(np.concatenate([t_rho, t_m]))
+    p2 = model.p2(rho, PARAMS)
+    np.testing.assert_allclose(np.ravel(force[0], order="F"), ops["Gx"] @ p2,
+                               rtol=1e-11, atol=1e-9)
+    if dim == 2:
+        np.testing.assert_allclose(np.ravel(force[1], order="F"),
+                                   ops["Gy"] @ p2, rtol=1e-11, atol=1e-9)
+    assert np.all(t_rho == 0)
+
+
+def test_pressure_gradient_annihilates_constants():
+    grid = GridSpec(dim=2, M=8)
+    disc = SpatialDiscretization(grid, ModelParams(cp=1e8))
+    zero = np.zeros(2 * 8 * 7)
+    _, t_m = disc.hydro_tendency(np.full(64, 1.3), zero, zero)
+    assert np.abs(t_m).max() == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_viscous_matches_dense_blocks(dim, rng):
+    """At a flat density the momentum tendency is the viscous force -B v
+    alone."""
+    M = 8
+    grid = GridSpec(dim=dim, M=M)
+    U = random_state(grid, rng)
+    ops = oracles.dense_implicit_ops(M, grid.h, PARAMS, dim)
+    disc = SpatialDiscretization(grid, PARAMS)
+    _, m, v = packed(disc, U)
+    _, t_m = disc.hydro_tendency(np.ones(M ** dim), m, v)
     v1 = np.ravel(U.velocities()[0], order="F")
     if dim == 1:
-        (a,) = disc.viscous_apply(*U.velocities())
-        np.testing.assert_allclose(np.ravel(a, order="F"), ops["B11"] @ v1,
+        np.testing.assert_allclose(-t_m, ops["B11"] @ v1,
                                    rtol=1e-12, atol=1e-9)
         return
     v2 = np.ravel(U.velocities()[1], order="F")
-    a1, a2 = disc.viscous_apply(*U.velocities())
-    np.testing.assert_allclose(np.ravel(a1, order="F"),
+    n1 = v1.size
+    np.testing.assert_allclose(-t_m[:n1],
                                ops["B11"] @ v1 + ops["B12"] @ v2,
                                rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(np.ravel(a2, order="F"),
+    np.testing.assert_allclose(-t_m[n1:],
                                ops["B21"] @ v1 + ops["B22"] @ v2,
                                rtol=1e-12, atol=1e-9)
 
@@ -206,30 +226,34 @@ def test_viscous_blocks_against_hand_assembly():
 
 
 def test_viscous_blocks_built_once_and_shared(rng):
-    """An integrator builds the viscous blocks once; its Newton Jacobian
-    and its tendency use the same matrices."""
+    """An integrator builds the implicit operators once; its Newton
+    residual, its Jacobian and its tendency use the same matrices, and the
+    viscous matrix is the viscous blocks joined."""
     grid = GridSpec(dim=2, M=8)
-    viscous_blocks.cache_clear()
+    implicit_operators.cache_clear()
     integ = Integrator(grid, PARAMS)
     U = random_state(grid, rng)
-    integ.sp.viscous(U)
-    z = integ.hydro.pack(U.rho, *U.velocities())
+    integ.sp.implicit_tendency(U)
+    z = integ.sp.pack(U.rho, *U.velocities())
     integ.hydro.residual(z, np.zeros_like(z), 0.01)
-    assert viscous_blocks.cache_info().misses == 1
-    assert integ.hydro.B is viscous_blocks(grid.dim, grid.M, grid.h,
-                                           PARAMS.nu, PARAMS.lam)
+    integ.hydro.jacobian(z, 0.01)
+    assert implicit_operators.cache_info().misses == 1
+    ops = implicit_operators(grid.dim, grid.M, grid.h, PARAMS.nu, PARAMS.lam)
+    assert integ.sp.ops is ops and integ.hydro.spatial.ops is ops
+    B = viscous_blocks(grid.dim, grid.M, grid.h, PARAMS.nu, PARAMS.lam)
+    assert (ops.B != sp.bmat(B)).nnz == 0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ch_convex_matches_dense_laplacian(dim, rng):
+    """The convex Cahn-Hilliard tendency applies the Laplacian matrix as
+    the Neumann stencil does."""
     M = 8
     grid = GridSpec(dim=dim, M=M)
     U = random_state(grid, rng)
-    eps = PARAMS.eps
     out = SpatialDiscretization(grid, PARAMS).ch_convex(U)
-    c = U.q / U.rho
-    lap = laplacian_neumann(c, grid.h)
-    expected = 2.0 * lap - eps * laplacian_neumann(lap / U.rho, grid.h)
+    expected = oracles.ch_convex_stencil(U.q / U.rho, U.rho, PARAMS.eps,
+                                         grid.h)
     np.testing.assert_allclose(out.q, expected, rtol=1e-13, atol=1e-13)
     assert np.all(out.rho == 0) and np.all(out.m[0] == 0)
 
@@ -326,26 +350,28 @@ def test_explicit_tendency_reconstructs_one_stack_per_location(
 @pytest.mark.parametrize("dim", [1, 2])
 def test_hydro_residual_matches_implicit_tendency(dim, rng):
     """The Newton residual is z - dt*a*(implicit hydro tendency) - r in the
-    conserved variables; cross-check against the matrix-free tendencies."""
-    grid = GridSpec(dim=dim, M=8)
-    disc = SpatialDiscretization(grid, PARAMS)
-    hydro = HydroSolver(grid, PARAMS)
-    U = random_state(grid, rng)
+    conserved variables; cross-check the matrix form against the stencils
+    of the mass transport, the pressure force and the viscous operator, on
+    a dyadic grid and on one (M = 12) where 1/h rounds."""
     dta = 0.013
-    z = hydro.pack(U.rho, *U.velocities())
-    r = np.zeros_like(z)
-    res = hydro.residual(z, r, dta)
+    for M in (8, 12):
+        grid = GridSpec(dim=dim, M=M)
+        hydro = HydroSolver(grid, PARAMS)
+        U = random_state(grid, rng)
+        v = U.velocities()
+        z = hydro.spatial.pack(U.rho, *v)
+        res = hydro.residual(z, np.zeros_like(z), dta)
 
-    T = disc.mass_divergence(U)
-    T.axpy(1.0, disc.pressure(U))
-    T.axpy(1.0, disc.viscous(U))
-    parts = [np.ravel(U.rho - dta * T.rho, order="F"),
-             np.ravel(U.m[0] - dta * T.m[0], order="F")]
-    if dim == 2:
-        parts.append(np.ravel(U.m[1] - dta * T.m[1], order="F"))
-    expected = np.concatenate(parts)
-    np.testing.assert_allclose(res, expected, rtol=1e-12,
-                               atol=1e-12 * np.abs(expected).max())
+        h = grid.h
+        t_rho = oracles.mass_transport(U.m, h)
+        visc = oracles.viscous_stencil(v, h, PARAMS.nu, PARAMS.lam)
+        t_m = [f - a for f, a in zip(oracles.pressure_force(U.rho, PARAMS, h),
+                                     visc)]
+        expected = hydro.spatial.pack(
+            U.rho - dta * t_rho,
+            *(mk - dta * tk for mk, tk in zip(U.m, t_m)))
+        np.testing.assert_allclose(res, expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -353,10 +379,10 @@ def test_hydro_jacobian_matches_finite_differences(dim, rng):
     grid = GridSpec(dim=dim, M=8)
     hydro = HydroSolver(grid, PARAMS)
     U = random_state(grid, rng, amp=0.2)
-    z = hydro.pack(U.rho, *U.velocities())
+    z = hydro.spatial.pack(U.rho, *U.velocities())
     r = np.zeros_like(z)
     dta = 0.007
-    J = hydro.jacobian(z, dta).toarray()
+    J = oracles.full_jacobian(hydro, z, dta).toarray()
     e = 1e-7
     for _ in range(20):
         d = rng.standard_normal(z.size)
@@ -396,5 +422,5 @@ def test_hydro_jacobian_matches_dense_kronecker(rng):
     J[nc:nc + v1.size, nc + v1.size:] = dta * ops["B12"]
     J[nc + v1.size:, nc:nc + v1.size] = dta * ops["B21"]
     J[nc + v1.size:, nc + v1.size:] = np.diag(Ay @ rho) + dta * ops["B22"]
-    got = hydro.jacobian(z, dta).toarray()
+    got = oracles.full_jacobian(hydro, z, dta).toarray()
     np.testing.assert_allclose(got, J, rtol=1e-12, atol=1e-12 * np.abs(J).max())
