@@ -141,6 +141,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command != "mms" and len(cfg.M) > 1:
         raise ValueError(f"{args.command}: --M takes one grid size, got "
                          f"{','.join(map(str, cfg.M))}")
+    if len(set(cfg.M)) < len(cfg.M):
+        raise ValueError("--M repeats a grid size: "
+                         f"{','.join(map(str, cfg.M))}")
     if not (0 < cfg.T < np.inf and 0 < cfg.cfl < np.inf):
         raise ValueError(f"--T and --cfl must be positive and finite, got "
                          f"{cfg.T:g} and {cfg.cfl:g}")

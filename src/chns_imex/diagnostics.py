@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model
-from .grid import AXES, GridSpec, apply_fd_operator, axis_sum, dual_transpose
+from .grid import AXES, GridSpec, axis_sum, diff, dual
 from .model import ModelParams
 from .state import State
 
@@ -30,10 +30,9 @@ def ap_metrics(U: State, grid: GridSpec, params: ModelParams) -> dict:
     """Low-Mach indicators: velocity divergence, density flatness, and the
     stiff pressure-gradient magnitude (full pressure)."""
     h = grid.h
-    div = axis_sum([apply_fd_operator("dual", k, vk, h)
-                    for k, vk in enumerate(U.velocities())])
+    div = axis_sum([dual(vk, k, h) for k, vk in enumerate(U.velocities())])
     p_full = model.p1(U.rho, params) + model.p2(U.rho, params)
-    gp = max(float(np.max(np.abs(dual_transpose(p_full, k, h))))
+    gp = max(float(np.max(np.abs(diff(p_full, k) / h)))
              for k in range(grid.dim))
     return {"div_v_norm": float(np.max(np.abs(div))),
             "rho_flatness": float(np.max(np.abs(U.rho - U.rho.mean()))),
@@ -54,7 +53,7 @@ def total_energy(U: State, grid: GridSpec, params: ModelParams) -> float:
     internal = float((U.rho * model.free_energy_density(U.rho, params)).sum())
     mix = float((U.rho * model.psi(c)).sum())
     interf = 0.5 * params.eps * axis_sum([
-        float(((-dual_transpose(c, k, grid.h)) ** 2).sum())
+        float(((diff(c, k) / grid.h) ** 2).sum())
         for k in range(grid.dim)])
     return w * (kin + internal + mix + interf)
 

@@ -133,61 +133,39 @@ def extend_face_full(f: np.ndarray, ax: int, sign, g: int = GHOST) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional finite-difference / averaging operators along an axis
+# Staggered differences and averages along an axis
 # ---------------------------------------------------------------------------
 
-def apply_fd_operator(kind: str, ax: int, f: np.ndarray, h: float) -> np.ndarray:
-    """Apply one of the basic staggered-grid operators along an axis.
+def diff(f: np.ndarray, ax: int) -> np.ndarray:
+    """Forward difference f_{i+1} - f_i along an axis (n -> n-1).
 
-    kind='center'   : centered derivative at cell centers (M -> M),
-                      one-sided rows at the walls with the same 1/(2h) factor.
-    kind='dual'     : flux difference of interior-face values with homogeneous
-                      wall faces ((M-1) -> M).
-    kind='average'  : arithmetic mean of cell neighbours (M -> M-1).
-    """
-    _check_axis(f, ax)
-    n = f.shape[ax]
-    if kind == "center":
-        out = np.empty_like(f, dtype=float)
-        _set(out, ax, slice(1, -1),
-             (_slc(f, ax, slice(2, None)) - _slc(f, ax, slice(0, -2))) / (2 * h))
-        _set(out, ax, slice(0, 1),
-             (_slc(f, ax, slice(1, 2)) - _slc(f, ax, slice(0, 1))) / (2 * h))
-        _set(out, ax, slice(-1, None),
-             (_slc(f, ax, slice(-1, None)) - _slc(f, ax, slice(-2, -1))) / (2 * h))
-        return out
-    if kind == "dual":
-        shape = list(f.shape)
-        shape[ax] = n + 1
-        out = np.empty(shape, dtype=float)
-        _set(out, ax, slice(1, -1),
-             (_slc(f, ax, slice(1, None)) - _slc(f, ax, slice(0, -1))) / h)
-        _set(out, ax, slice(0, 1), _slc(f, ax, slice(0, 1)) / h)
-        _set(out, ax, slice(-1, None), -_slc(f, ax, slice(-1, None)) / h)
-        return out
-    if kind == "average":
-        return 0.5 * (_slc(f, ax, slice(1, None)) + _slc(f, ax, slice(0, -1)))
-    raise ValueError(f"unknown operator kind {kind!r}")
+    Over h it is the gradient of a cell field at the interior faces, and
+    its negation over h is the transpose of `dual`."""
+    return _slc(f, ax, slice(1, None)) - _slc(f, ax, slice(None, -1))
 
 
-def _set(out: np.ndarray, ax: int, s: slice, val: np.ndarray):
-    idx = [slice(None)] * out.ndim
-    idx[ax] = s
-    out[tuple(idx)] = val
+def dual(f: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """D_M along an axis: flux difference of interior-face values with
+    homogeneous wall faces, (M-1) -> M."""
+    shape = list(f.shape)
+    shape[ax] = 1
+    zero = np.zeros(shape)
+    return diff(np.concatenate([zero, f, zero], axis=ax), ax) / h
 
 
-def dual_transpose(f: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """D_M^T along an axis: (f_i - f_{i+1})/h at interior faces (M -> M-1).
-
-    This is the negated centered gradient at faces; the stiff pressure term
-    in the momentum tendency is exactly dual_transpose(p2(rho)).
-    """
-    return (_slc(f, ax, slice(0, -1)) - _slc(f, ax, slice(1, None))) / h
+def center(f: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """Centered derivative at cell centers (M -> M): the two-apart
+    difference with the end values repeated, so the wall rows are
+    one-sided with the same 1/(2h)."""
+    e = np.concatenate([_slc(f, ax, slice(0, 1)), f,
+                        _slc(f, ax, slice(-1, None))], axis=ax)
+    return (_slc(e, ax, slice(2, None)) - _slc(e, ax, slice(None, -2))) \
+        / (2 * h)
 
 
 def face_average(f: np.ndarray, ax: int) -> np.ndarray:
     """A_M along an axis: neighbour mean, cells -> interior faces."""
-    return apply_fd_operator("average", ax, f, 1.0)
+    return 0.5 * (_slc(f, ax, slice(1, None)) + _slc(f, ax, slice(None, -1)))
 
 
 # ---------------------------------------------------------------------------

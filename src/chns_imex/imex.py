@@ -94,6 +94,8 @@ class Integrator:
                  scheme: str = "star_dirksa", cfl: float = DEFAULT_CFL,
                  forcing=None,
                  linear_cfg: LinearSolverConfig | None = None):
+        if not 0 < cfl < np.inf:
+            raise ValueError(f"cfl must be positive and finite, got {cfl}")
         self.grid = grid
         self.params = params
         self.tab = make_tableau(scheme)
@@ -195,8 +197,13 @@ class Integrator:
                     on_step=None) -> RunResult:
         """Integrate from t0 to T, recording snapshots at the dump times.
 
-        `on_step(state, record)` is invoked after every accepted step.
+        A step records every dump time it reaches within `tiny`, so equal
+        or nearly equal dump times share one snapshot and no step is
+        shorter than `tiny`.  `on_step(state, record)` is invoked after
+        every accepted step.
         """
+        if not np.isfinite(T):
+            raise ValueError(f"final time must be finite, got {T}")
         tiny = 1e-12
         dumps_left = sorted(dt_ for dt_ in (dump_times or [])
                             if dt_ > t0 + tiny)
@@ -214,7 +221,7 @@ class Integrator:
             result.steps.append(rec)
             if on_step is not None:
                 on_step(U, rec)
-            if dumps_left and t >= dumps_left[0] - tiny:
+            while dumps_left and t >= dumps_left[0] - tiny:
                 result.dumps[dumps_left.pop(0)] = U.copy()
         result.state, result.t = U, t
         return result

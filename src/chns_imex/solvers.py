@@ -174,8 +174,8 @@ class ChordLU:
 # Hydro subsystem (density + velocities)
 # ---------------------------------------------------------------------------
 
-def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
-                            rbar: float, dta: float):
+def free_slip_schur_inverse(spatial: SpatialDiscretization, rbar: float,
+                            dta: float):
     """r -> P^-1 r on packed face velocities, for the velocity Schur
     complement at rest and at the flat density rbar under free-slip walls,
     P = rbar I + dta B_fs + dta^2 rbar p2'(rbar) D^T D, where B_fs is
@@ -192,7 +192,8 @@ def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
     first factor formed without cancellation, so in 1D it is one division
     by a + gamma w^2 to round-off.  Each velocity is stacked with its own
     axis first, so one `dst` and one `dct` per other axis (none in 1D)
-    transform all of them."""
+    transform all of them.  The packed layout is that of `spatial.pack`."""
+    grid, params = spatial.grid, spatial.params
     dim, M = grid.dim, grid.M
     w = dct_frequencies(M, grid.h)[0][1:].reshape((M - 1,) + (1,) * (dim - 1))
     wsq = -laplacian_eigenvalues(dim, M, grid.h)
@@ -205,9 +206,6 @@ def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
     denom = a[1:] * (a[1:] + gamma * wsq[1:])
     own = (a[1:] + gamma * wsq[0]) / denom
     wc = w * (gamma / denom)
-    faces = [tuple(M - 1 if i == k else M for i in range(dim))
-             for k in range(dim)]
-    split = np.cumsum([np.prod(f) for f in faces])[:-1]
     # velocity k with its own axis first, and back
     order = [(k,) + tuple(i for i in range(dim) if i != k)
              for k in range(dim)]
@@ -216,8 +214,8 @@ def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
 
     def apply(r):
         f = np.empty(stacked)
-        for k, x in enumerate(np.split(r, split)):
-            f[k] = x.reshape(faces[k], order="F").transpose(order[k])
+        for k, x in enumerate(spatial.unpack(r)):
+            f[k] = x.transpose(order[k])
         f = dst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
         for ax in range(2, dim + 1):
             f = dct(f, type=2, axis=ax, norm="ortho", overwrite_x=True)
@@ -233,8 +231,7 @@ def free_slip_schur_inverse(grid: GridSpec, params: ModelParams,
         for ax in range(2, dim + 1):
             f = idct(f, type=2, axis=ax, norm="ortho", overwrite_x=True)
         f = idst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
-        return np.concatenate([x.transpose(back[k]).ravel(order="F")
-                               for k, x in enumerate(f)])
+        return spatial.pack(*(x.transpose(back[k]) for k, x in enumerate(f)))
 
     return apply
 
@@ -394,7 +391,7 @@ class HydroSolver:
                                 f"(min {d.min():.3e})")
         inv_d = 1.0 / d
         S = J_vv - J_vr @ _scale_rows(J_rv, inv_d)
-        inv_P = free_slip_schur_inverse(self.grid, self.params,
+        inv_P = free_slip_schur_inverse(self.spatial,
                                         float(z[:self.nc].mean()), dta)
         self._chord.refactorize(
             S.tocsc(), dta,

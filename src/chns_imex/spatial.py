@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .grid import (GHOST, GridSpec, _slc, apply_fd_operator, axis_sum,
-                   cells_to_faces6, dual_transpose, extend_cell,
-                   extend_face_full, extend_face_interior, face_average,
-                   faces_to_cells6)
+from .grid import (GHOST, GridSpec, _slc, axis_sum, cells_to_faces6, center,
+                   diff, dual, extend_cell, extend_face_full,
+                   extend_face_interior, face_average, faces_to_cells6)
 from .model import ModelParams
 from .operators import implicit_operators
 from .state import State
@@ -45,16 +44,6 @@ log = logging.getLogger(__name__)
 
 #: mirror parity of the four fields of a reconstructed stack
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def _grad_to_faces(f: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """Two-point gradient of a cell field at interior faces: (f_{i+1}-f_i)/h."""
-    return -dual_transpose(f, ax, h)
-
-
-def _diff(f: np.ndarray, ax: int) -> np.ndarray:
-    """Forward difference f[i+1] - f[i] along an axis."""
-    return _slc(f, ax, slice(1, None)) - _slc(f, ax, slice(None, -1))
 
 
 @dataclass
@@ -71,7 +60,8 @@ class SpatialDiscretization:
         self.shapes = [(g.M,) * g.dim] + [
             tuple(g.M - 1 if i == k else g.M for i in range(g.dim))
             for k in range(g.dim)]
-        self._split = np.cumsum([np.prod(s) for s in self.shapes])[:-1]
+        # where each block starts in [rho; v_1; ...], and its length last
+        self._starts = np.cumsum([0] + [np.prod(s) for s in self.shapes])
 
     # -- packed vectors: [rho; v_1; v_2], each flattened column-major ------
 
@@ -82,11 +72,14 @@ class SpatialDiscretization:
         return np.concatenate([np.ravel(f, order="F") for f in fields])
 
     def unpack(self, z):
-        """Split a packed [rho; v_1; ...] into (rho, [v_1, ...]) field-shaped
+        """Split a packed [rho; v_1; ...] into (rho, [v_1, ...]), or packed
+        face velocities [v_1; ...] alone into [v_1, ...], as field-shaped
         views; 1D has the single v_1."""
-        rho, *v = (f.reshape(s, order="F")
-                   for f, s in zip(np.split(z, self._split), self.shapes))
-        return rho, v
+        faces = int(z.size < self._starts[-1])      # 1 when rho is absent
+        off = self._starts[faces:] - self._starts[faces]
+        views = [z[a:b].reshape(s, order="F")
+                 for a, b, s in zip(off, off[1:], self.shapes[faces:])]
+        return views if faces else (views[0], views[1:])
 
     # -- small helpers ----------------------------------------------------
 
@@ -107,9 +100,6 @@ class SpatialDiscretization:
     def _lam(self, vm, vp, rm, rp) -> np.ndarray:
         return np.maximum(np.abs(vm) + self._sound(rm),
                           np.abs(vp) + self._sound(rp))
-
-    def _dual(self, f, ax: int):
-        return apply_fd_operator("dual", ax, f, self.grid.h)
 
     # -- convection --------------------------------------------------------
 
@@ -138,7 +128,7 @@ class SpatialDiscretization:
         dim = self.grid.dim
         parity = _PARITY.reshape((-1,) + (1,) * dim)
         v = Ut.velocities()
-        diff, dq, mom = [], [], []
+        mass, dq, mom = [], [], []
         for k in range(dim):
             v_ext = extend_face_interior(v[k], k)
             v_cell = faces_to_cells6(v_ext, k)
@@ -150,10 +140,10 @@ class SpatialDiscretization:
             # mass: Rusanov diffusion from WENO states at the faces 0..M; the
             # wall entries cancel by the mirror symmetry of the density
             d = 0.5 * lam * (r_p - r_m)
-            diff.append(self._dual(_slc(d, k, slice(1, -1)), k))
+            mass.append(dual(_slc(d, k, slice(1, -1)), k, h))
             # phase momentum: primal reconstruction of rho c v_k
             Fc = 0.5 * (f_p + f_m) - 0.5 * lam * (q_p - q_m)
-            dq.append(-_diff(Fc, k) / h)
+            dq.append(-diff(Fc, k) / h)
 
             # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
             rho_f = cells_to_faces6(cells[0], k)        # faces 0..M along k
@@ -161,8 +151,8 @@ class SpatialDiscretization:
             flux = rho_f * v_full**2 + model.p1(rho_f, p)
             faces = extend_face_full(np.stack([flux, rho_f * v_full, v_full,
                                                rho_f]), k + 1, parity)
-            m_k = dual_transpose(
-                self._rusanov_flux(*reconstruct_lr_faces(faces, k + 1)), k, h)
+            m_k = -diff(self._rusanov_flux(
+                *reconstruct_lr_faces(faces, k + 1)), k) / h
             rho_fi = _slc(rho_f, k, slice(1, -1))
             for j in range(dim):
                 if j == k:
@@ -180,9 +170,9 @@ class SpatialDiscretization:
                                                 rho_fi]), j + 1, parity)
                 Ghat = self._rusanov_flux(
                     *reconstruct_lr_cells(corners, j + 1))
-                m_k += -_diff(Ghat, j) / h
+                m_k += -diff(Ghat, j) / h
             mom.append(m_k)
-        return State(axis_sum(diff), axis_sum(dq), tuple(mom))
+        return State(axis_sum(mass), axis_sum(dq), tuple(mom))
 
     # -- gravity -------------------------------------------------------------
 
@@ -203,10 +193,10 @@ class SpatialDiscretization:
         h, eps, dim = self.grid.h, self.params.eps, self.grid.dim
         out = Ut.zeros_like()
         c = Ut.c()
-        c2 = [apply_fd_operator("center", k, c, h) ** 2 for k in range(dim)]
+        c2 = [center(c, k, h) ** 2 for k in range(dim)]
         grads = []
         for k in range(dim):
-            gk = _grad_to_faces(c, k, h)
+            gk = diff(c, k) / h
             for j in range(dim):
                 if j != k:
                     gk = face_average(gk, j)      # to the cell corners
@@ -217,9 +207,9 @@ class SpatialDiscretization:
             others = [j for j in range(dim) if j != k]
             # -c_k^2 first: in 1D the sum is just -c_k^2
             s = sum((c2[j] for j in others), -c2[k])
-            t = 0.5 * _grad_to_faces(s, k, h)
+            t = 0.5 * (diff(s, k) / h)
             for j in others:
-                t = t - self._dual(corner, j)
+                t = t - dual(corner, j, h)
             mom.append(eps * t)
         out.m = tuple(mom)
         return out
@@ -253,8 +243,8 @@ class SpatialDiscretization:
         ct = Ut.q / Ut.rho
         psi2 = model.ddpsi2(ct)
         for k in range(self.grid.dim):
-            flux = face_average(psi2, k) * _diff(ct, k) / h
-            out.q += self._dual(flux, k)
+            flux = face_average(psi2, k) * diff(ct, k) / h
+            out.q += dual(flux, k, h)
         return out
 
     # -- implicit hydro terms ------------------------------------------------

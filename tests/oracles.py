@@ -23,8 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import block_diag
 
 from chns_imex import model
-from chns_imex.grid import (GHOST, MU6, _set, _slc, apply_fd_operator,
-                            dual_transpose)
+from chns_imex.grid import GHOST, MU6, _slc, diff, dual
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.state import State
 from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
@@ -349,6 +348,13 @@ def capillary_2d(Ut, h, params):
 # stencils of the implicit terms
 # ---------------------------------------------------------------------------
 
+def _set(out, ax, s, val):
+    """Assign val to the slice s of out along axis ax."""
+    idx = [slice(None)] * out.ndim
+    idx[ax] = s
+    out[tuple(idx)] = val
+
+
 def laplacian_neumann(f, h):
     """Second-order Neumann Laplacian on a cell-centered field (1D or 2D).
 
@@ -381,7 +387,7 @@ def ch_convex_stencil(c, rho, eps, h):
 def mass_transport(m, h):
     """-div m of the face momenta m, in axis order: the flux difference of
     each face field, homogeneous at the walls."""
-    return -sum(apply_fd_operator("dual", k, mk, h) for k, mk in enumerate(m))
+    return -sum(dual(mk, k, h) for k, mk in enumerate(m))
 
 
 def pressure_force(rho, params, h):
@@ -389,12 +395,12 @@ def pressure_force(rho, params, h):
     (identical under the gradient, without its cancellation at large
     cp2)."""
     p2 = model.p2_centered(rho, params, float(rho.mean()))
-    return [dual_transpose(p2, k, h) for k in range(rho.ndim)]
+    return [-diff(p2, k) / h for k in range(rho.ndim)]
 
 
 def _dtd(v, ax, h):
     """D^T D along an axis: wall-anchored negated second difference."""
-    return dual_transpose(apply_fd_operator("dual", ax, v, h), ax, h)
+    return -diff(dual(v, ax, h), ax) / h
 
 
 def _rop(v, ax, h):
@@ -428,8 +434,7 @@ def viscous_stencil(v, h, nu, lam):
         for j, vj in enumerate(v):
             if j != k:
                 acc = acc + nu * _rop(vk, j, h) \
-                    + (nu + lam) * dual_transpose(
-                        apply_fd_operator("dual", j, vj, h), k, h)
+                    + (nu + lam) * (-diff(dual(vj, j, h), k) / h)
         out.append(acc)
     return out
 

@@ -184,6 +184,32 @@ def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_mms_repeated_grid_size_is_a_usage_error(tmp_path, capsys):
+    """A repeated M would divide by log(M/M) = 0 and write nan to eoc.csv."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", "--dim", "1", "--M", "8,8", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "repeats a grid size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dumps", ["0.001,0.001", "0.001,0.0010000000001"])
+def test_run_with_repeated_dump_times(dumps, tmp_path):
+    """Equal or nearly equal dump times share one snapshot: the run exits 0
+    and takes the steps of a run with the one dump time 0.001."""
+    outs = {}
+    for name, d in (("twice", dumps), ("once", "0.001")):
+        outs[name] = tmp_path / name
+        assert main(["run", "--test", "1", "--M", "16", "--T", "0.002",
+                     "--dump-times", d, "--out", str(outs[name])]) == 0
+    n_steps = [json.loads((outs[k] / "manifest.json").read_text())["n_steps"]
+               for k in ("twice", "once")]
+    assert n_steps[0] == n_steps[1]
+    assert (outs["twice"] / "fields_t0.001.csv").read_bytes() \
+        == (outs["once"] / "fields_t0.001.csv").read_bytes()
+
+
 @pytest.mark.parametrize("flag,value", [("--T", "inf"), ("--T", "nan"),
                                         ("--cfl", "inf")])
 def test_non_finite_time_or_cfl_rejected(flag, value):

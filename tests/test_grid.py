@@ -5,13 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex.grid import (GHOST, GridSpec, apply_fd_operator, cells_to_faces6,
-                            dual_transpose, extend_cell, extend_face_full,
+from chns_imex.grid import (GHOST, GridSpec, cells_to_faces6, center, diff,
+                            dual, extend_cell, extend_face_full,
                             extend_face_interior, face_average,
                             faces_to_cells6)
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  mat_laplacian_neumann)
 from oracles import laplacian_neumann, mat_center
+
+#: each staggered primitive as f, axis, h -> values, and its dense 1D
+#: matrix for M cells, with the length of its input along the axis
+PRIMITIVES = {
+    "diff": (lambda f, ax, h: diff(f, ax),
+             lambda M, h: -h * mat_dual(M, h).T, lambda M: M),
+    "dual": (dual, mat_dual, lambda M: M - 1),
+    "center": (center, mat_center, lambda M: M),
+    "average": (lambda f, ax, h: face_average(f, ax),
+                lambda M, h: mat_average(M), lambda M: M),
+}
 
 
 @pytest.mark.parametrize("M", [4, 8, 16])
@@ -25,25 +36,31 @@ def test_operators_match_dense(M, kind, mat, rng):
     n = M - 1 if kind == "dual" else M
     f = rng.standard_normal(n)
     dense = mat(M, h).toarray() @ f
-    np.testing.assert_allclose(apply_fd_operator(kind, 0, f, h), dense,
+    np.testing.assert_allclose(PRIMITIVES[kind][0](f, 0, h), dense,
                                rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
 def test_operators_2d_axis(axis, rng):
+    """Every primitive acts along the given axis of a 2D field as its dense
+    1D matrix, and leaves the other axis alone."""
     M, h = 8, 1.0 / 8
-    f = rng.standard_normal((M, M))
-    out = apply_fd_operator("center", axis, f, h)
-    D = mat_center(M, h).toarray()
-    expected = D @ f if axis == 0 else (D @ f.T).T
-    np.testing.assert_allclose(out, expected, atol=1e-14)
+    for kind, (op, mat, n) in PRIMITIVES.items():
+        shape = [M, M]
+        shape[axis] = n(M)
+        f = rng.standard_normal(shape)
+        D = mat(M, h).toarray()
+        expected = D @ f if axis == 0 else (D @ f.T).T
+        np.testing.assert_allclose(op(f, axis, h), expected, atol=1e-14,
+                                   err_msg=kind)
 
 
 def test_dual_transpose_matches_matrix(rng):
+    """The transpose of `dual` is the negated forward difference over h."""
     M, h = 8, 0.125
     f = rng.standard_normal(M)
     D = mat_dual(M, h).toarray()
-    np.testing.assert_allclose(dual_transpose(f, 0, h), D.T @ f, atol=1e-13)
+    np.testing.assert_allclose(-diff(f, 0) / h, D.T @ f, atol=1e-13)
 
 
 def test_laplacian_symmetric(rng):

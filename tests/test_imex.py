@@ -67,6 +67,23 @@ def test_unknown_linear_solver_rejected_before_stepping():
                    linear_cfg=LinearSolverConfig(method="mg"))
 
 
+
+@pytest.mark.parametrize("cfl", [-0.4, 0.0, np.inf, np.nan])
+def test_nonpositive_or_non_finite_cfl_rejected(cfl):
+    """A negative CFL number would march backwards in time."""
+    with pytest.raises(ValueError, match="cfl must be positive and finite"):
+        Integrator(GridSpec(dim=1, M=8), PARAMS, cfl=cfl)
+
+
+@pytest.mark.parametrize("T", [np.inf, np.nan])
+def test_run_to_non_finite_time_rejected(T):
+    """A run to T = inf would never return; it fails before any step."""
+    grid, params, integ = _small_problem("star_dirksa")
+    U0 = exact_state(grid, params, 0.0)
+    with pytest.raises(ValueError, match="final time must be finite"):
+        integ.run_to_time(U0, T, on_step=pytest.fail)
+
+
 # ---------------------------------------------------------------------------
 # single-step identities
 # ---------------------------------------------------------------------------
@@ -500,6 +517,23 @@ def test_run_to_time_dumps_and_final_time():
     # steps land exactly on the dump times
     assert any(abs(r.t - 0.002) < 1e-12 for r in res.steps)
     assert res.n_steps == len(res.steps)
+
+
+@pytest.mark.parametrize("dumps", [[0.002, 0.002], [0.002, 0.002 + 1e-13]])
+def test_close_dump_times_share_one_step(dumps):
+    """Dump times within 1e-12 of each other are recorded by the step that
+    reaches the first: the run takes the steps of a run with that one dump
+    time, and takes no step shorter than 1e-12."""
+    grid, params, _ = _small_problem("star_dirksa")
+    U0 = exact_state(grid, params, 0.0)
+    runs = [_small_problem("star_dirksa")[2].run_to_time(U0, 0.004,
+                                                         dump_times=d)
+            for d in (dumps, dumps[:1])]
+    assert [r.dt for r in runs[0].steps] == [r.dt for r in runs[1].steps]
+    assert set(runs[0].dumps) == set(dumps)
+    for d in dumps:
+        np.testing.assert_array_equal(runs[0].dumps[d].rho,
+                                      runs[1].dumps[dumps[0]].rho)
 
 
 def test_on_step_callback_sees_every_step():

@@ -18,6 +18,7 @@ from chns_imex.solvers import (REFINE_MAX, SPLU_SYMMETRIC, ChordLU,
                                SolverFailure, assemble_c_matrix,
                                c_stage_operator, free_slip_schur_inverse,
                                solve_c_stage)
+from chns_imex.spatial import SpatialDiscretization
 
 import oracles
 
@@ -462,7 +463,8 @@ def test_free_slip_schur_inverse_matches_dense_solve(dim, M, cp, rng):
         1.07, 1e-4
     P = oracles.dense_free_slip_schur(M, grid.h, params, dim, rbar, dta)
     r = rng.standard_normal(P.shape[0])
-    x = free_slip_schur_inverse(grid, params, rbar, dta)(r)
+    x = free_slip_schur_inverse(SpatialDiscretization(grid, params), rbar,
+                                dta)(r)
     ref = np.linalg.solve(P, r)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 

@@ -40,6 +40,22 @@ def packed(disc, U):
             disc.pack(*U.velocities()))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_unpack_inverts_pack(dim, rng):
+    """`unpack` returns the fields `pack` stacked, from the whole
+    [rho; v_1; ...] or from the face velocities alone."""
+    grid = GridSpec(dim=dim, M=6)
+    U = random_state(grid, rng)
+    disc = SpatialDiscretization(grid, PARAMS)
+    v = U.velocities()
+    rho, v_all = disc.unpack(disc.pack(U.rho, *v))
+    v_alone = disc.unpack(disc.pack(*v))
+    assert np.array_equal(rho, U.rho)
+    for got in (v_all, v_alone):
+        assert len(got) == dim
+        assert all(np.array_equal(a, b) for a, b in zip(got, v))
+
+
 # ---------------------------------------------------------------------------
 # convection vs scalar-loop oracle
 # ---------------------------------------------------------------------------
