@@ -26,17 +26,15 @@ delta, cp, gamma, nu, lam, eps, g = sp.symbols(
     "delta cp gamma nu lam eps g", positive=True, real=True)
 # gravity is signed; re-declare without positivity
 g = sp.Symbol("g", real=True)
+COORDS = {1: ["x"], 2: ["x", "y"]}
 
 
-def exact_1d():
-    rho = 1 + delta * sp.cos(2 * sp.pi * x) * (t + 1)
-    v = sp.Integer(0)
-    c = sp.Rational(3, 4) - sp.Rational(1, 10) * (1 - delta) \
-        * sp.cos(sp.pi * x) * (t - 1)
-    return rho, v, c
-
-
-def exact_2d():
+def exact(dim):
+    """(rho, [v_1, ..., v_dim], c) of the manufactured solution."""
+    if dim == 1:
+        rho = 1 + delta * sp.cos(2 * sp.pi * x) * (t + 1)
+        return rho, [sp.Integer(0)], sp.Rational(3, 4) \
+            - sp.Rational(1, 10) * (1 - delta) * sp.cos(sp.pi * x) * (t - 1)
     rho = 1 + delta * sp.cos(2 * sp.pi * x) * sp.cos(sp.pi * y) * (t + 1)
     v1 = (1 + delta) * (1 - sp.cos(2 * sp.pi * x)) * sp.sin(2 * sp.pi * y) \
         * (1 - 2 * t**2)
@@ -44,7 +42,7 @@ def exact_2d():
         * (2 * t**2 - 1)
     c = sp.Rational(3, 4) - sp.Rational(1, 10) * (1 - delta) \
         * sp.cos(sp.pi * x) * sp.cos(sp.pi * y) * (t - 1)
-    return rho, v1, v2, c
+    return rho, [v1, v2], c
 
 
 def pressure(rho):
@@ -55,42 +53,28 @@ def dpsi(c):
     return c**3 - c
 
 
-def forcing_1d():
-    rho, v, c = exact_1d()
-    p = pressure(rho)
-    mu = dpsi(c) - (eps / rho) * sp.diff(c, x, 2)
-    s_rho = sp.diff(rho, t) + sp.diff(rho * v, x)
-    s_m = sp.diff(rho * v, t) + sp.diff(rho * v**2 + p, x) \
-        - rho * g \
-        - sp.diff((2 * nu + lam) * sp.diff(v, x)
-                  - (eps / 2) * sp.diff(c, x) ** 2, x)
-    s_q = sp.diff(rho * c, t) + sp.diff(rho * c * v, x) - sp.diff(mu, x, 2)
-    return [e.doit() for e in (s_rho, s_m, s_q)]
-
-
-def forcing_2d():
-    rho, v1, v2, c = exact_2d()
-    p = pressure(rho)
-    cx, cy = sp.diff(c, x), sp.diff(c, y)
-    lap_c = sp.diff(c, x, 2) + sp.diff(c, y, 2)
-    mu = dpsi(c) - (eps / rho) * lap_c
-    lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-
-    s_rho = sp.diff(rho, t) + sp.diff(rho * v1, x) + sp.diff(rho * v2, y)
-    s_m1 = sp.diff(rho * v1, t) \
-        + sp.diff(rho * v1**2 + p, x) + sp.diff(rho * v1 * v2, y) \
-        - (eps / 2) * sp.diff(cy**2 - cx**2, x) + eps * sp.diff(cx * cy, y) \
-        - nu * lap(v1) - (nu + lam) * (sp.diff(v1, x, 2)
-                                       + sp.diff(v2, x, y))
-    s_m2 = sp.diff(rho * v2, t) \
-        + sp.diff(rho * v2**2 + p, y) + sp.diff(rho * v1 * v2, x) \
-        - rho * g \
-        - (eps / 2) * sp.diff(cx**2 - cy**2, y) + eps * sp.diff(cx * cy, x) \
-        - nu * lap(v2) - (nu + lam) * (sp.diff(v1, x, y)
-                                       + sp.diff(v2, y, 2))
-    s_q = sp.diff(rho * c, t) + sp.diff(rho * c * v1, x) \
-        + sp.diff(rho * c * v2, y) - lap(mu)
-    return [e.doit() for e in (s_rho, s_m1, s_m2, s_q)]
+def forcing(dim):
+    """[s_rho, s_m_1, ..., s_m_dim, s_q]: the residual of the exact
+    solution in the continuous equations, gravity on the last axis."""
+    rho, v, c = exact(dim)
+    X = (x, y)[:dim]
+    dc = [sp.diff(c, xk) for xk in X]
+    div = lambda w: sum(sp.diff(wk, xk) for wk, xk in zip(w, X))
+    lap = lambda f: sum(sp.diff(f, xk, 2) for xk in X)
+    mu = dpsi(c) - (eps / rho) * lap(c)
+    s_m = []
+    for k, xk in enumerate(X):
+        others = [j for j in range(dim) if j != k]
+        s = sp.diff(rho * v[k], t) + div([rho * v[k] * vj for vj in v]) \
+            + sp.diff(pressure(rho), xk) \
+            - (eps / 2) * sp.diff(sum(dc[j]**2 for j in others) - dc[k]**2,
+                                  xk) \
+            + eps * sum(sp.diff(dc[k] * dc[j], X[j]) for j in others) \
+            - nu * lap(v[k]) - (nu + lam) * sp.diff(div(v), xk)
+        s_m.append(s - rho * g if k == dim - 1 else s)
+    s_rho = sp.diff(rho, t) + div([rho * vk for vk in v])
+    s_q = sp.diff(rho * c, t) + div([rho * c * vk for vk in v]) - lap(mu)
+    return [e.doit() for e in (s_rho, *s_m, s_q)]
 
 
 def emit_function(name, args, exprs, printer):
@@ -120,7 +104,6 @@ Arguments are coordinate arrays plus scalar parameters.  `CELL[dim]` and
 import numpy
 '''
 
-COORDS = {1: ["x"], 2: ["x", "y"]}
 PARAMS = ["t", "delta", "cp", "gamma", "nu", "lam", "eps", "g"]
 
 
@@ -128,9 +111,9 @@ def render() -> str:
     """Source of the generated module."""
     printer = NumPyPrinter()
     parts = [HEADER]
-    for dim, terms in ((1, forcing_1d()), (2, forcing_2d())):
+    for dim in COORDS:
         args = COORDS[dim] + PARAMS
-        s_rho, *s_m, s_q = terms
+        s_rho, *s_m, s_q = forcing(dim)
         parts.append(emit_function(f"cell_{dim}d", args, [s_rho, s_q],
                                    printer))
         for k, e in enumerate(s_m):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import pathlib
@@ -94,48 +95,43 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _convert(action: argparse.Action, text: str, source: str):
-    """Convert a text value from `source` as argparse converts the flag."""
-    flag = action.option_strings[0]
-    try:
-        val = action.type(text) if action.type else text
-    except ValueError as exc:
-        raise ValueError(f"{source}: invalid value {text!r} for {flag}: "
-                         f"{exc}") from exc
-    if action.choices is not None and val not in action.choices:
-        choices = ", ".join(map(str, action.choices))
-        raise ValueError(f"{source}: invalid choice {val!r} for {flag} "
-                         f"(choose from {choices})")
-    return val
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags, CHNS_* environment variables, and the config file.
 
-    Environment and file values get the flags' types and choices; a bad
-    value from any source raises ValueError.
+    Environment and file values are parsed as `--flag=value` by the
+    subcommand's option parser, so they get the flags' types and choices;
+    a bad value from any source raises ValueError naming that source.
     """
+    parser = _option_parser(args.command)
+    actions = {a.option_strings[0][2:].replace("-", "_"): a
+               for a in parser._actions}
     file_vals = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_vals) - set(actions))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
+    vals = {a.dest: getattr(args, a.dest) for a in actions.values()}
+    env = [(var, {key: os.environ[var]}) for key in actions
+           if (var := ENV_PREFIX + key.upper()) in os.environ]
+    # flags > environment > file: a source fills only what is still unset
+    for source, texts in [*env, (args.config, file_vals)]:
+        tokens = [f"{actions[key].option_strings[0]}={text}"
+                  for key, text in texts.items()
+                  if vals[actions[key].dest] is None]
+        try:
+            parsed = parser.parse_args(tokens)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{source}: {exc}") from exc
+        for dest, val in vars(parsed).items():
+            if vals[dest] is None:
+                vals[dest] = val
     cfg = RunConfig(command=args.command)
     if args.command == "mms":
         cfg.T = 0.01
     if args.command == "sweep":
         cfg.cp_list = (cfg.cp,)
-    keys = set()
-    for action in _options(args.command):
-        key = action.option_strings[0][2:].replace("-", "_")
-        keys.add(key)
-        val = getattr(args, action.dest)
-        env = ENV_PREFIX + key.upper()
-        if val is None and env in os.environ:
-            val = _convert(action, os.environ[env], env)
-        if val is None and key in file_vals:
-            val = _convert(action, file_vals[key], args.config)
+    for dest, val in vals.items():
         if val is not None:
-            setattr(cfg, action.dest, val)
-    unknown = sorted(set(file_vals) - keys)
-    if unknown:
-        raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
+            setattr(cfg, dest, val)
     if args.command != "mms" and cfg.test is None:
         raise ValueError(f"{args.command}: --test is required")
     if args.command != "mms" and len(cfg.M) > 1:
@@ -311,15 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in (("mms", "manufactured-solution order study"),
                         ("run", "physical test problem"),
                         ("sweep", "stiffness sweep over C_p")):
-        q = sub.add_parser(name, help=help_)
-        _add_options(q, name)
+        q = sub.add_parser(name, help=help_, parents=[_option_parser(name)])
         q.add_argument("--config", help="key=value config file")
     return p
 
 
-def _add_options(q: argparse.ArgumentParser, command: str):
+@functools.lru_cache
+def _option_parser(command: str) -> argparse.ArgumentParser:
     """The options of a subcommand that a RunConfig field, a CHNS_*
-    variable or a config-file key can also set."""
+    variable or a config-file key can also set.  A bad value raises
+    argparse.ArgumentError instead of exiting."""
+    q = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     # the physical test problems are two-dimensional
     q.add_argument("--dim", type=int,
                    choices=(1, 2) if command == "mms" else (2,))
@@ -348,13 +346,7 @@ def _add_options(q: argparse.ArgumentParser, command: str):
                    help="comma-separated snapshot times")
     q.add_argument("--linear-solver", dest="linear_solver",
                    choices=LINEAR_METHODS)
-
-
-def _options(command: str) -> list:
-    """The argparse actions of _add_options for a subcommand."""
-    q = argparse.ArgumentParser(add_help=False)
-    _add_options(q, command)
-    return q._actions
+    return q
 
 
 def main(argv=None) -> int:

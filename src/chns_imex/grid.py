@@ -85,51 +85,58 @@ def _slc(f: np.ndarray, ax: int, s: slice):
 # Ghost-cell extension (mirror reflections about the walls)
 # ---------------------------------------------------------------------------
 
-def extend_cell(f: np.ndarray, ax: int, sign, g: int = GHOST) -> np.ndarray:
-    """Extend a cell-positioned axis by g mirror ghosts on each side.
+def _mirror(f: np.ndarray, ax: int, sign, skip: int) -> np.ndarray:
+    """f with GHOST mirror ghosts on each side along ax: the first GHOST
+    samples after the `skip` end ones, reversed and times sign."""
+    _check_axis(f, ax)
+    n = f.shape[ax]
+    if n < GHOST + skip:
+        raise ShapeError(f"need at least {GHOST + skip} samples along "
+                         f"axis {ax}")
+    left = sign * np.flip(_slc(f, ax, slice(skip, GHOST + skip)), axis=ax)
+    right = sign * np.flip(_slc(f, ax, slice(n - GHOST - skip, n - skip)),
+                           axis=ax)
+    return np.concatenate([left, f, right], axis=ax)
+
+
+def _walls(f: np.ndarray, ax: int) -> np.ndarray:
+    """Interior face values (M-1 along ax) with the zero no-slip wall face
+    added at each end (M+1)."""
+    _check_axis(f, ax)
+    shape = list(f.shape)
+    shape[ax] = 1
+    zero = np.zeros(shape, dtype=f.dtype)
+    return np.concatenate([zero, f, zero], axis=ax)
+
+
+def extend_cell(f: np.ndarray, ax: int, sign) -> np.ndarray:
+    """Extend a cell-positioned axis by GHOST mirror ghosts on each side.
 
     sign=+1 mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
     sign=-1 mirrors with a sign flip (velocity components).  An array sign
     broadcast against f gives each field of a stack its own parity.
     """
-    _check_axis(f, ax)
-    if f.shape[ax] < g:
-        raise ShapeError(f"need at least {g} cells along axis {ax}")
-    left = sign * np.flip(_slc(f, ax, slice(0, g)), axis=ax)
-    right = sign * np.flip(_slc(f, ax, slice(-g, None)), axis=ax)
-    return np.concatenate([left, f, right], axis=ax)
+    return _mirror(f, ax, sign, 0)
 
 
-def extend_face_interior(f: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
+def extend_face_interior(f: np.ndarray, ax: int) -> np.ndarray:
     """Extend interior face values (M-1 along axis) across no-slip walls.
 
-    The wall faces (value 0) are inserted, then g odd-mirror ghosts are added
-    on each side: v_{1/2 - k} = -v_{1/2 + k}.  Output length M + 1 + 2g.
+    The wall faces (value 0) are inserted, then GHOST odd-mirror ghosts are
+    added on each side: v_{1/2 - k} = -v_{1/2 + k}.  Output length
+    M + 1 + 2 GHOST.
     """
-    _check_axis(f, ax)
-    if f.shape[ax] < g:
-        raise ShapeError(f"need at least {g} interior faces along axis {ax}")
-    shape = list(f.shape)
-    shape[ax] = 1
-    zero = np.zeros(shape, dtype=f.dtype)
-    left = -np.flip(_slc(f, ax, slice(0, g)), axis=ax)
-    right = -np.flip(_slc(f, ax, slice(-g, None)), axis=ax)
-    return np.concatenate([left, zero, f, zero, right], axis=ax)
+    return _mirror(_walls(f, ax), ax, -1, 1)
 
 
-def extend_face_full(f: np.ndarray, ax: int, sign, g: int = GHOST) -> np.ndarray:
+def extend_face_full(f: np.ndarray, ax: int, sign) -> np.ndarray:
     """Extend a quantity sampled at all faces 0..M (length M+1) by mirror ghosts.
 
     sign=+1 for even quantities (rho at faces, rho v^2 + p1), sign=-1 for odd
     ones, or an array of signs as in `extend_cell`.  The wall values
     themselves are kept as given.
     """
-    _check_axis(f, ax)
-    if f.shape[ax] < g + 1:
-        raise ShapeError(f"need at least {g + 1} faces along axis {ax}")
-    left = sign * np.flip(_slc(f, ax, slice(1, g + 1)), axis=ax)
-    right = sign * np.flip(_slc(f, ax, slice(-g - 1, -1)), axis=ax)
-    return np.concatenate([left, f, right], axis=ax)
+    return _mirror(f, ax, sign, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +154,7 @@ def diff(f: np.ndarray, ax: int) -> np.ndarray:
 def dual(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     """D_M along an axis: flux difference of interior-face values with
     homogeneous wall faces, (M-1) -> M."""
-    shape = list(f.shape)
-    shape[ax] = 1
-    zero = np.zeros(shape)
-    return diff(np.concatenate([zero, f, zero], axis=ax), ax) / h
+    return diff(_walls(f, ax), ax) / h
 
 
 def center(f: np.ndarray, ax: int, h: float) -> np.ndarray:
@@ -172,27 +176,24 @@ def face_average(f: np.ndarray, ax: int) -> np.ndarray:
 # Sixth-order grid transfer
 # ---------------------------------------------------------------------------
 
-def _window_dot(ext: np.ndarray, ax: int, start: int, count: int) -> np.ndarray:
-    """mu-weighted sum of 6 consecutive samples for count targets."""
+def _transfer6(ext: np.ndarray, ax: int, start: int) -> np.ndarray:
+    """mu-weighted sums of 6 consecutive samples of ext along ax, the first
+    window at `start` and as many as fit with `start` samples left over at
+    the far end."""
+    count = ext.shape[ax] - 2 * start - 5
     acc = MU6[0] * _slc(ext, ax, slice(start, start + count))
     for k in range(1, 6):
         acc = acc + MU6[k] * _slc(ext, ax, slice(start + k, start + k + count))
     return acc
 
 
-def cells_to_faces6(ext: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
+def cells_to_faces6(ext: np.ndarray, ax: int) -> np.ndarray:
     """Interpolate an extended cell field to all faces 0..M (length M+1)."""
-    if g < 3:
-        raise ShapeError("transfer6 needs at least 3 ghost layers")
-    M = ext.shape[ax] - 2 * g
     # face i+1/2 (i = 0..M) uses cells i-2..i+3
-    return _window_dot(ext, ax, g - 3, M + 1)
+    return _transfer6(ext, ax, GHOST - 3)
 
 
-def faces_to_cells6(ext: np.ndarray, ax: int, g: int = GHOST) -> np.ndarray:
+def faces_to_cells6(ext: np.ndarray, ax: int) -> np.ndarray:
     """Interpolate an extended face field (walls included) to cells 1..M."""
-    if g < 3:
-        raise ShapeError("transfer6 needs at least 3 ghost layers")
-    M = ext.shape[ax] - 2 * g - 1
     # cell i (i = 1..M) uses faces i-5/2..i+5/2
-    return _window_dot(ext, ax, g - 2, M)
+    return _transfer6(ext, ax, GHOST - 2)

@@ -199,16 +199,21 @@ class Integrator:
 
         A step records every dump time it reaches within `tiny`, so equal
         or nearly equal dump times share one snapshot and no step is
-        shorter than `tiny`.  `on_step(state, record)` is invoked after
-        every accepted step.
+        shorter than `tiny`.  A dump time outside [t0, T] (beyond `tiny`)
+        or not finite raises ValueError.  `on_step(state, record)` is
+        invoked after every accepted step.
         """
         if not np.isfinite(T):
             raise ValueError(f"final time must be finite, got {T}")
         tiny = 1e-12
-        dumps_left = sorted(dt_ for dt_ in (dump_times or [])
-                            if dt_ > t0 + tiny)
+        dump_times = list(dump_times or [])
+        bad = [d for d in dump_times if not t0 - tiny <= d <= T + tiny]
+        if bad:
+            raise ValueError(f"dump times must lie in [t0, T] = [{t0:g}, "
+                             f"{T:g}], got {', '.join(f'{d:g}' for d in bad)}")
+        dumps_left = sorted(d for d in dump_times if d > t0 + tiny)
         result = RunResult(state=U0.copy(), t=t0)
-        if dump_times and any(abs(d - t0) <= tiny for d in dump_times):
+        if any(abs(d - t0) <= tiny for d in dump_times):
             result.dumps[t0] = U0.copy()
         U, t = U0.copy(), t0
         self._speed = None

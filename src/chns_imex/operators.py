@@ -38,22 +38,14 @@ def mat_dual(M: int, h: float, star: bool = False) -> sp.csr_matrix:
     """Flux difference of interior-face values, M x (M-1); wall rows +-1/h
     (or +-2/h for the starred variant)."""
     w = 2.0 if star else 1.0
-    D = sp.lil_matrix((M, M - 1))
-    D[0, 0] = w
-    for i in range(1, M - 1):
-        D[i, i - 1] = -1.0
-        D[i, i] = 1.0
-    D[M - 1, M - 2] = -w
-    return (D / h).tocsr()
+    main, low = np.ones(M - 1), -np.ones(M - 1)
+    main[0], low[-1] = w, -w
+    return sp.diags([main, low], [0, -1], shape=(M, M - 1), format="csr") / h
 
 
 def mat_average(M: int) -> sp.csr_matrix:
     """Neighbour mean, (M-1) x M."""
-    A = sp.lil_matrix((M - 1, M))
-    for i in range(M - 1):
-        A[i, i] = 0.5
-        A[i, i + 1] = 0.5
-    return A.tocsr()
+    return sp.diags([0.5, 0.5], [0, 1], shape=(M - 1, M), format="csr")
 
 
 def mat_laplacian_neumann(M: int, h: float) -> sp.csr_matrix:

@@ -124,7 +124,7 @@ class SpatialDiscretization:
         flux of momentum component k; and [rho v1 v2, rho v_k, v_j, rho] at
         the k-faces along every transverse axis j, its corner flux.
         """
-        g, h, p = GHOST, self.grid.h, self.params
+        h, p = self.grid.h, self.params
         dim = self.grid.dim
         parity = _PARITY.reshape((-1,) + (1,) * dim)
         v = Ut.velocities()
@@ -147,7 +147,7 @@ class SpatialDiscretization:
 
             # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
             rho_f = cells_to_faces6(cells[0], k)        # faces 0..M along k
-            v_full = _slc(v_ext, k, slice(g, -g))
+            v_full = _slc(v_ext, k, slice(GHOST, -GHOST))
             flux = rho_f * v_full**2 + model.p1(rho_f, p)
             faces = extend_face_full(np.stack([flux, rho_f * v_full, v_full,
                                                rho_f]), k + 1, parity)

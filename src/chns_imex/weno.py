@@ -107,28 +107,32 @@ def weno5_point(stencil) -> float:
     return float(_weno5_states(w, 0, 2, 1)[0][0])
 
 
-def reconstruct_lr_cells(ext: np.ndarray, ax: int, g: int = GHOST):
+def _reconstruct_lr(ext: np.ndarray, ax: int, first: int):
+    """(minus, plus) at the interfaces between the targets first..n-1-first
+    along ax of ext (n samples): minus is the right state of the target
+    before each interface, plus the left state of the one after."""
+    right, left = _weno5_states(ext, ax, first, ext.shape[ax] - 2 * first)
+    return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))
+
+
+def reconstruct_lr_cells(ext: np.ndarray, ax: int):
     """Left/right states at all interfaces 0..M from an extended cell field.
 
     Returns (minus, plus): minus[k] is the left-biased state at interface
     k+1/2 built from cells k-2..k+2, plus[k] the right-biased state from
     cells k-1..k+3 (reversed stencil).
     """
-    M = ext.shape[ax] - 2 * g
-    # cell i lives at extended index i+g-1: interface k+1/2 is the right
-    # edge of cell k and the left edge of cell k+1, for k = 0..M
-    right, left = _weno5_states(ext, ax, g - 1, M + 2)
-    return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))
+    # cell i lives at extended index i+GHOST-1: interface k+1/2 is the
+    # right edge of cell k and the left edge of cell k+1, for k = 0..M
+    return _reconstruct_lr(ext, ax, GHOST - 1)
 
 
-def reconstruct_lr_faces(ext: np.ndarray, ax: int, g: int = GHOST):
+def reconstruct_lr_faces(ext: np.ndarray, ax: int):
     """Left/right states at cell centers 1..M from an extended face field.
 
     The extended array includes the wall faces; face i+1/2 lives at extended
-    index i+g.  minus[i-1] is the state at center i from faces i-5/2..i+3/2,
-    plus[i-1] from faces i-3/2..i+5/2 (reversed stencil).
+    index i+GHOST.  minus[i-1] is the state at center i from faces
+    i-5/2..i+3/2, plus[i-1] from faces i-3/2..i+5/2 (reversed stencil).
     """
-    M = ext.shape[ax] - 2 * g - 1
     # center i is the right edge of face i-1/2 and the left edge of i+1/2
-    right, left = _weno5_states(ext, ax, g, M + 1)
-    return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))
+    return _reconstruct_lr(ext, ax, GHOST)

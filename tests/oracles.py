@@ -99,13 +99,13 @@ def weno5_one_sided(w):
     return (a0 * q0 + a1 * q1 + a2 * q2) / s
 
 
-def weno_lr_windows(ext, ax, faces, g=GHOST):
+def weno_lr_windows(ext, ax, faces):
     """(minus, plus) of `weno.reconstruct_lr_faces` (faces=True) or
     `reconstruct_lr_cells`, each state from its own sliding window: minus
     from the window starting at `first`, plus from the reversed window one
     sample later."""
-    n = ext.shape[ax] - 2 * g - (1 if faces else -1)
-    first = g - 2 if faces else g - 3
+    n = ext.shape[ax] - 2 * GHOST - (1 if faces else -1)
+    first = GHOST - 2 if faces else GHOST - 3
     w = sliding_window_view(ext, 5, axis=ax)
 
     def take(start):

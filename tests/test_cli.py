@@ -184,6 +184,38 @@ def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_bad_value_names_its_source(tmp_path, monkeypatch):
+    """An environment value is named by its variable, a file value by the
+    config path, each with the flag's own parse message."""
+    monkeypatch.setenv(ENV_PREFIX + "CFL", "abc")
+    args = build_parser().parse_args(["run", "--test", "1"])
+    with pytest.raises(ValueError) as exc:
+        resolve_config(args)
+    assert str(exc.value) == \
+        "CHNS_CFL: argument --cfl: invalid float value: 'abc'"
+    monkeypatch.delenv(ENV_PREFIX + "CFL")
+    conf = tmp_path / "case.conf"
+    conf.write_text("linear_solver = multigrid\n")
+    args = build_parser().parse_args(["run", "--test", "1", "--config",
+                                      str(conf)])
+    with pytest.raises(ValueError, match="^" + str(conf)
+                       + ": argument --linear-solver: invalid choice"):
+        resolve_config(args)
+
+
+def test_overridden_value_is_not_parsed(tmp_path, monkeypatch):
+    """A value that a higher-precedence source replaces is never read, so
+    a bad one there is no error."""
+    conf = tmp_path / "case.conf"
+    conf.write_text("cfl = abc\nseed = -x\n")
+    monkeypatch.setenv(ENV_PREFIX + "CFL", "0.3")
+    monkeypatch.setenv(ENV_PREFIX + "SEED", "oops")
+    args = build_parser().parse_args(
+        ["run", "--test", "1", "--seed", "4", "--config", str(conf)])
+    cfg = resolve_config(args)
+    assert (cfg.cfl, cfg.seed) == (0.3, 4)
+
+
 def test_mms_repeated_grid_size_is_a_usage_error(tmp_path, capsys):
     """A repeated M would divide by log(M/M) = 0 and write nan to eoc.csv."""
     out = tmp_path / "out"

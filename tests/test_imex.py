@@ -536,6 +536,17 @@ def test_close_dump_times_share_one_step(dumps):
                                       runs[1].dumps[dumps[0]].rho)
 
 
+@pytest.mark.parametrize("dump", [np.nan, np.inf, -1.0, 0.5])
+def test_unreachable_dump_time_rejected(dump):
+    """A dump time that is not finite, before t0 or past T could never be
+    recorded; the run fails before any step instead of dropping it."""
+    grid, params, integ = _small_problem("star_dirksa")
+    U0 = exact_state(grid, params, 0.0)
+    with pytest.raises(ValueError, match="dump times must lie in"):
+        integ.run_to_time(U0, 0.001, dump_times=[0.0005, dump],
+                          on_step=lambda U, rec: pytest.fail("stepped"))
+
+
 def test_on_step_callback_sees_every_step():
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)

@@ -342,8 +342,8 @@ def test_explicit_tendency_reconstructs_one_stack_per_location(
     M = 8
     seen = []
     for name in ("reconstruct_lr_cells", "reconstruct_lr_faces"):
-        def counted(ext, ax, g=3, _fn=getattr(spatial, name)):
-            minus, plus = _fn(ext, ax, g)
+        def counted(ext, ax, _fn=getattr(spatial, name)):
+            minus, plus = _fn(ext, ax)
             seen.append((ext.shape[0], minus.size))
             return minus, plus
         monkeypatch.setattr(spatial, name, counted)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chns_imex.grid import GHOST
 from chns_imex.weno import (D_LIN, reconstruct_lr_cells, reconstruct_lr_faces,
                             weno5_point)
 
@@ -105,9 +106,9 @@ def _reconstruct(faces):
     return reconstruct_lr_faces if faces else reconstruct_lr_cells
 
 
-def _ext(kind, faces, ax, M, rng, g=3):
+def _ext(kind, faces, ax, M, rng):
     """A 2D extended field with M targets along ax and 7 lines."""
-    shape = [M + 2 * g + (1 if faces else 0), 7]
+    shape = [M + 2 * GHOST + (1 if faces else 0), 7]
     ext = _field(kind, shape, rng)
     return ext.T.copy() if ax == 1 else ext
 
@@ -120,12 +121,11 @@ def test_shared_beta_states_match_one_sided_windows(kind, faces, ax, M, rng):
     """Both states from one kernel agree with one-sided evaluations on
     sliding windows within STATE_ULPS ulp of the field's largest
     magnitude."""
-    g = 3
-    ext = _ext(kind, faces, ax, M, rng, g)
-    minus, plus = _reconstruct(faces)(ext, ax, g=g)
+    ext = _ext(kind, faces, ax, M, rng)
+    minus, plus = _reconstruct(faces)(ext, ax)
     bound = STATE_ULPS * np.finfo(float).eps * np.abs(ext).max()
     for got, ref in zip((minus, plus),
-                        oracles.weno_lr_windows(ext, ax, faces, g=g)):
+                        oracles.weno_lr_windows(ext, ax, faces)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= bound
 
@@ -158,13 +158,12 @@ def test_stack_reconstructs_like_single_fields(faces, ax, M, rng):
 
 
 def test_reconstruct_shapes():
-    g = 3
     M = 8
-    ext_c = np.zeros(M + 2 * g)
-    m, p = reconstruct_lr_cells(ext_c, 0, g=g)
+    ext_c = np.zeros(M + 2 * GHOST)
+    m, p = reconstruct_lr_cells(ext_c, 0)
     assert m.shape == (M + 1,) and p.shape == (M + 1,)
-    ext_f = np.zeros(M + 1 + 2 * g)
-    m, p = reconstruct_lr_faces(ext_f, 0, g=g)
+    ext_f = np.zeros(M + 1 + 2 * GHOST)
+    m, p = reconstruct_lr_faces(ext_f, 0)
     assert m.shape == (M,) and p.shape == (M,)
 
 
