@@ -5,13 +5,26 @@ Cahn-Hilliard-Navier-Stokes system with a Mach-uniform implicit-explicit
 partitioned Runge-Kutta integrator.
 """
 
-from .grid import GridSpec
-from .imex import ButcherPair, Integrator, RunResult, make_tableau
-from .model import ModelParams, NonPositiveDensityError
-from .solvers import (HydroSolver, LinearSolverConfig, SolverFailure,
+import os
+
+#: thread-pool variables of the BLAS/OpenMP runtimes NumPy and SciPy may
+#: load.  Each one the caller has not set is set to one thread: the solver's
+#: vectors are small, so more threads only contend.  The runtimes read them
+#: when NumPy loads, so this runs before the package imports NumPy, and has
+#: no effect where NumPy was imported first.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+from .grid import GridSpec  # noqa: E402
+from .imex import ButcherPair, Integrator, RunResult, make_tableau  # noqa: E402
+from .model import ModelParams, NonPositiveDensityError  # noqa: E402
+from .solvers import (HydroSolver, LinearSolverConfig, SolverFailure,  # noqa: E402
                       solve_c_stage)
-from .spatial import SpatialDiscretization
-from .state import State, state_from_primitives
+from .spatial import SpatialDiscretization  # noqa: E402
+from .state import State, state_from_primitives  # noqa: E402
 
 __version__ = "0.1.0"
 

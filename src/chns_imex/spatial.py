@@ -221,20 +221,10 @@ class SpatialDiscretization:
                        L) -> np.ndarray:
         """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on
         column-major cell vectors, L the Neumann Laplacian matrix.  The only
-        definition of the operator the concentration stage solves with;
-        `ch_convex` applies it to c = q/rho, the c-stage CG to its
-        iterates."""
+        definition of the operator the concentration stage solves with: the
+        c-stage CG applies it to its iterates."""
         lap = L @ c
         return 2.0 * lap - eps * (L @ (lap / rho))
-
-    def ch_convex(self, U: State) -> State:
-        """Implicit (convex) phase-field tendency."""
-        out = U.zeros_like()
-        rho = np.ravel(U.rho, order="F")
-        out.q = self.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
-                                    self.params.eps, self.ops.L) \
-            .reshape(U.q.shape, order="F")
-        return out
 
     def ch_concave(self, Ut: State) -> State:
         """Explicit (concave) phase-field tendency in flux form."""
@@ -272,14 +262,4 @@ class SpatialDiscretization:
             out.axpy(1.0, t)
         if forcing is not None:
             out.axpy(1.0, forcing)
-        return out
-
-    def implicit_tendency(self, U: State) -> State:
-        """All terms evaluated at the implicitly-solved stage state."""
-        out = self.ch_convex(U)
-        t_rho, t_m = self.hydro_tendency(np.ravel(U.rho, order="F"),
-                                         self.pack(*U.m),
-                                         self.pack(*U.velocities()))
-        out.rho, m = self.unpack(np.concatenate([t_rho, t_m]))
-        out.m = tuple(m)
         return out

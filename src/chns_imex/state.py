@@ -29,10 +29,6 @@ class State:
         return State(self.rho.copy(), self.q.copy(),
                      tuple(mk.copy() for mk in self.m))
 
-    def __add__(self, other: "State") -> "State":
-        return State(self.rho + other.rho, self.q + other.q,
-                     tuple(a + b for a, b in zip(self.m, other.m)))
-
     def __sub__(self, other: "State") -> "State":
         return State(self.rho - other.rho, self.q - other.q,
                      tuple(a - b for a, b in zip(self.m, other.m)))

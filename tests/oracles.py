@@ -7,8 +7,10 @@ shared, since those are certified separately against polynomial exactness).
 The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse
-matrices are checked against.  `convective` is not an oracle: it sums the package's own
-implicit mass transport and explicit Rusanov terms into the quantity that
+matrices are checked against.  `ch_convex`, `implicit_tendency` and
+`convective` are not oracles: the first two apply the package's own
+implicit terms to a State, and `convective` sums its implicit mass
+transport and explicit Rusanov terms into the quantity that
 `convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
 `full_jacobian_direction` are the Newton chord step before the Schur
 complement: the whole (rho, v) Jacobian (`full_jacobian`) factorized and
@@ -126,15 +128,40 @@ def lam_max(vm, vp, rm, rp, params):
 
 
 # ---------------------------------------------------------------------------
-# the package's convective terms, as the oracles below define them
+# the package's implicit and convective terms as States, in the form the
+# oracles below compute
 # ---------------------------------------------------------------------------
+
+def ch_convex(disc, U):
+    """The implicit (convex) phase-field tendency of U as a State: the
+    package's `ch_convex_term` applied to c = q/rho, zero elsewhere."""
+    out = U.zeros_like()
+    rho = np.ravel(U.rho, order="F")
+    out.q = disc.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
+                                disc.params.eps, disc.ops.L) \
+        .reshape(U.q.shape, order="F")
+    return out
+
+
+def implicit_tendency(disc, U):
+    """All the terms `SpatialDiscretization` evaluates at the implicit
+    stage state, as a State: `ch_convex` plus the package's
+    `hydro_tendency`."""
+    out = ch_convex(disc, U)
+    t_rho, t_m = disc.hydro_tendency(np.ravel(U.rho, order="F"),
+                                     disc.pack(*U.m),
+                                     disc.pack(*U.velocities()))
+    out.rho, m = disc.unpack(np.concatenate([t_rho, t_m]))
+    out.m = tuple(m)
+    return out
+
 
 def convective(disc, Ut, U):
     """Implicit mass transport from U plus the explicit Rusanov terms from
     Ut, as `SpatialDiscretization` splits them; the quantity that
     `convective_1d`/`convective_2d` compute."""
     out = disc.rusanov(Ut)
-    out.rho = disc.implicit_tendency(U).rho + out.rho
+    out.rho = implicit_tendency(disc, U).rho + out.rho
     return out
 
 

@@ -3,10 +3,14 @@
 import csv
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chns_imex
 from chns_imex.cli import (ENV_PREFIX, build_parser, main, resolve_config,
                            write_csv)
 
@@ -272,3 +276,29 @@ def test_sweep_csv(tmp_path):
     for r in rows:
         assert int(r["steps"]) >= 1
         assert float(r["mass_err"]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# thread pools
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}],
+                         ids=["unset", "user-set"])
+def test_import_pins_blas_threads_unless_set(preset):
+    """In a fresh interpreter, `import chns_imex` sets every BLAS/OpenMP
+    thread variable the caller left unset to one thread, and keeps the
+    value of one the caller set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in chns_imex.THREAD_VARS}
+    env.update(preset)
+    src = pathlib.Path(chns_imex.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    probe = ("import json, os; import chns_imex; "
+             "print(json.dumps({v: os.environ.get(v) "
+             "for v in chns_imex.THREAD_VARS}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    expected = dict.fromkeys(chns_imex.THREAD_VARS, "1") | preset
+    assert json.loads(out) == expected

@@ -347,6 +347,49 @@ def test_newton_monotone_on_random_problems():
     assert count == 100
 
 
+def test_line_search_evaluates_each_trial_once(monkeypatch):
+    """From densities off by up to 90% (2D, C_p = 1e4), Newton rejects
+    full chord steps, at least one of them at a nonpositive density, and
+    still converges with a strictly decreasing scaled norm.  Every trial
+    point is evaluated by exactly one residual call: the initial guess,
+    one full step per iteration and one per damped trial, the accepted
+    trial's residual being the next iteration's."""
+    grid = GridSpec(dim=2, M=8)
+    hydro = HydroSolver(grid, ModelParams(cp=1e4))
+    rng = np.random.default_rng(1)
+    M, dta = grid.M, 0.005
+    rho = 1.0 + 0.3 * rng.uniform(-1, 1, (M, M))
+    v1 = 0.3 * rng.standard_normal((M - 1, M))
+    v2 = 0.3 * rng.standard_normal((M, M - 1))
+    z_true = hydro.spatial.pack(rho, v1, v2)
+    r = hydro.residual(z_true, np.zeros_like(z_true), dta)
+    z0 = hydro.spatial.pack(rho * (1.0 + 0.9 * rng.uniform(-1, 1, (M, M))),
+                            np.zeros_like(v1), np.zeros_like(v2))
+
+    points, damped = [], []
+    residual, trial = HydroSolver.residual, HydroSolver._trial
+
+    def recorded(self, z, *args):
+        points.append(z.copy())
+        return residual(self, z, *args)
+
+    def counted(self, z, *args):
+        damped.append(z)
+        return trial(self, z, *args)
+
+    monkeypatch.setattr(HydroSolver, "residual", recorded)
+    monkeypatch.setattr(HydroSolver, "_trial", counted)
+    stats = SolveStats()
+    z = hydro.solve(z0, r, dta, stats)
+    assert np.abs(z - z_true).max() < 1e-6
+    hist = stats.history
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert damped
+    assert any((p[:hydro.nc] <= 0).any() for p in points)
+    assert len(points) == 1 + stats.newton_iters + len(damped)
+    assert len({p.tobytes() for p in points}) == len(points)
+
+
 def test_newton_converges_at_stiff_pressure(rng):
     grid = GridSpec(dim=1, M=32)
     params = ModelParams(cp=1e8)
