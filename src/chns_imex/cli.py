@@ -345,7 +345,10 @@ def _option_parser(command: str) -> argparse.ArgumentParser:
     q.add_argument("--dump-times", dest="dump_times", type=float_list,
                    help="comma-separated snapshot times")
     q.add_argument("--linear-solver", dest="linear_solver",
-                   choices=LINEAR_METHODS)
+                   choices=LINEAR_METHODS,
+                   help="concentration solve: CG preconditioned by the "
+                   "mean-density DCT inverse (cg, the default) or by a "
+                   "kept sparse LU (direct)")
     return q
 
 

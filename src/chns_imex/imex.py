@@ -104,7 +104,8 @@ class Integrator:
         self.hydro = HydroSolver(grid, params)
         self.sp = self.hydro.spatial
         self.linear_cfg = linear_cfg or LinearSolverConfig()
-        #: the direct c-matrix factorization, kept across stages and steps
+        #: the c-matrix factorization that preconditions the direct
+        #: method's CG, kept across stages and steps
         self.c_chord = ChordLU()
         self._speed = None    # lagged non-stiff characteristic speed
 

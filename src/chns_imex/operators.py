@@ -4,13 +4,13 @@ Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  The
 implicit terms are these matrices and nothing else: `implicit_operators`
 holds, per grid, the face average, the flux difference and its transpose
-on the packed vector [rho; v_1; ...; v_dim], the viscous block matrix and
-the Neumann Laplacian.  The tendency applies them (see the spatial
-module), the Newton Jacobian is built from them, and the concentration
-solve applies and assembles the same Laplacian.  The DST-I/DCT-II factors of the flux
-difference give the Neumann Laplacian's eigenvalues, which precondition the
-concentration solve, and diagonalize the free-slip velocity operator of the
-Newton correction.
+on the packed vector [rho; v_1; ...; v_dim] and the viscous block matrix,
+and `laplacian_nd` the Neumann Laplacian.  The tendency applies them (see
+the spatial module), the Newton Jacobian is built from them, and the
+concentration solve applies and assembles the same Laplacian.  The
+DST-I/DCT-II factors of the flux difference give the Neumann Laplacian's
+eigenvalues, which precondition the concentration solve, and diagonalize
+the free-slip velocity operator of the Newton correction.
 """
 
 from __future__ import annotations
@@ -146,8 +146,6 @@ class ImplicitOperators(NamedTuple):
     G: sp.csr_matrix
     #: the viscous blocks of `viscous_blocks` as one matrix on v
     B: sp.csr_matrix
-    #: the Neumann Laplacian of a cell field, `laplacian_nd`
-    L: sp.csr_matrix
 
 
 @functools.lru_cache
@@ -162,5 +160,4 @@ def implicit_operators(dim: int, M: int, h: float, nu: float,
                   format="csr")
     return ImplicitOperators(
         A=A, D=D, G=D.T.tocsr(),
-        B=sp.bmat(viscous_blocks(dim, M, h, nu, lam), format="csr"),
-        L=laplacian_nd(dim, M, h))
+        B=sp.bmat(viscous_blocks(dim, M, h, nu, lam), format="csr"))

@@ -24,20 +24,19 @@ its full chord step, and one more per damped trial.  Newton
 stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm; an
 initial guess is accepted only if its residual meets that unscaled too.
 
-The concentration system is solved by matrix-free CG or, with the direct
-method, by a sparse LU of the assembled matrix.  CG applies the operator
-with the Laplacian matrix the assembly uses
-(`SpatialDiscretization.ch_convex_term`) and is preconditioned by
-the exact inverse of the constant-coefficient operator at the mean density,
-which the DCT-II diagonalizes; in the low-Mach regime the density is nearly
+The concentration system is solved by matrix-free CG to the criterion
+||b - A x|| <= LINEAR_TOL ||b||, applying the operator with the Laplacian
+matrix the assembly uses (`SpatialDiscretization.ch_convex_term`).  The
+two methods differ only in the preconditioner.  `cg` takes the exact
+inverse of the constant-coefficient operator at the mean density, which
+the DCT-II diagonalizes; in the low-Mach regime the density is nearly
 flat, so CG takes a few iterations per solve at every grid size.  The
-direct LU may be kept across stages and steps (a `ChordLU`); a kept
-factorization is refined, x <- x + LU^-1 (b - A x), to
-CG's criterion ||b - A x|| <= LINEAR_TOL ||b||; once the contraction so far
-shows that REFINE_MAX corrections cannot get there, the matrix is
-factorized anew.  Both kept factorizations are rebuilt once dt*a moves by
-more than LU_KEY_TOLERANCE.  The counters of both solves go into a
-SolveStats, which the integrator's per-step StepRecord extends.
+direct method takes a sparse LU of the assembled matrix, kept across
+stages and steps (a `ChordLU`); the matrix is assembled and factorized
+only when no fresh factorization is kept.  Both kept factorizations are
+rebuilt once dt*a moves by more than LU_KEY_TOLERANCE.  The counters of
+both solves go into a SolveStats, which the integrator's per-step
+StepRecord extends.
 """
 
 from __future__ import annotations
@@ -68,12 +67,11 @@ from .spatial import SpatialDiscretization
 #: 8x more than COLAMD (whole Jacobian, M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
-#: a kept factorization is rebuilt once dt*a differs from the value it was
-#: built for by more than this fraction (the implicit blocks scale with it)
+#: a kept factorization (the Newton chord or the c-matrix LU that
+#: preconditions the direct method's CG) is rebuilt once dt*a differs from
+#: the value it was built for by more than this fraction (the implicit
+#: blocks scale with it)
 LU_KEY_TOLERANCE = 0.2
-#: refinement corrections a kept c-matrix factorization may take in one
-#: solve before the c-stage factorizes anew (Test 3, M=64: about 4 each)
-REFINE_MAX = 8
 
 #: the concentration solvers a LinearSolverConfig may name
 LINEAR_METHODS = ("direct", "cg")
@@ -113,8 +111,7 @@ class SolveStats:
     newton_iters: int = 0
     #: largest final scaled Newton residual over the converged solves
     newton_res: float = 0.0
-    #: iterations of the concentration solves: CG iterations, or the
-    #: refinement corrections of a direct solve on a kept factorization
+    #: CG iterations of the concentration solves
     lin_iters: int = 0
     #: Newton (chord Jacobian) factorizations; c-matrix ones are not counted
     factorizations: int = 0
@@ -499,53 +496,29 @@ def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
                   chord: ChordLU | None = None) -> np.ndarray:
     """Solve the SPD concentration system; rhs_hat is the hat of rho*c.
 
-    CG runs matrix-free with the mean-density preconditioner.  The direct
-    method assembles the matrix and reuses the factorization kept in
-    `chord` while it is fresh for dta (without one it factorizes every
-    call).  CG iterations and refinement corrections are added to
+    CG runs matrix-free, preconditioned by the mean-density inverse or,
+    with the direct method, by the sparse LU kept in `chord`; the matrix is
+    assembled and factorized only when `chord` holds none fresh for dta
+    (without a `chord`, every call).  CG iterations are added to
     stats.lin_iters."""
     cfg = cfg or LinearSolverConfig()
     stats = stats if stats is not None else SolveStats()
     if dta == 0.0:
         return rhs_hat / rho
-    b = np.ravel(rhs_hat, order="F")
+    A = c_stage_operator(rho, dta, eps, grid)
     if cfg.method == "direct":
-        A = assemble_c_matrix(rho, dta, eps, grid)
-        x = _solve_direct(A, b, dta, chord or ChordLU(), stats)
+        chord = chord or ChordLU()
+        lu = chord.current(dta) or chord.refactorize(
+            assemble_c_matrix(rho, dta, eps, grid).tocsc(), dta)
+        P = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     else:
-        def count(_xk):
-            stats.lin_iters += 1
+        P = c_stage_preconditioner(rho, dta, eps, grid)
 
-        x, info = spla.cg(c_stage_operator(rho, dta, eps, grid), b,
-                          rtol=LINEAR_TOL, atol=0.0, maxiter=CG_MAXITER,
-                          M=c_stage_preconditioner(rho, dta, eps, grid),
-                          callback=count)
-        if info != 0:
-            raise SolverFailure(f"CG failed with info={info}")
+    def count(_xk):
+        stats.lin_iters += 1
+
+    x, info = spla.cg(A, np.ravel(rhs_hat, order="F"), rtol=LINEAR_TOL,
+                      atol=0.0, maxiter=CG_MAXITER, M=P, callback=count)
+    if info != 0:
+        raise SolverFailure(f"CG failed with info={info}")
     return x.reshape(rho.shape, order="F")
-
-
-def _solve_direct(A: sp.csr_matrix, b: np.ndarray, dta: float,
-                  chord: ChordLU, stats: SolveStats) -> np.ndarray:
-    """Refine on the kept factorization until
-    ||b - A x|| <= LINEAR_TOL ||b||;
-    factorize A anew when there is none, or when the residual, shrinking at
-    its last ratio for the corrections left, would not reach the bound."""
-    lu = chord.current(dta)
-    if lu is not None:
-        x = lu.solve(b)
-        bound = LINEAR_TOL * np.linalg.norm(b)
-        prev = np.inf
-        for k in range(REFINE_MAX + 1):
-            r = b - A @ x
-            nr = np.linalg.norm(r)
-            if nr <= bound:
-                return x
-            # also stops when the residual grows, at the last correction
-            # (exponent 0) and on a non-finite residual
-            if not nr * (nr / prev) ** (REFINE_MAX - k) <= bound:
-                break
-            x += lu.solve(r)
-            stats.lin_iters += 1
-            prev = nr
-    return chord.refactorize(A.tocsc(), dta).solve(b)

@@ -21,10 +21,6 @@ class State:
     q: np.ndarray
     m: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.m)
-
     def copy(self) -> "State":
         return State(self.rho.copy(), self.q.copy(),
                      tuple(mk.copy() for mk in self.m))

@@ -137,8 +137,10 @@ def ch_convex(disc, U):
     package's `ch_convex_term` applied to c = q/rho, zero elsewhere."""
     out = U.zeros_like()
     rho = np.ravel(U.rho, order="F")
+    g = disc.grid
     out.q = disc.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
-                                disc.params.eps, disc.ops.L) \
+                                disc.params.eps,
+                                laplacian_nd(g.dim, g.M, g.h)) \
         .reshape(U.q.shape, order="F")
     return out
 

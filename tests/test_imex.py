@@ -261,16 +261,10 @@ def c_lu_events(monkeypatch):
     return events
 
 
-def _corrections(events):
-    """Refinement corrections: LU solves that follow an LU solve of the same
-    stage (the first solve after a stage start or a factorization is on b)."""
-    return sum(a == b == "solve" for a, b in zip(events, events[1:]))
-
-
 @pytest.mark.parametrize("method", ["cg", "direct"])
 def test_step_records_krylov_iterations(method, monkeypatch, c_lu_events):
-    """lin_iters sums the CG iterations, or the refinement corrections of the
-    direct solves, of all concentration stages of a step."""
+    """lin_iters sums the CG iterations of all concentration stages of a
+    step, under either preconditioner."""
     import scipy.sparse.linalg as spla
     from chns_imex.cases import initial_state
     grid = GridSpec(dim=2, M=16)
@@ -290,13 +284,13 @@ def test_step_records_krylov_iterations(method, monkeypatch, c_lu_events):
 
     monkeypatch.setattr(spla, "cg", counting_cg)
     _, rec = integ.step(U0, 0.0, integ.select_dt(U0))
-    assert rec.lin_iters == seen["iters"] + _corrections(c_lu_events)
-    assert rec.lin_iters > 0
+    assert rec.lin_iters == seen["iters"] > 0
     if method == "direct":
-        # both stages share dt*a: the second refines on the first's LU
+        # both stages share dt*a: the second is preconditioned by the
+        # first's LU, and every CG iteration takes one LU solve
         assert c_lu_events[:3] == ["stage", "factorize", "solve"]
         assert c_lu_events.count("factorize") == 1
-        assert seen["iters"] == 0
+        assert c_lu_events.count("solve") == seen["iters"]
 
 
 def test_step_records_final_newton_residual():
@@ -492,11 +486,40 @@ def test_retry_refactorizes_c_matrix(monkeypatch, c_lu_events):
     assert integ.c_chord.key == pytest.approx(rec.dt * integ.tab.a[0, 0])
 
 
+def test_direct_c_stage_assembles_only_to_factorize(monkeypatch,
+                                                   c_lu_events):
+    """Over a multi-step direct run the c-matrix is assembled only to be
+    factorized: once per c-stage splu, not once per stage."""
+    import chns_imex.solvers as solvers
+    from chns_imex.cases import initial_state
+    grid = GridSpec(dim=2, M=16)
+    params = ModelParams(cp=1e4)
+    integ = Integrator(grid, params,
+                       linear_cfg=LinearSolverConfig(method="direct"))
+    real_assemble = solvers.assemble_c_matrix
+    assembled = []
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(1)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "assemble_c_matrix", counting_assemble)
+    U, t = initial_state(1, grid, params), 0.0
+    dt = integ.select_dt(U)
+    # the last step's dt*a is stale for the kept LU
+    for scale in (1.0, 1.0, 1.0, 0.25):
+        U, rec = integ.step(U, t, scale * dt)
+        t = rec.t
+    factorized = c_lu_events.count("factorize")
+    assert c_lu_events.count("stage") == 8
+    assert len(assembled) == factorized == 2
+
+
 @pytest.mark.parametrize("scale, kept", [(1.0, True), (0.25, False)])
 def test_stale_c_matrix_lu_freed_before_newton(monkeypatch, scale, kept):
     """A stage frees a c-matrix LU that is stale for its dt*a before the
     Newton solve, which may factorize, so the two LUs are never held
-    together for a stale one; a fresh one is kept for refinement."""
+    together for a stale one; a fresh one is kept to precondition CG."""
     from chns_imex.cases import initial_state
     from chns_imex.solvers import HydroSolver
     grid = GridSpec(dim=2, M=16)
@@ -690,9 +713,9 @@ def test_step_keeps_mirror_symmetry_in_x(M, cp, seed):
 
 
 #: relative difference a two-step run may leave between the swapped run and
-#: the swapped result: the grid orders of the LU, refinement and CG sums are
-#: not swapped with the fields.  Measured worst case 1.3e-13 (direct),
-#: 6.5e-14 (CG), M=4..16, C_p in {1e2, 1e8}, 108 cases per solver.
+#: the swapped result: the grid orders of the LU and the CG sums are
+#: not swapped with the fields.  Measured worst case 6.3e-14 (direct),
+#: 2.4e-14 (CG), M=4..16, C_p in {1e2, 1e8}, 104 cases per solver.
 SWAP_TOL = 1e-11
 
 
@@ -703,7 +726,8 @@ SWAP_TOL = 1e-11
 def test_steps_commute_with_axis_swap(method, M, cp, seed):
     """Without gravity the 2D system is symmetric under x <-> y, so two
     steps of the swapped state give the swapped result.  The second step's
-    direct c-stages refine on the factorization kept from the first."""
+    direct c-stages are preconditioned by the factorization kept from the
+    first."""
     rng = np.random.default_rng(seed)
     rho = 1.0 + 0.1 * rng.uniform(-1, 1, (M, M))
     c = rng.uniform(-0.9, 0.9, (M, M))
