@@ -7,7 +7,7 @@ Subcommands:
 
 Option precedence: command-line flags > environment variables > config file >
 defaults.  Environment variables mirror the flags with the prefix CHNS_ and
-upper-case names (e.g. CHNS_CP=1e4, CHNS_LINEAR_SOLVER=direct).  The
+upper-case names (e.g. CHNS_CP=1e4, CHNS_SEED=3).  The
 config file (--config) holds plain "key = value" lines with the same keys as
 the flags.  Cases of an M-list or a C_p-list run one after another.
 """
@@ -347,8 +347,8 @@ def _option_parser(command: str) -> argparse.ArgumentParser:
     q.add_argument("--linear-solver", dest="linear_solver",
                    choices=LINEAR_METHODS,
                    help="concentration solve: CG preconditioned by the "
-                   "mean-density DCT inverse (cg, the default) or by a "
-                   "kept sparse LU (direct)")
+                   "mean-density DCT inverse (cg, the default); direct: "
+                   "deprecated; solves as cg")
     return q
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import model
 from .grid import GridSpec
 from .model import ModelParams, NonPositiveDensityError
-from .solvers import (ChordLU, HydroSolver, LinearSolverConfig, SolveStats,
-                      SolverFailure, solve_c_stage)
+from .solvers import (HydroSolver, LinearSolverConfig, SolverFailure,
+                      SolveStats, solve_c_stage)
 from .state import State, state_from_primitives
 
 log = logging.getLogger(__name__)
@@ -90,6 +90,10 @@ class RunResult:
 
 
 class Integrator:
+    """Steps the system with the IMEX pair `scheme` at the CFL number cfl.
+    `linear_cfg` is validated and otherwise unused: every concentration
+    method solves as `cg` (see LinearSolverConfig)."""
+
     def __init__(self, grid: GridSpec, params: ModelParams,
                  scheme: str = "star_dirksa", cfl: float = DEFAULT_CFL,
                  forcing=None,
@@ -103,10 +107,6 @@ class Integrator:
         self.forcing = forcing
         self.hydro = HydroSolver(grid, params)
         self.sp = self.hydro.spatial
-        self.linear_cfg = linear_cfg or LinearSolverConfig()
-        #: the c-matrix factorization that preconditions the direct
-        #: method's CG, kept across stages and steps
-        self.c_chord = ChordLU()
         self._speed = None    # lagged non-stiff characteristic speed
 
     # -- time-step selection -------------------------------------------------
@@ -128,15 +128,12 @@ class Integrator:
                      stats: SolveStats) -> State:
         z0 = self.sp.pack(tilde.rho, *tilde.velocities())
         r = self.sp.pack(hat.rho, *hat.m)
-        # free a c-matrix LU that is stale for dta before Newton may factorize
-        self.c_chord.current(dta)
         t0 = time.perf_counter()
         z = self.hydro.solve(z0, r, dta, stats)
         t1 = time.perf_counter()
         stats.newton_s += t1 - t0
         rho, v = self.sp.unpack(z)
-        C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid,
-                          self.linear_cfg, stats, self.c_chord)
+        C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid, stats)
         stats.cstage_s += time.perf_counter() - t1
         return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
 
@@ -181,7 +178,6 @@ class Integrator:
             except (SolverFailure, NonPositiveDensityError,
                     FloatingPointError) as exc:
                 self.hydro.invalidate()
-                self.c_chord.drop()
                 retries += 1
                 if retries > MAX_RETRIES:
                     raise SolverFailure(

@@ -26,21 +26,19 @@ initial guess is accepted only if its residual meets that unscaled too.
 
 The concentration system is solved by matrix-free CG to the criterion
 ||b - A x|| <= LINEAR_TOL ||b||, applying the operator with the Laplacian
-matrix the assembly uses (`SpatialDiscretization.ch_convex_term`).  The
-two methods differ only in the preconditioner.  `cg` takes the exact
-inverse of the constant-coefficient operator at the mean density, which
-the DCT-II diagonalizes; in the low-Mach regime the density is nearly
-flat, so CG takes a few iterations per solve at every grid size.  The
-direct method takes a sparse LU of the assembled matrix, kept across
-stages and steps (a `ChordLU`); the matrix is assembled and factorized
-only when no fresh factorization is kept.  Both kept factorizations are
-rebuilt once dt*a moves by more than LU_KEY_TOLERANCE.  The counters of
-both solves go into a SolveStats, which the integrator's per-step
-StepRecord extends.
+matrix the assembly uses (`SpatialDiscretization.ch_convex_term`), and
+preconditioned by the exact inverse of the constant-coefficient operator at
+the mean density, which the DCT-II diagonalizes.  In the low-Mach regime the
+density is nearly flat, so CG takes a few iterations per solve at every grid
+size.  `assemble_c_matrix` builds the same matrix explicitly; the solver
+does not use it, it is the reference the operator is checked against.  The
+counters of both solves go into a SolveStats, which the integrator's
+per-step StepRecord extends.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -56,24 +54,23 @@ from .operators import dct_frequencies, laplacian_eigenvalues, laplacian_nd
 from .spatial import SpatialDiscretization
 
 
-#: SuperLU in its symmetric mode, for both factorized matrices (the Schur
-#: complement of the Newton Jacobian and the c-matrix): they are
-#: structurally symmetric with positive diagonals, so a minimum-degree
-#: ordering of A^T + A with diagonal pivots fills less than the default
-#: COLAMD ordering with partial pivoting (the whole Newton Jacobian at
-#: M=128: 8.3 M against 13.6 M entries in L+U; its Schur complement fills
-#: 3.0 M).  A zero diagonal entry still gets an off-diagonal pivot.  The
+#: SuperLU in its symmetric mode, for the Schur complement of the Newton
+#: Jacobian: it is structurally symmetric with a positive diagonal, so a
+#: minimum-degree ordering of A^T + A with diagonal pivots fills less than
+#: the default COLAMD ordering with partial pivoting (the whole Newton
+#: Jacobian at M=128: 8.3 M against 13.6 M entries in L+U; its Schur
+#: complement fills 3.0 M).  A zero diagonal entry still gets an off-diagonal pivot.  The
 #: zero threshold is needed: with the default 1.0 the same ordering fills
 #: 8x more than COLAMD (whole Jacobian, M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
-#: a kept factorization (the Newton chord or the c-matrix LU that
-#: preconditions the direct method's CG) is rebuilt once dt*a differs from
+#: the kept Newton chord factorization is rebuilt once dt*a differs from
 #: the value it was built for by more than this fraction (the implicit
 #: blocks scale with it)
 LU_KEY_TOLERANCE = 0.2
 
-#: the concentration solvers a LinearSolverConfig may name
+#: the concentration solvers a LinearSolverConfig may name; "direct" is a
+#: deprecated alias that solves as "cg"
 LINEAR_METHODS = ("direct", "cg")
 #: Newton stops once the scaled residual norm is at most
 #: NEWTON_TOL_ABS + NEWTON_TOL_REL * (the initial one), and fails after
@@ -98,12 +95,17 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class LinearSolverConfig:
+    """The concentration method by name.  Every method solves as `cg`;
+    `direct` is accepted with a DeprecationWarning."""
     method: str = "cg"            # one of LINEAR_METHODS
 
     def __post_init__(self):
         if self.method not in LINEAR_METHODS:
             raise ValueError(f"unknown linear solver {self.method!r}; "
                              f"expected one of {LINEAR_METHODS}")
+        if self.method == "direct":
+            warnings.warn("linear solver 'direct' is deprecated and solves "
+                          "as 'cg'", DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -113,7 +115,7 @@ class SolveStats:
     newton_res: float = 0.0
     #: CG iterations of the concentration solves
     lin_iters: int = 0
-    #: Newton (chord Jacobian) factorizations; c-matrix ones are not counted
+    #: Newton (chord Jacobian) factorizations
     factorizations: int = 0
     #: solves with the Newton factorization: one per Newton direction
     lu_solves: int = 0
@@ -143,9 +145,10 @@ class SchurBlocks(NamedTuple):
 
 
 class ChordLU:
-    """A sparse LU factorization kept for reuse, the dt*a it was built for,
-    and the data its caller needs next to it (`aux`, dropped with it).  It
-    is stale once dt*a moves by more than LU_KEY_TOLERANCE."""
+    """The sparse LU factorization of the Newton chord, kept for reuse, the
+    dt*a it was built for, and the data its caller needs next to it (`aux`,
+    dropped with it).  It is stale once dt*a moves by more than
+    LU_KEY_TOLERANCE."""
 
     def __init__(self):
         self.drop()
@@ -491,28 +494,16 @@ def c_stage_preconditioner(rho: np.ndarray, dta: float, eps: float,
 
 def solve_c_stage(rho: np.ndarray, rhs_hat: np.ndarray, dta: float,
                   eps: float, grid: GridSpec,
-                  cfg: LinearSolverConfig | None = None,
-                  stats: SolveStats | None = None,
-                  chord: ChordLU | None = None) -> np.ndarray:
+                  stats: SolveStats | None = None) -> np.ndarray:
     """Solve the SPD concentration system; rhs_hat is the hat of rho*c.
 
-    CG runs matrix-free, preconditioned by the mean-density inverse or,
-    with the direct method, by the sparse LU kept in `chord`; the matrix is
-    assembled and factorized only when `chord` holds none fresh for dta
-    (without a `chord`, every call).  CG iterations are added to
-    stats.lin_iters."""
-    cfg = cfg or LinearSolverConfig()
+    CG runs matrix-free, preconditioned by the mean-density inverse; its
+    iterations are added to stats.lin_iters."""
     stats = stats if stats is not None else SolveStats()
     if dta == 0.0:
         return rhs_hat / rho
     A = c_stage_operator(rho, dta, eps, grid)
-    if cfg.method == "direct":
-        chord = chord or ChordLU()
-        lu = chord.current(dta) or chord.refactorize(
-            assemble_c_matrix(rho, dta, eps, grid).tocsc(), dta)
-        P = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    else:
-        P = c_stage_preconditioner(rho, dta, eps, grid)
+    P = c_stage_preconditioner(rho, dta, eps, grid)
 
     def count(_xk):
         stats.lin_iters += 1

@@ -228,43 +228,17 @@ def test_temporal_orders_2d_at_fixed_grid(cp):
             f"density orders {order_rho}"
 
 
-@pytest.fixture
-def c_lu_events(monkeypatch):
-    """Records, in order, each c-stage call ("stage") and each factorization
-    ("factorize") and LU solve ("solve") of an M=16 2D c-matrix."""
-    import scipy.sparse.linalg as spla
-    import chns_imex.imex as imex
-    events = []
-    real_splu, real_stage = spla.splu, imex.solve_c_stage
-
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            events.append("solve")
-            return self.lu.solve(b)
-
-    def counting_splu(A, **kwargs):
-        lu = real_splu(A, **kwargs)
-        if A.shape[0] != 16 * 16:           # a Newton Jacobian
-            return lu
-        events.append("factorize")
-        return CountingLU(lu)
-
-    def counting_stage(*args, **kwargs):
-        events.append("stage")
-        return real_stage(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(imex, "solve_c_stage", counting_stage)
-    return events
+#: the alias runs of the parametrized tests below; the warning itself is
+#: asserted by test_direct_is_a_deprecated_alias_of_cg
+IGNORE_DIRECT_ALIAS = pytest.mark.filterwarnings(
+    "ignore:linear solver 'direct' is deprecated:DeprecationWarning")
 
 
+@IGNORE_DIRECT_ALIAS
 @pytest.mark.parametrize("method", ["cg", "direct"])
-def test_step_records_krylov_iterations(method, monkeypatch, c_lu_events):
+def test_step_records_krylov_iterations(method, monkeypatch):
     """lin_iters sums the CG iterations of all concentration stages of a
-    step, under either preconditioner."""
+    step."""
     import scipy.sparse.linalg as spla
     from chns_imex.cases import initial_state
     grid = GridSpec(dim=2, M=16)
@@ -285,12 +259,54 @@ def test_step_records_krylov_iterations(method, monkeypatch, c_lu_events):
     monkeypatch.setattr(spla, "cg", counting_cg)
     _, rec = integ.step(U0, 0.0, integ.select_dt(U0))
     assert rec.lin_iters == seen["iters"] > 0
-    if method == "direct":
-        # both stages share dt*a: the second is preconditioned by the
-        # first's LU, and every CG iteration takes one LU solve
-        assert c_lu_events[:3] == ["stage", "factorize", "solve"]
-        assert c_lu_events.count("factorize") == 1
-        assert c_lu_events.count("solve") == seen["iters"]
+
+
+def test_direct_is_a_deprecated_alias_of_cg(monkeypatch):
+    """`direct` warns and solves as `cg`: three steps of Test 3 are bit for
+    bit the same, and every factorization of the run is a Newton one, made
+    by HydroSolver._refresh; an unknown method is still refused."""
+    import scipy.sparse.linalg as spla
+    from chns_imex.cases import initial_state
+    from chns_imex.solvers import HydroSolver
+    with pytest.raises(ValueError, match="unknown linear solver 'lu'"):
+        LinearSolverConfig(method="lu")
+    with pytest.warns(DeprecationWarning, match="solves as 'cg'"):
+        direct = LinearSolverConfig(method="direct")
+    real_splu, real_refresh = spla.splu, HydroSolver._refresh
+    refreshing, splu_in_refresh = [], []
+
+    def refresh(self, *args, **kwargs):
+        refreshing.append(True)
+        try:
+            return real_refresh(self, *args, **kwargs)
+        finally:
+            refreshing.pop()
+
+    def splu(A, **kwargs):
+        splu_in_refresh.append(bool(refreshing))
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(HydroSolver, "_refresh", refresh)
+    monkeypatch.setattr(spla, "splu", splu)
+    grid, params = GridSpec(dim=2, M=16), ModelParams(cp=1e4)
+    runs = []
+    for cfg in (LinearSolverConfig(method="cg"), direct):
+        del splu_in_refresh[:]
+        integ = Integrator(grid, params, linear_cfg=cfg)
+        U, t, records = initial_state(3, grid, params, seed=0), 0.0, []
+        for _ in range(3):
+            U, rec = integ.step(U, t, integ.select_dt(U))
+            t = rec.t
+            records.append(rec)
+        assert all(splu_in_refresh)
+        assert len(splu_in_refresh) == sum(r.factorizations
+                                           for r in records) > 0
+        runs.append((U, [(r.dt, r.lin_iters) for r in records]))
+    (U_cg, steps_cg), (U_direct, steps_direct) = runs
+    assert steps_direct == steps_cg
+    for a, b in ((U_direct.rho, U_cg.rho), (U_direct.q, U_cg.q),
+                 *zip(U_direct.m, U_cg.m)):
+        assert np.array_equal(a, b)
 
 
 def test_step_records_final_newton_residual():
@@ -449,96 +465,6 @@ def test_compression_beyond_the_step_halves_dt(monkeypatch, caplog):
         _, rec = integ.step(U0, 0.0, dt)
     assert rec.retries == 1 and rec.dt == pytest.approx(dt / 2)
     assert "nonpositive diagonal" in caplog.records[0].getMessage()
-
-
-def test_retry_refactorizes_c_matrix(monkeypatch, c_lu_events):
-    """A failed attempt drops the kept c-matrix factorization: the retried
-    attempt factorizes before its first c-stage solve instead of refining
-    on the LU built for the halved-away dt*a."""
-    from chns_imex.cases import initial_state
-    from chns_imex.solvers import HydroSolver
-    grid = GridSpec(dim=2, M=16)
-    params = ModelParams(cp=1e4)
-    integ = Integrator(grid, params,
-                       linear_cfg=LinearSolverConfig(method="direct"))
-    U0 = initial_state(1, grid, params)
-    U1, rec1 = integ.step(U0, 0.0, integ.select_dt(U0))
-    assert integ.c_chord.lu is not None
-    real_solve, real_attempt = HydroSolver.solve, Integrator.attempt_step
-    kept_at_attempt = []
-
-    def fail_once(self, *args, **kwargs):
-        monkeypatch.setattr(HydroSolver, "solve", real_solve)
-        raise SolverFailure("synthetic failure")
-
-    def attempt(self, *args, **kwargs):
-        kept_at_attempt.append(self.c_chord.lu is not None)
-        return real_attempt(self, *args, **kwargs)
-
-    monkeypatch.setattr(HydroSolver, "solve", fail_once)
-    monkeypatch.setattr(Integrator, "attempt_step", attempt)
-    del c_lu_events[:]
-    dt = integ.select_dt(U1)
-    _, rec = integ.step(U1, rec1.t, dt)
-    assert rec.retries == 1 and rec.dt == pytest.approx(dt / 2)
-    assert kept_at_attempt == [True, False]
-    assert c_lu_events[:3] == ["stage", "factorize", "solve"]
-    assert integ.c_chord.key == pytest.approx(rec.dt * integ.tab.a[0, 0])
-
-
-def test_direct_c_stage_assembles_only_to_factorize(monkeypatch,
-                                                   c_lu_events):
-    """Over a multi-step direct run the c-matrix is assembled only to be
-    factorized: once per c-stage splu, not once per stage."""
-    import chns_imex.solvers as solvers
-    from chns_imex.cases import initial_state
-    grid = GridSpec(dim=2, M=16)
-    params = ModelParams(cp=1e4)
-    integ = Integrator(grid, params,
-                       linear_cfg=LinearSolverConfig(method="direct"))
-    real_assemble = solvers.assemble_c_matrix
-    assembled = []
-
-    def counting_assemble(*args, **kwargs):
-        assembled.append(1)
-        return real_assemble(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "assemble_c_matrix", counting_assemble)
-    U, t = initial_state(1, grid, params), 0.0
-    dt = integ.select_dt(U)
-    # the last step's dt*a is stale for the kept LU
-    for scale in (1.0, 1.0, 1.0, 0.25):
-        U, rec = integ.step(U, t, scale * dt)
-        t = rec.t
-    factorized = c_lu_events.count("factorize")
-    assert c_lu_events.count("stage") == 8
-    assert len(assembled) == factorized == 2
-
-
-@pytest.mark.parametrize("scale, kept", [(1.0, True), (0.25, False)])
-def test_stale_c_matrix_lu_freed_before_newton(monkeypatch, scale, kept):
-    """A stage frees a c-matrix LU that is stale for its dt*a before the
-    Newton solve, which may factorize, so the two LUs are never held
-    together for a stale one; a fresh one is kept to precondition CG."""
-    from chns_imex.cases import initial_state
-    from chns_imex.solvers import HydroSolver
-    grid = GridSpec(dim=2, M=16)
-    params = ModelParams(cp=1e4)
-    integ = Integrator(grid, params,
-                       linear_cfg=LinearSolverConfig(method="direct"))
-    U0 = initial_state(1, grid, params)
-    dt = integ.select_dt(U0)
-    U1, rec1 = integ.step(U0, 0.0, dt)
-    real_solve = HydroSolver.solve
-    held = []
-
-    def solve(self, *args, **kwargs):
-        held.append(integ.c_chord.lu is not None)
-        return real_solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(HydroSolver, "solve", solve)
-    integ.step(U1, rec1.t, scale * dt)
-    assert held[0] is kept
 
 
 # ---------------------------------------------------------------------------
@@ -714,20 +640,19 @@ def test_step_keeps_mirror_symmetry_in_x(M, cp, seed):
 
 #: relative difference a two-step run may leave between the swapped run and
 #: the swapped result: the grid orders of the LU and the CG sums are
-#: not swapped with the fields.  Measured worst case 6.3e-14 (direct),
-#: 2.4e-14 (CG), M=4..16, C_p in {1e2, 1e8}, 104 cases per solver.
+#: not swapped with the fields.  Measured worst case 2.4e-14, M=4..16,
+#: C_p in {1e2, 1e8}, 104 cases.
 SWAP_TOL = 1e-11
 
 
+@IGNORE_DIRECT_ALIAS
 @pytest.mark.parametrize("method", ["cg", "direct"])
 @settings(max_examples=15)
 @given(M=st.integers(4, 16), cp=st.sampled_from([1e2, 1e8]),
        seed=st.integers(0, 2**32 - 1))
 def test_steps_commute_with_axis_swap(method, M, cp, seed):
     """Without gravity the 2D system is symmetric under x <-> y, so two
-    steps of the swapped state give the swapped result.  The second step's
-    direct c-stages are preconditioned by the factorization kept from the
-    first."""
+    steps of the swapped state give the swapped result."""
     rng = np.random.default_rng(seed)
     rho = 1.0 + 0.1 * rng.uniform(-1, 1, (M, M))
     c = rng.uniform(-0.9, 0.9, (M, M))
@@ -743,8 +668,6 @@ def test_steps_commute_with_axis_swap(method, M, cp, seed):
         for _ in range(2):
             V, _ = integ.step(V, 0.0, dt)
         runs.append(V)
-    if method == "direct":
-        assert integ.c_chord.lu is not None
     want, got = oracles.swap_xy(runs[0]), runs[1]
     for f, a, b in (("rho", got.rho, want.rho), ("q", got.q, want.q),
                     *((f"m[{k}]", got.m[k], want.m[k]) for k in (0, 1))):

@@ -13,7 +13,7 @@ from chns_imex.model import ModelParams, NonPositiveDensityError
 from chns_imex.operators import (dct_frequencies, laplacian_eigenvalues,
                                  laplacian_nd, mat_dual)
 from chns_imex import solvers
-from chns_imex.solvers import (SPLU_SYMMETRIC, ChordLU, HydroSolver,
+from chns_imex.solvers import (SPLU_SYMMETRIC, HydroSolver,
                                LinearSolverConfig, SolveStats, SolverFailure,
                                assemble_c_matrix, c_stage_operator,
                                free_slip_schur_inverse, solve_c_stage)
@@ -66,20 +66,25 @@ def test_c_matrix_rejects_nonpositive_density():
         assemble_c_matrix(rho, 0.01, 1e-4, grid)
 
 
+def _dense_c_solve(rho, rhs, dta, eps, grid):
+    """The c-system solved densely from the assembled matrix."""
+    A = assemble_c_matrix(rho, dta, eps, grid).toarray()
+    x = np.linalg.solve(A, np.ravel(rhs, order="F"))
+    return x.reshape(rho.shape, order="F")
+
+
 @pytest.mark.parametrize("dim,M", [(1, 64), (2, 16)])
 def test_linear_solvers_agree(dim, M, rng):
+    """CG agrees with a dense solve of the assembled matrix."""
     grid = GridSpec(dim=dim, M=M)
     shape = (M,) if dim == 1 else (M, M)
     rho = 1.0 + 0.3 * rng.uniform(-1, 1, shape)
     rhs = rng.standard_normal(shape)
     dta, eps = 0.01, 1e-4
-    sols = {}
-    for method in ("direct", "cg"):
-        cfg = LinearSolverConfig(method=method)
-        sols[method] = solve_c_stage(rho, rhs, dta, eps, grid, cfg)
-    ref = np.abs(sols["direct"]).max()
-    np.testing.assert_allclose(sols["cg"], sols["direct"],
-                               rtol=1e-9, atol=1e-9 * ref)
+    x = solve_c_stage(rho, rhs, dta, eps, grid)
+    ref = _dense_c_solve(rho, rhs, dta, eps, grid)
+    np.testing.assert_allclose(x, ref, rtol=1e-9,
+                               atol=1e-9 * np.abs(ref).max())
 
 
 def test_solve_c_stage_zero_dta_is_pointwise():
@@ -96,8 +101,7 @@ def test_solve_c_stage_residual_small(rng):
     rhs = rng.standard_normal((16, 16))
     dta, eps = 0.004, 1e-4
     A = assemble_c_matrix(rho, dta, eps, grid)
-    x = solve_c_stage(rho, rhs, dta, eps, grid,
-                      LinearSolverConfig(method="cg"))
+    x = solve_c_stage(rho, rhs, dta, eps, grid)
     res = A @ np.ravel(x, order="F") - np.ravel(rhs, order="F")
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -127,16 +131,14 @@ def test_c_stage_operator_matches_assembled_matrix(dim, M, rng):
 @pytest.mark.parametrize("dim,M", [(1, 64), (2, 16), (2, 64)])
 def test_cg_exact_at_constant_density(dim, M, dta, rng):
     """At a constant density the DCT preconditioner is the exact inverse:
-    CG converges in one iteration, to the direct solution."""
+    CG converges in one iteration, to the dense solution."""
     grid = GridSpec(dim=dim, M=M)
     rho = np.full((M,) * dim, 1.3)
     rhs = rng.standard_normal(rho.shape)
     stats = SolveStats()
-    x = solve_c_stage(rho, rhs, dta, 1e-4, grid, LinearSolverConfig("cg"),
-                      stats)
+    x = solve_c_stage(rho, rhs, dta, 1e-4, grid, stats)
     assert stats.lin_iters == 1
-    ref = solve_c_stage(rho, rhs, dta, 1e-4, grid,
-                        LinearSolverConfig("direct"))
+    ref = _dense_c_solve(rho, rhs, dta, 1e-4, grid)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -151,8 +153,7 @@ def test_cg_iterations_do_not_grow_with_M(cp, M):
     integ = Integrator(grid, params)
     dta = integ.select_dt(U0) * integ.tab.a[0, 0]
     stats = SolveStats()
-    x = solve_c_stage(U0.rho, U0.q, dta, params.eps, grid,
-                      LinearSolverConfig("cg"), stats)
+    x = solve_c_stage(U0.rho, U0.q, dta, params.eps, grid, stats)
     assert 0 < stats.lin_iters <= 10
     A = assemble_c_matrix(U0.rho, dta, params.eps, grid)
     b = np.ravel(U0.q, order="F")
@@ -160,21 +161,30 @@ def test_cg_iterations_do_not_grow_with_M(cp, M):
     assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("method", ["cg", "direct"])
-def test_c_stage_rejects_nonpositive_density(method, monkeypatch):
+def test_cg_iterations_pinned_on_gate_test3():
+    """The mean-density preconditioner keeps CG at no more than 8
+    iterations per step (two c-stages) on the Test 3 run of
+    scripts/cli_gate.py (M=32, C_p=1e4, T=0.004, seed 0); 8 is the measured
+    maximum there, and at M=64 too."""
+    grid, params = GridSpec(dim=2, M=32), ModelParams(cp=1e4)
+    U0 = initial_state(3, grid, params, seed=0)
+    res = Integrator(grid, params).run_to_time(U0, 0.004)
+    iters = [rec.lin_iters for rec in res.steps]
+    assert res.n_steps > 0 and 0 < min(iters) and max(iters) <= 8, iters
+
+
+def test_c_stage_rejects_nonpositive_density(monkeypatch):
     """A nonpositive density is a NonPositiveDensityError before any
     linear solve starts."""
     def no_solve(*args, **kwargs):
         raise AssertionError("linear solver called")
 
     monkeypatch.setattr(spla, "cg", no_solve)
-    monkeypatch.setattr(spla, "splu", no_solve)
     grid = GridSpec(dim=2, M=8)
     rho = np.ones((8, 8))
     rho[2, 5] = 0.0
     with pytest.raises(NonPositiveDensityError):
-        solve_c_stage(rho, np.ones((8, 8)), 0.01, 1e-4, grid,
-                      LinearSolverConfig(method))
+        solve_c_stage(rho, np.ones((8, 8)), 0.01, 1e-4, grid)
 
 
 @pytest.fixture
@@ -191,101 +201,9 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def _kept_c_factorization(rng, dta=0.004):
-    """A 2D c-stage problem solved once by the direct method, keeping its
-    factorization; returns (grid, rho, rhs, chord)."""
-    grid = GridSpec(dim=2, M=16)
-    rho = 1.0 + 0.3 * rng.uniform(-1, 1, (16, 16))
-    rhs = rng.standard_normal((16, 16))
-    chord = ChordLU()
-    solve_c_stage(rho, rhs, dta, 1e-4, grid,
-                  LinearSolverConfig(method="direct"), chord=chord)
-    assert chord.lu is not None and chord.key == dta
-    return grid, rho, rhs, chord
-
-
-def _c_residual(rho, rhs, x, dta, grid):
-    """||b - A x|| / ||b|| of the c-system."""
-    A = assemble_c_matrix(rho, dta, 1e-4, grid)
-    b = np.ravel(rhs, order="F")
-    return np.linalg.norm(b - A @ np.ravel(x, order="F")) / np.linalg.norm(b)
-
-
-def test_direct_c_stage_refines_on_kept_factorization(rng, splu_calls):
-    """A nearby density at the same dt*a reuses the kept factorization as
-    CG's preconditioner and reaches CG's criterion in a few iterations,
-    agreeing with a fresh factorization."""
-    dta = 0.004
-    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
-    kept = chord.lu
-    splu_calls.clear()
-    rho2 = rho * (1.0 + 1e-3 * rng.uniform(-1, 1, rho.shape))
-    cfg = LinearSolverConfig(method="direct")
-    stats = SolveStats()
-    x = solve_c_stage(rho2, rhs, dta, 1e-4, grid, cfg, stats, chord)
-    assert splu_calls == []
-    assert chord.lu is kept
-    assert 0 < stats.lin_iters <= 4
-    assert _c_residual(rho2, rhs, x, dta, grid) <= solvers.LINEAR_TOL
-    A = assemble_c_matrix(rho2, dta, 1e-4, grid)
-    fresh = spla.splu(A.tocsc(), **SPLU_SYMMETRIC).solve(
-        np.ravel(rhs, order="F")).reshape(rho.shape, order="F")
-    np.testing.assert_allclose(x, fresh, rtol=0,
-                               atol=1e-12 * np.abs(fresh).max())
-
-
-def test_direct_c_stage_refactorizes_for_distant_dta(rng, splu_calls):
-    """A dt*a more than 20% from the kept one factorizes anew, and CG
-    preconditioned by the fresh factorization takes one iteration."""
-    dta = 0.004
-    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
-    splu_calls.clear()
-    stats = SolveStats()
-    solve_c_stage(rho, rhs, 1.25 * dta, 1e-4, grid,
-                  LinearSolverConfig(method="direct"), stats, chord)
-    assert splu_calls == [(256, 256)]
-    assert chord.key == 1.25 * dta
-    assert stats.lin_iters == 1
-
-
-def test_direct_c_stage_reuses_lu_at_distant_density(rng, splu_calls):
-    """A kept factorization built for a very different density still
-    preconditions CG to the tolerance, without a new factorization."""
-    dta = 0.004
-    grid, rho, rhs, chord = _kept_c_factorization(rng, dta)
-    kept = chord.lu
-    splu_calls.clear()
-    rho2 = 1.0 + 0.9 * rng.uniform(0, 1, rho.shape)
-    cfg = LinearSolverConfig(method="direct")
-    stats = SolveStats()
-    x = solve_c_stage(rho2, rhs, dta, 1e-4, grid, cfg, stats, chord)
-    assert splu_calls == []
-    assert chord.lu is kept
-    assert 0 < stats.lin_iters <= 20
-    assert _c_residual(rho2, rhs, x, dta, grid) <= solvers.LINEAR_TOL
-
-
-def test_direct_c_stage_rejects_nonpositive_density_before_reuse(
-        rng, splu_calls, monkeypatch):
-    grid, rho, rhs, chord = _kept_c_factorization(rng)
-    splu_calls.clear()
-
-    def no_solve(b):
-        raise AssertionError("kept factorization used")
-
-    monkeypatch.setattr(chord, "lu", type("LU", (), {"solve": no_solve})())
-    rho[3, 5] = -0.1
-    with pytest.raises(NonPositiveDensityError):
-        solve_c_stage(rho, rhs, chord.key, 1e-4, grid,
-                      LinearSolverConfig(method="direct"), chord=chord)
-    assert splu_calls == []
-
-
 def test_unknown_linear_solver_rejected():
-    grid = GridSpec(dim=1, M=8)
     with pytest.raises(ValueError):
-        solve_c_stage(np.ones(8), np.ones(8), 0.01, 1e-4, grid,
-                      LinearSolverConfig(method="sor"))
+        LinearSolverConfig(method="sor")
 
 
 # ---------------------------------------------------------------------------
