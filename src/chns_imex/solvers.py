@@ -59,9 +59,9 @@ from .spatial import SpatialDiscretization
 #: minimum-degree ordering of A^T + A with diagonal pivots fills less than
 #: the default COLAMD ordering with partial pivoting (the whole Newton
 #: Jacobian at M=128: 8.3 M against 13.6 M entries in L+U; its Schur
-#: complement fills 3.0 M).  A zero diagonal entry still gets an off-diagonal pivot.  The
-#: zero threshold is needed: with the default 1.0 the same ordering fills
-#: 8x more than COLAMD (whole Jacobian, M=32).
+#: complement fills 3.0 M).  A zero diagonal entry still gets an
+#: off-diagonal pivot.  The zero threshold is needed: with the default 1.0
+#: the same ordering fills 8x more than COLAMD (whole Jacobian, M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
 #: the kept Newton chord factorization is rebuilt once dt*a differs from
