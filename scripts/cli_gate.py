@@ -43,7 +43,7 @@ GATE_RUNS = (
     ["run", "--test", "1", "--M", "32", "--cp", "1e8", "--T", "0.003",
      "--dump-times", "0,0.001,0.003", "--out", "test1"],
     ["run", "--test", "3", "--M", "32", "--cp", "1e4", "--T", "0.004",
-     "--linear-solver", "direct", "--out", "test3"],
+     "--out", "test3"],
     ["sweep", "--test", "2", "--M", "16", "--cp", "1e2,1e8", "--T", "0.002",
      "--out", "sweep"],
     # at a power-of-two M, h and 1/h are exact, so a stencil and its sparse

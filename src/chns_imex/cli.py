@@ -34,7 +34,6 @@ from .grid import AXES, GridSpec, extend_face_interior, faces_to_cells6
 from .imex import DEFAULT_CFL, Integrator
 from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
-from .solvers import LINEAR_METHODS, LinearSolverConfig
 
 ENV_PREFIX = "CHNS_"
 
@@ -58,7 +57,6 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
     dump_times: tuple = ()
-    linear_solver: str = "cg"
 
     def model_params(self) -> ModelParams:
         return ModelParams(cp=self.cp, cp1=self.cp1, gamma=self.gamma,
@@ -216,8 +214,7 @@ def diag_row(t, steps, U, U0, grid, params):
 
 def _integrator(grid, params, cfg, forcing=None):
     return Integrator(grid, params, scheme=cfg.scheme, cfl=cfg.cfl,
-                      forcing=forcing,
-                      linear_cfg=LinearSolverConfig(method=cfg.linear_solver))
+                      forcing=forcing)
 
 
 def _mms_case(cfg: RunConfig, M: int, outdir: pathlib.Path):
@@ -344,11 +341,6 @@ def _option_parser(command: str) -> argparse.ArgumentParser:
     q.add_argument("--out", help="output directory")
     q.add_argument("--dump-times", dest="dump_times", type=float_list,
                    help="comma-separated snapshot times")
-    q.add_argument("--linear-solver", dest="linear_solver",
-                   choices=LINEAR_METHODS,
-                   help="concentration solve: CG preconditioned by the "
-                   "mean-density DCT inverse (cg, the default); direct: "
-                   "deprecated; solves as cg")
     return q
 
 

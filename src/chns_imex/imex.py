@@ -91,8 +91,9 @@ class RunResult:
 
 class Integrator:
     """Steps the system with the IMEX pair `scheme` at the CFL number cfl.
-    `linear_cfg` is validated and otherwise unused: every concentration
-    method solves as `cg` (see LinearSolverConfig)."""
+    `linear_cfg` is kept for library callers only; it is validated and
+    otherwise unused: every concentration method solves as `cg` (see
+    LinearSolverConfig)."""
 
     def __init__(self, grid: GridSpec, params: ModelParams,
                  scheme: str = "star_dirksa", cfl: float = DEFAULT_CFL,
@@ -177,7 +178,7 @@ class Integrator:
                 return self.attempt_step(Un, t, dt, rec), rec
             except (SolverFailure, NonPositiveDensityError,
                     FloatingPointError) as exc:
-                self.hydro.invalidate()
+                self.hydro.chord = None
                 retries += 1
                 if retries > MAX_RETRIES:
                     raise SolverFailure(

@@ -15,14 +15,16 @@ correction accounts for the off-diagonal (advective) part of J_rr.  The
 correction's S-solve is the exact spectral inverse of S at rest under
 free-slip walls and at the mean density (DST-I/DCT-II transforms and a
 Sherman-Morrison solve per mode), built with each factorization.  The
-factorization is reused across iterations (and callers may reuse a solver
-object across stages), and refreshed whenever the damped line search
-stalls, so the monotone decrease of ||H||_2 is always enforced.  The line
-search evaluates each trial point once and keeps the residual of the
-accepted one for the next iteration: one residual per Newton iteration,
-its full chord step, and one more per damped trial.  Newton
-stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm; an
-initial guess is accepted only if its residual meets that unscaled too.
+factorization and the blocks a direction needs are kept as one Chord,
+reused across iterations and across the stages a solver object serves
+while dt*a stays within LU_KEY_TOLERANCE of the chord's, and refreshed
+whenever the damped line search stalls, so the monotone decrease of
+||H||_2 is always enforced.  The line search evaluates each trial point
+once and keeps the residual of the accepted one for the next iteration:
+one residual per Newton iteration, its full chord step, and one more per
+damped trial.  Newton stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)||
+in a row-scaled norm; an initial guess is accepted only if its residual
+meets that unscaled too.
 
 The concentration system is solved by matrix-free CG to the criterion
 ||b - A x|| <= LINEAR_TOL ||b||, applying the operator with the Laplacian
@@ -64,8 +66,8 @@ from .spatial import SpatialDiscretization
 #: the same ordering fills 8x more than COLAMD (whole Jacobian, M=32).
 SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
-#: the kept Newton chord factorization is rebuilt once dt*a differs from
-#: the value it was built for by more than this fraction (the implicit
+#: a kept Chord is dropped, and rebuilt by the next Newton iteration, once
+#: dt*a differs from its `dta` by more than this fraction (the implicit
 #: blocks scale with it)
 LU_KEY_TOLERANCE = 0.2
 
@@ -131,46 +133,19 @@ class SolveStats:
     history: list = field(default_factory=list)
 
 
-class SchurBlocks(NamedTuple):
-    """The parts of the chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]] that
-    a Newton direction needs next to the LU of its Schur complement:
-    1/d with d = diag(J_rr), the coupling blocks, N = J_rr - diag(d), and
-    the spectral inverse of the Schur complement at rest
-    (`free_slip_schur_inverse`) that solves the correction."""
+class Chord(NamedTuple):
+    """The kept Newton chord: the LU of the Schur complement S of the
+    chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]], the dt*a it was built
+    for, and what a direction needs next to it: 1/d with d = diag(J_rr),
+    the coupling blocks, N = J_rr - diag(d), and the spectral inverse of
+    S at rest (`free_slip_schur_inverse`) that solves the correction."""
+    lu: spla.SuperLU
+    dta: float
     inv_d: np.ndarray
     J_rv: sp.csr_matrix
     J_vr: sp.csr_matrix
     N: sp.csr_matrix
     inv_P: Callable[[np.ndarray], np.ndarray]
-
-
-class ChordLU:
-    """The sparse LU factorization of the Newton chord, kept for reuse, the
-    dt*a it was built for, and the data its caller needs next to it (`aux`,
-    dropped with it).  It is stale once dt*a moves by more than
-    LU_KEY_TOLERANCE."""
-
-    def __init__(self):
-        self.drop()
-
-    def current(self, key: float):
-        """The kept factorization, or None when there is none or it is stale
-        for key (a stale one is dropped)."""
-        if self.lu is not None \
-                and abs(key - self.key) > LU_KEY_TOLERANCE * abs(self.key):
-            self.drop()
-        return self.lu
-
-    def refactorize(self, A: sp.csc_matrix, key: float, aux=None):
-        """Factorize A for key, freeing the old factorization first."""
-        self.drop()
-        self.lu = spla.splu(A, **SPLU_SYMMETRIC)
-        self.key = key
-        self.aux = aux
-        return self.lu
-
-    def drop(self):
-        self.lu = self.key = self.aux = None
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +243,9 @@ class HydroSolver:
         self.params = params
         self.spatial = SpatialDiscretization(grid, params)
         self.nc = grid.M ** grid.dim
-        self._chord = ChordLU()
-
-    @property
-    def _lu(self):
-        """The factorization of the chord Jacobian's Schur complement, None
-        until the first solve."""
-        return self._chord.lu
+        #: the kept Chord, None until the first solve and after a failed
+        #: step
+        self.chord: Chord | None = None
 
     def residual(self, z, r, dta):
         """H(z) = U(z) - dta*T(z) - r: the density and face momenta
@@ -349,9 +320,11 @@ class HydroSolver:
             stats.newton_res = max(stats.newton_res, nrm)
             return z
         fresh = False
-        self._chord.current(dta)     # drops one kept for a distant dt*a
+        if self.chord is not None and abs(dta - self.chord.dta) \
+                > LU_KEY_TOLERANCE * abs(self.chord.dta):
+            self.chord = None
         for it in range(NEWTON_MAXIT):
-            if self._lu is None or (it > 0 and it % 8 == 0 and not fresh):
+            if self.chord is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
                 fresh = True
             delta = self._direction(-res, stats)
@@ -392,9 +365,9 @@ class HydroSolver:
     def _refresh(self, z, dta, stats: SolveStats):
         """Factorize the Schur complement S = J_vv - J_vr d^-1 J_rv of the
         Jacobian at z, with d = diag(J_rr) = 1 + (dta/2) div_h v, and keep
-        its SchurBlocks with it, the spectral inverse built at the mean
-        density of z.  A d that is not finite and positive is a
-        SolverFailure, so the step is retried at a smaller dt."""
+        it as the Chord, the spectral inverse built at the mean density of
+        z.  A d that is not finite and positive is a SolverFailure, so the
+        step is retried at a smaller dt."""
         J_rr, J_rv, J_vr, J_vv = self.jacobian(z, dta)
         d = J_rr.diagonal()
         if not (np.isfinite(d).all() and (d > 0).all()):
@@ -406,18 +379,19 @@ class HydroSolver:
         S = J_vv - J_vr @ _scale_rows(J_rv, inv_d)
         inv_P = free_slip_schur_inverse(self.spatial,
                                         float(z[:self.nc].mean()), dta)
-        self._chord.refactorize(
-            S.tocsc(), dta,
-            SchurBlocks(inv_d, J_rv, J_vr, J_rr - sp.diags(d), inv_P))
+        self.chord = None           # the old LU is freed before the new one
+        lu = spla.splu(S.tocsc(), **SPLU_SYMMETRIC)
+        self.chord = Chord(lu, dta, inv_d, J_rv, J_vr, J_rr - sp.diags(d),
+                           inv_P)
         stats.factorizations += 1
 
     def _eliminate(self, b, solve_S) -> np.ndarray:
         """The solution of the chord Jacobian with J_rr replaced by diag(d),
         for b: solve_S for the velocities, then the densities through d."""
-        blk = self._chord.aux
+        ch = self.chord
         b_rho, b_v = b[:self.nc], b[self.nc:]
-        dv = solve_S(b_v - blk.J_vr @ (blk.inv_d * b_rho))
-        return np.concatenate([blk.inv_d * (b_rho - blk.J_rv @ dv), dv])
+        dv = solve_S(b_v - ch.J_vr @ (ch.inv_d * b_rho))
+        return np.concatenate([ch.inv_d * (b_rho - ch.J_rv @ dv), dv])
 
     def _direction(self, b, stats: SolveStats) -> np.ndarray:
         """The chord direction for b = -H.  The elimination with the LU of S
@@ -425,18 +399,15 @@ class HydroSolver:
         density rows; unless that is at round-off of b (v = 0 makes N = 0),
         one correction with the right-hand side (-N delta_rho, 0) follows,
         its S-solve the spectral inverse at rest."""
-        blk = self._chord.aux
-        delta = self._eliminate(b, self._lu.solve)
+        ch = self.chord
+        delta = self._eliminate(b, ch.lu.solve)
         stats.lu_solves += 1
         r = np.zeros_like(b)
-        r[:self.nc] = -(blk.N @ delta[:self.nc])
+        r[:self.nc] = -(ch.N @ delta[:self.nc])
         if np.linalg.norm(r) > np.finfo(float).eps * np.linalg.norm(b):
-            delta += self._eliminate(r, blk.inv_P)
+            delta += self._eliminate(r, ch.inv_P)
             stats.spectral_corrections += 1
         return delta
-
-    def invalidate(self):
-        self._chord.drop()
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ Newton correction applies spectrally.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import block_diag
 
 from chns_imex import model
 from chns_imex.grid import GHOST, MU6, _slc, diff, dual
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
+from chns_imex.solvers import SPLU_SYMMETRIC, Chord
 from chns_imex.state import State
 from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
 
@@ -546,8 +548,11 @@ def full_jacobian(hydro, z, dta):
 
 
 def full_jacobian_refresh(hydro, z, dta, stats):
-    """Stands in for `HydroSolver._refresh`: factorize the whole Jacobian."""
-    hydro._chord.refactorize(full_jacobian(hydro, z, dta), dta)
+    """Stands in for `HydroSolver._refresh`: keep the LU of the whole
+    Jacobian as the chord, without the Schur blocks."""
+    hydro.chord = None
+    lu = spla.splu(full_jacobian(hydro, z, dta), **SPLU_SYMMETRIC)
+    hydro.chord = Chord(lu, dta, *(None,) * 5)
     stats.factorizations += 1
 
 
@@ -555,7 +560,7 @@ def full_jacobian_direction(hydro, b, stats):
     """Stands in for `HydroSolver._direction`: one solve with the LU of the
     whole Jacobian."""
     stats.lu_solves += 1
-    return hydro._lu.solve(b)
+    return hydro.chord.lu.solve(b)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_defaults():
     assert cfg.dim == 2 and cfg.scheme == "star_dirksa"
     assert cfg.M == (64,) and cfg.cp == 1e2
     assert cfg.T == 0.1 and cfg.cfl == 0.4
-    assert cfg.linear_solver == "cg" and cfg.seed == 0
+    assert cfg.seed == 0
     assert (cfg.nu, cfg.lam, cfg.eps, cfg.g) == (1.0, 0.1, 1e-4, -10.0)
 
 
@@ -51,10 +51,10 @@ def test_m_list_and_dump_times_parsing():
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv(ENV_PREFIX + "CP", "1e6")
-    monkeypatch.setenv(ENV_PREFIX + "LINEAR_SOLVER", "direct")
+    monkeypatch.setenv(ENV_PREFIX + "SCHEME", "ee_ie")
     cfg = resolve_config(build_parser().parse_args(["run", "--test", "2"]))
     assert cfg.cp == 1e6
-    assert cfg.linear_solver == "direct"
+    assert cfg.scheme == "ee_ie"
 
 
 def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
@@ -148,8 +148,10 @@ def test_run_requires_test_flag():
 
 
 @pytest.mark.parametrize("argv,env,conf", [
-    pytest.param([], {"LINEAR_SOLVER": "multigrid"}, "", id="env-solver"),
-    pytest.param([], {}, "linear_solver = multigrid\n", id="file-solver"),
+    pytest.param([], {"SCHEME": "rk4"}, "", id="env-solver"),
+    pytest.param([], {}, "scheme = rk4\n", id="file-solver"),
+    pytest.param(["--linear-solver", "cg"], {}, "", id="removed-flag"),
+    pytest.param([], {}, "linear_solver = cg\n", id="file-removed-key"),
     pytest.param([], {"M": ","}, "", id="env-empty-M"),
     pytest.param([], {}, "cfl = 0\n", id="file-cfl"),
     pytest.param([], {}, "no_such_key = 1\n", id="file-unknown-key"),
@@ -199,11 +201,11 @@ def test_bad_value_names_its_source(tmp_path, monkeypatch):
         "CHNS_CFL: argument --cfl: invalid float value: 'abc'"
     monkeypatch.delenv(ENV_PREFIX + "CFL")
     conf = tmp_path / "case.conf"
-    conf.write_text("linear_solver = multigrid\n")
+    conf.write_text("scheme = rk4\n")
     args = build_parser().parse_args(["run", "--test", "1", "--config",
                                       str(conf)])
     with pytest.raises(ValueError, match="^" + str(conf)
-                       + ": argument --linear-solver: invalid choice"):
+                       + ": argument --scheme: invalid choice"):
         resolve_config(args)
 
 

@@ -588,6 +588,28 @@ def test_retried_step_records_only_the_accepted_attempt(monkeypatch):
         assert getattr(rec, name) == getattr(clean, name), name
 
 
+def test_failed_attempt_drops_the_chord(monkeypatch):
+    """A failed attempt drops the kept Newton chord: the retry's first
+    stage starts with hydro.chord None, although the failed attempt's first
+    stage had built one."""
+    grid, params, integ = _small_problem("star_dirksa")
+    U0 = exact_state(grid, params, 0.0)
+    dt = integ.select_dt(U0)
+    real = integ._solve_stage
+    chords = []
+
+    def fail_stage_2_once(hat, tilde, dta, stats):
+        chords.append(integ.hydro.chord)
+        if len(chords) == 2:
+            raise SolverFailure("synthetic failure")
+        return real(hat, tilde, dta, stats)
+
+    monkeypatch.setattr(integ, "_solve_stage", fail_stage_2_once)
+    _, rec = integ.step(U0, 0.0, dt)
+    assert rec.retries == 1
+    assert chords[1] is not None and chords[2] is None
+
+
 def test_step_gives_up_after_max_retries(monkeypatch):
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)

@@ -362,10 +362,10 @@ def test_schur_factorization_fills_less_than_full_jacobian(cp, rng):
     def rel_residual(lu):
         return np.linalg.norm(S @ lu.solve(b) - b) / np.linalg.norm(b)
 
-    kept = _lu_nnz(hydro._lu)
+    kept = _lu_nnz(hydro.chord.lu)
     assert kept < _lu_nnz(spla.splu(J, **SPLU_SYMMETRIC))
     assert kept < _lu_nnz(spla.splu(J, permc_spec="COLAMD"))
-    assert rel_residual(hydro._lu) \
+    assert rel_residual(hydro.chord.lu) \
         <= 10 * rel_residual(spla.splu(S, permc_spec="COLAMD"))
 
 
@@ -385,7 +385,7 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
     b = -hydro.residual(z0, r, dta)
     n, nb = hydro.nc, np.linalg.norm(b)
     exact = spla.spsolve(J, b)
-    plain = hydro._eliminate(b, hydro._lu.solve)
+    plain = hydro._eliminate(b, hydro.chord.lu.solve)
     corrected = hydro._direction(b, SolveStats())
     assert np.linalg.norm((J @ plain - b)[n:]) <= 1e-13 * nb
     assert np.linalg.norm(corrected - exact) \
@@ -468,23 +468,27 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
     with pytest.raises(SolverFailure):
         hydro._refresh(z, dta, stats)
     assert splu_calls == []
-    assert hydro._lu is None and stats.factorizations == 0
+    assert hydro.chord is None and stats.factorizations == 0
 
 
 def test_lu_reuse_across_solves(rng):
-    """The chord factorization is reused for nearby stage systems."""
+    """The chord factorization is reused for stage systems whose dt*a is
+    within LU_KEY_TOLERANCE (20%) of the chord's, and rebuilt once for one
+    beyond it.  The second guess is within 1e-7 of its root, so Newton
+    meets the absolute tolerance in a few iterations (at most 6 here),
+    before it would refresh a chord built for another dt*a."""
     grid = GridSpec(dim=1, M=16)
-    hydro = HydroSolver(grid, PARAMS)
     dta = 0.01
-    s1, s2 = SolveStats(), SolveStats()
-    _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
-    hydro.solve(z0, r, dta, s1)
-    _, z0b, rb = _random_stage_problem(hydro, grid, rng, dta)
-    hydro.solve(z0b, rb, dta, s2)
-    assert s1.factorizations >= 1
-    assert s2.factorizations == 0
-    # a very different dt*alpha invalidates the cache
-    s3 = SolveStats()
-    _, z0c, rc = _random_stage_problem(hydro, grid, rng, dta * 10)
-    hydro.solve(z0c, rc, dta * 10, s3)
-    assert s3.factorizations >= 1
+    for factor, rebuilt in [(1.0, False), (1.19, False), (0.81, False),
+                            (1.21, True), (0.79, True), (10.0, True)]:
+        hydro = HydroSolver(grid, PARAMS)
+        s1, s2 = SolveStats(), SolveStats()
+        _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
+        hydro.solve(z0, r, dta, s1)
+        assert s1.factorizations >= 1
+        kept = hydro.chord
+        zb, z0b, rb = _random_stage_problem(hydro, grid, rng, dta * factor)
+        hydro.solve(zb + 1e-7 * (z0b - zb), rb, dta * factor, s2)
+        assert s2.factorizations == int(rebuilt), factor
+        assert (hydro.chord is kept) != rebuilt
+        assert hydro.chord.dta == (dta * factor if rebuilt else dta)
