@@ -565,14 +565,18 @@ def test_step_retries_then_succeeds(monkeypatch):
 def test_retried_step_records_only_the_accepted_attempt(monkeypatch):
     """A step whose second stage fails is retried at dt/2, and its record
     counts the retry's work alone: the counts of a clean step at dt/2 on a
-    fresh Integrator, without the failed attempt's first stage."""
+    fresh Integrator, without the failed attempt's first stage.  The failed
+    attempt drops the kept Newton chord: the retry's first stage starts
+    with hydro.chord None, although the failed first stage had built one."""
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)
     dt = integ.select_dt(U0)
     real = integ._solve_stage
     calls = {"n": 0}
+    chords = []
 
     def fail_stage_2_once(hat, tilde, dta, stats):
+        chords.append(integ.hydro.chord)
         calls["n"] += 1
         if calls["n"] == 2:
             raise SolverFailure("synthetic failure")
@@ -582,32 +586,11 @@ def test_retried_step_records_only_the_accepted_attempt(monkeypatch):
     _, rec = integ.step(U0, 0.0, dt)
     assert calls["n"] == 2 + integ.tab.stages
     assert rec.retries == 1 and rec.dt == dt / 2
+    assert chords[1] is not None and chords[2] is None
     _, clean = _small_problem("star_dirksa")[2].step(U0, 0.0, dt / 2)
     assert clean.factorizations > 0 and clean.newton_iters > 0
     for name in ("newton_iters", "factorizations", "lu_solves"):
         assert getattr(rec, name) == getattr(clean, name), name
-
-
-def test_failed_attempt_drops_the_chord(monkeypatch):
-    """A failed attempt drops the kept Newton chord: the retry's first
-    stage starts with hydro.chord None, although the failed attempt's first
-    stage had built one."""
-    grid, params, integ = _small_problem("star_dirksa")
-    U0 = exact_state(grid, params, 0.0)
-    dt = integ.select_dt(U0)
-    real = integ._solve_stage
-    chords = []
-
-    def fail_stage_2_once(hat, tilde, dta, stats):
-        chords.append(integ.hydro.chord)
-        if len(chords) == 2:
-            raise SolverFailure("synthetic failure")
-        return real(hat, tilde, dta, stats)
-
-    monkeypatch.setattr(integ, "_solve_stage", fail_stage_2_once)
-    _, rec = integ.step(U0, 0.0, dt)
-    assert rec.retries == 1
-    assert chords[1] is not None and chords[2] is None
 
 
 def test_step_gives_up_after_max_retries(monkeypatch):

@@ -474,13 +474,16 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
 def test_lu_reuse_across_solves(rng):
     """The chord factorization is reused for stage systems whose dt*a is
     within LU_KEY_TOLERANCE (20%) of the chord's, and rebuilt once for one
-    beyond it.  The second guess is within 1e-7 of its root, so Newton
-    meets the absolute tolerance in a few iterations (at most 6 here),
-    before it would refresh a chord built for another dt*a."""
+    beyond it.  At the same dt*a the kept chord solves a new stage problem
+    from its usual flat-density guess without a refresh.  The other second
+    guesses are within 1e-7 of their roots, so Newton meets the absolute
+    tolerance in a few iterations (at most 6 here), before it would
+    refresh a chord built for another dt*a."""
     grid = GridSpec(dim=1, M=16)
     dta = 0.01
-    for factor, rebuilt in [(1.0, False), (1.19, False), (0.81, False),
-                            (1.21, True), (0.79, True), (10.0, True)]:
+    for factor, rebuilt, near in [(1.0, False, False), (1.19, False, True),
+                                  (0.81, False, True), (1.21, True, True),
+                                  (0.79, True, True), (10.0, True, True)]:
         hydro = HydroSolver(grid, PARAMS)
         s1, s2 = SolveStats(), SolveStats()
         _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
@@ -488,7 +491,8 @@ def test_lu_reuse_across_solves(rng):
         assert s1.factorizations >= 1
         kept = hydro.chord
         zb, z0b, rb = _random_stage_problem(hydro, grid, rng, dta * factor)
-        hydro.solve(zb + 1e-7 * (z0b - zb), rb, dta * factor, s2)
+        guess = zb + 1e-7 * (z0b - zb) if near else z0b
+        hydro.solve(guess, rb, dta * factor, s2)
         assert s2.factorizations == int(rebuilt), factor
         assert (hydro.chord is kept) != rebuilt
         assert hydro.chord.dta == (dta * factor if rebuilt else dta)
