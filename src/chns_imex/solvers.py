@@ -8,23 +8,26 @@ and (b) a linear SPD system for the concentration.  Both work on packed
 column-major vectors with the cached matrices of
 `operators.implicit_operators`: the residual applies them, and the four
 blocks of the Newton Jacobian are built from the same ones.  Only the
-velocity Schur complement S = J_vv - J_vr d^-1 J_rv of this chord Jacobian
-is factorized, with d the diagonal of the density block J_rr; the density
-unknowns are eliminated through d with one LU solve of S, and one
-correction accounts for the off-diagonal (advective) part of J_rr.  The
-correction's S-solve is the exact spectral inverse of S at rest under
-free-slip walls and at the mean density (DST-I/DCT-II transforms and a
-Sherman-Morrison solve per mode), built with each factorization.  The
-factorization and the blocks a direction needs are kept as one Chord,
-reused across iterations and across the stages a solver object serves
-while dt*a stays within LU_KEY_TOLERANCE of the chord's, and refreshed
-whenever the damped line search stalls, so the monotone decrease of
-||H||_2 is always enforced.  The line search evaluates each trial point
-once and keeps the residual of the accepted one for the next iteration:
-one residual per Newton iteration, its full chord step, and one more per
-damped trial.  Newton stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)||
-in a row-scaled norm; an initial guess is accepted only if its residual
-meets that unscaled too.
+velocity Schur complement S = J_vv - J_vr d^-1 J_rv of a chord Jacobian is
+factorized, with d the diagonal of the density block J_rr; the density
+unknowns are eliminated through d with one LU solve of S.  The defect of
+that direction against the Jacobian of the current iterate, applied
+matrix-free, holds the off-diagonal (advective) part of J_rr and whatever
+the iterate has moved since the chord was built; where it exceeds the
+Newton tolerance, one correction solves the same elimination for it, its
+S-solve the exact spectral inverse of S at rest under free-slip walls and
+at the mean density (DST-I/DCT-II transforms and a Sherman-Morrison solve
+per mode), built with each factorization.  The factorization and the blocks
+a direction needs are kept as one Chord, reused across iterations and
+across the stages a solver object serves while dt*a stays within
+LU_KEY_TOLERANCE of the chord's, and refreshed whenever the damped line
+search stalls, so the monotone decrease of ||H||_2 is always enforced.
+The line search evaluates each trial point once and keeps the residual of
+the accepted one for the next iteration: one residual per Newton
+iteration, its full chord step, and one more per damped trial.  Newton
+stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm;
+an initial guess is accepted only if its residual meets that unscaled
+too.
 
 The concentration system is solved by matrix-free CG to the criterion
 ||b - A x|| <= LINEAR_TOL ||b||, applying the operator with the Laplacian
@@ -68,7 +71,11 @@ SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True))
 #: a kept Chord is dropped, and rebuilt by the next Newton iteration, once
 #: dt*a differs from its `dta` by more than this fraction (the implicit
-#: blocks scale with it)
+#: blocks scale with it).  On the benchmark runs a looser key keeps the
+#: chord through a short final step at 13 Newton iterations where 0.2
+#: rebuilds it and takes 4 (mms2d M = 64 at 0.3, Test 3 M = 64 at 0.6); a
+#: tighter one rebuilds where 0.2 keeps it (0.1: one more factorization at
+#: mms2d M = 32, 4 iterations instead of 9; 0.05: also Test 1 M = 64).
 LU_KEY_TOLERANCE = 0.2
 
 #: the concentration solvers a LinearSolverConfig may name; "direct" is a
@@ -121,8 +128,9 @@ class SolveStats:
     factorizations: int = 0
     #: solves with the Newton factorization: one per Newton direction
     lu_solves: int = 0
-    #: Newton directions corrected for the advective rest of the density
-    #: block, each by one application of the spectral Schur inverse
+    #: Newton directions corrected for their defect against the Jacobian
+    #: of the current iterate, each by one application of the spectral
+    #: Schur inverse
     spectral_corrections: int = 0
     #: seconds (time.perf_counter) in the explicit tendencies, the Newton
     #: solves and the concentration solves
@@ -136,15 +144,16 @@ class SolveStats:
 class Chord(NamedTuple):
     """The kept Newton chord: the LU of the Schur complement S of the
     chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]], the dt*a it was built
-    for, and what a direction needs next to it: 1/d with d = diag(J_rr),
-    the coupling blocks, N = J_rr - diag(d), and the spectral inverse of
-    S at rest (`free_slip_schur_inverse`) that solves the correction."""
+    for, and what its elimination needs next to it: 1/d with
+    d = diag(J_rr), the coupling blocks, and the spectral inverse of S at
+    rest (`free_slip_schur_inverse`) that solves the correction.  The
+    correction's defect is taken against the Jacobian of the current
+    iterate, so the chord serves only as the preconditioner."""
     lu: spla.SuperLU
     dta: float
     inv_d: np.ndarray
     J_rv: sp.csr_matrix
     J_vr: sp.csr_matrix
-    N: sp.csr_matrix
     inv_P: Callable[[np.ndarray], np.ndarray]
 
 
@@ -327,7 +336,7 @@ class HydroSolver:
             if self.chord is None or (it > 0 and it % 8 == 0 and not fresh):
                 self._refresh(z, dta, stats)
                 fresh = True
-            delta = self._direction(-res, stats)
+            delta = self._direction(z, -res, dta, w, tol, stats)
             # every trial point is evaluated once, and the accepted one's
             # residual is the next iteration's.  The full step is evaluated
             # here and the damped trials in _trial: perfbench/spans.py counts
@@ -346,7 +355,7 @@ class HydroSolver:
                 if alpha < 0.25 and not fresh:
                     self._refresh(z, dta, stats)
                     fresh = True
-                    delta = self._direction(-res, stats)
+                    delta = self._direction(z, -res, dta, w, tol, stats)
                     alpha = 1.0
                 if alpha < DAMPING_FLOOR:
                     raise SolverFailure("Newton damping underflow")
@@ -381,9 +390,34 @@ class HydroSolver:
                                         float(z[:self.nc].mean()), dta)
         self.chord = None           # the old LU is freed before the new one
         lu = spla.splu(S.tocsc(), **SPLU_SYMMETRIC)
-        self.chord = Chord(lu, dta, inv_d, J_rv, J_vr, J_rr - sp.diags(d),
-                           inv_P)
+        self.chord = Chord(lu, dta, inv_d, J_rv, J_vr, inv_P)
         stats.factorizations += 1
+
+    def _jacobian_times(self, z, delta, dta) -> np.ndarray:
+        """J(z) delta for the Jacobian of the residual at z = [rho; v],
+        applied with the matrices of `jacobian` and nothing assembled:
+        [d_rho + dta D dm; dm - dta (G (p2'(rho) d_rho) - B d_v)] with
+        dm = (A d_rho) v + (A rho) d_v."""
+        ops, n = self.spatial.ops, self.nc
+        rho, v = z[:n], z[n:]
+        d_rho, d_v = delta[:n], delta[n:]
+        dm = ops.A @ d_rho
+        dm *= v
+        rho_f = ops.A @ rho
+        rho_f *= d_v
+        dm += rho_f
+        dp = model.dp2(rho, self.params)
+        dp *= d_rho
+        out = np.empty_like(delta)
+        out_rho, out_v = out[:n], out[n:]
+        out_rho[:] = ops.D @ dm
+        out_rho *= dta
+        out_rho += d_rho
+        out_v[:] = ops.G @ dp
+        out_v -= ops.B @ d_v
+        out_v *= -dta
+        out_v += dm
+        return out
 
     def _eliminate(self, b, solve_S) -> np.ndarray:
         """The solution of the chord Jacobian with J_rr replaced by diag(d),
@@ -393,18 +427,20 @@ class HydroSolver:
         dv = solve_S(b_v - ch.J_vr @ (ch.inv_d * b_rho))
         return np.concatenate([ch.inv_d * (b_rho - ch.J_rv @ dv), dv])
 
-    def _direction(self, b, stats: SolveStats) -> np.ndarray:
-        """The chord direction for b = -H.  The elimination with the LU of S
-        leaves J delta - b = 0 in the velocity rows and N delta_rho in the
-        density rows; unless that is at round-off of b (v = 0 makes N = 0),
-        one correction with the right-hand side (-N delta_rho, 0) follows,
-        its S-solve the spectral inverse at rest."""
+    def _direction(self, z, b, dta, w, tol, stats: SolveStats) -> np.ndarray:
+        """The Newton direction at z for b = -H(z).  The elimination with the
+        LU of the kept chord's S leaves the defect r = b - J(z) delta against
+        the Jacobian at z: the advective part of J_rr that d leaves out, and
+        whatever z has moved since the chord was built.  Where r exceeds the
+        Newton tolerance tol in the row-scaled norm w, one correction solves
+        the chord's elimination for r, its S-solve the spectral inverse at
+        rest."""
         ch = self.chord
         delta = self._eliminate(b, ch.lu.solve)
         stats.lu_solves += 1
-        r = np.zeros_like(b)
-        r[:self.nc] = -(ch.N @ delta[:self.nc])
-        if np.linalg.norm(r) > np.finfo(float).eps * np.linalg.norm(b):
+        r = self._jacobian_times(z, delta, dta)
+        np.subtract(b, r, out=r)
+        if np.linalg.norm(w * r) > tol:
             delta += self._eliminate(r, ch.inv_P)
             stats.spectral_corrections += 1
         return delta

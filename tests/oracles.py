@@ -12,9 +12,9 @@ matrices are checked against.  `ch_convex`, `implicit_tendency` and
 implicit terms to a State, and `convective` sums its implicit mass
 transport and explicit Rusanov terms into the quantity that
 `convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
-`full_jacobian_direction` are the Newton chord step before the Schur
-complement: the whole (rho, v) Jacobian (`full_jacobian`) factorized and
-solved exactly.
+`full_jacobian_direction` are the Newton direction before the Schur
+complement: the whole (rho, v) chord Jacobian (`full_jacobian`) factorized
+and solved exactly, then corrected as the solver corrects its own.
 `dense_free_slip_schur` assembles the free-slip operator whose inverse the
 Newton correction applies spectrally.
 """
@@ -28,7 +28,7 @@ from scipy.linalg import block_diag
 from chns_imex import model
 from chns_imex.grid import GHOST, MU6, _slc, diff, dual
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
-from chns_imex.solvers import SPLU_SYMMETRIC, Chord
+from chns_imex.solvers import SPLU_SYMMETRIC, HydroSolver
 from chns_imex.state import State
 from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
 
@@ -541,6 +541,11 @@ def swap_xy(U):
 # the chord Newton step on the whole Jacobian
 # ---------------------------------------------------------------------------
 
+#: the solver's own refresh, kept before a test patches HydroSolver with the
+#: stand-ins below
+_schur_refresh = HydroSolver._refresh
+
+
 def full_jacobian(hydro, z, dta):
     """The whole Jacobian of the hydro residual, from its four blocks."""
     J_rr, J_rv, J_vr, J_vv = hydro.jacobian(z, dta)
@@ -548,19 +553,26 @@ def full_jacobian(hydro, z, dta):
 
 
 def full_jacobian_refresh(hydro, z, dta, stats):
-    """Stands in for `HydroSolver._refresh`: keep the LU of the whole
-    Jacobian as the chord, without the Schur blocks."""
-    hydro.chord = None
+    """Stands in for `HydroSolver._refresh`: the same Chord, with the LU of
+    the whole Jacobian in place of the LU of its Schur complement."""
+    _schur_refresh(hydro, z, dta, stats)
     lu = spla.splu(full_jacobian(hydro, z, dta), **SPLU_SYMMETRIC)
-    hydro.chord = Chord(lu, dta, *(None,) * 5)
-    stats.factorizations += 1
+    hydro.chord = hydro.chord._replace(lu=lu)
 
 
-def full_jacobian_direction(hydro, b, stats):
+def full_jacobian_direction(hydro, z, b, dta, w, tol, stats):
     """Stands in for `HydroSolver._direction`: one solve with the LU of the
-    whole Jacobian."""
+    whole chord Jacobian, and the same correction: where the defect against
+    the assembled Jacobian at z exceeds tol in the norm w, one elimination
+    through the chord's spectral inverse."""
+    ch = hydro.chord
+    delta = ch.lu.solve(b)
     stats.lu_solves += 1
-    return hydro.chord.lu.solve(b)
+    r = b - full_jacobian(hydro, z, dta) @ delta
+    if np.linalg.norm(w * r) > tol:
+        delta += hydro._eliminate(r, ch.inv_P)
+        stats.spectral_corrections += 1
+    return delta
 
 
 # ---------------------------------------------------------------------------

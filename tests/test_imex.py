@@ -371,6 +371,17 @@ def test_step_records_newton_lu_solves(lu_solves):
     assert 0 < sum(rec.spectral_corrections for rec in records) <= iters
 
 
+def test_stiff_stages_take_one_newton_iteration():
+    """In the low-Mach limit one chord serves every stage, and each
+    direction, corrected against the Jacobian of the current iterate, meets
+    the tolerance at once: 8 steps of Test 1 at M = 16 and C_p = 1e8 take
+    one factorization and exactly one Newton iteration per stage (16 in
+    all; a correction against the chord's own Jacobian took 27)."""
+    _, records = _test1_steps(GridSpec(dim=2, M=16), ModelParams(cp=1e8), 8)
+    assert [rec.newton_iters for rec in records] == [2] * 8
+    assert sum(rec.factorizations for rec in records) == 1
+
+
 def test_newton_call_pattern_matches_step_records(monkeypatch):
     """The Newton counts can be read off the calls: one Jacobian per
     factorization, and one residual called directly from
@@ -421,8 +432,10 @@ def test_step_records_layer_seconds():
 @pytest.mark.parametrize("cp", [1e2, 1e4, 1e8])
 def test_schur_chord_step_matches_full_jacobian_lu(cp, monkeypatch):
     """Four steps of Test 1 take the same Newton iterations and
-    factorizations, step by step, as with the LU of the whole Jacobian,
-    and end in the same state to 1e-9 of its largest value."""
+    factorizations, step by step, as with the LU of the whole Jacobian in
+    place of the Schur elimination, each direction then corrected alike
+    against the Jacobian of its iterate, and end in the same state to 1e-9
+    of its largest value."""
     from chns_imex.solvers import HydroSolver
     grid, params = GridSpec(dim=2, M=32), ModelParams(cp=cp)
     U, records = _test1_steps(grid, params, 4)

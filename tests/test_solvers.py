@@ -13,7 +13,8 @@ from chns_imex.model import ModelParams, NonPositiveDensityError
 from chns_imex.operators import (dct_frequencies, laplacian_eigenvalues,
                                  laplacian_nd, mat_dual)
 from chns_imex import solvers
-from chns_imex.solvers import (SPLU_SYMMETRIC, HydroSolver,
+from chns_imex.solvers import (NEWTON_TOL_ABS, NEWTON_TOL_REL,
+                               SPLU_SYMMETRIC, HydroSolver,
                                LinearSolverConfig, SolveStats, SolverFailure,
                                assemble_c_matrix, c_stage_operator,
                                free_slip_schur_inverse, solve_c_stage)
@@ -369,6 +370,30 @@ def test_schur_factorization_fills_less_than_full_jacobian(cp, rng):
         <= 10 * rel_residual(spla.splu(S, permc_spec="COLAMD"))
 
 
+def _newton_norm(hydro, z0, r, dta):
+    """(b, w, tol) of the first Newton direction from z0, as `solve` forms
+    them: b = -H(z0), the row scaling w and the stopping tolerance."""
+    b = -hydro.residual(z0, r, dta)
+    w = hydro._row_scaling(z0, dta)
+    return b, w, NEWTON_TOL_ABS + NEWTON_TOL_REL * np.linalg.norm(w * b)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jacobian_times_matches_assembled_jacobian(dim, rng):
+    """The matrix-free product J(z) delta that the direction's defect is
+    taken with equals the assembled Jacobian times delta to round-off, on
+    random stage problems with random directions."""
+    grid = GridSpec(dim=dim, M=12)
+    hydro = HydroSolver(grid, ModelParams(cp=1e4))
+    for dta in (1e-4, 1e-2):
+        z, _, _ = _random_stage_problem(hydro, grid, rng, dta)
+        delta = rng.standard_normal(z.size)
+        ref = oracles.full_jacobian(hydro, z, dta) @ delta
+        got = hydro._jacobian_times(z, delta, dta)
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("dta", [1e-3, 1e-2])
 @pytest.mark.parametrize("cp", [1e2, 1e8])
 def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
@@ -382,11 +407,11 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
     hydro._refresh(z0, dta, SolveStats())
     J = oracles.full_jacobian(hydro, z0, dta)
-    b = -hydro.residual(z0, r, dta)
+    b, w, tol = _newton_norm(hydro, z0, r, dta)
     n, nb = hydro.nc, np.linalg.norm(b)
     exact = spla.spsolve(J, b)
     plain = hydro._eliminate(b, hydro.chord.lu.solve)
-    corrected = hydro._direction(b, SolveStats())
+    corrected = hydro._direction(z0, b, dta, w, tol, SolveStats())
     assert np.linalg.norm((J @ plain - b)[n:]) <= 1e-13 * nb
     assert np.linalg.norm(corrected - exact) \
         <= np.linalg.norm(plain - exact) / 3
@@ -394,9 +419,13 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
 
 @pytest.mark.parametrize("still", [True, False])
 def test_chord_direction_corrects_only_a_moving_stage(still, rng, lu_solves):
-    """Every Newton iteration takes one LU solve of S; a stage linearized at
-    rest (v = 0, so N = 0) takes no correction, a moving one a spectral
-    correction per iteration.  stats.lu_solves and
+    """Every Newton iteration takes one LU solve of S, and a direction is
+    corrected, by one application of the spectral inverse, if and only if
+    its defect b - J(z) delta against the Jacobian of the current iterate
+    z exceeds the Newton tolerance in the row-scaled norm; an uncorrected
+    direction is the plain elimination.  A stage linearized at rest (v = 0,
+    so the chord's J_rr is diagonal) takes no correction on its first
+    direction, a moving one does.  stats.lu_solves and
     stats.spectral_corrections count them."""
     grid = GridSpec(dim=2, M=16)
     hydro = HydroSolver(grid, PARAMS)
@@ -404,12 +433,32 @@ def test_chord_direction_corrects_only_a_moving_stage(still, rng, lu_solves):
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
     if still:
         z0[hydro.nc:] = 0.0
+    seen = []
+    direction = HydroSolver._direction
+
+    def checked(self, z, b, dta, w, tol, stats):
+        plain = self._eliminate(b, self.chord.lu.solve)
+        defect = b - oracles.full_jacobian(self, z, dta) @ plain
+        before = stats.spectral_corrections
+        delta = direction(self, z, b, dta, w, tol, stats)
+        corrected = stats.spectral_corrections - before
+        seen.append(corrected)
+        assert corrected == (np.linalg.norm(w * defect) > tol)
+        assert corrected or np.array_equal(delta, plain)
+        return delta
+
     stats = SolveStats()
-    hydro.solve(z0, r, dta, stats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HydroSolver, "_direction", checked)
+        hydro.solve(z0, r, dta, stats)
     assert stats.factorizations == 1
     faces = z0.size - hydro.nc
-    assert lu_solves[faces] == stats.lu_solves == stats.newton_iters > 0
-    assert stats.spectral_corrections == (0 if still else stats.newton_iters)
+    # the check solves each direction's plain elimination once more
+    assert lu_solves[faces] == 2 * stats.lu_solves \
+        == 2 * stats.newton_iters > 0
+    assert stats.spectral_corrections == sum(seen)
+    assert seen[0] == (not still)
+    assert 0 < stats.spectral_corrections < stats.newton_iters
 
 
 @pytest.mark.parametrize("cp", [1e2, 1e8])
@@ -474,15 +523,20 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
 def test_lu_reuse_across_solves(rng):
     """The chord factorization is reused for stage systems whose dt*a is
     within LU_KEY_TOLERANCE (20%) of the chord's, and rebuilt once for one
-    beyond it.  At the same dt*a the kept chord solves a new stage problem
-    from its usual flat-density guess without a refresh.  The other second
-    guesses are within 1e-7 of their roots, so Newton meets the absolute
-    tolerance in a few iterations (at most 6 here), before it would
-    refresh a chord built for another dt*a."""
+    beyond it.  Within the key the kept chord solves a new stage problem
+    from its usual flat-density guess without a refresh: with each
+    direction corrected against the current Jacobian, a chord 19% off
+    contracts the scaled residual by about 0.03 per iteration and takes 6
+    or 7 iterations (4 or 5 at the same dt*a), where a correction against
+    the chord's own Jacobian contracted by about 0.2 and refreshed at
+    iteration 8.  The guesses beyond the key are within 1e-7 of their
+    roots, so Newton meets the absolute tolerance in a few iterations (at
+    most 4 here): from the usual guess, a 10-fold dt*a can take a second
+    refresh at iteration 8."""
     grid = GridSpec(dim=1, M=16)
     dta = 0.01
-    for factor, rebuilt, near in [(1.0, False, False), (1.19, False, True),
-                                  (0.81, False, True), (1.21, True, True),
+    for factor, rebuilt, near in [(1.0, False, False), (1.19, False, False),
+                                  (0.81, False, False), (1.21, True, True),
                                   (0.79, True, True), (10.0, True, True)]:
         hydro = HydroSolver(grid, PARAMS)
         s1, s2 = SolveStats(), SolveStats()
