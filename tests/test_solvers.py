@@ -370,14 +370,6 @@ def test_schur_factorization_fills_less_than_full_jacobian(cp, rng):
         <= 10 * rel_residual(spla.splu(S, permc_spec="COLAMD"))
 
 
-def _newton_norm(hydro, z0, r, dta):
-    """(b, w, tol) of the first Newton direction from z0, as `solve` forms
-    them: b = -H(z0), the row scaling w and the stopping tolerance."""
-    b = -hydro.residual(z0, r, dta)
-    w = hydro._row_scaling(z0, dta)
-    return b, w, NEWTON_TOL_ABS + NEWTON_TOL_REL * np.linalg.norm(w * b)
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jacobian_times_matches_assembled_jacobian(dim, rng):
     """The matrix-free product J(z) delta that the direction's defect is
@@ -407,7 +399,10 @@ def test_chord_direction_exact_in_velocity_rows(cp, dta, rng):
     _, z0, r = _random_stage_problem(hydro, grid, rng, dta)
     hydro._refresh(z0, dta, SolveStats())
     J = oracles.full_jacobian(hydro, z0, dta)
-    b, w, tol = _newton_norm(hydro, z0, r, dta)
+    b = -hydro.residual(z0, r, dta)
+    # the row scaling and tolerance that solve() gives its first direction
+    w = hydro._row_scaling(z0, dta)
+    tol = NEWTON_TOL_ABS + NEWTON_TOL_REL * np.linalg.norm(w * b)
     n, nb = hydro.nc, np.linalg.norm(b)
     exact = spla.spsolve(J, b)
     plain = hydro._eliminate(b, hydro.chord.lu.solve)
