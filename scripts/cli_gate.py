@@ -8,8 +8,10 @@ on both commits and comparing the printed lines:
 The commands run in-process against the `src/` of the checkout that holds
 this script (copy the script into another checkout to gate that one).  They
 write into OUTDIR with relative `--out` paths, so the manifests do not
-depend on OUTDIR.  The `walltime_s` column of `eoc.csv` and `sweep.csv` is
-dropped before hashing, because it is a timing and not a result.
+depend on OUTDIR.  Every file under OUTDIR is hashed, so OUTDIR must be new
+or empty: a file left by an earlier run would be hashed as this run's.  The
+`walltime_s` column of `eoc.csv` and `sweep.csv` is dropped before hashing,
+because it is a timing and not a result.
 
 A change that moves rounding cannot be bit-identical; it compares the two
 output directories against the fixed tolerances below instead:
@@ -81,6 +83,10 @@ def _content(path: pathlib.Path) -> bytes:
 def main_gate(outdir: str) -> int:
     out = pathlib.Path(outdir).resolve()
     out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"cli_gate: {out} is not empty; every file under OUTDIR is "
+              "hashed, so give a new or empty directory", file=sys.stderr)
+        return 2
     os.chdir(out)
     for argv in GATE_RUNS:
         rc = main(argv)

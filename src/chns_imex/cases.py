@@ -40,15 +40,14 @@ def initial_state(test: int, grid: GridSpec, params: ModelParams,
         c = 0.1 * (1.0 - d) * np.cos(np.pi * X) * np.cos(np.pi * Y)
         if test == 2:
             c = 0.75 + c
-        return state_from_primitives(grid, rho, v1, c, v2=v2)
+        return state_from_primitives(rho, (v1, v2), c)
 
     if test == 3:
         rng = np.random.default_rng(seed)
         c = rng.uniform(-TEST3_AMP, TEST3_AMP, size=(grid.M, grid.M))
         c -= c.mean()
         rho = np.ones((grid.M, grid.M))
-        v1 = np.zeros_like(Xfx)
-        v2 = np.zeros_like(Xfy)
-        return state_from_primitives(grid, rho, v1, c, v2=v2)
+        return state_from_primitives(
+            rho, (np.zeros(Xfx.shape), np.zeros(Xfy.shape)), c)
 
     raise ValueError(f"unknown test problem {test}")

@@ -136,7 +136,7 @@ class Integrator:
         rho, v = self.sp.unpack(z)
         C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid, stats)
         stats.cstage_s += time.perf_counter() - t1
-        return state_from_primitives(self.grid, rho, v[0], C, *v[1:])
+        return state_from_primitives(rho, v, C)
 
     # -- one step ------------------------------------------------------------
 
@@ -191,13 +191,12 @@ class Integrator:
     # -- run loop ------------------------------------------------------------
 
     def run_to_time(self, U0: State, T: float,
-                    dump_times=None, t0: float = 0.0,
-                    on_step=None) -> RunResult:
-        """Integrate from t0 to T, recording snapshots at the dump times.
+                    dump_times=None, on_step=None) -> RunResult:
+        """Integrate from t = 0 to T, recording snapshots at the dump times.
 
         A step records every dump time it reaches within `tiny`, so equal
         or nearly equal dump times share one snapshot and no step is
-        shorter than `tiny`.  A dump time outside [t0, T] (beyond `tiny`)
+        shorter than `tiny`.  A dump time outside [0, T] (beyond `tiny`)
         or not finite raises ValueError.  `on_step(state, record)` is
         invoked after every accepted step.
         """
@@ -205,15 +204,15 @@ class Integrator:
             raise ValueError(f"final time must be finite, got {T}")
         tiny = 1e-12
         dump_times = list(dump_times or [])
-        bad = [d for d in dump_times if not t0 - tiny <= d <= T + tiny]
+        bad = [d for d in dump_times if not -tiny <= d <= T + tiny]
         if bad:
-            raise ValueError(f"dump times must lie in [t0, T] = [{t0:g}, "
-                             f"{T:g}], got {', '.join(f'{d:g}' for d in bad)}")
-        dumps_left = sorted(d for d in dump_times if d > t0 + tiny)
-        result = RunResult(state=U0.copy(), t=t0)
-        if any(abs(d - t0) <= tiny for d in dump_times):
-            result.dumps[t0] = U0.copy()
-        U, t = U0.copy(), t0
+            raise ValueError(f"dump times must lie in [0, T] = [0, {T:g}], "
+                             f"got {', '.join(f'{d:g}' for d in bad)}")
+        dumps_left = sorted(d for d in dump_times if d > tiny)
+        result = RunResult(state=U0.copy(), t=0.0)
+        if any(abs(d) <= tiny for d in dump_times):
+            result.dumps[0.0] = U0.copy()
+        U, t = U0.copy(), 0.0
         self._speed = None
         while t < T - tiny:
             dt = self.select_dt(U)

@@ -30,7 +30,7 @@ def exact_solution(dim: int, delta: float, x, t, y=None):
     (rho, v1, v2, c) in 2D."""
     if dim == 1:
         rho = 1.0 + delta * np.cos(2 * np.pi * x) * (t + 1.0)
-        v1 = np.zeros_like(np.asarray(x, dtype=float))
+        v1 = np.zeros(np.shape(x))
         c = 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * (t - 1.0)
         return rho, v1, c
     rho = 1.0 + delta * np.cos(2 * np.pi * x) * np.cos(np.pi * y) * (t + 1.0)
@@ -55,7 +55,7 @@ def exact_state(grid: GridSpec, params: ModelParams, t: float) -> State:
     """Exact solution sampled on the staggered grid as a conserved state."""
     rho, *_, c = _exact_at(grid, params, t)
     v = [_exact_at(grid, params, t, k)[1 + k] for k in range(grid.dim)]
-    return state_from_primitives(grid, rho, v[0], c, *v[1:])
+    return state_from_primitives(rho, v, c)
 
 
 def exact_momenta(grid: GridSpec, params: ModelParams, t: float):

@@ -176,22 +176,18 @@ class SpatialDiscretization:
 
     # -- gravity -------------------------------------------------------------
 
-    def gravity(self, Ut: State) -> State:
+    def gravity(self, Ut: State) -> np.ndarray:
         """Explicit buoyancy source on the momentum of the last axis."""
-        out = Ut.zeros_like()
-        last = self.grid.dim - 1
-        out.m = out.m[:last] + (self.params.g * face_average(Ut.rho, last),)
-        return out
+        return self.params.g * face_average(Ut.rho, self.grid.dim - 1)
 
     # -- capillary forces ---------------------------------------------------
 
-    def capillary(self, Ut: State) -> State:
-        """Explicit capillary force: momentum k gets
+    def capillary(self, Ut: State) -> tuple:
+        """Explicit capillary force, one array per momentum: momentum k gets
         eps (grad_k(sum_{j!=k} c_j^2 - c_k^2)/2 - sum_{j!=k} dual_j(corner)),
         c_j the centered derivatives and corner the product, in axis order,
         of the face gradients of c averaged to the cell corners."""
         h, eps, dim = self.grid.h, self.params.eps, self.grid.dim
-        out = Ut.zeros_like()
         c = Ut.c()
         c2 = [center(c, k, h) ** 2 for k in range(dim)]
         grads = []
@@ -211,8 +207,7 @@ class SpatialDiscretization:
             for j in others:
                 t = t - dual(corner, j, h)
             mom.append(eps * t)
-        out.m = tuple(mom)
-        return out
+        return tuple(mom)
 
     # -- Cahn-Hilliard -------------------------------------------------------
 
@@ -226,16 +221,13 @@ class SpatialDiscretization:
         lap = L @ c
         return 2.0 * lap - eps * (L @ (lap / rho))
 
-    def ch_concave(self, Ut: State) -> State:
-        """Explicit (concave) phase-field tendency in flux form."""
+    def ch_concave(self, Ut: State) -> np.ndarray:
+        """Explicit (concave) phase-field tendency of q in flux form."""
         h = self.grid.h
-        out = Ut.zeros_like()
         ct = Ut.q / Ut.rho
         psi2 = model.ddpsi2(ct)
-        for k in range(self.grid.dim):
-            flux = face_average(psi2, k) * diff(ct, k) / h
-            out.q += dual(flux, k, h)
-        return out
+        return axis_sum(dual(face_average(psi2, k) * diff(ct, k) / h, k, h)
+                        for k in range(self.grid.dim))
 
     # -- implicit hydro terms ------------------------------------------------
 
@@ -256,10 +248,14 @@ class SpatialDiscretization:
 
     def explicit_tendency(self, Ut: State,
                           forcing: State | None = None) -> State:
-        """All terms evaluated at the explicitly-known stage state."""
+        """All terms evaluated at the explicitly-known stage state, summed
+        into the Rusanov tendency in place: gravity, capillarity, the
+        concave Cahn-Hilliard part, then the forcing."""
         out = self.rusanov(Ut)
-        for t in (self.gravity(Ut), self.capillary(Ut), self.ch_concave(Ut)):
-            out.axpy(1.0, t)
+        np.add(out.m[-1], self.gravity(Ut), out=out.m[-1])
+        for mk, fk in zip(out.m, self.capillary(Ut)):
+            mk += fk
+        out.q += self.ch_concave(Ut)
         if forcing is not None:
             out.axpy(1.0, forcing)
         return out

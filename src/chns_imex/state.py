@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, face_average
+from .grid import face_average
 
 
 @dataclass
@@ -47,10 +47,6 @@ class State:
         return tuple(mk / face_average(self.rho, k)
                      for k, mk in enumerate(self.m))
 
-    def zeros_like(self) -> "State":
-        return State(np.zeros_like(self.rho), np.zeros_like(self.q),
-                     tuple(np.zeros_like(mk) for mk in self.m))
-
     def c(self) -> np.ndarray:
         return self.q / self.rho
 
@@ -62,9 +58,11 @@ class State:
             raise FloatingPointError("nonpositive density in state")
 
 
-def state_from_primitives(grid: GridSpec, rho: np.ndarray, v1: np.ndarray,
-                          c: np.ndarray, v2: np.ndarray | None = None) -> State:
-    """Build conserved variables from rho, interior-face velocities and c."""
-    v = (v1, v2)[:grid.dim]
+def state_from_primitives(rho: np.ndarray, v, c: np.ndarray) -> State:
+    """Build conserved variables from rho, the interior-face velocities in
+    axis order and c; one velocity array per axis of rho."""
+    if len(v) != np.ndim(rho):
+        raise ValueError(f"{len(v)} face velocities for a "
+                         f"{np.ndim(rho)}D density")
     return State(rho=np.asarray(rho, dtype=float), q=rho * c,
                  m=tuple(face_average(rho, k) * vk for k, vk in enumerate(v)))

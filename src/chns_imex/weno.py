@@ -99,14 +99,6 @@ def _weno5_states(ext: np.ndarray, ax: int, first: int, count: int):
     return right, left
 
 
-def weno5_point(stencil) -> float:
-    """Left-biased reconstruction between the 3rd and 4th of 5 samples."""
-    w = np.asarray(stencil, dtype=float)
-    if w.shape != (5,):
-        raise ValueError("stencil must contain exactly 5 samples")
-    return float(_weno5_states(w, 0, 2, 1)[0][0])
-
-
 def _reconstruct_lr(ext: np.ndarray, ax: int, first: int):
     """(minus, plus) at the interfaces between the targets first..n-1-first
     along ax of ext (n samples): minus is the right state of the target

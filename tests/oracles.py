@@ -2,8 +2,9 @@
 
 Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
-the package (only the scalar 5-point WENO kernel and the transfer weights are
-shared, since those are certified separately against polynomial exactness).
+the package (only the WENO5 kernel, applied to one 5-point stencil by
+`weno5_point`, and the transfer weights are shared, since those are
+certified separately against polynomial exactness).
 The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse
@@ -30,7 +31,7 @@ from chns_imex.grid import GHOST, MU6, _slc, diff, dual
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.solvers import SPLU_SYMMETRIC, HydroSolver
 from chns_imex.state import State
-from chns_imex.weno import D_LIN, WENO_EPS, weno5_point
+from chns_imex.weno import D_LIN, WENO_EPS, _weno5_states
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,15 @@ def c2f6(f, k, sign=1.0):
 def f2c6(full, i, sign=1.0):
     """Sixth-order face->cell transfer at cell i: faces i-2..i+3."""
     return sum(MU6[j] * face_val(full, i - 2 + j, sign) for j in range(6))
+
+
+def weno5_point(stencil) -> float:
+    """Left-biased reconstruction between the 3rd and 4th of 5 samples: the
+    package's kernel on one stencil."""
+    w = np.asarray(stencil, dtype=float)
+    if w.shape != (5,):
+        raise ValueError("stencil must contain exactly 5 samples")
+    return float(_weno5_states(w, 0, 2, 1)[0][0])
 
 
 def weno_cells(f, k, sign):
@@ -137,14 +147,13 @@ def lam_max(vm, vp, rm, rp, params):
 def ch_convex(disc, U):
     """The implicit (convex) phase-field tendency of U as a State: the
     package's `ch_convex_term` applied to c = q/rho, zero elsewhere."""
-    out = U.zeros_like()
     rho = np.ravel(U.rho, order="F")
     g = disc.grid
-    out.q = disc.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
-                                disc.params.eps,
-                                laplacian_nd(g.dim, g.M, g.h)) \
+    q = disc.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
+                            disc.params.eps, laplacian_nd(g.dim, g.M, g.h)) \
         .reshape(U.q.shape, order="F")
-    return out
+    return State(np.zeros(U.rho.shape), q,
+                 tuple(np.zeros(mk.shape) for mk in U.m))
 
 
 def implicit_tendency(disc, U):
@@ -373,6 +382,34 @@ def capillary_2d(Ut, h, params):
             pl = col[i - 1] if i >= 1 else 0.0
             t_my[i, l] = eps * (0.5 * d - (pr - pl) / h)
     return t_mx, t_my
+
+
+# ---------------------------------------------------------------------------
+# concave Cahn-Hilliard tendency via scalar loops
+# ---------------------------------------------------------------------------
+
+def ch_concave(Ut, h):
+    """Explicit (concave) Cahn-Hilliard tendency of q in 1D or 2D: per axis,
+    the difference over h of the face fluxes avg(psi2''(c)) (c+ - c) / h,
+    psi2'' = 3 c^2 - 3 and c+ the next cell along the axis; the wall
+    fluxes are zero."""
+    c = Ut.q / Ut.rho
+    M = c.shape[0]
+
+    def flux(cell, k, i):      # at the face between cells i and i+1 along k
+        if not 0 <= i < M - 1:
+            return 0.0
+        a = cell[:k] + (i,) + cell[k + 1:]
+        b = cell[:k] + (i + 1,) + cell[k + 1:]
+        avg = 0.5 * ((3.0 * c[a] ** 2 - 3.0) + (3.0 * c[b] ** 2 - 3.0))
+        return avg * (c[b] - c[a]) / h
+
+    out = np.zeros(c.shape)
+    for cell in np.ndindex(c.shape):
+        for k in range(c.ndim):
+            i = cell[k]
+            out[cell] += (flux(cell, k, i) - flux(cell, k, i - 1)) / h
+    return out
 
 
 # ---------------------------------------------------------------------------

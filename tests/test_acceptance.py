@@ -23,9 +23,9 @@ from chns_imex.model import ModelParams
 from chns_imex.solvers import (HydroSolver, SolveStats, assemble_c_matrix,
                                solve_c_stage)
 from chns_imex.spatial import SpatialDiscretization
-from chns_imex.weno import weno5_point
 
 import oracles
+from oracles import weno5_point
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +233,13 @@ def _random_state(grid, rng, amp=0.25):
     from chns_imex.state import state_from_primitives
     if grid.dim == 1:
         return state_from_primitives(
-            grid, 1.0 + amp * rng.uniform(-1, 1, M),
-            amp * rng.standard_normal(M - 1), amp * rng.uniform(-1, 1, M))
-    return state_from_primitives(
-        grid, 1.0 + amp * rng.uniform(-1, 1, (M, M)),
+            1.0 + amp * rng.uniform(-1, 1, M),
+            (amp * rng.standard_normal(M - 1),), amp * rng.uniform(-1, 1, M))
+    rho, v1, c, v2 = (
+        1.0 + amp * rng.uniform(-1, 1, (M, M)),
         amp * rng.standard_normal((M - 1, M)), amp * rng.uniform(-1, 1, (M, M)),
-        v2=amp * rng.standard_normal((M, M - 1)))
+        amp * rng.standard_normal((M, M - 1)))
+    return state_from_primitives(rho, (v1, v2), c)
 
 
 def test_criterion_08_operator_and_jacobian_oracles():
@@ -272,9 +273,9 @@ def test_criterion_08_operator_and_jacobian_oracles():
                 cap = disc.capillary(Ut)
                 c_mx, c_my = oracles.capillary_2d(Ut, grid.h, params)
                 cs = max(np.abs(c_mx).max(), np.abs(c_my).max())
-                np.testing.assert_allclose(cap.m[0], c_mx, rtol=rel,
+                np.testing.assert_allclose(cap[0], c_mx, rtol=rel,
                                            atol=rel * cs)
-                np.testing.assert_allclose(cap.m[1], c_my, rtol=rel,
+                np.testing.assert_allclose(cap[1], c_my, rtol=rel,
                                            atol=rel * cs)
 
             # linear-structure implicit operators vs dense Kronecker forms:

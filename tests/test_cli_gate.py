@@ -1,5 +1,6 @@
 """The `--compare` rules of scripts/cli_gate.py on small hand-written
-output directories, without a solver run."""
+output directories, and its refusal of a used OUTDIR, without a solver
+run."""
 
 import importlib.util
 import pathlib
@@ -57,3 +58,18 @@ def test_hash_ignores_walltime(tmp_path):
         paths[-1].write_text(HEADER + f"0.001,3,2e-15,1.25,{wall}\n")
     assert cli_gate._content(paths[0]) == cli_gate._content(paths[1])
     assert b"walltime_s" not in cli_gate._content(paths[0])
+
+
+def test_gate_refuses_nonempty_outdir(tmp_path, capsys, monkeypatch):
+    """A file already in OUTDIR would be hashed as this run's output: the
+    gate stops before any command and leaves the file alone."""
+    stale = tmp_path / "mms1d" / "eoc.csv"
+    stale.parent.mkdir()
+    stale.write_text("stale\n")
+    monkeypatch.setattr(cli_gate, "main",
+                        lambda argv: pytest.fail("ran a command"))
+    assert cli_gate.main_gate(str(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is not empty" in err
+    assert stale.read_text() == "stale\n"

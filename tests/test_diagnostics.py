@@ -16,11 +16,11 @@ PARAMS = ModelParams(cp=1e2)
 def _uniform_state(grid, rho0=1.0, c0=0.0):
     M = grid.M
     if grid.dim == 1:
-        return state_from_primitives(grid, np.full(M, rho0),
-                                     np.zeros(M - 1), np.full(M, c0))
-    return state_from_primitives(grid, np.full((M, M), rho0),
-                                 np.zeros((M - 1, M)), np.full((M, M), c0),
-                                 v2=np.zeros((M, M - 1)))
+        return state_from_primitives(np.full(M, rho0),
+                                     (np.zeros(M - 1),), np.full(M, c0))
+    return state_from_primitives(np.full((M, M), rho0),
+                                 (np.zeros((M - 1, M)), np.zeros((M, M - 1))),
+                                 np.full((M, M), c0))
 
 
 def test_conserved_totals_quadrature():
@@ -58,7 +58,7 @@ def test_ap_metrics_divergence_matches_dense_operator():
     M, h = grid.M, grid.h
     rho = np.ones(M)
     v1 = np.sin(2 * np.pi * grid.interior_faces())
-    U = state_from_primitives(grid, rho, v1, np.zeros(M))
+    U = state_from_primitives(rho, (v1,), np.zeros(M))
     from chns_imex.operators import mat_dual
     expected = float(np.abs(mat_dual(M, h).toarray() @ v1).max())
     m = ap_metrics(U, grid, PARAMS)
@@ -69,7 +69,7 @@ def test_ap_metrics_pressure_gradient_scale():
     grid = GridSpec(dim=1, M=8)
     rho = np.ones(8)
     rho[4:] = 1.0 + 1e-3
-    U = state_from_primitives(grid, rho, np.zeros(7), np.zeros(8))
+    U = state_from_primitives(rho, (np.zeros(7),), np.zeros(8))
     m = ap_metrics(U, grid, PARAMS)
     from chns_imex import model
     dp = (model.p1(rho[4], PARAMS) + model.p2(rho[4], PARAMS)
@@ -81,7 +81,7 @@ def test_ap_metrics_pressure_gradient_scale():
 def test_c_extrema():
     grid = GridSpec(dim=1, M=8)
     c = np.linspace(-0.4, 0.9, 8)
-    U = state_from_primitives(grid, np.ones(8), np.zeros(7), c)
+    U = state_from_primitives(np.ones(8), (np.zeros(7),), c)
     lo, hi = c_extrema(U)
     assert lo == pytest.approx(-0.4)
     assert hi == pytest.approx(0.9)
@@ -102,7 +102,7 @@ def test_total_energy_kinetic_term():
     grid = GridSpec(dim=1, M=4)
     rho = np.ones(4)
     v1 = np.array([2.0, -1.0, 0.5])
-    U = state_from_primitives(grid, rho, v1, np.zeros(4))
+    U = state_from_primitives(rho, (v1,), np.zeros(4))
     p = PARAMS
     base = total_energy(_uniform_state(grid), grid, p)
     kin = 0.5 * grid.h * float((v1 ** 2).sum())    # rho = 1

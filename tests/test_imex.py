@@ -463,8 +463,8 @@ def test_compression_beyond_the_step_halves_dt(monkeypatch, caplog):
     M, h = grid.M, grid.h
     xf = np.arange(1, M) * h
     v1 = np.repeat(np.where(xf < 0.5, 1.0, -1.0)[:, None], M, axis=1)
-    U0 = state_from_primitives(grid, np.ones((M, M)), v1, np.zeros((M, M)),
-                               v1.T.copy())
+    U0 = state_from_primitives(np.ones((M, M)), (v1, v1.T.copy()),
+                               np.zeros((M, M)))
     integ = Integrator(grid, PARAMS)
     dt = 1.5 * h / (2.0 * integ.tab.a[0, 0])   # div_h v = -4/h at one cell
     real_splu = spla.splu
@@ -484,12 +484,21 @@ def test_compression_beyond_the_step_halves_dt(monkeypatch, caplog):
 # step-size control and run loop
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("dim, v", [(1, ()), (2, (np.zeros((3, 4)),))])
+def test_state_needs_one_face_velocity_per_axis(dim, v):
+    """A velocity list that does not match the dimension of the density is
+    refused, instead of building a State with too few momenta."""
+    rho = np.ones((4,) * dim)
+    with pytest.raises(ValueError, match="face velocities for a"):
+        state_from_primitives(rho, v, np.zeros(rho.shape))
+
+
 def test_select_dt_cfl_bound():
     grid = GridSpec(dim=1, M=16)
     params = ModelParams(cp=1e4)
     integ = Integrator(grid, params)
     rho = np.full(16, 1.0)
-    U = state_from_primitives(grid, rho, np.zeros(15), np.zeros(16))
+    U = state_from_primitives(rho, (np.zeros(15),), np.zeros(16))
     from chns_imex import model
     speed = float(model.sound_speed(1.0, params))
     assert integ.select_dt(U) == pytest.approx(DEFAULT_CFL * grid.h / speed)
@@ -536,11 +545,11 @@ def test_close_dump_times_share_one_step(dumps):
 
 @pytest.mark.parametrize("dump", [np.nan, np.inf, -1.0, 0.5])
 def test_unreachable_dump_time_rejected(dump):
-    """A dump time that is not finite, before t0 or past T could never be
+    """A dump time that is not finite, before 0 or past T could never be
     recorded; the run fails before any step instead of dropping it."""
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)
-    with pytest.raises(ValueError, match="dump times must lie in"):
+    with pytest.raises(ValueError, match=r"dump times must lie in \[0, T\]"):
         integ.run_to_time(U0, 0.001, dump_times=[0.0005, dump],
                           on_step=lambda U, rec: pytest.fail("stepped"))
 

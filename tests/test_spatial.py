@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chns_imex import model, spatial
 from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
+from chns_imex.mms import forcing_state
 from chns_imex.model import ModelParams
 from chns_imex.operators import implicit_operators, mat_dual, viscous_blocks
 from chns_imex.solvers import HydroSolver
@@ -26,12 +27,12 @@ def random_state(grid, rng, amp=0.3):
         rho = 1.0 + amp * rng.uniform(-1, 1, M)
         v1 = amp * rng.standard_normal(M - 1)
         c = amp * rng.uniform(-1, 1, M)
-        return state_from_primitives(grid, rho, v1, c)
+        return state_from_primitives(rho, (v1,), c)
     rho = 1.0 + amp * rng.uniform(-1, 1, (M, M))
     v1 = amp * rng.standard_normal((M - 1, M))
     v2 = amp * rng.standard_normal((M, M - 1))
     c = amp * rng.uniform(-1, 1, (M, M))
-    return state_from_primitives(grid, rho, v1, c, v2=v2)
+    return state_from_primitives(rho, (v1, v2), c)
 
 
 def packed(disc, U):
@@ -100,9 +101,9 @@ def test_capillary_2d_matches_oracle(rng):
     out = disc.capillary(Ut)
     t_mx, t_my = oracles.capillary_2d(Ut, grid.h, PARAMS)
     scale = max(np.abs(t_mx).max(), np.abs(t_my).max())
-    np.testing.assert_allclose(out.m[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(out.m[1], t_my, rtol=1e-12, atol=1e-12 * scale)
-    assert np.all(out.rho == 0) and np.all(out.q == 0)
+    assert len(out) == 2
+    np.testing.assert_allclose(out[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(out[1], t_my, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_capillary_1d_explicit_formula(rng):
@@ -117,7 +118,8 @@ def test_capillary_1d_explicit_formula(rng):
     cx[-1] = (c[-1] - c[-2]) / (2 * h)
     expected = -0.5 * PARAMS.eps * (cx[1:] ** 2 - cx[:-1] ** 2) / h
     out = SpatialDiscretization(grid, PARAMS).capillary(Ut)
-    np.testing.assert_allclose(out.m[0], expected, rtol=1e-12, atol=1e-14)
+    (m_x,) = out
+    np.testing.assert_allclose(m_x, expected, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,51 @@ def test_ch_convex_matches_dense_laplacian(dim, rng):
     assert np.all(out.rho == 0) and np.all(out.m[0] == 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ch_concave_matches_oracle(dim, rng):
+    """The concave Cahn-Hilliard tendency is the scalar-loop flux
+    difference, and with no flux through the walls its cell sum vanishes."""
+    grid = GridSpec(dim=dim, M=8)
+    Ut = random_state(grid, rng)
+    got = SpatialDiscretization(grid, PARAMS).ch_concave(Ut)
+    want = oracles.ch_concave(Ut, grid.h)
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    assert abs(got.sum()) < 1e-12 * scale * got.size
+
+
+def _fields(U):
+    return (U.rho, U.q, *U.m)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "mms"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_explicit_tendency_is_the_sum_of_its_terms(dim, forced, rng):
+    """The explicit tendency is, bit for bit, the Rusanov terms plus gravity
+    on the last momentum, the capillary forces, the concave Cahn-Hilliard
+    part and the forcing, added in that order; neither the stage state nor
+    the forcing is changed by it."""
+    grid = GridSpec(dim=dim, M=8)
+    disc = SpatialDiscretization(grid, PARAMS)
+    Ut = random_state(grid, rng)
+    frc = forcing_state(grid, PARAMS, 0.3) if forced else None
+    before = [U.copy() for U in (Ut, frc) if U is not None]
+    got = disc.explicit_tendency(Ut, frc)
+
+    rus = disc.rusanov(Ut)
+    mom = list(rus.m)
+    mom[-1] = mom[-1] + disc.gravity(Ut)
+    mom = [mk + fk for mk, fk in zip(mom, disc.capillary(Ut))]
+    want = [rus.rho, rus.q + disc.ch_concave(Ut), *mom]
+    if forced:
+        want = [w + f for w, f in zip(want, _fields(frc))]
+    assert all(np.array_equal(a, b) for a, b in zip(_fields(got), want,
+                                                      strict=True))
+    for old, new in zip(before, (Ut, frc)):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_fields(old), _fields(new), strict=True))
+
+
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------
@@ -297,12 +344,12 @@ def test_uniform_rest_state_only_feels_gravity(dim):
     M = grid.M
     rho0 = 1.2
     if dim == 1:
-        U = state_from_primitives(grid, np.full(M, rho0), np.zeros(M - 1),
+        U = state_from_primitives(np.full(M, rho0), (np.zeros(M - 1),),
                                   np.full(M, 0.3))
     else:
-        U = state_from_primitives(grid, np.full((M, M), rho0),
-                                  np.zeros((M - 1, M)), np.full((M, M), 0.3),
-                                  v2=np.zeros((M, M - 1)))
+        U = state_from_primitives(np.full((M, M), rho0),
+                                  (np.zeros((M - 1, M)), np.zeros((M, M - 1))),
+                                  np.full((M, M), 0.3))
     disc = SpatialDiscretization(grid, PARAMS)
     out = disc.explicit_tendency(U).axpy(
         1.0, oracles.implicit_tendency(disc, U))
