@@ -169,7 +169,10 @@ class Integrator:
         return U_i
 
     def step(self, Un: State, t: float, dt: float):
-        """Advance one step with up to MAX_RETRIES halvings on failure."""
+        """Advance one step with up to MAX_RETRIES halvings on failure.
+        A step that still fails raises SolverFailure with the last dt and
+        the cfl, since a cfl past the pair's stability limit is the likely
+        cause."""
         retries = 0
         while True:
             # a fresh record per attempt: it counts the accepted one only
@@ -183,7 +186,10 @@ class Integrator:
                 if retries > MAX_RETRIES:
                     raise SolverFailure(
                         f"step at t={t:.6g} failed after {MAX_RETRIES} "
-                        f"halvings: {exc}") from exc
+                        f"halvings (last dt={dt:.3e}, cfl={self.cfl:g}): "
+                        f"{exc}; the likely cause is a cfl beyond the "
+                        f"explicit stability limit of the {self.tab.name} "
+                        f"pair") from exc
                 dt *= 0.5
                 log.warning("retrying step at t=%.6g with dt=%.3e (%s)",
                             t, dt, exc)

@@ -148,7 +148,9 @@ class Chord(NamedTuple):
     d = diag(J_rr), the coupling blocks, and the spectral inverse of S at
     rest (`free_slip_schur_inverse`) that solves the correction.  The
     correction's defect is taken against the Jacobian of the current
-    iterate, so the chord serves only as the preconditioner."""
+    iterate, so the chord serves only as the preconditioner.  Nothing
+    else of the Jacobian is kept: `HydroSolver._refresh` frees J_rr, J_vv
+    and the CSR S before it factorizes."""
     lu: spla.SuperLU
     dta: float
     inv_d: np.ndarray
@@ -376,20 +378,24 @@ class HydroSolver:
         Jacobian at z, with d = diag(J_rr) = 1 + (dta/2) div_h v, and keep
         it as the Chord, the spectral inverse built at the mean density of
         z.  A d that is not finite and positive is a SolverFailure, so the
-        step is retried at a smaller dt."""
+        step is retried at a smaller dt.  J_rr, J_vv and the CSR S are
+        freed before the factorization: `splu` runs beside the CSC S and
+        what the Chord keeps, and nothing else of the refresh."""
         J_rr, J_rv, J_vr, J_vv = self.jacobian(z, dta)
         d = J_rr.diagonal()
+        del J_rr
         if not (np.isfinite(d).all() and (d > 0).all()):
             # dta * div_h v <= -2 somewhere: the compression outruns the step
             raise SolverFailure("density block of the Newton Jacobian has "
                                 "a non-finite or nonpositive diagonal "
                                 f"(min {d.min():.3e})")
         inv_d = 1.0 / d
-        S = J_vv - J_vr @ _scale_rows(J_rv, inv_d)
+        S = (J_vv - J_vr @ _scale_rows(J_rv, inv_d)).tocsc()
+        del J_vv
         inv_P = free_slip_schur_inverse(self.spatial,
                                         float(z[:self.nc].mean()), dta)
         self.chord = None           # the old LU is freed before the new one
-        lu = spla.splu(S.tocsc(), **SPLU_SYMMETRIC)
+        lu = spla.splu(S, **SPLU_SYMMETRIC)
         self.chord = Chord(lu, dta, inv_d, J_rv, J_vr, inv_P)
         stats.factorizations += 1
 

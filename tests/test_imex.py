@@ -623,9 +623,15 @@ def test_step_gives_up_after_max_retries(monkeypatch):
         raise SolverFailure("synthetic failure")
 
     monkeypatch.setattr(Integrator, "attempt_step", always_fail)
-    with pytest.raises(SolverFailure, match="halvings"):
+    with pytest.raises(SolverFailure, match="halvings") as err:
         integ.step(U0, 0.0, 1e-3)
     assert MAX_RETRIES == 5
+    msg = str(err.value)
+    # the last attempt ran at 1e-3 / 2^5, and the message names the likely
+    # cause beside the symptom
+    assert "last dt=3.125e-05, cfl=0.4" in msg
+    assert "synthetic failure" in msg
+    assert "cfl beyond the explicit stability limit of the star_dirksa" in msg
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Implicit stage solvers: SPD structure, solver agreement, Newton behavior."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -306,6 +309,10 @@ def test_line_search_evaluates_each_trial_once(monkeypatch):
     assert any((p[:hydro.nc] <= 0).any() for p in points)
     assert len(points) == 1 + stats.newton_iters + len(damped)
     assert len({p.tobytes() for p in points}) == len(points)
+    # the periodic refresh runs at iterations 0, 8, 16, ... only; the rest
+    # (6 factorizations in 11 iterations) are refreshes of a stalled line
+    # search, the branch no benchmark workload or gate command reaches
+    assert stats.factorizations > 1 + stats.newton_iters // 8
 
 
 def test_newton_converges_at_stiff_pressure(rng):
@@ -513,6 +520,50 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
         hydro._refresh(z, dta, stats)
     assert splu_calls == []
     assert hydro.chord is None and stats.factorizations == 0
+
+
+def _csr_nbytes(X) -> int:
+    return X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+
+
+def test_refresh_factorizes_beside_what_the_chord_keeps(monkeypatch, rng):
+    """When the refresh calls `splu`, J_rr and J_vv are dead, and what it
+    allocated and still holds is at most twice the CSC S and the kept
+    J_rv, J_vr and 1/d.  Measured at M = 16, C_p = 1e4 (2D): the bound is
+    158 KB, a refresh that keeps J_rr, J_vv and the CSR S alive through
+    the factorization holds 272 KB, and this one 105 KB.  A first refresh
+    runs untraced, so that what it caches is not counted."""
+    grid = GridSpec(dim=2, M=16)
+    hydro = HydroSolver(grid, ModelParams(cp=1e4))
+    dta = 1e-2
+    z, _, _ = _random_stage_problem(hydro, grid, rng, dta)
+    hydro._refresh(z, dta, SolveStats())
+    jacobian, splu = HydroSolver.jacobian, spla.splu
+    blocks, seen = {}, []
+
+    def recorded(self, z, dta):
+        J_rr, J_rv, J_vr, J_vv = J = jacobian(self, z, dta)
+        blocks.update(J_rr=weakref.ref(J_rr), J_vv=weakref.ref(J_vv),
+                      kept=_csr_nbytes(J_rv) + _csr_nbytes(J_vr)
+                      + 8 * self.nc)
+        return J
+
+    def checked(S, **kwargs):
+        seen.append(dict(live=tracemalloc.get_traced_memory()[0],
+                         dead=[blocks[k]() is None for k in ("J_rr", "J_vv")],
+                         bound=2 * (_csr_nbytes(S) + blocks["kept"])))
+        return splu(S, **kwargs)
+
+    monkeypatch.setattr(HydroSolver, "jacobian", recorded)
+    monkeypatch.setattr(spla, "splu", checked)
+    tracemalloc.start()
+    try:
+        hydro._refresh(z, dta, SolveStats())
+    finally:
+        tracemalloc.stop()
+    [call] = seen
+    assert call["dead"] == [True, True]
+    assert call["live"] <= call["bound"], call
 
 
 def test_lu_reuse_across_solves(rng):
