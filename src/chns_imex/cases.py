@@ -27,27 +27,29 @@ def initial_state(test: int, grid: GridSpec, params: ModelParams,
     if grid.dim != 2:
         raise ValueError("the physical test problems are two-dimensional")
     d = params.delta
-    X, Y = grid.coords()
-    Xfx, Yfx = grid.coords(0)
-    Xfy, Yfy = grid.coords(1)
 
     if test in (1, 2):
-        rho = 1.0 + d * np.cos(2 * np.pi * X) * np.cos(np.pi * Y)
-        v1 = (1.0 + d) * (1.0 - np.cos(2 * np.pi * Xfx)) \
-            * np.sin(2 * np.pi * Yfx)
-        v2 = (1.0 + d) * (np.cos(2 * np.pi * Yfy) - 1.0) \
-            * np.sin(2 * np.pi * Xfy)
-        c = 0.1 * (1.0 - d) * np.cos(np.pi * X) * np.cos(np.pi * Y)
+        # each factor depends on one coordinate: evaluate it on that axis's
+        # vector and let the products broadcast to the full arrays
+        x, y = grid.coords(sparse=True)
+        xfx, yfx = grid.coords(0, sparse=True)
+        xfy, yfy = grid.coords(1, sparse=True)
+        rho = 1.0 + d * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+        v1 = (1.0 + d) * (1.0 - np.cos(2 * np.pi * xfx)) \
+            * np.sin(2 * np.pi * yfx)
+        v2 = (1.0 + d) * (np.cos(2 * np.pi * yfy) - 1.0) \
+            * np.sin(2 * np.pi * xfy)
+        c = 0.1 * (1.0 - d) * np.cos(np.pi * x) * np.cos(np.pi * y)
         if test == 2:
             c = 0.75 + c
         return state_from_primitives(rho, (v1, v2), c)
 
     if test == 3:
+        M = grid.M
         rng = np.random.default_rng(seed)
-        c = rng.uniform(-TEST3_AMP, TEST3_AMP, size=(grid.M, grid.M))
+        c = rng.uniform(-TEST3_AMP, TEST3_AMP, size=(M, M))
         c -= c.mean()
-        rho = np.ones((grid.M, grid.M))
         return state_from_primitives(
-            rho, (np.zeros(Xfx.shape), np.zeros(Xfy.shape)), c)
+            np.ones((M, M)), (np.zeros((M - 1, M)), np.zeros((M, M - 1))), c)
 
     raise ValueError(f"unknown test problem {test}")

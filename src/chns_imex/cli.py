@@ -34,6 +34,7 @@ from .grid import AXES, GridSpec, extend_face_interior, faces_to_cells6
 from .imex import DEFAULT_CFL, Integrator
 from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
+from .solvers import SolverFailure
 
 ENV_PREFIX = "CHNS_"
 
@@ -351,11 +352,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    if args.command == "mms":
-        return run_mms(cfg)
-    if args.command == "run":
-        return run_test(cfg)
-    return run_sweep(cfg)
+    command = {"mms": run_mms, "run": run_test, "sweep": run_sweep}
+    try:
+        return command[args.command](cfg)
+    except SolverFailure as exc:
+        # a step that gave up is a run error (status 1), not a usage error
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -46,8 +46,10 @@ def exact_solution(dim: int, delta: float, x, t, y=None):
 def _exact_at(grid: GridSpec, params: ModelParams, t: float,
               face: int | None = None):
     """Exact (rho, v_1.., c) at the cell centres, or at the faces normal
-    to axis `face`."""
-    x, *y = grid.coords(face)
+    to axis `face`: every factor of `exact_solution` depends on one
+    coordinate, so it is evaluated on the broadcastable vectors of
+    `GridSpec.coords(sparse=True)` and only the products are full arrays."""
+    x, *y = grid.coords(face, sparse=True)
     return exact_solution(grid.dim, params.delta, x, t, *y)
 
 

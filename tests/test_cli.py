@@ -13,6 +13,8 @@ import pytest
 import chns_imex
 from chns_imex.cli import (ENV_PREFIX, build_parser, main, resolve_config,
                            write_csv)
+from chns_imex.imex import Integrator
+from chns_imex.solvers import SolverFailure
 
 
 def _read_csv(path):
@@ -230,6 +232,26 @@ def test_mms_repeated_grid_size_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "repeats a grid size" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--test", "1"], ["sweep", "--test", "1", "--cp", "1e2,1e4"],
+    ["mms", "--dim", "1"]], ids=["run", "sweep", "mms"])
+def test_step_that_gives_up_is_a_run_error(argv, tmp_path, monkeypatch,
+                                           capsys):
+    """A SolverFailure from the integrator ends the subcommand with status
+    1 and its message on stderr, not a traceback (status 2 stays for usage
+    errors)."""
+    def give_up(self, *args, **kwargs):
+        raise SolverFailure("step gave up at t=0.005 after 5 halvings")
+
+    monkeypatch.setattr(Integrator, "run_to_time", give_up)
+    rc = main([*argv, "--M", "8", "--T", "0.01", "--out",
+               str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "chns: error: step gave up at t=0.005 after 5 halvings\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("dumps", ["0.001,0.001", "0.001,0.0010000000001"])

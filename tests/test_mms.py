@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chns_imex import _forcing, mms
+from chns_imex.cases import initial_state
 from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams
 
@@ -126,6 +127,48 @@ def test_forcing_state_samples_each_location(dim):
             assert f.m[k].shape == want.shape == grid.coords(k)[0].shape
             np.testing.assert_array_equal(f.m[k], want)
 
+
+
+def _sampled_fields(M):
+    """Every array of the Test 1-3 initial states (seed 3) and of the exact
+    state and momenta in 1D and 2D on an M-grid."""
+    p = ModelParams(cp=1e2)
+    out = []
+    for test in (1, 2, 3):
+        U = initial_state(test, GridSpec(dim=2, M=M), p, seed=3)
+        out += [U.rho, U.q, *U.m]
+    for dim in (1, 2):
+        grid = GridSpec(dim=dim, M=M)
+        U = mms.exact_state(grid, p, 0.37)
+        out += [U.rho, U.q, *U.m, *mms.exact_momenta(grid, p, 0.37)]
+    return out
+
+
+def test_initial_and_exact_fields_sample_coordinate_vectors(monkeypatch):
+    """initial_state, exact_state and exact_momenta ask GridSpec.coords for
+    broadcastable vectors only, and each array they return is bit for bit
+    (values, shape, C order) the one they return on the full coordinate
+    arrays."""
+    coords = GridSpec.coords
+    requests = []
+
+    def spy(self, face=None, sparse=False):
+        requests.append(sparse)
+        return coords(self, face, sparse)
+
+    monkeypatch.setattr(GridSpec, "coords", spy)
+    got = [_sampled_fields(M) for M in (8, 12, 16)]
+    assert requests and all(requests)
+    monkeypatch.setattr(GridSpec, "coords",
+                        lambda self, face=None, sparse=False:
+                        coords(self, face))
+    want = [_sampled_fields(M) for M in (8, 12, 16)]
+    for fields, full in zip(got, want):
+        assert len(fields) == len(full)
+        for a, b in zip(fields, full):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
 
 def test_mass_forcing_1d_analytic():
     """With zero velocity the mass forcing is exactly d rho/dt."""
