@@ -238,17 +238,38 @@ def _mms_case(cfg: RunConfig, M: int, outdir: pathlib.Path):
     return err, wall
 
 
+def _run_cases(cfg: RunConfig, key: str, values, run_case, write_rows):
+    """Run one case per value in turn and write the rows of their results,
+    then the manifest.  If a case gives up, the rows of the finished cases
+    are written all the same, with a manifest that names the failed case
+    and its message, and the SolverFailure is re-raised."""
+    results = []
+    try:
+        for value in values:
+            results.append(run_case(value))
+    except SolverFailure as exc:
+        write_rows(results)
+        write_manifest(pathlib.Path(cfg.out), cfg,
+                       extra={"failed": {key: value, "error": str(exc)}})
+        raise
+    write_rows(results)
+    write_manifest(pathlib.Path(cfg.out), cfg)
+    return 0
+
+
 def run_mms(cfg: RunConfig) -> int:
     outdir = pathlib.Path(cfg.out)
-    results = [_mms_case(cfg, M, outdir) for M in cfg.M]
-    errors = [r[0] for r in results]
-    times = [r[1] for r in results]
-    eoc = compute_eoc(cfg.M, errors)
-    rows = [(M, e, "" if r is None else r, nst)
-            for M, e, r, nst in zip(cfg.M, errors, eoc, times)]
-    write_csv(outdir / "eoc.csv", ["M", "error", "eoc", "walltime_s"], rows)
-    write_manifest(outdir, cfg)
-    return 0
+
+    def write_eoc(results):
+        Ms = cfg.M[:len(results)]
+        eoc = compute_eoc(Ms, [err for err, _ in results])
+        rows = [(M, err, "" if r is None else r, wall)
+                for M, (err, wall), r in zip(Ms, results, eoc)]
+        write_csv(outdir / "eoc.csv", ["M", "error", "eoc", "walltime_s"],
+                  rows)
+
+    return _run_cases(cfg, "M", cfg.M, lambda M: _mms_case(cfg, M, outdir),
+                      write_eoc)
 
 
 def run_test(cfg: RunConfig) -> int:
@@ -286,12 +307,13 @@ def _sweep_case(cfg: RunConfig, cp: float):
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    outdir = pathlib.Path(cfg.out)
-    rows = [_sweep_case(cfg, cp) for cp in cfg.cp_list]
-    write_csv(outdir / "sweep.csv",
-              ["cp", "steps", "mass_err", "phase_err", "walltime_s"], rows)
-    write_manifest(outdir, cfg)
-    return 0
+    def write_sweep(rows):
+        write_csv(pathlib.Path(cfg.out) / "sweep.csv",
+                  ["cp", "steps", "mass_err", "phase_err", "walltime_s"],
+                  rows)
+
+    return _run_cases(cfg, "cp", cfg.cp_list,
+                      lambda cp: _sweep_case(cfg, cp), write_sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -25,48 +25,64 @@ from .model import ModelParams
 from .state import State, state_from_primitives
 
 
+def exact_rho(dim: int, delta: float, x, t, y=None):
+    """Pointwise exact density."""
+    if dim == 1:
+        return 1.0 + delta * np.cos(2 * np.pi * x) * (t + 1.0)
+    return 1.0 + delta * np.cos(2 * np.pi * x) * np.cos(np.pi * y) * (t + 1.0)
+
+
+def exact_velocity(k: int, dim: int, delta: float, x, t, y=None):
+    """Pointwise exact velocity component along axis k."""
+    if dim == 1:
+        return np.zeros(np.shape(x))
+    if k == 0:
+        return (1.0 + delta) * (1.0 - np.cos(2 * np.pi * x)) \
+            * np.sin(2 * np.pi * y) * (1.0 - 2.0 * t**2)
+    return (1.0 + delta) * (1.0 - np.cos(2 * np.pi * y)) \
+        * np.sin(2 * np.pi * x) * (2.0 * t**2 - 1.0)
+
+
+def exact_c(dim: int, delta: float, x, t, y=None):
+    """Pointwise exact concentration."""
+    if dim == 1:
+        return 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * (t - 1.0)
+    return 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * np.cos(np.pi * y) \
+        * (t - 1.0)
+
+
 def exact_solution(dim: int, delta: float, x, t, y=None):
     """Pointwise exact fields; returns (rho, v1, c) in 1D and
     (rho, v1, v2, c) in 2D."""
-    if dim == 1:
-        rho = 1.0 + delta * np.cos(2 * np.pi * x) * (t + 1.0)
-        v1 = np.zeros(np.shape(x))
-        c = 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * (t - 1.0)
-        return rho, v1, c
-    rho = 1.0 + delta * np.cos(2 * np.pi * x) * np.cos(np.pi * y) * (t + 1.0)
-    v1 = (1.0 + delta) * (1.0 - np.cos(2 * np.pi * x)) \
-        * np.sin(2 * np.pi * y) * (1.0 - 2.0 * t**2)
-    v2 = (1.0 + delta) * (1.0 - np.cos(2 * np.pi * y)) \
-        * np.sin(2 * np.pi * x) * (2.0 * t**2 - 1.0)
-    c = 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * np.cos(np.pi * y) \
-        * (t - 1.0)
-    return rho, v1, v2, c
+    args = (dim, delta, x, t, y)
+    return (exact_rho(*args),
+            *(exact_velocity(k, *args) for k in range(dim)), exact_c(*args))
 
 
-def _exact_at(grid: GridSpec, params: ModelParams, t: float,
-              face: int | None = None):
-    """Exact (rho, v_1.., c) at the cell centres, or at the faces normal
-    to axis `face`: every factor of `exact_solution` depends on one
-    coordinate, so it is evaluated on the broadcastable vectors of
-    `GridSpec.coords(sparse=True)` and only the products are full arrays."""
+def _at(grid: GridSpec, params: ModelParams, t: float,
+        face: int | None = None) -> tuple:
+    """Arguments (dim, delta, x, t[, y]) of the exact fields at the cell
+    centres, or at the faces normal to axis `face`: every factor of a
+    field depends on one coordinate, so it is evaluated on the
+    broadcastable vectors of `GridSpec.coords(sparse=True)` and only the
+    products are full arrays."""
     x, *y = grid.coords(face, sparse=True)
-    return exact_solution(grid.dim, params.delta, x, t, *y)
+    return (grid.dim, params.delta, x, t, *y)
 
 
 def exact_state(grid: GridSpec, params: ModelParams, t: float) -> State:
-    """Exact solution sampled on the staggered grid as a conserved state."""
-    rho, *_, c = _exact_at(grid, params, t)
-    v = [_exact_at(grid, params, t, k)[1 + k] for k in range(grid.dim)]
-    return state_from_primitives(rho, v, c)
+    """Exact solution sampled on the staggered grid as a conserved state:
+    rho and c at the cell centres, v_k at the faces normal to axis k."""
+    at = _at(grid, params, t)
+    v = [exact_velocity(k, *_at(grid, params, t, k)) for k in range(grid.dim)]
+    return state_from_primitives(exact_rho(*at), v, exact_c(*at))
 
 
 def exact_momenta(grid: GridSpec, params: ModelParams, t: float):
     """Pointwise exact momenta rho* v* at the faces (for error norms)."""
-    out = []
-    for k in range(grid.dim):
-        f = _exact_at(grid, params, t, k)
-        out.append(f[0] * f[1 + k])
-    return tuple(out)
+    faces = [_at(grid, params, t, k) for k in range(grid.dim)]
+    return tuple(exact_rho(*at) * exact_velocity(k, *at)
+                 for k, at in enumerate(faces))
 
 
 def forcing_state(grid: GridSpec, params: ModelParams, t: float) -> State:

@@ -254,6 +254,46 @@ def test_step_that_gives_up_is_a_run_error(argv, tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, table, key, first, failed", [
+    (["sweep", "--test", "2", "--M", "8", "--cp"], "sweep.csv", "cp", 1e2,
+     1e4),
+    (["mms", "--dim", "1", "--M"], "eoc.csv", "M", 8, 16)],
+    ids=["sweep", "mms"])
+def test_case_that_gives_up_keeps_the_finished_ones(argv, table, key, first,
+                                                    failed, tmp_path,
+                                                    monkeypatch, capsys):
+    """When the second case of an M-list or C_p-list gives up, the run
+    still ends with status 1 and its message on stderr, but it writes the
+    first case's row, as a run of that case alone writes it, and a manifest
+    that names the failed case and its message."""
+    alone = tmp_path / "alone"
+    assert main([*argv, f"{first:g}", "--T", "0.002",
+                 "--out", str(alone)]) == 0
+    run_to_time = Integrator.run_to_time
+    calls = []
+
+    def second_gives_up(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise SolverFailure("step gave up at t=0.001 after 5 halvings")
+        return run_to_time(self, *args, **kwargs)
+
+    monkeypatch.setattr(Integrator, "run_to_time", second_gives_up)
+    out = tmp_path / "out"
+    assert main([*argv, f"{first:g},{failed:g}", "--T", "0.002",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err \
+        == "chns: error: step gave up at t=0.001 after 5 halvings\n"
+    rows, want = _read_csv(out / table), _read_csv(alone / table)
+    for r in (*rows, *want):
+        del r["walltime_s"]
+    assert [float(r[key]) for r in rows] == [first]
+    assert rows == want
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["failed"] == {
+        key: failed, "error": "step gave up at t=0.001 after 5 halvings"}
+
+
 @pytest.mark.parametrize("dumps", ["0.001,0.001", "0.001,0.0010000000001"])
 def test_run_with_repeated_dump_times(dumps, tmp_path):
     """Equal or nearly equal dump times share one snapshot: the run exits 0

@@ -6,7 +6,9 @@ residual must equal the forcing at every point.  The generator script must
 still render the committed module.
 """
 
+import collections
 import importlib.util
+import inspect
 import pathlib
 
 import numpy as np
@@ -169,6 +171,47 @@ def test_initial_and_exact_fields_sample_coordinate_vectors(monkeypatch):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.flags.c_contiguous and b.flags.c_contiguous
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exact_fields_are_evaluated_only_where_used(dim, monkeypatch):
+    """exact_state evaluates rho and c once each at the cell centres and v_k
+    once at the faces normal to axis k; exact_momenta evaluates rho and v_k
+    once each at those faces; no other field or location is evaluated."""
+    grid = GridSpec(dim=dim, M=12)
+    p = ModelParams(cp=1e2)
+    locations = {loc: grid.coords(loc, sparse=True)
+                 for loc in (None, *range(dim))}
+    calls = []
+
+    def where(pts):
+        return next((loc for loc, ref in locations.items()
+                     if len(pts) == len(ref) and all(
+                         a.shape == b.shape and np.array_equal(a, b)
+                         for a, b in zip(pts, ref))), "elsewhere")
+
+    def spy(field):
+        sig = inspect.signature(field)
+
+        def wrapped(*args, **kwargs):
+            a = sig.bind(*args, **kwargs).arguments
+            pts = [a["x"]] + ([] if a.get("y") is None else [a["y"]])
+            calls.append((field.__name__, a.get("k"), where(pts)))
+            return field(*args, **kwargs)
+        return wrapped
+
+    for name in ("exact_rho", "exact_velocity", "exact_c"):
+        monkeypatch.setattr(mms, name, spy(getattr(mms, name)))
+
+    mms.exact_state(grid, p, 0.37)
+    assert collections.Counter(calls) == collections.Counter(
+        [("exact_rho", None, None), ("exact_c", None, None),
+         *(("exact_velocity", k, k) for k in range(dim))])
+    calls.clear()
+    mms.exact_momenta(grid, p, 0.37)
+    assert collections.Counter(calls) == collections.Counter(
+        [*(("exact_rho", None, k) for k in range(dim)),
+         *(("exact_velocity", k, k) for k in range(dim))])
 
 def test_mass_forcing_1d_analytic():
     """With zero velocity the mass forcing is exactly d rho/dt."""
