@@ -213,6 +213,7 @@ def test_exact_fields_are_evaluated_only_where_used(dim, monkeypatch):
         [*(("exact_rho", None, k) for k in range(dim)),
          *(("exact_velocity", k, k) for k in range(dim))])
 
+
 def test_mass_forcing_1d_analytic():
     """With zero velocity the mass forcing is exactly d rho/dt."""
     grid = GridSpec(dim=1, M=32)
