@@ -11,19 +11,23 @@ left-biased state at its right edge (between v2 and v3) is
     b1 = 13/12 (D2 - D1)^2 + 1/4 (D1 + D2)^2,
     b2 = 13/12 (D3 - D2)^2 + 1/4 (3 D2 - D3)^2
 
-(Jiang & Shu, JCP 126, 1996).  The differences and the term
-13/12 (Delta D)^2 are computed once per line, and each beta reads the latter
-at its own shift.  The right-biased state at the left edge (between v1 and
-v2) is the same reconstruction of the reversed stencil, whose differences
-are -D3..-D0.  Its betas are b2, b1, b0, so both states share them, and
+(Jiang & Shu, JCP 126, 1996).  The right-biased state at the left edge
+(between v1 and v2) is the same reconstruction of the reversed stencil,
+whose differences are -D3..-D0.  Its betas are b2, b1, b0, so both states
+share them, and
 
     left = v2 - (a0' c0' + a1' c1' + a2' c2') / (6 (a0' + a1' + a2')),
     c0' = 5 D2 - 2 D3,   c1' = D2 + 2 D1,   c2' = 4 D1 - D0,
     a0' = d0 (eps + b2)^-2,   a1' = a1,   a2' = d2 (eps + b0)^-2.
 
-It runs the operations of `right` in the same order, and rounding commutes
-with negation, so the left state of a field is bit for bit the right state
-of the mirrored field.
+The kernel is the C function of `_weno5.c`, built with the system's `cc`
+when this module is imported and loaded with `ctypes`.  It reads each
+target's five samples once and writes both states in one pass, taking the
+operations of `right` and `left` above in the order written, with
+floating-point contraction off; the NumPy form of the same operations is
+the reference of the tests.  Rounding commutes with negation, so the
+left state of a field is bit for bit the right state of the mirrored
+field.
 
 The entry points reconstruct every line of an array along one axis.  Fields
 that share axis, staggered location and shape are stacked along a further
@@ -34,6 +38,12 @@ physical interface (walls included) gets both states.
 
 from __future__ import annotations
 
+import ctypes
+import math
+import pathlib
+import subprocess
+import tempfile
+
 import numpy as np
 
 from .grid import GHOST, _slc
@@ -41,61 +51,49 @@ from .grid import GHOST, _slc
 WENO_EPS = 1e-6
 D_LIN = np.array([0.1, 0.6, 0.3])
 
+#: the compiler command that builds the kernel; no contraction into fused
+#: multiply-adds, so each state rounds as the operations above
+CC = ("cc", "-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+SOURCE = pathlib.Path(__file__).with_name("_weno5.c")
+
+
+def _build():
+    """The kernel `weno5_states` of SOURCE, compiled with CC into a
+    temporary directory and loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [*CC, str(SOURCE), "-o", str(pathlib.Path(tmp, "_weno5.so"))]
+        try:
+            subprocess.run(cmd, check=True, capture_output=True, text=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise ImportError(f"cannot build the WENO5 kernel with "
+                              f"`{' '.join(cmd)}`: {detail}") from None
+        kernel = ctypes.CDLL(cmd[-1]).weno5_states
+    size = ctypes.c_ssize_t
+    kernel.argtypes = (ctypes.c_void_p, size, size, size, size, size,
+                       *[ctypes.c_double] * 4, ctypes.c_void_p,
+                       ctypes.c_void_p)
+    kernel.restype = None
+    return kernel
+
+
+_kernel = _build()
+
 
 def _weno5_states(ext: np.ndarray, ax: int, first: int, count: int):
     """(right, left) states of the targets at indices first..first+count-1
     along ax of ext (the samples first-2..first+count+1 are read)."""
-    seg = _slc(ext, ax, slice(first - 2, first + count + 2))
-    D = _slc(seg, ax, slice(1, None)) - _slc(seg, ax, slice(None, -1))
-    S = _slc(D, ax, slice(1, None)) - _slc(D, ax, slice(None, -1))
-    np.square(S, out=S)
-    S *= 13.0 / 12.0
-    # the multiples of D the windows read, each computed once per line
-    D2, D3, D5 = 2 * D, 3 * D, 5 * D
-    D4 = 2 * D2
-
-    def at(a, s):
-        """The entry s of each target's window (D0..D3, or S0..S2)."""
-        return _slc(a, ax, slice(s, s + count))
-
-    def beta(lin, s):
-        """(eps + S_s + lin^2 / 4)^2, in the storage of lin."""
-        np.square(lin, out=lin)
-        lin *= 0.25
-        lin += at(S, s)
-        lin += WENO_EPS
-        np.square(lin, out=lin)
-        return lin
-
-    # (eps + beta)^2 of the three sub-stencils, shared by both states
-    e0 = beta(at(D3, 1) - at(D, 0), 0)
-    e1 = beta(at(D, 1) + at(D, 2), 1)
-    e2 = beta(at(D3, 2) - at(D, 3), 2)
-    a1 = D_LIN[1] / e1
-
-    def state(e_lo, e_hi, c0, c1, c2):
-        """(a0 c0 + a1 c1 + a2 c2) / (6 (a0 + a1 + a2)), in the storage of
-        c0..c2, with a0 = d0 / e_lo and a2 = d2 / e_hi."""
-        a0 = D_LIN[0] / e_lo
-        a2 = D_LIN[2] / e_hi
-        c0 *= a0
-        c1 *= a1
-        c0 += c1
-        c2 *= a2
-        c0 += c2
-        a0 += a1
-        a0 += a2
-        a0 *= 6.0
-        c0 /= a0
-        return c0
-
-    v2 = at(seg, 2)
-    right = state(e0, e2, at(D5, 1) - at(D2, 0), at(D, 1) + at(D2, 2),
-                  at(D4, 2) - at(D, 3))
-    right += v2
-    left = state(e2, e0, at(D5, 2) - at(D2, 3), at(D, 2) + at(D2, 1),
-                 at(D4, 1) - at(D, 0))
-    np.subtract(v2, left, out=left)
+    ext = np.ascontiguousarray(ext, dtype=float)
+    shape, ax = ext.shape, range(ext.ndim)[ax]    # ax < 0 counts from the end
+    # the kernel reads no bounds: check them here
+    if not 2 <= first <= shape[ax] - count - 2:
+        raise ValueError(f"targets {first}..{first + count - 1} need samples "
+                         f"outside 0..{shape[ax] - 1}")
+    out = shape[:ax] + (count,) + shape[ax + 1:]
+    right, left = np.empty(out), np.empty(out)
+    _kernel(ext.ctypes.data, math.prod(shape[:ax]), shape[ax],
+            math.prod(shape[ax + 1:]), first, count, WENO_EPS, *D_LIN,
+            right.ctypes.data, left.ctypes.data)
     return right, left
 
 

@@ -4,7 +4,9 @@ Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
 the package (only the WENO5 kernel, applied to one 5-point stencil by
 `weno5_point`, and the transfer weights are shared, since those are
-certified separately against polynomial exactness).
+certified separately against polynomial exactness).  `weno5_states` is
+the NumPy form of that kernel, which the compiled one must match bit for
+bit.
 The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse
@@ -80,6 +82,63 @@ def weno5_point(stencil) -> float:
     if w.shape != (5,):
         raise ValueError("stencil must contain exactly 5 samples")
     return float(_weno5_states(w, 0, 2, 1)[0][0])
+
+
+def weno5_states(ext, ax, first, count):
+    """The NumPy reference of `weno._weno5_states`: the same operations in
+    the same order, each over whole arrays."""
+    seg = _slc(ext, ax, slice(first - 2, first + count + 2))
+    D = _slc(seg, ax, slice(1, None)) - _slc(seg, ax, slice(None, -1))
+    S = _slc(D, ax, slice(1, None)) - _slc(D, ax, slice(None, -1))
+    np.square(S, out=S)
+    S *= 13.0 / 12.0
+    # the multiples of D the windows read, each computed once per line
+    D2, D3, D5 = 2 * D, 3 * D, 5 * D
+    D4 = 2 * D2
+
+    def at(a, s):
+        """The entry s of each target's window (D0..D3, or S0..S2)."""
+        return _slc(a, ax, slice(s, s + count))
+
+    def beta(lin, s):
+        """(eps + S_s + lin^2 / 4)^2, in the storage of lin."""
+        np.square(lin, out=lin)
+        lin *= 0.25
+        lin += at(S, s)
+        lin += WENO_EPS
+        np.square(lin, out=lin)
+        return lin
+
+    # (eps + beta)^2 of the three sub-stencils, shared by both states
+    e0 = beta(at(D3, 1) - at(D, 0), 0)
+    e1 = beta(at(D, 1) + at(D, 2), 1)
+    e2 = beta(at(D3, 2) - at(D, 3), 2)
+    a1 = D_LIN[1] / e1
+
+    def state(e_lo, e_hi, c0, c1, c2):
+        """(a0 c0 + a1 c1 + a2 c2) / (6 (a0 + a1 + a2)), in the storage of
+        c0..c2, with a0 = d0 / e_lo and a2 = d2 / e_hi."""
+        a0 = D_LIN[0] / e_lo
+        a2 = D_LIN[2] / e_hi
+        c0 *= a0
+        c1 *= a1
+        c0 += c1
+        c2 *= a2
+        c0 += c2
+        a0 += a1
+        a0 += a2
+        a0 *= 6.0
+        c0 /= a0
+        return c0
+
+    v2 = at(seg, 2)
+    right = state(e0, e2, at(D5, 1) - at(D2, 0), at(D, 1) + at(D2, 2),
+                  at(D4, 2) - at(D, 3))
+    right += v2
+    left = state(e2, e0, at(D5, 2) - at(D2, 3), at(D, 2) + at(D2, 1),
+                 at(D4, 1) - at(D, 0))
+    np.subtract(v2, left, out=left)
+    return right, left
 
 
 def weno_cells(f, k, sign):

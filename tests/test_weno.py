@@ -1,4 +1,5 @@
-"""WENO5 kernel: polynomial exactness, order of accuracy, symmetry.
+"""WENO5 kernel: polynomial exactness, order of accuracy, symmetry, and the
+compiled kernel against its NumPy form.
 
 The kernel reconstructs the point value at the interface between the 3rd and
 4th of five consecutive samples, treating the samples as cell averages
@@ -12,7 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex.grid import GHOST
+from chns_imex import solvers, weno
+from chns_imex.cases import initial_state
+from chns_imex.grid import GHOST, GridSpec
+from chns_imex.imex import Integrator
+from chns_imex.model import ModelParams
 from chns_imex.weno import D_LIN, reconstruct_lr_cells, reconstruct_lr_faces
 
 import oracles
@@ -99,6 +104,9 @@ def _field(kind, shape, rng):
     if kind == "step":
         x = np.arange(shape[0])[:, None] + 0.5 * np.arange(shape[1])[None, :]
         return np.where(x > shape[0] / 2, 2.5, -1e-3)
+    if kind == "scales":
+        return rng.choice([-1.0, 1.0], shape) \
+            * 10.0 ** rng.uniform(-6, 6, shape)
     return 10.0 ** rng.uniform(-6, 6) * rng.standard_normal(shape)
 
 
@@ -128,6 +136,67 @@ def test_shared_beta_states_match_one_sided_windows(kind, faces, ax, M, rng):
                         oracles.weno_lr_windows(ext, ax, faces)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= bound
+
+
+@pytest.mark.parametrize("kind", ["smooth", "step", "random", "scales"])
+@pytest.mark.parametrize("faces", [False, True], ids=["cells", "faces"])
+@pytest.mark.parametrize("M", [4, 17, 64])
+def test_compiled_kernel_matches_numpy_reference(kind, faces, M, rng):
+    """The compiled kernel gives bit for bit the states of its NumPy form
+    along every axis of 1D fields, 2D fields and 4-field stacks, and on a
+    reversed (non-contiguous) view."""
+    first = GHOST if faces else GHOST - 1
+    cases = []
+    for ax in (0, 1):
+        ext = _ext(kind, faces, ax, M, rng)
+        stack = np.stack([_ext(kind, faces, ax, M, rng) for _ in range(4)])
+        cases += [(ext, ax), (stack, ax + 1), (np.flip(ext, ax), ax)]
+    cases.append((_ext(kind, faces, 0, M, rng)[:, 3], 0))
+    for ext, ax in cases:
+        count = ext.shape[ax] - 2 * first
+        got = weno._weno5_states(ext, ax, first, count)
+        ref = oracles.weno5_states(ext, ax, first, count)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r), (ext.shape, ax)
+
+
+@pytest.mark.parametrize("cc", [("no-such-cc",), ("cc", "--no-such-flag")])
+def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
+    """A kernel that cannot be built raises ImportError with the command,
+    its flags and what the compiler (or the system) said, and nothing
+    else in its chain."""
+    command = cc + weno.CC[1:]
+    monkeypatch.setattr(weno, "CC", command)
+    with pytest.raises(ImportError) as info:
+        weno._build()
+    msg = str(info.value)
+    assert " ".join(command) in msg
+    assert msg.split("`: ", 1)[1].strip()
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
+    """Test 1 at M = 16, C_p = 1e8 and cfl 1.2, past its explicit limit,
+    takes damped line-search trials and retries; the run with the compiled
+    kernel and the run with its NumPy form end in the same state."""
+    trials = []
+    trial = solvers.HydroSolver._trial
+    monkeypatch.setattr(solvers.HydroSolver, "_trial",
+                        lambda self, *a: trials.append(1) or trial(self, *a))
+    grid, params = GridSpec(dim=2, M=16), ModelParams(cp=1e8)
+
+    def run():
+        integ = Integrator(grid, params, cfl=1.2)
+        return integ.run_to_time(initial_state(1, grid, params), 0.0091)
+
+    compiled = run()
+    monkeypatch.setattr(weno, "_weno5_states", oracles.weno5_states)
+    reference = run()
+    assert sum(rec.retries for rec in compiled.steps) >= 1 and trials
+    assert len(compiled.steps) == len(reference.steps)
+    for U, V in ((compiled.state, reference.state),):
+        for a, b in zip((U.rho, U.q, *U.m), (V.rho, V.q, *V.m)):
+            assert np.array_equal(a, b)
 
 
 def test_reversal_swaps_states(rng):
@@ -170,6 +239,19 @@ def test_reconstruct_shapes():
 def test_point_input_validation():
     with pytest.raises(ValueError):
         weno5_point([1.0, 2.0, 3.0])
+
+
+def test_kernel_rejects_targets_without_samples():
+    """The kernel reads no bounds, so targets whose stencils leave the
+    array are refused before it runs; a negative axis counts from the
+    end."""
+    ext = np.arange(14.0).reshape(2, 7)
+    for first, count in ((1, 1), (2, 4), (5, 1)):
+        with pytest.raises(ValueError, match="need samples outside 0..6"):
+            weno._weno5_states(ext, 1, first, count)
+    right, left = weno._weno5_states(ext, -1, 2, 3)
+    assert np.array_equal(right, weno._weno5_states(ext, 1, 2, 3)[0])
+    assert right.shape == left.shape == (2, 3)
 
 
 def test_monotone_data_essentially_bounded():
