@@ -194,9 +194,9 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
     reference = run()
     assert sum(rec.retries for rec in compiled.steps) >= 1 and trials
     assert len(compiled.steps) == len(reference.steps)
-    for U, V in ((compiled.state, reference.state),):
-        for a, b in zip((U.rho, U.q, *U.m), (V.rho, V.q, *V.m)):
-            assert np.array_equal(a, b)
+    U, V = compiled.state, reference.state
+    for a, b in zip((U.rho, U.q, *U.m), (V.rho, V.q, *V.m)):
+        assert np.array_equal(a, b)
 
 
 def test_reversal_swaps_states(rng):
