@@ -163,10 +163,21 @@ def compare(dir_a: str, dir_b: str) -> int:
     return 1 if failed else 0
 
 
+USAGE = ("usage: cli_gate.py OUTDIR\n"
+         "       cli_gate.py --compare DIR_A DIR_B")
+
+
+def cli(argv: list) -> int:
+    """The exit status of the script for the arguments argv; any other
+    than the two forms of USAGE, `--help` and every single argument that
+    starts with `-` included, print USAGE and give 2."""
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
+        return 2
+    return main_gate(argv[0])
+
+
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        sys.exit(compare(sys.argv[2], sys.argv[3]))
-    if len(sys.argv) != 2:
-        sys.exit("usage: cli_gate.py OUTDIR\n"
-                 "       cli_gate.py --compare DIR_A DIR_B")
-    sys.exit(main_gate(sys.argv[1]))
+    sys.exit(cli(sys.argv[1:]))

@@ -129,16 +129,6 @@ def extend_face_interior(f: np.ndarray, ax: int) -> np.ndarray:
     return _mirror(_walls(f, ax), ax, -1, 1)
 
 
-def extend_face_full(f: np.ndarray, ax: int, sign) -> np.ndarray:
-    """Extend a quantity sampled at all faces 0..M (length M+1) by mirror ghosts.
-
-    sign=+1 for even quantities (rho at faces, rho v^2 + p1), sign=-1 for odd
-    ones, or an array of signs as in `extend_cell`.  The wall values
-    themselves are kept as given.
-    """
-    return _mirror(f, ax, sign, 1)
-
-
 # ---------------------------------------------------------------------------
 # Staggered differences and averages along an axis
 # ---------------------------------------------------------------------------

@@ -33,17 +33,20 @@ import numpy as np
 
 from . import model
 from .grid import (GHOST, GridSpec, _slc, axis_sum, cells_to_faces6, center,
-                   diff, dual, extend_cell, extend_face_full,
-                   extend_face_interior, face_average, faces_to_cells6)
+                   diff, dual, extend_cell, extend_face_interior,
+                   face_average, faces_to_cells6)
 from .model import ModelParams
 from .operators import implicit_operators
 from .state import State
-from .weno import reconstruct_lr_cells, reconstruct_lr_faces
+from .weno import reconstruct_lr_cells, reconstruct_lr_faces, rusanov_flux
 
 log = logging.getLogger(__name__)
 
-#: mirror parity of the four fields of a reconstructed stack
+#: mirror parity of the fields [F, u, v, rho] of a face or corner stack: an
+#: even flux, an odd momentum and velocity, an even density
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0])
+#: the same for the cell stack [q v_k, q, v_k, rho]: the flux is odd
+_PARITY_CELLS = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -97,28 +100,25 @@ class SpatialDiscretization:
             return np.where(bad, 0.0, s)
         return model.sound_speed(rho, self.params)
 
-    def _lam(self, vm, vp, rm, rp) -> np.ndarray:
-        return np.maximum(np.abs(vm) + self._sound(rm),
-                          np.abs(vp) + self._sound(rp))
-
     # -- convection --------------------------------------------------------
 
-    def _rusanov_flux(self, minus, plus) -> np.ndarray:
-        """Rusanov flux 0.5 (F+ + F-) - 0.5 lam (u+ - u-) from the states of
-        a stack [F, u, v, rho]: a flux, its conserved quantity, the normal
-        velocity and the density, which give the speed lam."""
-        (F_m, u_m, v_m, r_m), (F_p, u_p, v_p, r_p) = minus, plus
-        lam = self._lam(v_m, v_p, r_m, r_p)
-        return 0.5 * (F_p + F_m) - 0.5 * lam * (u_p - u_m)
+    def _rusanov_flux(self, minus, plus, diffusion=False):
+        """(flux, mass diffusion) of `weno.rusanov_flux` from the states of a
+        stack [F, u, v, rho], with the sound speeds of `_sound` at the
+        reconstructed densities."""
+        return rusanov_flux(minus, plus, self._sound(minus[3]),
+                            self._sound(plus[3]), diffusion)
 
     def rusanov(self, Ut: State) -> State:
         """The explicit convective terms: WENO5-reconstructed Rusanov fluxes
         from the explicit state, one pass per axis.
 
-        A pass reconstructs one stack of four fields per staggered location,
-        ghost-extended once with a parity per field (even, odd, odd, even):
-        [rho, v_k, q v_k, q] at the cells along k, v_k transferred to the
-        cells, where the mass diffusion and the phase-momentum flux share
+        A pass reconstructs one stack [F, u, v, rho] per staggered location
+        (a flux, its conserved quantity, the normal velocity and the
+        density, which give the Rusanov speed), each field mirrored at the
+        walls with its parity:
+        [q v_k, q, v_k, rho] at the cells along k, v_k transferred to the
+        cells, where the phase-momentum flux and the mass diffusion share
         the Rusanov speed;
         [rho v_k^2 + p1, rho v_k, v_k, rho] at the faces along k, the normal
         flux of momentum component k; and [rho v1 v2, rho v_k, v_j, rho] at
@@ -126,33 +126,28 @@ class SpatialDiscretization:
         """
         h, p = self.grid.h, self.params
         dim = self.grid.dim
-        parity = _PARITY.reshape((-1,) + (1,) * dim)
         v = Ut.velocities()
         mass, dq, mom = [], [], []
         for k in range(dim):
             v_ext = extend_face_interior(v[k], k)
             v_cell = faces_to_cells6(v_ext, k)
-            cells = extend_cell(np.stack([Ut.rho, v_cell, Ut.q * v_cell,
-                                          Ut.q]), k + 1, parity)
-            (r_m, w_m, f_m, q_m), (r_p, w_p, f_p, q_p) = \
-                reconstruct_lr_cells(cells, k + 1)
-            lam = self._lam(w_m, w_p, r_m, r_p)
+            Fc, d = self._rusanov_flux(*reconstruct_lr_cells(
+                np.stack([Ut.q * v_cell, Ut.q, v_cell, Ut.rho]), k + 1,
+                _PARITY_CELLS), diffusion=True)
             # mass: Rusanov diffusion from WENO states at the faces 0..M; the
             # wall entries cancel by the mirror symmetry of the density
-            d = 0.5 * lam * (r_p - r_m)
             mass.append(dual(_slc(d, k, slice(1, -1)), k, h))
             # phase momentum: primal reconstruction of rho c v_k
-            Fc = 0.5 * (f_p + f_m) - 0.5 * lam * (q_p - q_m)
             dq.append(-diff(Fc, k) / h)
 
             # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
-            rho_f = cells_to_faces6(cells[0], k)        # faces 0..M along k
+            # the density at the faces 0..M along k, from its mirror ghosts
+            rho_f = cells_to_faces6(extend_cell(Ut.rho, k, 1.0), k)
             v_full = _slc(v_ext, k, slice(GHOST, -GHOST))
             flux = rho_f * v_full**2 + model.p1(rho_f, p)
-            faces = extend_face_full(np.stack([flux, rho_f * v_full, v_full,
-                                               rho_f]), k + 1, parity)
-            m_k = -diff(self._rusanov_flux(
-                *reconstruct_lr_faces(faces, k + 1)), k) / h
+            faces = np.stack([flux, rho_f * v_full, v_full, rho_f])
+            m_k = -diff(self._rusanov_flux(*reconstruct_lr_faces(
+                faces, k + 1, _PARITY))[0], k) / h
             rho_fi = _slc(rho_f, k, slice(1, -1))
             for j in range(dim):
                 if j == k:
@@ -166,10 +161,9 @@ class SpatialDiscretization:
                 v_at = list(v)
                 v_at[j] = vj
                 qty = rho_fi * v_at[0] * v_at[1]
-                corners = extend_cell(np.stack([qty, rho_fi * v[k], vj,
-                                                rho_fi]), j + 1, parity)
-                Ghat = self._rusanov_flux(
-                    *reconstruct_lr_cells(corners, j + 1))
+                corners = np.stack([qty, rho_fi * v[k], vj, rho_fi])
+                Ghat = self._rusanov_flux(*reconstruct_lr_cells(
+                    corners, j + 1, _PARITY))[0]
                 m_k += -diff(Ghat, j) / h
             mom.append(m_k)
         return State(axis_sum(mass), axis_sum(dq), tuple(mom))

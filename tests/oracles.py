@@ -4,9 +4,10 @@ Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
 the package (only the WENO5 kernel, applied to one 5-point stencil by
 `weno5_point`, and the transfer weights are shared, since those are
-certified separately against polynomial exactness).  `weno5_states` is
-the NumPy form of that kernel, which the compiled one must match bit for
-bit.
+certified separately against polynomial exactness).  `reconstruct_lr`
+(mirror ghosts from `extend_cell` or `extend_face_full`, then the NumPy
+kernel `weno5_states`) and `rusanov_flux` are the NumPy forms of the
+compiled kernels, which must match them bit for bit.
 The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse
@@ -29,11 +30,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import block_diag
 
 from chns_imex import model
-from chns_imex.grid import GHOST, MU6, _slc, diff, dual
+from chns_imex.grid import GHOST, MU6, _slc, diff, dual, extend_cell
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.solvers import SPLU_SYMMETRIC, HydroSolver
 from chns_imex.state import State
-from chns_imex.weno import D_LIN, WENO_EPS, _weno5_states
+from chns_imex.weno import D_LIN, WENO_EPS, reconstruct_lr_cells
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,16 @@ def face_val(full, k, sign):
     return full[k]
 
 
+def extend_face_full(f, ax, sign):
+    """A face field with its walls (faces 0..M along ax) extended by GHOST
+    mirror ghosts on each side: face -k is face k times sign, face M+k is
+    face M-k times sign; an array sign broadcast against f gives each
+    field of a stack its own parity."""
+    left = sign * np.flip(_slc(f, ax, slice(1, GHOST + 1)), axis=ax)
+    right = sign * np.flip(_slc(f, ax, slice(-GHOST - 1, -1)), axis=ax)
+    return np.concatenate([left, f, right], axis=ax)
+
+
 def vel_full(v):
     """Interior-face velocities -> full face array with zero walls."""
     return np.concatenate([[0.0], v, [0.0]])
@@ -81,11 +92,13 @@ def weno5_point(stencil) -> float:
     w = np.asarray(stencil, dtype=float)
     if w.shape != (5,):
         raise ValueError("stencil must contain exactly 5 samples")
-    return float(_weno5_states(w, 0, 2, 1)[0][0])
+    # as a line of five cells: interface 3 lies between the 3rd and 4th
+    return float(reconstruct_lr_cells(w, 0, 1.0)[0][3])
 
 
 def weno5_states(ext, ax, first, count):
-    """The NumPy reference of `weno._weno5_states`: the same operations in
+    """(right, left) states of the targets first..first+count-1 along ax of
+    a ghost-extended array, with the operations of the compiled kernel in
     the same order, each over whole arrays."""
     seg = _slc(ext, ax, slice(first - 2, first + count + 2))
     D = _slc(seg, ax, slice(1, None)) - _slc(seg, ax, slice(None, -1))
@@ -139,6 +152,27 @@ def weno5_states(ext, ax, first, count):
                  at(D4, 1) - at(D, 0))
     np.subtract(v2, left, out=left)
     return right, left
+
+
+def reconstruct_lr(f, ax, parity, faces):
+    """The NumPy reference of `weno.reconstruct_lr_faces` (faces=True) or
+    `reconstruct_lr_cells`: f extended by mirror ghosts with one sign, or
+    one per field along axis 0, then `weno5_states` of every target."""
+    sign = np.reshape(parity, np.shape(parity) + (1,) * (f.ndim - 1))
+    ext = (extend_face_full if faces else extend_cell)(f, ax, sign)
+    first = GHOST if faces else GHOST - 1
+    ax = range(f.ndim)[ax]
+    right, left = weno5_states(ext, ax, first, ext.shape[ax] - 2 * first)
+    return _slc(right, ax, slice(None, -1)), _slc(left, ax, slice(1, None))
+
+
+def rusanov_flux(minus, plus, s_minus, s_plus, diffusion=False):
+    """The NumPy reference of `weno.rusanov_flux`: the expressions it
+    replaced, on the states of a stack [F, u, v, rho]."""
+    (F_m, u_m, v_m, r_m), (F_p, u_p, v_p, r_p) = minus, plus
+    lam = np.maximum(np.abs(v_m) + s_minus, np.abs(v_p) + s_plus)
+    flux = 0.5 * (F_p + F_m) - 0.5 * lam * (u_p - u_m)
+    return flux, 0.5 * lam * (r_p - r_m) if diffusion else None
 
 
 def weno_cells(f, k, sign):

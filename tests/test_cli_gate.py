@@ -1,6 +1,6 @@
 """The `--compare` rules of scripts/cli_gate.py on small hand-written
-output directories, and its refusal of a used OUTDIR, without a solver
-run."""
+output directories, its refusal of a used OUTDIR and its usage errors,
+without a solver run."""
 
 import importlib.util
 import pathlib
@@ -73,3 +73,19 @@ def test_gate_refuses_nonempty_outdir(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "is not empty" in err
     assert stale.read_text() == "stale\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--compare"],
+                                  [], ["a", "b"]])
+def test_options_and_wrong_counts_print_usage(argv, tmp_path, capsys,
+                                              monkeypatch):
+    """`--help`, any other single argument that starts with `-` and a
+    wrong number of arguments print the usage and give a nonzero status,
+    without running the gate or writing a file."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_gate, "main_gate",
+                        lambda outdir: pytest.fail("ran the gate"))
+    assert cli_gate.cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == cli_gate.USAGE + "\n"
+    assert not any(tmp_path.iterdir())

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chns_imex.grid import (GHOST, GridSpec, cells_to_faces6, center, diff,
-                            dual, extend_cell, extend_face_full,
-                            extend_face_interior, face_average,
-                            faces_to_cells6)
+                            dual, extend_cell, extend_face_interior,
+                            face_average, faces_to_cells6)
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  mat_laplacian_neumann)
-from oracles import laplacian_neumann, mat_center
+from oracles import extend_face_full, laplacian_neumann, mat_center
 
 #: each staggered primitive as f, axis, h -> values, and its dense 1D
 #: matrix for M cells, with the length of its input along the axis

@@ -1,5 +1,7 @@
 """Tendency operators vs independent scalar-loop and dense-matrix oracles."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -88,6 +90,43 @@ def test_convective_2d_matches_oracle(M, rng):
     np.testing.assert_allclose(out.m[0], t_mx, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(out.m[1], t_my, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(out.q, t_q, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_nonpositive_reconstructed_density_falls_back_to_velocity_bound(
+        monkeypatch, caplog, rng):
+    """Next to a sharp dip of the density the sixth-order face densities
+    stay positive but some of their WENO states do not: there the sound
+    speed is zero, so the Rusanov speed is the |v| bound; the warning is
+    logged once over two calls, and the tendency is the pointwise
+    oracle's."""
+    grid = GridSpec(dim=1, M=16)
+    rho = np.ones(16)
+    rho[5:8] = 0.09
+    Ut = state_from_primitives(rho, (0.3 * rng.standard_normal(15),),
+                               0.3 * rng.uniform(-1, 1, 16))
+    disc = SpatialDiscretization(grid, PARAMS)
+    speeds = []
+
+    def spy(minus, plus, s_minus, s_plus, diffusion=False):
+        speeds.extend([(minus[3], s_minus), (plus[3], s_plus)])
+        return flux(minus, plus, s_minus, s_plus, diffusion)
+
+    flux = spatial.rusanov_flux
+    monkeypatch.setattr(spatial, "rusanov_flux", spy)
+    with caplog.at_level(logging.WARNING, logger=spatial.log.name):
+        disc.rusanov(Ut)
+        out = oracles.convective(disc, Ut, Ut)
+    assert [r.getMessage() for r in caplog.records] == [
+        "nonpositive reconstructed density; using |v| bound for the "
+        "numerical viscosity"]
+    low = [(r <= 0.0, s) for r, s in speeds]
+    assert sum(np.count_nonzero(bad) for bad, _ in low) > 0
+    assert all(np.all(s[bad] == 0.0) and np.all(s[~bad] > 0.0)
+               for bad, s in low)
+    t_rho, t_mx, t_q = oracles.convective_1d(Ut, Ut, grid.h, PARAMS)
+    scale = max(np.abs(t_rho).max(), np.abs(t_mx).max(), np.abs(t_q).max())
+    for got, want in ((out.rho, t_rho), (out.m[0], t_mx), (out.q, t_q)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +432,9 @@ def test_explicit_tendency_reconstructs_one_stack_per_location(
     M = 8
     seen = []
     for name in ("reconstruct_lr_cells", "reconstruct_lr_faces"):
-        def counted(ext, ax, _fn=getattr(spatial, name)):
-            minus, plus = _fn(ext, ax)
-            seen.append((ext.shape[0], minus.size))
+        def counted(*args, _fn=getattr(spatial, name)):
+            minus, plus = _fn(*args)
+            seen.append((args[0].shape[0], minus.size))
             return minus, plus
         monkeypatch.setattr(spatial, name, counted)
     grid = GridSpec(dim=dim, M=M)

@@ -1,21 +1,23 @@
 """WENO5 kernel: polynomial exactness, order of accuracy, symmetry, and the
-compiled kernel against its NumPy form.
+compiled kernels (states and Rusanov flux) against their NumPy forms.
 
 The kernel reconstructs the point value at the interface between the 3rd and
 4th of five consecutive samples, treating the samples as cell averages
 (standard finite-difference WENO semantics).
 """
 
+import functools
 import itertools
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex import solvers, weno
+from chns_imex import solvers, spatial, weno
 from chns_imex.cases import initial_state
-from chns_imex.grid import GHOST, GridSpec
+from chns_imex.grid import GridSpec, extend_cell
 from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
 from chns_imex.weno import D_LIN, reconstruct_lr_cells, reconstruct_lr_faces
@@ -114,11 +116,16 @@ def _reconstruct(faces):
     return reconstruct_lr_faces if faces else reconstruct_lr_cells
 
 
-def _ext(kind, faces, ax, M, rng):
-    """A 2D extended field with M targets along ax and 7 lines."""
-    shape = [M + 2 * GHOST + (1 if faces else 0), 7]
-    ext = _field(kind, shape, rng)
-    return ext.T.copy() if ax == 1 else ext
+def _line(kind, faces, ax, M, rng):
+    """A 2D field without ghosts, M cells or M + 1 faces (walls included)
+    along ax, and 7 lines."""
+    f = _field(kind, [M + (1 if faces else 0), 7], rng)
+    return f.T.copy() if ax == 1 else f
+
+
+def _extend(f, ax, parity, faces):
+    """f with the mirror ghosts the kernel reads by index."""
+    return (oracles.extend_face_full if faces else extend_cell)(f, ax, parity)
 
 
 @pytest.mark.parametrize("kind", ["smooth", "step", "random"])
@@ -127,37 +134,91 @@ def _ext(kind, faces, ax, M, rng):
 @pytest.mark.parametrize("M", [4, 17, 64])
 def test_shared_beta_states_match_one_sided_windows(kind, faces, ax, M, rng):
     """Both states from one kernel agree with one-sided evaluations on
-    sliding windows within STATE_ULPS ulp of the field's largest
-    magnitude."""
-    ext = _ext(kind, faces, ax, M, rng)
-    minus, plus = _reconstruct(faces)(ext, ax)
-    bound = STATE_ULPS * np.finfo(float).eps * np.abs(ext).max()
-    for got, ref in zip((minus, plus),
-                        oracles.weno_lr_windows(ext, ax, faces)):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= bound
+    sliding windows of the mirrored field within STATE_ULPS ulp of the
+    field's largest magnitude, for either parity."""
+    f = _line(kind, faces, ax, M, rng)
+    bound = STATE_ULPS * np.finfo(float).eps * np.abs(f).max()
+    for parity in (1.0, -1.0):
+        states = _reconstruct(faces)(f, ax, parity)
+        windows = oracles.weno_lr_windows(_extend(f, ax, parity, faces), ax,
+                                          faces)
+        for got, ref in zip(states, windows):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= bound
+
+
+#: per-field parities of a 4-field stack that give each field either sign
+STACK_PARITIES = (np.array([1.0, -1.0, 1.0, -1.0]),
+                  np.array([-1.0, 1.0, -1.0, 1.0]))
 
 
 @pytest.mark.parametrize("kind", ["smooth", "step", "random", "scales"])
 @pytest.mark.parametrize("faces", [False, True], ids=["cells", "faces"])
-@pytest.mark.parametrize("M", [4, 17, 64])
+@pytest.mark.parametrize("M", [4, 5, 9, 17, 64])
 def test_compiled_kernel_matches_numpy_reference(kind, faces, M, rng):
-    """The compiled kernel gives bit for bit the states of its NumPy form
-    along every axis of 1D fields, 2D fields and 4-field stacks, and on a
-    reversed (non-contiguous) view."""
-    first = GHOST if faces else GHOST - 1
+    """The compiled kernel, mirroring at the walls by index, gives bit for
+    bit the states of its NumPy form on the ghost-extended field: along
+    both axes of 2D fields and the middle and last axes of 4-field stacks,
+    with either parity per field, on a reversed (non-contiguous) view and
+    on a strided column.  The line lengths M + 1 and M + 2 of the targets
+    and the 7 lines across are no multiple of a vector width."""
     cases = []
     for ax in (0, 1):
-        ext = _ext(kind, faces, ax, M, rng)
-        stack = np.stack([_ext(kind, faces, ax, M, rng) for _ in range(4)])
-        cases += [(ext, ax), (stack, ax + 1), (np.flip(ext, ax), ax)]
-    cases.append((_ext(kind, faces, 0, M, rng)[:, 3], 0))
-    for ext, ax in cases:
-        count = ext.shape[ax] - 2 * first
-        got = weno._weno5_states(ext, ax, first, count)
-        ref = oracles.weno5_states(ext, ax, first, count)
+        f = _line(kind, faces, ax, M, rng)
+        stack = np.stack([_line(kind, faces, ax, M, rng) for _ in range(4)])
+        cases += [(g, ax, parity) for g in (f, np.flip(f, ax))
+                  for parity in (1.0, -1.0)]
+        cases += [(stack, ax + 1, parity) for parity in STACK_PARITIES]
+    cases.append((_line(kind, faces, 0, M, rng)[:, 3], 0, -1.0))
+    for f, ax, parity in cases:
+        got = _reconstruct(faces)(f, ax, parity)
+        ref = oracles.reconstruct_lr(f, ax, parity, faces)
         for g, r in zip(got, ref):
-            assert np.array_equal(g, r), (ext.shape, ax)
+            assert np.array_equal(g, r), (f.shape, ax, parity)
+
+
+@pytest.mark.parametrize("M", [4, 5, 9, 17, 64])
+def test_compiled_flux_matches_numpy_reference(M, rng):
+    """`rusanov_flux` gives bit for bit the flux and mass diffusion of the
+    NumPy expressions it replaced, on states of mixed scales with zero
+    sound speeds, a NaN speed and a NaN velocity, and refuses states that
+    do not stack four fields of the speeds' shape."""
+    shape = (M + 1, 7)
+    minus, plus = (_field("scales", (4,) + shape, rng) for _ in range(2))
+    s_minus, s_plus = (np.abs(_field("scales", shape, rng)) for _ in range(2))
+    s_minus[0] = s_plus[1] = 0.0
+    s_minus[2, 3] = minus[2, 3, 4] = np.nan
+    for diffusion in (False, True):
+        got = weno.rusanov_flux(minus, plus, s_minus, s_plus, diffusion)
+        ref = oracles.rusanov_flux(minus, plus, s_minus, s_plus, diffusion)
+        assert np.array_equal(got[0], ref[0], equal_nan=True)
+        assert np.isnan(got[0][2, 3]) and np.isnan(got[0][3, 4])
+        if diffusion:
+            assert np.array_equal(got[1], ref[1], equal_nan=True)
+        else:
+            assert got[1] is None
+    with pytest.raises(ValueError, match="do not stack four fields"):
+        weno.rusanov_flux(minus[:3], plus[:3], s_minus, s_plus)
+
+
+def test_kernel_loops_are_vectorized(tmp_path):
+    """Every loop marked `#pragma GCC ivdep` in the kernel source compiles
+    to vector code with CC, so an edit cannot fall back to scalar code
+    unnoticed."""
+    cmd = [*weno.CC, "-fopt-info-vec-optimized", "-c", str(weno.SOURCE),
+           "-o", str(tmp_path / "kernel.o")]
+    report = subprocess.run(cmd, check=True, capture_output=True,
+                            text=True).stderr
+    assert "loop vectorized" in report
+    lines = weno.SOURCE.read_text().splitlines()
+    # the loop starts on the line after its pragma, 1-based
+    loops = [i + 2 for i, line in enumerate(lines)
+             if line.strip() == "#pragma GCC ivdep"]
+    assert len(loops) == 2
+    for n in loops:
+        assert any(f"{weno.SOURCE.name}:{n}:" in row
+                   and "loop vectorized" in row
+                   for row in report.splitlines()), (n, report)
 
 
 @pytest.mark.parametrize("cc", [("no-such-cc",), ("cc", "--no-such-flag")])
@@ -178,7 +239,7 @@ def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
 def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
     """Test 1 at M = 16, C_p = 1e8 and cfl 1.2, past its explicit limit,
     takes damped line-search trials and retries; the run with the compiled
-    kernel and the run with its NumPy form end in the same state."""
+    kernels and the run with their NumPy forms end in the same state."""
     trials = []
     trial = solvers.HydroSolver._trial
     monkeypatch.setattr(solvers.HydroSolver, "_trial",
@@ -190,7 +251,11 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
         return integ.run_to_time(initial_state(1, grid, params), 0.0091)
 
     compiled = run()
-    monkeypatch.setattr(weno, "_weno5_states", oracles.weno5_states)
+    for name, faces in (("reconstruct_lr_cells", False),
+                        ("reconstruct_lr_faces", True)):
+        monkeypatch.setattr(spatial, name, functools.partial(
+            oracles.reconstruct_lr, faces=faces))
+    monkeypatch.setattr(spatial, "rusanov_flux", oracles.rusanov_flux)
     reference = run()
     assert sum(rec.retries for rec in compiled.steps) >= 1 and trials
     assert len(compiled.steps) == len(reference.steps)
@@ -202,12 +267,15 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
 def test_reversal_swaps_states(rng):
     """The left state of a field is bit for bit the right state of the
     mirrored field, and the other way round, on cells and faces, smooth,
-    step and random fields, along both axes of 2D arrays."""
-    for kind, faces, ax, M in itertools.product(
-            ("smooth", "step", "random"), (False, True), (0, 1), (4, 17, 64)):
-        ext = _ext(kind, faces, ax, M, rng)
-        minus, plus = _reconstruct(faces)(ext, ax)
-        minus_r, plus_r = _reconstruct(faces)(np.flip(ext, ax).copy(), ax)
+    step and random fields of either parity, along both axes of 2D
+    arrays."""
+    for kind, faces, ax, M, parity in itertools.product(
+            ("smooth", "step", "random"), (False, True), (0, 1), (4, 17, 64),
+            (1.0, -1.0)):
+        f = _line(kind, faces, ax, M, rng)
+        minus, plus = _reconstruct(faces)(f, ax, parity)
+        minus_r, plus_r = _reconstruct(faces)(np.flip(f, ax).copy(), ax,
+                                              parity)
         assert np.array_equal(minus, np.flip(plus_r, ax)), (kind, faces, ax)
         assert np.array_equal(plus, np.flip(minus_r, ax)), (kind, faces, ax)
 
@@ -216,23 +284,23 @@ def test_reversal_swaps_states(rng):
 @pytest.mark.parametrize("ax", [0, 1])
 @pytest.mark.parametrize("M", [4, 17, 64])
 def test_stack_reconstructs_like_single_fields(faces, ax, M, rng):
-    """A stack of fields reconstructed in one call gives each field's
-    states bit for bit as reconstructing it alone."""
-    fields = [_ext(kind, faces, ax, M, rng)
+    """A stack of fields reconstructed in one call, each with its own
+    parity, gives each field's states bit for bit as reconstructing it
+    alone."""
+    fields = [_line(kind, faces, ax, M, rng)
               for kind in ("smooth", "step", "random", "random")]
-    minus, plus = _reconstruct(faces)(np.stack(fields), ax + 1)
-    for f, m, p in zip(fields, minus, plus):
-        m1, p1 = _reconstruct(faces)(f, ax)
+    parity = STACK_PARITIES[0]
+    minus, plus = _reconstruct(faces)(np.stack(fields), ax + 1, parity)
+    for f, sign, m, p in zip(fields, parity, minus, plus):
+        m1, p1 = _reconstruct(faces)(f, ax, sign)
         assert np.array_equal(m, m1) and np.array_equal(p, p1)
 
 
 def test_reconstruct_shapes():
     M = 8
-    ext_c = np.zeros(M + 2 * GHOST)
-    m, p = reconstruct_lr_cells(ext_c, 0)
+    m, p = reconstruct_lr_cells(np.zeros(M), 0, 1.0)
     assert m.shape == (M + 1,) and p.shape == (M + 1,)
-    ext_f = np.zeros(M + 1 + 2 * GHOST)
-    m, p = reconstruct_lr_faces(ext_f, 0)
+    m, p = reconstruct_lr_faces(np.zeros(M + 1), 0, 1.0)
     assert m.shape == (M,) and p.shape == (M,)
 
 
@@ -242,16 +310,21 @@ def test_point_input_validation():
 
 
 def test_kernel_rejects_targets_without_samples():
-    """The kernel reads no bounds, so targets whose stencils leave the
-    array are refused before it runs; a negative axis counts from the
-    end."""
-    ext = np.arange(14.0).reshape(2, 7)
-    for first, count in ((1, 1), (2, 4), (5, 1)):
-        with pytest.raises(ValueError, match="need samples outside 0..6"):
-            weno._weno5_states(ext, 1, first, count)
-    right, left = weno._weno5_states(ext, -1, 2, 3)
-    assert np.array_equal(right, weno._weno5_states(ext, 1, 2, 3)[0])
-    assert right.shape == left.shape == (2, 3)
+    """The kernel reads no bounds, so lines too short for the mirror
+    images its stencils read, and signs that are neither one for all nor
+    one per field of a stack, are refused before it runs; a negative axis
+    counts from the end."""
+    for n in (1, 2):
+        for reconstruct in (reconstruct_lr_cells, reconstruct_lr_faces):
+            with pytest.raises(ValueError, match=f"a line of {n} samples"):
+                reconstruct(np.ones((2, n)), 1, 1.0)
+    f = np.arange(21.0).reshape(3, 7)
+    for ax, parity in ((1, [1.0, -1.0]), (0, [1.0, -1.0, 1.0])):
+        with pytest.raises(ValueError, match="signs for 3 fields"):
+            reconstruct_lr_cells(f, ax, parity)
+    minus, plus = reconstruct_lr_cells(f, -1, [1.0, -1.0, 1.0])
+    assert np.array_equal(minus, reconstruct_lr_cells(f, 1, [1, -1, 1])[0])
+    assert minus.shape == plus.shape == (3, 8)
 
 
 def test_monotone_data_essentially_bounded():
