@@ -61,16 +61,16 @@ static void states(const double *const p[5], const double s[5],
    at the interfaces 0..n of n cells (skip 0), or at the centres between
    n faces (skip 1).  The targets are the samples skip-1 .. n-skip; minus at
    interface i is the right state of target skip-1+i and plus the left state
-   of the target after it.  Row o of the stack has the sign sign[o / group]
-   beyond the walls; a line needs n >= 3. */
+   of the target after it; the state of an end target that no interface
+   takes goes to junk, inner doubles.  Row o of the stack has the sign
+   sign[o / group] beyond the walls; a line needs n >= 3. */
 void weno5_lr(const double *f, const double *sign, ptrdiff_t group,
               ptrdiff_t outer, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t skip,
               double eps, double d0, double d1, double d2, double *minus,
-              double *plus)
+              double *plus, double *junk)
 {
     const ptrdiff_t first = skip - 1, count = n + 2 - 2 * skip;
     const ptrdiff_t m = (count - 1) * inner;
-    double junk[inner];     /* the missing state of the end targets */
     for (ptrdiff_t o = 0; o < outer; o++) {
         const double *line = f + o * n * inner;
         double *mo = minus + o * m, *po = plus + o * m;

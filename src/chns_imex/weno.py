@@ -75,7 +75,7 @@ def _build():
                               f"`{' '.join(cmd)}`: {detail}") from None
         lib = ctypes.CDLL(cmd[-1])
     size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    lib.weno5_lr.argtypes = (ptr, ptr, *[size] * 5, *[real] * 4, ptr, ptr)
+    lib.weno5_lr.argtypes = (ptr, ptr, *[size] * 5, *[real] * 4, *[ptr] * 3)
     lib.rusanov_flux.argtypes = (*[ptr] * 4, size, ptr, ptr)
     lib.weno5_lr.restype = lib.rusanov_flux.restype = None
     return lib
@@ -97,12 +97,12 @@ def _reconstruct_lr(f: np.ndarray, ax: int, parity, skip: int):
     if sign.size != 1 and (ax == 0 or sign.size != shape[0]):
         raise ValueError(f"{sign.size} signs for {shape[0]} fields: give "
                          f"one per field along axis 0, or one for all")
-    outer = math.prod(shape[:ax])
+    outer, inner = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
     out = shape[:ax] + (shape[ax] + 1 - 2 * skip,) + shape[ax + 1:]
-    minus, plus = np.empty(out), np.empty(out)
+    minus, plus, junk = np.empty(out), np.empty(out), np.empty(inner)
     _lib.weno5_lr(f.ctypes.data, sign.ctypes.data, outer // sign.size,
-                  outer, shape[ax], math.prod(shape[ax + 1:]), skip,
-                  WENO_EPS, *D_LIN, minus.ctypes.data, plus.ctypes.data)
+                  outer, shape[ax], inner, skip, WENO_EPS, *D_LIN,
+                  minus.ctypes.data, plus.ctypes.data, junk.ctypes.data)
     return minus, plus
 
 
