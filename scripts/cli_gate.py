@@ -51,6 +51,10 @@ GATE_RUNS = (
     # at a power-of-two M, h and 1/h are exact, so a stencil and its sparse
     # matrix round alike; a non-dyadic grid shows a change of rounding
     ["mms", "--dim", "2", "--M", "12", "--out", "mms2d-m12"],
+    # past the largest stable cfl: steps are retried, the Newton line search
+    # damps, and a reconstructed density goes nonpositive
+    ["run", "--test", "1", "--M", "16", "--cp", "1e8", "--cfl", "1.2",
+     "--T", "0.01", "--out", "retry"],
 )
 
 TIMING_COLUMN = "walltime_s"
