@@ -5,20 +5,17 @@ Subcommands:
   run    physical test problems 1-3 with field dumps and diagnostics
   sweep  stiffness sweep: repeat a test over a list of C_p values
 
-Option precedence: command-line flags > environment variables > config file >
-defaults.  Environment variables mirror the flags with the prefix CHNS_ and
-upper-case names (e.g. CHNS_CP=1e4, CHNS_SEED=3).  The
-config file (--config) holds plain "key = value" lines with the same keys as
-the flags.  Cases of an M-list or a C_p-list run one after another.
+Options come from the command-line flags alone, one flag per RunConfig
+field; an option not given takes its default.  There are no CHNS_*
+environment variables and no config file.  Cases of an M-list or a C_p-list
+run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
-import os
 import pathlib
 import sys
 import time
@@ -36,8 +33,6 @@ from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
 from .solvers import SolverFailure
 
-ENV_PREFIX = "CHNS_"
-
 
 @dataclass
 class RunConfig:
@@ -46,15 +41,15 @@ class RunConfig:
     test: int | None = None
     scheme: str = "star_dirksa"
     M: tuple = (64,)
-    cp: float = 1e2
-    cp1: float | None = None
+    cp: float = ModelParams.cp
+    cp1: float | None = ModelParams.cp1
     T: float = 0.1
     cfl: float = DEFAULT_CFL
-    nu: float = 1.0
-    lam: float = 0.1
-    eps: float = 1e-4
-    g: float = -10.0
-    gamma: float = 5.0 / 3.0
+    nu: float = ModelParams.nu
+    lam: float = ModelParams.lam
+    eps: float = ModelParams.eps
+    g: float = ModelParams.g
+    gamma: float = ModelParams.gamma
     seed: int = 0
     out: str = "out"
     dump_times: tuple = ()
@@ -81,56 +76,14 @@ def float_list(text) -> tuple:
     return _parse_list(text, float)
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for raw in pathlib.Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, CHNS_* environment variables, and the config file.
-
-    Environment and file values are parsed as `--flag=value` by the
-    subcommand's option parser, so they get the flags' types and choices;
-    a bad value from any source raises ValueError naming that source.
-    """
-    parser = _option_parser(args.command)
-    actions = {a.option_strings[0][2:].replace("-", "_"): a
-               for a in parser._actions}
-    file_vals = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_vals) - set(actions))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
-    vals = {a.dest: getattr(args, a.dest) for a in actions.values()}
-    env = [(var, {key: os.environ[var]}) for key in actions
-           if (var := ENV_PREFIX + key.upper()) in os.environ]
-    # flags > environment > file: a source fills only what is still unset
-    for source, texts in [*env, (args.config, file_vals)]:
-        tokens = [f"{actions[key].option_strings[0]}={text}"
-                  for key, text in texts.items()
-                  if vals[actions[key].dest] is None]
-        try:
-            parsed = parser.parse_args(tokens)
-        except argparse.ArgumentError as exc:
-            raise ValueError(f"{source}: {exc}") from exc
-        for dest, val in vars(parsed).items():
-            if vals[dest] is None:
-                vals[dest] = val
-    cfg = RunConfig(command=args.command)
-    if args.command == "mms":
-        cfg.T = 0.01
+    """The RunConfig of parsed flags, with the defaults for those not given
+    (`mms` runs to T = 0.01); a bad value raises ValueError."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    cp_list = given.pop("cp_list", None)
+    cfg = RunConfig(**({"T": 0.01} if args.command == "mms" else {}) | given)
     if args.command == "sweep":
-        cfg.cp_list = (cfg.cp,)
-    for dest, val in vals.items():
-        if val is not None:
-            setattr(cfg, dest, val)
+        cfg.cp_list = cp_list or (cfg.cp,)
     if args.command != "mms" and cfg.test is None:
         raise ValueError(f"{args.command}: --test is required")
     if args.command != "mms" and len(cfg.M) > 1:
@@ -327,17 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in (("mms", "manufactured-solution order study"),
                         ("run", "physical test problem"),
                         ("sweep", "stiffness sweep over C_p")):
-        q = sub.add_parser(name, help=help_, parents=[_option_parser(name)])
-        q.add_argument("--config", help="key=value config file")
+        _add_options(sub.add_parser(name, help=help_), name)
     return p
 
 
-@functools.lru_cache
-def _option_parser(command: str) -> argparse.ArgumentParser:
-    """The options of a subcommand that a RunConfig field, a CHNS_*
-    variable or a config-file key can also set.  A bad value raises
-    argparse.ArgumentError instead of exiting."""
-    q = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+def _add_options(q: argparse.ArgumentParser, command: str):
+    """One flag per RunConfig field but `command`; a flag not given parses
+    to None."""
     # the physical test problems are two-dimensional
     q.add_argument("--dim", type=int,
                    choices=(1, 2) if command == "mms" else (2,))
@@ -362,9 +311,8 @@ def _option_parser(command: str) -> argparse.ArgumentParser:
     q.add_argument("--gamma", type=float)
     q.add_argument("--seed", type=int)
     q.add_argument("--out", help="output directory")
-    q.add_argument("--dump-times", dest="dump_times", type=float_list,
+    q.add_argument("--dump-times", type=float_list,
                    help="comma-separated snapshot times")
-    return q
 
 
 def main(argv=None) -> int:
@@ -372,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     command = {"mms": run_mms, "run": run_test, "sweep": run_sweep}
     try:

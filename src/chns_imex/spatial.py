@@ -88,17 +88,19 @@ class SpatialDiscretization:
 
     def _sound(self, rho: np.ndarray) -> np.ndarray:
         """Non-stiff sound speed; nonpositive reconstructed densities fall
-        back to zero sound speed (advective bound only), logged once."""
+        back to zero sound speed (advective bound only), logged once.  The
+        positivity scan is the one of `model.sound_speed`."""
+        try:
+            return model.sound_speed(rho, self.params)
+        except model.NonPositiveDensityError:
+            pass
+        if not self._warned_sound:
+            log.warning("nonpositive reconstructed density; "
+                        "using |v| bound for the numerical viscosity")
+            self._warned_sound = True
         bad = rho <= 0.0
-        if np.any(bad):
-            if not self._warned_sound:
-                log.warning("nonpositive reconstructed density; "
-                            "using |v| bound for the numerical viscosity")
-                self._warned_sound = True
-            safe = np.where(bad, 1.0, rho)
-            s = model.sound_speed(safe, self.params)
-            return np.where(bad, 0.0, s)
-        return model.sound_speed(rho, self.params)
+        s = model.sound_speed(np.where(bad, 1.0, rho), self.params)
+        return np.where(bad, 0.0, s)
 
     # -- convection --------------------------------------------------------
 

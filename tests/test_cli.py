@@ -1,6 +1,7 @@
-"""Command-line harness: precedence, outputs, round-trip, determinism."""
+"""Command-line harness: options, outputs, round-trip, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import chns_imex
-from chns_imex.cli import (ENV_PREFIX, build_parser, main, resolve_config,
+from chns_imex.cli import (RunConfig, build_parser, main, resolve_config,
                            write_csv)
 from chns_imex.imex import Integrator
 from chns_imex.solvers import SolverFailure
@@ -51,33 +52,34 @@ def test_m_list_and_dump_times_parsing():
     assert cfg.dump_times == (0.0, 0.005)
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_PREFIX + "CP", "1e6")
-    monkeypatch.setenv(ENV_PREFIX + "SCHEME", "ee_ie")
+def test_chns_variables_are_ignored(monkeypatch):
+    """Options come from the flags alone: a CHNS_* variable, good or bad,
+    changes nothing."""
+    monkeypatch.setenv("CHNS_CP", "1e6")
+    monkeypatch.setenv("CHNS_SCHEME", "rk4")
     cfg = resolve_config(build_parser().parse_args(["run", "--test", "2"]))
-    assert cfg.cp == 1e6
-    assert cfg.scheme == "ee_ie"
+    assert cfg == RunConfig(test=2)
 
 
-def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
-    conf = tmp_path / "case.conf"
-    conf.write_text("cp = 1e3          # from file\ncfl = 0.2\nseed = 9\n")
-    monkeypatch.setenv(ENV_PREFIX + "CP", "1e5")
-    args = build_parser().parse_args(
-        ["run", "--test", "1", "--cp", "1e7", "--config", str(conf)])
-    cfg = resolve_config(args)
-    assert cfg.cp == 1e7            # flag wins
-    assert cfg.cfl == 0.2           # file fills the gap
-    assert cfg.seed == 9
-
-
-def test_malformed_config_rejected(tmp_path):
-    conf = tmp_path / "bad.conf"
-    conf.write_text("this is not a key value pair\n")
-    args = build_parser().parse_args(
-        ["run", "--test", "1", "--config", str(conf)])
-    with pytest.raises(ValueError):
-        resolve_config(args)
+@pytest.mark.parametrize("command", ["mms", "run", "sweep"])
+def test_every_config_field_has_one_flag(command, capsys):
+    """Each RunConfig field but `command` has exactly one flag, named after
+    it (`--cp` sets sweep's `cp_list`), so every option can be set; the
+    removed `--config` is not among them."""
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    flags = {a.dest: a.option_strings for a in sub._actions
+             if a.dest != "help"}
+    fields = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name != "command"]
+    want = {f: ["--" + f.replace("_", "-")] for f in fields}
+    if command == "sweep":
+        want["cp_list"] = want.pop("cp")
+    assert flags == want
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" not in capsys.readouterr().out
 
 
 def test_sweep_cp_list():
@@ -149,40 +151,29 @@ def test_run_requires_test_flag():
         main(["run", "--M", "16", "--T", "0.001"])
 
 
-@pytest.mark.parametrize("argv,env,conf", [
-    pytest.param([], {"SCHEME": "rk4"}, "", id="env-solver"),
-    pytest.param([], {}, "scheme = rk4\n", id="file-solver"),
-    pytest.param(["--linear-solver", "cg"], {}, "", id="removed-flag"),
-    pytest.param([], {}, "linear_solver = cg\n", id="file-removed-key"),
-    pytest.param([], {"M": ","}, "", id="env-empty-M"),
-    pytest.param([], {}, "cfl = 0\n", id="file-cfl"),
-    pytest.param([], {}, "no_such_key = 1\n", id="file-unknown-key"),
-    pytest.param(["--dim", "1"], {}, "", id="dim-1"),
-    pytest.param(["--cfl", "0"], {}, "", id="cfl-0"),
-    pytest.param(["--T", "-1"], {}, "", id="T-negative"),
-    pytest.param(["--M", ","], {}, "", id="empty-M"),
-    pytest.param(["--M", "2"], {}, "", id="M-too-small"),
-    pytest.param(["--M", "8,16"], {}, "", id="M-list"),
-    pytest.param(["--nu", "0"], {}, "", id="nu-0"),
-    pytest.param(["--nu", "nan"], {}, "", id="nu-nan"),
-    pytest.param(["--cp", "inf"], {}, "", id="cp-inf"),
-    pytest.param(["--seed", "-1"], {}, "", id="seed-negative"),
-    pytest.param([], {"CFL": "inf"}, "", id="env-cfl-inf"),
-    pytest.param(["--dump-times", "nan"], {}, "", id="dump-nan"),
-    pytest.param(["--dump-times", "0,-1"], {}, "", id="dump-negative"),
-    pytest.param(["--dump-times", "inf"], {}, "", id="dump-inf"),
-    pytest.param(["--dump-times", "0.002"], {}, "", id="dump-past-T"),
-    pytest.param([], {"DUMP_TIMES": "0,0.0011"}, "", id="env-dump-past-T"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--scheme", "rk4"], id="scheme-rk4"),
+    pytest.param(["--linear-solver", "cg"], id="removed-flag"),
+    pytest.param(["--config", "case.conf"], id="config-flag"),
+    pytest.param(["--dim", "1"], id="dim-1"),
+    pytest.param(["--cfl", "0"], id="cfl-0"),
+    pytest.param(["--cfl", "inf"], id="cfl-inf"),
+    pytest.param(["--T", "-1"], id="T-negative"),
+    pytest.param(["--M", ","], id="empty-M"),
+    pytest.param(["--M", "2"], id="M-too-small"),
+    pytest.param(["--M", "8,16"], id="M-list"),
+    pytest.param(["--nu", "0"], id="nu-0"),
+    pytest.param(["--nu", "nan"], id="nu-nan"),
+    pytest.param(["--cp", "inf"], id="cp-inf"),
+    pytest.param(["--seed", "-1"], id="seed-negative"),
+    pytest.param(["--dump-times", "nan"], id="dump-nan"),
+    pytest.param(["--dump-times", "0,-1"], id="dump-negative"),
+    pytest.param(["--dump-times", "inf"], id="dump-inf"),
+    pytest.param(["--dump-times", "0.002"], id="dump-past-T"),
 ])
-def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
-                                    capsys):
-    """Bad values from flags, CHNS_* variables or the config file end in
-    exit status 2 with a message, before any output is written."""
-    for key, val in env.items():
-        monkeypatch.setenv(ENV_PREFIX + key, val)
-    if conf:
-        (tmp_path / "case.conf").write_text(conf)
-        argv = argv + ["--config", str(tmp_path / "case.conf")]
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    """A bad value, or a flag that `chns` no longer has, ends in exit
+    status 2 with a message, before any output is written."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["run", "--test", "2", "--T", "0.001", "--out", str(out)]
@@ -192,36 +183,17 @@ def test_bad_input_is_a_usage_error(argv, env, conf, tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_bad_value_names_its_source(tmp_path, monkeypatch):
-    """An environment value is named by its variable, a file value by the
-    config path, each with the flag's own parse message."""
-    monkeypatch.setenv(ENV_PREFIX + "CFL", "abc")
-    args = build_parser().parse_args(["run", "--test", "1"])
-    with pytest.raises(ValueError) as exc:
-        resolve_config(args)
-    assert str(exc.value) == \
-        "CHNS_CFL: argument --cfl: invalid float value: 'abc'"
-    monkeypatch.delenv(ENV_PREFIX + "CFL")
-    conf = tmp_path / "case.conf"
-    conf.write_text("scheme = rk4\n")
-    args = build_parser().parse_args(["run", "--test", "1", "--config",
-                                      str(conf)])
-    with pytest.raises(ValueError, match="^" + str(conf)
-                       + ": argument --scheme: invalid choice"):
-        resolve_config(args)
-
-
-def test_overridden_value_is_not_parsed(tmp_path, monkeypatch):
-    """A value that a higher-precedence source replaces is never read, so
-    a bad one there is no error."""
-    conf = tmp_path / "case.conf"
-    conf.write_text("cfl = abc\nseed = -x\n")
-    monkeypatch.setenv(ENV_PREFIX + "CFL", "0.3")
-    monkeypatch.setenv(ENV_PREFIX + "SEED", "oops")
-    args = build_parser().parse_args(
-        ["run", "--test", "1", "--seed", "4", "--config", str(conf)])
-    cfg = resolve_config(args)
-    assert (cfg.cfl, cfg.seed) == (0.3, 4)
+def test_bad_value_names_its_source(capsys):
+    """The message of a bad value names the flag it came from, whether
+    argparse or resolve_config rejects it."""
+    for argv, message in [
+            (["--cfl", "abc"], "argument --cfl: invalid float value: 'abc'"),
+            (["--scheme", "rk4"], "argument --scheme: invalid choice: 'rk4'"),
+            (["--cfl", "0"], "--T and --cfl must be positive and finite"),
+            (["--config", "case.conf"], "unrecognized arguments: --config")]:
+        with pytest.raises(SystemExit):
+            main(["run", "--test", "1", *argv])
+        assert message in capsys.readouterr().err
 
 
 def test_mms_repeated_grid_size_is_a_usage_error(tmp_path, capsys):
