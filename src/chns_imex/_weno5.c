@@ -1,17 +1,25 @@
-/* WENO5 states and Rusanov fluxes of stacks of fields, one pass each.
+/* The compiled passes of the explicit tendency: sixth-order transfers and
+   the products that form its stacks, WENO5 states, and the Rusanov fluxes
+   with their differences.
 
-   A stack is an array of shape (outer, n, inner) whose middle axis is the
-   line: n cell values, or n face values with both wall faces.  Beyond a
-   wall the line continues as its mirror image times the sign of its field,
+   A stack is an array of shape (rows, outer, n, inner) whose third axis is
+   the line: n cell values, or n face values with both wall faces.  Beyond a
+   wall the line continues as its mirror image times the sign of its row,
    read by index: cell -1-i is cell i, face -i is face i.  Each state takes
    the operations of the difference form documented in weno.py, in that
-   order.  Built without floating-point contraction, every operation is a
-   correctly rounded add, subtract, multiply or divide (or a multiply by
-   +-1, which is exact), so a state rounds exactly as that form does at any
-   vector width. */
+   order, and every other value those of the NumPy form the tests keep, in
+   that order.  Built without floating-point contraction, every operation
+   is a correctly rounded add, subtract, multiply or divide (or a multiply
+   by +-1, which is exact), so a value rounds exactly as that form does at
+   any vector width. */
 
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
+
+/* the sixth-order midpoint weights; dividing by 256 is exact */
+static const double MU6[6] = {3.0 / 256, -25.0 / 256, 150.0 / 256,
+                              150.0 / 256, -25.0 / 256, 3.0 / 256};
 
 /* (eps + S + lin^2 / 4)^2 */
 static double beta(double lin, double s, double eps)
@@ -57,63 +65,310 @@ static void states(const double *const p[5], const double s[5],
     }
 }
 
-/* The (minus, plus) states of a stack, each (outer, n + 1 - 2 skip, inner):
-   at the interfaces 0..n of n cells (skip 0), or at the centres between
-   n faces (skip 1).  The targets are the samples skip-1 .. n-skip; minus at
-   interface i is the right state of target skip-1+i and plus the left state
-   of the target after it; the state of an end target that no interface
-   takes goes to junk, inner doubles.  Row o of the stack has the sign
-   sign[o / group] beyond the walls; a line needs n >= 3. */
-void weno5_lr(const double *f, const double *sign, ptrdiff_t group,
-              ptrdiff_t outer, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t skip,
-              double eps, double d0, double d1, double d2, double *minus,
-              double *plus, double *junk)
+/* Sample i of a line of n samples inner doubles apart, and in *s its sign:
+   beyond each end the line continues as its mirror image times sign,
+   about its end (skip 0) or about its end sample (skip 1).  A line with
+   walls stores samples 1..n-2 only; samples 0 and n-1 are zero. */
+static const double *sample(const double *line, ptrdiff_t n,
+                            ptrdiff_t inner, ptrdiff_t skip, ptrdiff_t walls,
+                            double sign, ptrdiff_t i, const double *zero,
+                            double *s)
+{
+    *s = 1.0;
+    if (i < 0 || i >= n) {
+        i = i < 0 ? skip - 1 - i : 2 * n - 1 - skip - i;
+        *s = sign;
+    }
+    if (walls)
+        return i == 0 || i == n - 1 ? zero : line + (i - 1) * inner;
+    return line + i * inner;
+}
+
+/* row[3 .. n+2] holds the samples of a line; row[0..2] and
+   row[n+3 .. n+5] get its three mirror samples on each side, as in
+   `sample` */
+static void ghosts(double *row, ptrdiff_t n, ptrdiff_t skip, double sign)
+{
+    for (ptrdiff_t j = 1; j <= 3; j++) {
+        row[3 - j] = sign * row[2 + j + skip];
+        row[2 + n + j] = sign * row[3 + n - j - skip];
+    }
+}
+
+/* The (minus, plus) states of a stack, each (rows, outer, n + 1 - 2 skip,
+   inner) with row g at minus + g * out_rows: at the interfaces 0..n of n
+   cells (skip 0), or at the centres between n faces (skip 1).  Row g of
+   the stack starts at f + g * f_rows and has the sign sign[g] beyond the
+   walls.  The targets are the samples skip-1 .. n-skip; minus at interface
+   i is the right state of target skip-1+i and plus the left state of the
+   target after it.  A line needs n >= 3, and scratch max(inner, 3 n + 10)
+   doubles: along the middle axis it takes the state of an end target that
+   no interface takes; along the last axis (inner 1) the mirrored line and
+   the states of all its targets, which one call computes. */
+void weno5_lr(const double *f, ptrdiff_t f_rows, const double *sign,
+              ptrdiff_t rows, ptrdiff_t outer, ptrdiff_t n, ptrdiff_t inner,
+              ptrdiff_t skip, double eps, double d0, double d1, double d2,
+              double *minus, double *plus, ptrdiff_t out_rows,
+              double *scratch)
 {
     const ptrdiff_t first = skip - 1, count = n + 2 - 2 * skip;
     const ptrdiff_t m = (count - 1) * inner;
+    for (ptrdiff_t g = 0; g < rows; g++)
     for (ptrdiff_t o = 0; o < outer; o++) {
-        const double *line = f + o * n * inner;
-        double *mo = minus + o * m, *po = plus + o * m;
+        const double *line = f + g * f_rows + o * n * inner;
+        double *mo = minus + g * out_rows + o * m;
+        double *po = plus + g * out_rows + o * m;
+        if (inner == 1) {
+            double *r = scratch + n + 6, *l = r + count;
+            const double *p[5];
+            const double one[5] = {1.0, 1.0, 1.0, 1.0, 1.0};
+            memcpy(scratch + 3, line, n * sizeof(double));
+            ghosts(scratch, n, skip, sign[g]);
+            for (int k = 0; k < 5; k++)
+                p[k] = scratch + 1 + first + k;
+            states(p, one, count, eps, d0, d1, d2, r, l);
+            memcpy(mo, r, (count - 1) * sizeof(double));
+            memcpy(po, l + 1, (count - 1) * sizeof(double));
+            continue;
+        }
         for (ptrdiff_t t = 0, run; t < count; t += run) {
             const ptrdiff_t tg = first + t;
             const double *p[5];
             double s[5];
-            for (int k = 0; k < 5; k++) {
-                ptrdiff_t i = tg - 2 + k;
-                s[k] = 1.0;
-                if (i < 0 || i >= n) {
-                    i = i < 0 ? skip - 1 - i : 2 * n - 1 - skip - i;
-                    s[k] = sign[o / group];
-                }
-                p[k] = line + i * inner;
-            }
+            for (int k = 0; k < 5; k++)
+                p[k] = sample(line, n, inner, skip, 0, sign[g], tg - 2 + k,
+                              NULL, &s[k]);
             /* targets whose samples all lie on the line read consecutive
                rows: one run up to target n-3, which never holds an end */
             run = tg >= 2 && tg + 2 < n ? n - 2 - tg : 1;
             states(p, s, run * inner, eps, d0, d1, d2,
-                   t < count - 1 ? mo + t * inner : junk,
-                   t > 0 ? po + (t - 1) * inner : junk);
+                   t < count - 1 ? mo + t * inner : scratch,
+                   t > 0 ? po + (t - 1) * inner : scratch);
         }
     }
 }
 
-/* The Rusanov flux 0.5 (F+ + F-) - (0.5 lam) (u+ - u-) at n points from
-   the (minus, plus) states of stacks [F, u, v, rho], n points per field,
-   with lam = max(|v-| + s-, |v+| + s+) from the sound speeds s-, s+; and
-   with a diffusion array, (0.5 lam) (rho+ - rho-) too.  NumPy's order of
-   operations; a NaN speed wins the max, as in np.maximum. */
-void rusanov_flux(const double *minus, const double *plus,
-                  const double *s_minus, const double *s_plus, ptrdiff_t n,
-                  double *flux, double *diffusion)
+/* out[j] = the MU6-weighted sum of s[k] p[k][j], k = 0..5, in order */
+static void mu6(const double *const p[6], const double s[6], ptrdiff_t len,
+                double *out)
+{
+    const double *p0 = p[0], *p1 = p[1], *p2 = p[2], *p3 = p[3],
+                 *p4 = p[4], *p5 = p[5];
+    const double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3], s4 = s[4],
+                 s5 = s[5];
+#pragma GCC ivdep
+    for (ptrdiff_t j = 0; j < len; j++) {
+        double acc = MU6[0] * (s0 * p0[j]);
+        acc = acc + MU6[1] * (s1 * p1[j]);
+        acc = acc + MU6[2] * (s2 * p2[j]);
+        acc = acc + MU6[3] * (s3 * p3[j]);
+        acc = acc + MU6[4] * (s4 * p4[j]);
+        out[j] = acc + MU6[5] * (s5 * p5[j]);
+    }
+}
+
+/* The sixth-order transfer along the middle axis of lines (outer, ., inner)
+   across M cells: cell values (walls 0) to the faces 0..M, face i from
+   cells i-3..i+2, or interior face values (walls 1, M-1 per line) to the
+   cells, cell i from faces i-2..i+3 with zero wall faces; mirrored beyond
+   the walls times sign.  scratch holds max(inner, M + 7) doubles. */
+void transfer6(const double *in, ptrdiff_t outer, ptrdiff_t M,
+               ptrdiff_t inner, ptrdiff_t walls, double sign,
+               double *scratch, double *out)
+{
+    const ptrdiff_t n = M + walls, count = M + 1 - walls, first = walls - 3;
+    const double one[6] = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+    if (inner > 1)
+        memset(scratch, 0, inner * sizeof(double));
+    for (ptrdiff_t o = 0; o < outer; o++) {
+        const double *line = in + o * (n - 2 * walls) * inner;
+        double *oo = out + o * count * inner;
+        const double *p[6];
+        double s[6];
+        if (inner == 1) {
+            /* the whole line, walls included, then one run of targets */
+            if (walls)
+                scratch[3] = scratch[2 + n] = 0.0;
+            memcpy(scratch + 3 + walls, line,
+                   (n - 2 * walls) * sizeof(double));
+            ghosts(scratch, n, walls, sign);
+            for (int k = 0; k < 6; k++)
+                p[k] = scratch + 3 + first + k;
+            mu6(p, one, count, oo);
+            continue;
+        }
+        for (ptrdiff_t i = 0; i < count; i++) {
+            for (int k = 0; k < 6; k++)
+                p[k] = sample(line, n, inner, walls, walls, sign,
+                              first + i + k, scratch, &s[k]);
+            mu6(p, s, inner, oo + i * inner);
+        }
+    }
+}
+
+/* the shape (outer, ., inner) of a field of shape (M, N) along axis k */
+static void split(ptrdiff_t k, ptrdiff_t M, ptrdiff_t N, ptrdiff_t *outer,
+                  ptrdiff_t *inner)
+{
+    *outer = k ? M : 1;
+    *inner = k ? 1 : N;
+}
+
+/* Every stack of an explicit tendency, in one buffer x of rows 0..3, row r
+   at x + r * width, from the density rho and phase momentum q at the cells
+   (M, N), N = M in 2D and 1 in 1D, and the interior-face velocities v[k]
+   (M-1 along axis k).  Stack s starts at column cols[s]; in order, per
+   axis k, the cell stack [q v_k, q, v_k, rho] with v_k transferred to the
+   cells, then per axis the face stack [rho v_k^2, rho v_k, v_k, rho] at
+   the faces 0..M along k with rho transferred there (p1 is added to its
+   first row by the caller), then in 2D per axis k the corner stack
+   [rho v_1 v_2, rho v_k, v_j, rho] at the interior k-faces, v_j the face
+   average along k of v[j] transferred to the cells along j, the other
+   axis.  scratch holds (M - 1)^2 + M + 7 doubles. */
+void rusanov_stacks(ptrdiff_t dim, ptrdiff_t M, const double *rho,
+                    const double *q, const double *const *v,
+                    const ptrdiff_t *cols, ptrdiff_t width, double *x,
+                    double *scratch)
+{
+    const ptrdiff_t N = dim == 2 ? M : 1, cells = M * N;
+    for (ptrdiff_t k = 0; k < dim; k++) {
+        ptrdiff_t outer, inner;
+        split(k, M, N, &outer, &inner);
+        double *c = x + cols[k], *f = x + cols[dim + k];
+        /* the cell stack */
+        transfer6(v[k], outer, M, inner, 1, -1.0, scratch, c + 2 * width);
+        memcpy(c + width, q, cells * sizeof(double));
+        memcpy(c + 3 * width, rho, cells * sizeof(double));
+        const double *vc = c + 2 * width;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < cells; i++)
+            c[i] = q[i] * vc[i];
+        /* the face stack: the velocities with their zero walls */
+        double *vf = f + 2 * width, *rf = f + 3 * width;
+        transfer6(rho, outer, M, inner, 0, 1.0, scratch, rf);
+        for (ptrdiff_t o = 0; o < outer; o++) {
+            double *line = vf + o * (M + 1) * inner;
+            memset(line, 0, inner * sizeof(double));
+            memcpy(line + inner, v[k] + o * (M - 1) * inner,
+                   (M - 1) * inner * sizeof(double));
+            memset(line + M * inner, 0, inner * sizeof(double));
+        }
+        double *fu = f + width;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < outer * (M + 1) * inner; i++) {
+            f[i] = rf[i] * (vf[i] * vf[i]);
+            fu[i] = rf[i] * vf[i];
+        }
+    }
+    for (ptrdiff_t k = 0; dim == 2 && k < 2; k++) {
+        const ptrdiff_t j = 1 - k, n = (M - 1) * M;
+        ptrdiff_t outer, inner;
+        double *corner = x + cols[2 * dim + k], *avg = scratch + M + 7;
+        const double *vj = v[j];
+        /* the face average along k of v_j, (M-1, M-1), to the cells
+           along j */
+        split(j, M - 1, M - 1, &outer, &inner);
+        for (ptrdiff_t a = 0; a < M - 1; a++) {
+            const double *lo = k ? vj + a * M : vj + a * (M - 1);
+            const double *hi = k ? lo + 1 : lo + M - 1;
+            double *row = avg + a * (M - 1);
+#pragma GCC ivdep
+            for (ptrdiff_t b = 0; b < M - 1; b++)
+                row[b] = 0.5 * (hi[b] + lo[b]);
+        }
+        transfer6(avg, outer, M, inner, 1, -1.0, scratch,
+                  corner + 2 * width);
+        /* the interior of the face densities along k */
+        split(k, M, N, &outer, &inner);
+        const double *rf = x + 3 * width + cols[dim + k];
+        double *rc = corner + 3 * width;
+        for (ptrdiff_t o = 0; o < outer; o++)
+            memcpy(rc + o * (M - 1) * inner, rf + (o * (M + 1) + 1) * inner,
+                   (M - 1) * inner * sizeof(double));
+        /* rho v_1 v_2 in axis order, and rho v_k */
+        const double *vt = corner + 2 * width;
+        const double *va = k ? vt : v[k], *vb = k ? v[k] : vt;
+        double *cu = corner + width;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < n; i++) {
+            corner[i] = rc[i] * va[i] * vb[i];
+            cu[i] = rc[i] * v[k][i];
+        }
+    }
+}
+
+/* The Rusanov flux 0.5 (F+ + F-) - (0.5 lam) (u+ - u-) and the diffusion
+   (0.5 lam) (rho+ - rho-) at n points from the (minus, plus) states of
+   stacks [F, u, v, rho], rows `stride` apart, with lam = max(|v-| + s-,
+   |v+| + s+) from the sound speeds s-, s+.  NumPy's order of operations;
+   a NaN speed wins the max, as in np.maximum. */
+static void rusanov_flux(const double *minus, const double *plus,
+                         ptrdiff_t stride, const double *s_minus,
+                         const double *s_plus, ptrdiff_t n, double *flux,
+                         double *diffusion)
 {
 #pragma GCC ivdep
     for (ptrdiff_t j = 0; j < n; j++) {
-        const double a = fabs(minus[2 * n + j]) + s_minus[j];
-        const double b = fabs(plus[2 * n + j]) + s_plus[j];
+        const double a = fabs(minus[2 * stride + j]) + s_minus[j];
+        const double b = fabs(plus[2 * stride + j]) + s_plus[j];
         const double half = 0.5 * (a >= b || a != a ? a : b);
         flux[j] = 0.5 * (plus[j] + minus[j])
-                  - half * (plus[n + j] - minus[n + j]);
-        if (diffusion)
-            diffusion[j] = half * (plus[3 * n + j] - minus[3 * n + j]);
+                  - half * (plus[stride + j] - minus[stride + j]);
+        diffusion[j] = half * (plus[3 * stride + j] - minus[3 * stride + j]);
+    }
+}
+
+/* out (outer, n, inner) += sign (w[i+1] - w[i]) / h along the middle axis
+   of w (outer, n + 1, inner).  Started at -0.0, the identity of addition
+   for every double, out takes its first term as is, signed zeros
+   included. */
+static void difference(const double *w, ptrdiff_t outer, ptrdiff_t n,
+                       ptrdiff_t inner, double sign, double h, double *out)
+{
+    const ptrdiff_t len = n * inner;
+    for (ptrdiff_t o = 0; o < outer; o++) {
+        const double *wo = w + o * (len + inner);
+        double *oo = out + o * len;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < len; i++)
+            oo[i] = oo[i] + sign * (wo[i + inner] - wo[i]) / h;
+    }
+}
+
+/* The explicit convective tendency from the states of the stacks of
+   `rusanov_stacks`, in rows 0..3 of `states`, row r at states + r * 2 half:
+   minus of stack s at column cols[s], plus at half + cols[s], and the sound
+   speeds at their densities in `sound`, in the same columns.  Adds per
+   axis k into the density tendency the mass diffusion (the difference of
+   the cell stack's diffusion over h, which is zero at the walls), into the
+   phase tendency the negated difference of its flux over h, and into the
+   momentum tendency of axis k the negated difference of the face stack's
+   flux along k, then of the corner stack's along the other axis, each
+   over h; the outputs start at -0.0.  fluxes holds 2 half doubles. */
+void rusanov_tendency(ptrdiff_t dim, ptrdiff_t M, double h,
+                      const double *states, const double *sound,
+                      const ptrdiff_t *cols, ptrdiff_t half,
+                      double *fluxes, double *rho, double *q,
+                      double *const *m)
+{
+    const ptrdiff_t N = dim == 2 ? M : 1;
+    double *flux = fluxes, *diffusion = fluxes + half;
+    rusanov_flux(states, states + half, 2 * half, sound, sound + half, half,
+                 flux, diffusion);
+    for (ptrdiff_t k = 0; k < dim; k++) {
+        ptrdiff_t outer, inner;
+        split(k, M, N, &outer, &inner);
+        double *d = diffusion + cols[k];
+        for (ptrdiff_t o = 0; o < outer; o++) {
+            double *line = d + o * (M + 1) * inner;
+            memset(line, 0, inner * sizeof(double));
+            memset(line + M * inner, 0, inner * sizeof(double));
+        }
+        difference(d, outer, M, inner, 1.0, h, rho);
+        difference(flux + cols[k], outer, M, inner, -1.0, h, q);
+        difference(flux + cols[dim + k], outer, M - 1, inner, -1.0, h, m[k]);
+        if (dim == 2)   /* the corner flux, (M-1 along k, M+1 along j) */
+            difference(flux + cols[2 * dim + k], k ? 1 : M - 1, M,
+                       k ? M - 1 : 1, -1.0, h, m[k]);
     }
 }

@@ -27,11 +27,12 @@ from . import __version__
 from .cases import DUMP_TIMES, initial_state
 from .diagnostics import (ap_metrics, c_extrema, compute_eoc,
                           conservation_errors, error_norm, total_energy)
-from .grid import AXES, GridSpec, extend_face_interior, faces_to_cells6
+from .grid import AXES, GridSpec
 from .imex import DEFAULT_CFL, Integrator
 from .mms import exact_momenta, exact_state, make_forcing
 from .model import ModelParams
 from .solvers import SolverFailure
+from .weno import faces_to_cells
 
 
 @dataclass
@@ -140,8 +141,7 @@ def write_manifest(outdir: pathlib.Path, cfg: RunConfig, extra=None):
 def write_fields(outdir, U, grid, t):
     """Cell-centered rho, velocities (by sixth-order transfer) and c, one
     row per cell with the last axis running fastest."""
-    v = [faces_to_cells6(extend_face_interior(vk, k), k)
-         for k, vk in enumerate(U.velocities())]
+    v = [faces_to_cells(vk, k) for k, vk in enumerate(U.velocities())]
     header = [*AXES[:grid.dim], "rho",
               *(f"v{k + 1}" for k in range(grid.dim)), "c"]
     cols = [f.ravel() for f in (*grid.coords(), U.rho, *v, U.q / U.rho)]

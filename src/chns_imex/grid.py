@@ -1,10 +1,15 @@
-"""Staggered (MAC) grid layouts, finite-difference operators and ghost cells.
+"""Staggered (MAC) grid layouts and finite-difference operators.
 
 Scalars (density rho and phase momentum q = rho*c) live at cell centers
 x_i = (i - 1/2)h.  The horizontal momentum lives on vertical faces
 x_{i+1/2} (shape (M-1, M) in 2D) and the vertical momentum on horizontal
 faces (shape (M, M-1)).  No-slip faces on the wall are not stored; they are
 identically zero.  Arrays are indexed [i, j] with axis 0 = x and axis 1 = y.
+
+No field carries ghost cells.  The compiled passes of the explicit tendency
+(`weno`) continue a field beyond a wall by index, as its mirror image times
+its parity, and so do its sixth-order transfers between cells and faces;
+their NumPy form, with ghost arrays, is the reference the tests keep.
 """
 
 from __future__ import annotations
@@ -17,12 +22,6 @@ import numpy as np
 
 #: axis labels for output columns and keys, in array-axis order (axis 0 = x)
 AXES = ("x", "y")
-
-#: ghost layers added on each side; enough for WENO5 and the 6-point transfer
-GHOST = 3
-
-#: sixth-order transfer weights (midpoint interpolation on 6 neighbours)
-MU6 = np.array([3.0, -25.0, 150.0, 150.0, -25.0, 3.0]) / 256.0
 
 
 class ShapeError(ValueError):
@@ -82,22 +81,8 @@ def _slc(f: np.ndarray, ax: int, s: slice):
 
 
 # ---------------------------------------------------------------------------
-# Ghost-cell extension (mirror reflections about the walls)
+# No-slip walls and staggered differences and averages along an axis
 # ---------------------------------------------------------------------------
-
-def _mirror(f: np.ndarray, ax: int, sign, skip: int) -> np.ndarray:
-    """f with GHOST mirror ghosts on each side along ax: the first GHOST
-    samples after the `skip` end ones, reversed and times sign."""
-    _check_axis(f, ax)
-    n = f.shape[ax]
-    if n < GHOST + skip:
-        raise ShapeError(f"need at least {GHOST + skip} samples along "
-                         f"axis {ax}")
-    left = sign * np.flip(_slc(f, ax, slice(skip, GHOST + skip)), axis=ax)
-    right = sign * np.flip(_slc(f, ax, slice(n - GHOST - skip, n - skip)),
-                           axis=ax)
-    return np.concatenate([left, f, right], axis=ax)
-
 
 def _walls(f: np.ndarray, ax: int) -> np.ndarray:
     """Interior face values (M-1 along ax) with the zero no-slip wall face
@@ -108,30 +93,6 @@ def _walls(f: np.ndarray, ax: int) -> np.ndarray:
     zero = np.zeros(shape, dtype=f.dtype)
     return np.concatenate([zero, f, zero], axis=ax)
 
-
-def extend_cell(f: np.ndarray, ax: int, sign) -> np.ndarray:
-    """Extend a cell-positioned axis by GHOST mirror ghosts on each side.
-
-    sign=+1 mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
-    sign=-1 mirrors with a sign flip (velocity components).  An array sign
-    broadcast against f gives each field of a stack its own parity.
-    """
-    return _mirror(f, ax, sign, 0)
-
-
-def extend_face_interior(f: np.ndarray, ax: int) -> np.ndarray:
-    """Extend interior face values (M-1 along axis) across no-slip walls.
-
-    The wall faces (value 0) are inserted, then GHOST odd-mirror ghosts are
-    added on each side: v_{1/2 - k} = -v_{1/2 + k}.  Output length
-    M + 1 + 2 GHOST.
-    """
-    return _mirror(_walls(f, ax), ax, -1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Staggered differences and averages along an axis
-# ---------------------------------------------------------------------------
 
 def diff(f: np.ndarray, ax: int) -> np.ndarray:
     """Forward difference f_{i+1} - f_i along an axis (n -> n-1).
@@ -161,29 +122,3 @@ def face_average(f: np.ndarray, ax: int) -> np.ndarray:
     """A_M along an axis: neighbour mean, cells -> interior faces."""
     return 0.5 * (_slc(f, ax, slice(1, None)) + _slc(f, ax, slice(None, -1)))
 
-
-# ---------------------------------------------------------------------------
-# Sixth-order grid transfer
-# ---------------------------------------------------------------------------
-
-def _transfer6(ext: np.ndarray, ax: int, start: int) -> np.ndarray:
-    """mu-weighted sums of 6 consecutive samples of ext along ax, the first
-    window at `start` and as many as fit with `start` samples left over at
-    the far end."""
-    count = ext.shape[ax] - 2 * start - 5
-    acc = MU6[0] * _slc(ext, ax, slice(start, start + count))
-    for k in range(1, 6):
-        acc = acc + MU6[k] * _slc(ext, ax, slice(start + k, start + k + count))
-    return acc
-
-
-def cells_to_faces6(ext: np.ndarray, ax: int) -> np.ndarray:
-    """Interpolate an extended cell field to all faces 0..M (length M+1)."""
-    # face i+1/2 (i = 0..M) uses cells i-2..i+3
-    return _transfer6(ext, ax, GHOST - 3)
-
-
-def faces_to_cells6(ext: np.ndarray, ax: int) -> np.ndarray:
-    """Interpolate an extended face field (walls included) to cells 1..M."""
-    # cell i (i = 1..M) uses faces i-5/2..i+5/2
-    return _transfer6(ext, ax, GHOST - 2)

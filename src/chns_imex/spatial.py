@@ -19,34 +19,31 @@ applied to packed column-major vectors: `hydro_tendency` (mass transport,
 stiff pressure, viscosity), which the Newton residual of the solvers module
 evaluates and whose Jacobian is built from the same matrices, and
 `ch_convex_term`, which the concentration solve applies.  The explicit terms
-are stencils on the field arrays.
+are stencils on the field arrays: NumPy expressions, except the Rusanov
+terms, which two compiled passes of `weno` form around the six WENO5
+reconstructions of a tendency, NumPy keeping only the powers of the
+equation of state (p1 and the sound speeds, one call each).
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .grid import (GHOST, GridSpec, _slc, axis_sum, cells_to_faces6, center,
-                   diff, dual, extend_cell, extend_face_interior,
-                   face_average, faces_to_cells6)
+from .grid import GridSpec, axis_sum, center, diff, dual, face_average
 from .model import ModelParams
 from .operators import implicit_operators
 from .state import State
-from .weno import reconstruct_lr_cells, reconstruct_lr_faces, rusanov_flux
+from .weno import (reconstruct_lr_cells, reconstruct_lr_faces, rusanov_stacks,
+                   rusanov_tendency, stack_layout)
 
 log = logging.getLogger(__name__)
-
-#: mirror parity of the fields [F, u, v, rho] of a face or corner stack: an
-#: even flux, an odd momentum and velocity, an even density
-_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
-#: the same for the cell stack [q v_k, q, v_k, rho]: the flux is odd
-_PARITY_CELLS = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -104,71 +101,45 @@ class SpatialDiscretization:
 
     # -- convection --------------------------------------------------------
 
-    def _rusanov_flux(self, minus, plus, diffusion=False):
-        """(flux, mass diffusion) of `weno.rusanov_flux` from the states of a
-        stack [F, u, v, rho], with the sound speeds of `_sound` at the
-        reconstructed densities."""
-        return rusanov_flux(minus, plus, self._sound(minus[3]),
-                            self._sound(plus[3]), diffusion)
-
     def rusanov(self, Ut: State) -> State:
         """The explicit convective terms: WENO5-reconstructed Rusanov fluxes
-        from the explicit state, one pass per axis.
+        from the explicit state.
 
-        A pass reconstructs one stack [F, u, v, rho] per staggered location
-        (a flux, its conserved quantity, the normal velocity and the
-        density, which give the Rusanov speed), each field mirrored at the
-        walls with its parity:
-        [q v_k, q, v_k, rho] at the cells along k, v_k transferred to the
-        cells, where the phase-momentum flux and the mass diffusion share
-        the Rusanov speed;
-        [rho v_k^2 + p1, rho v_k, v_k, rho] at the faces along k, the normal
-        flux of momentum component k; and [rho v1 v2, rho v_k, v_j, rho] at
-        the k-faces along every transverse axis j, its corner flux.
+        One stack [F, u, v, rho] per axis and staggered location holds a
+        flux, its conserved quantity, the normal velocity and the density,
+        which give the Rusanov speed, each field mirrored at the walls with
+        its parity: [q v_k, q, v_k, rho] at the cells along k, v_k
+        transferred to the cells, where the phase-momentum flux and the
+        mass diffusion share the Rusanov speed; [rho v_k^2 + p1, rho v_k,
+        v_k, rho] at the faces along k, the normal flux of momentum
+        component k; and [rho v1 v2, rho v_k, v_j, rho] at the k-faces along
+        every transverse axis j, its corner flux.
+
+        Five steps: `rusanov_stacks` forms every stack in one buffer; p1 of
+        the face densities, in one call, completes the face fluxes; one
+        reconstruction per stack writes its states into one buffer, where
+        the densities of all of them form one row; one `_sound` call takes
+        their sound speeds; and `rusanov_tendency` forms the fluxes and
+        their differences.
         """
-        h, p = self.grid.h, self.params
-        dim = self.grid.dim
-        v = Ut.velocities()
-        mass, dq, mom = [], [], []
-        for k in range(dim):
-            v_ext = extend_face_interior(v[k], k)
-            v_cell = faces_to_cells6(v_ext, k)
-            Fc, d = self._rusanov_flux(*reconstruct_lr_cells(
-                np.stack([Ut.q * v_cell, Ut.q, v_cell, Ut.rho]), k + 1,
-                _PARITY_CELLS), diffusion=True)
-            # mass: Rusanov diffusion from WENO states at the faces 0..M; the
-            # wall entries cancel by the mirror symmetry of the density
-            mass.append(dual(_slc(d, k, slice(1, -1)), k, h))
-            # phase momentum: primal reconstruction of rho c v_k
-            dq.append(-diff(Fc, k) / h)
-
-            # momentum: dual-grid reconstruction of rho v_k^2 + p1 and rho v_k
-            # the density at the faces 0..M along k, from its mirror ghosts
-            rho_f = cells_to_faces6(extend_cell(Ut.rho, k, 1.0), k)
-            v_full = _slc(v_ext, k, slice(GHOST, -GHOST))
-            flux = rho_f * v_full**2 + model.p1(rho_f, p)
-            faces = np.stack([flux, rho_f * v_full, v_full, rho_f])
-            m_k = -diff(self._rusanov_flux(*reconstruct_lr_faces(
-                faces, k + 1, _PARITY))[0], k) / h
-            rho_fi = _slc(rho_f, k, slice(1, -1))
-            for j in range(dim):
-                if j == k:
-                    continue
-                # corner flux at the k-faces: v_j brought there by corner
-                # averaging along k and a sixth-order transfer along j.
-                # Across a j-wall both velocity components are odd, so the
-                # flux rho v1 v2 is even and the momentum rho v_k is odd.
-                vj = faces_to_cells6(
-                    extend_face_interior(face_average(v[j], k), j), j)
-                v_at = list(v)
-                v_at[j] = vj
-                qty = rho_fi * v_at[0] * v_at[1]
-                corners = np.stack([qty, rho_fi * v[k], vj, rho_fi])
-                Ghat = self._rusanov_flux(*reconstruct_lr_cells(
-                    corners, j + 1, _PARITY))[0]
-                m_k += -diff(Ghat, j) / h
-            mom.append(m_k)
-        return State(axis_sum(mass), axis_sum(dq), tuple(mom))
+        g = self.grid
+        stacks, cols, out = stack_layout(g.dim, g.M)
+        x = rusanov_stacks(Ut.rho, Ut.q, Ut.velocities())
+        faces = slice(cols[g.dim], cols[2 * g.dim])
+        x[0, faces] += model.p1(x[3, faces], self.params)
+        states = np.empty((4, 2 * out[-1]))
+        for (on_faces, ax, parity, shape, size), a, b in zip(stacks, cols,
+                                                              out):
+            n = math.prod(size)
+            reconstruct = reconstruct_lr_faces if on_faces \
+                else reconstruct_lr_cells
+            reconstruct(x[:, a:a + math.prod(shape)].reshape(4, *shape),
+                        ax + 1, parity, out=tuple(
+                            states[:, c:c + n].reshape(4, *size)
+                            for c in (b, out[-1] + b)))
+        rho, q, m = rusanov_tendency(states, self._sound(states[3]), g.dim,
+                                     g.M, g.h)
+        return State(rho, q, m)
 
     # -- gravity -------------------------------------------------------------
 

@@ -34,14 +34,26 @@ that share axis, staggered location and shape are stacked along a further
 axis and reconstructed in one call; each line is computed exactly as it
 would be alone.  The kernel reads the fields without ghosts: beyond each
 wall it takes the mirror image of the line times the parity of its field,
-so every physical interface (walls included) gets both states.
-`rusanov_flux` forms the Rusanov flux of a reconstructed stack in a second
-pass, in the order of operations of the NumPy expression it replaces.
+so every physical interface (walls included) gets both states.  Along the
+middle axis of a stack one call runs over the interior targets and one per
+wall target; along the last axis each line is first copied, with its
+mirror images, into a scratch row, and one call runs over all its targets.
+The fields of a stack may lie anywhere in memory, each C-contiguous, so a
+call can read and write the rows of a larger buffer.
+
+The same library holds the rest of the explicit tendency in two passes
+around the reconstructions (see `spatial.SpatialDiscretization.rusanov`):
+`rusanov_stacks` forms every stack of a tendency in one buffer, with the
+sixth-order transfers and the products, and `rusanov_tendency` forms each
+Rusanov flux and mass diffusion and their differences over h, in the
+order of operations of the NumPy form it replaced.  `faces_to_cells` is the
+transfer of the velocities to the cells alone.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import pathlib
 import subprocess
@@ -63,8 +75,7 @@ SOURCE = pathlib.Path(__file__).with_name("_weno5.c")
 
 def _build():
     """The library of SOURCE, compiled with CC into a temporary directory
-    and loaded, with the argument types of `weno5_lr` and
-    `rusanov_flux`."""
+    and loaded, with the argument types of its entry points."""
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [*CC, str(SOURCE), "-o", str(pathlib.Path(tmp, "_weno5.so"))]
         try:
@@ -75,21 +86,40 @@ def _build():
                               f"`{' '.join(cmd)}`: {detail}") from None
         lib = ctypes.CDLL(cmd[-1])
     size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    lib.weno5_lr.argtypes = (ptr, ptr, *[size] * 5, *[real] * 4, *[ptr] * 3)
-    lib.rusanov_flux.argtypes = (*[ptr] * 4, size, ptr, ptr)
-    lib.weno5_lr.restype = lib.rusanov_flux.restype = None
+    lib.weno5_lr.argtypes = (ptr, size, ptr, *[size] * 5, *[real] * 4,
+                             ptr, ptr, size, ptr)
+    lib.transfer6.argtypes = (ptr, *[size] * 4, real, ptr, ptr)
+    lib.rusanov_stacks.argtypes = (size, size, *[ptr] * 4, size, ptr, ptr)
+    lib.rusanov_tendency.argtypes = (size, size, real, *[ptr] * 3, size,
+                                     *[ptr] * 4)
+    for fn in (lib.weno5_lr, lib.transfer6, lib.rusanov_stacks,
+               lib.rusanov_tendency):
+        fn.restype = None
     return lib
 
 
 _lib = _build()
 
 
-def _reconstruct_lr(f: np.ndarray, ax: int, parity, skip: int):
+def _rows(a: np.ndarray, ax: int):
+    """The distance in doubles between the rows a[0], a[1], ... of a float
+    array whose rows are C-contiguous (for ax 0, which sweeps axis 0
+    itself: 0 if a is C-contiguous), or None."""
+    if a.dtype != float or a.ndim == 0:
+        return None
+    if ax == 0:
+        return 0 if a.flags.c_contiguous else None
+    ok = a[0].flags.c_contiguous and a.strides[0] % a.itemsize == 0
+    return a.strides[0] // a.itemsize if ok else None
+
+
+def _reconstruct_lr(f, ax: int, parity, skip: int, out):
     """(minus, plus) of the kernel for the lines of f along ax, mirrored
-    beyond the walls (skip 0: cells, skip 1: faces with the walls)."""
-    f = np.ascontiguousarray(f, dtype=float)
-    sign = np.ravel(np.asarray(parity, dtype=float))
+    beyond the walls (skip 0: cells, skip 1: faces with the walls), into
+    `out` if given."""
+    f = np.asarray(f)
     shape, ax = f.shape, range(f.ndim)[ax]    # ax < 0 counts from the end
+    sign = np.ravel(np.asarray(parity, dtype=float))
     # the kernel reads no bounds: check them here
     if shape[ax] < 3:
         raise ValueError(f"a line of {shape[ax]} samples is too short to "
@@ -97,29 +127,46 @@ def _reconstruct_lr(f: np.ndarray, ax: int, parity, skip: int):
     if sign.size != 1 and (ax == 0 or sign.size != shape[0]):
         raise ValueError(f"{sign.size} signs for {shape[0]} fields: give "
                          f"one per field along axis 0, or one for all")
-    outer, inner = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
-    out = shape[:ax] + (shape[ax] + 1 - 2 * skip,) + shape[ax + 1:]
-    minus, plus, junk = np.empty(out), np.empty(out), np.empty(inner)
-    _lib.weno5_lr(f.ctypes.data, sign.ctypes.data, outer // sign.size,
-                  outer, shape[ax], inner, skip, WENO_EPS, *D_LIN,
-                  minus.ctypes.data, plus.ctypes.data, junk.ctypes.data)
+    f_rows = _rows(f, ax)
+    if f_rows is None:
+        f = np.ascontiguousarray(f, dtype=float)
+        f_rows = _rows(f, ax)
+    rows = shape[0] if ax else 1
+    sign = np.ascontiguousarray(np.broadcast_to(sign, rows))
+    size = shape[:ax] + (shape[ax] + 1 - 2 * skip,) + shape[ax + 1:]
+    minus, plus = out if out is not None else (np.empty(size),
+                                               np.empty(size))
+    out_rows = _rows(minus, ax)
+    if not (minus.shape == plus.shape == size and out_rows is not None
+            and _rows(plus, ax) == out_rows and minus.flags.writeable
+            and plus.flags.writeable):
+        raise ValueError(f"out must be two writeable float arrays of shape "
+                         f"{size} with C-contiguous rows, equally far apart")
+    inner = math.prod(shape[ax + 1:])
+    scratch = np.empty(max(inner, 3 * shape[ax] + 10))
+    _lib.weno5_lr(f.ctypes.data, f_rows, sign.ctypes.data, rows,
+                  math.prod(shape[1:ax]), shape[ax], inner, skip, WENO_EPS,
+                  *D_LIN, minus.ctypes.data, plus.ctypes.data, out_rows,
+                  scratch.ctypes.data)
     return minus, plus
 
 
-def reconstruct_lr_cells(f: np.ndarray, ax: int, parity):
+def reconstruct_lr_cells(f: np.ndarray, ax: int, parity, out=None):
     """Left/right states at all interfaces 0..M of a cell field (M cells
     along ax), continued beyond each wall by its mirror image times parity:
     one sign for all lines, or one per field of a stack along axis 0.
 
-    Returns (minus, plus): minus[k] is the left-biased state at interface
-    k+1/2 built from cells k-2..k+2, plus[k] the right-biased state from
-    cells k-1..k+3 (reversed stencil); cells 0, -1, -2 are cells 1, 2, 3
-    times parity, and so on at the far wall.
+    Returns (minus, plus), written into `out` if given: two arrays of that
+    shape whose fields along axis 0 are C-contiguous and equally far apart,
+    such as rows of a larger buffer.  minus[k] is the left-biased state at
+    interface k+1/2 built from cells k-2..k+2, plus[k] the right-biased
+    state from cells k-1..k+3 (reversed stencil); cells 0, -1, -2 are cells
+    1, 2, 3 times parity, and so on at the far wall.
     """
-    return _reconstruct_lr(f, ax, parity, 0)
+    return _reconstruct_lr(f, ax, parity, 0, out)
 
 
-def reconstruct_lr_faces(f: np.ndarray, ax: int, parity):
+def reconstruct_lr_faces(f: np.ndarray, ax: int, parity, out=None):
     """Left/right states at cell centers 1..M from a face field with its
     walls (faces 1/2..M+1/2 along ax), mirrored about the wall faces times
     parity, as in `reconstruct_lr_cells`.
@@ -128,27 +175,104 @@ def reconstruct_lr_faces(f: np.ndarray, ax: int, parity):
     from faces i-3/2..i+5/2 (reversed stencil); face 1/2 - k is face
     1/2 + k times parity.
     """
-    return _reconstruct_lr(f, ax, parity, 1)
+    return _reconstruct_lr(f, ax, parity, 1, out)
 
 
-def rusanov_flux(minus: np.ndarray, plus: np.ndarray, s_minus: np.ndarray,
-                 s_plus: np.ndarray, diffusion: bool = False):
-    """(flux, mass diffusion) from the states of a stack [F, u, v, rho]
-    and the sound speeds at the reconstructed densities: the Rusanov flux
-    0.5 (F+ + F-) - 0.5 lam (u+ - u-), lam = max(|v-| + s-, |v+| + s+),
-    and with `diffusion` 0.5 lam (rho+ - rho-) (else None), each rounded
-    as that NumPy expression."""
-    minus, plus, s_minus, s_plus = (np.ascontiguousarray(a, dtype=float)
-                                    for a in (minus, plus, s_minus, s_plus))
-    if not (minus.shape == plus.shape == (4,) + s_minus.shape
-            and s_plus.shape == s_minus.shape):
-        raise ValueError(f"states {minus.shape} and {plus.shape} do not "
-                         f"stack four fields of the speeds {s_minus.shape} "
-                         f"and {s_plus.shape}")
-    flux = np.empty(s_minus.shape)
-    mass = np.empty(s_minus.shape) if diffusion else None
-    _lib.rusanov_flux(minus.ctypes.data, plus.ctypes.data,
-                      s_minus.ctypes.data, s_plus.ctypes.data, s_minus.size,
-                      flux.ctypes.data, None if mass is None
-                      else mass.ctypes.data)
-    return flux, mass
+def _along(shape: tuple, ax: int, n: int) -> tuple:
+    """shape with n samples along ax."""
+    return shape[:ax] + (n,) + shape[ax + 1:]
+
+
+def faces_to_cells(v: np.ndarray, ax: int) -> np.ndarray:
+    """The sixth-order transfer of interior face values along ax (M-1) to
+    the M cells, cell i from faces i-5/2..i+5/2: the wall faces are zero
+    and beyond them the faces mirror with a flipped sign, as a velocity's
+    do."""
+    v = np.ascontiguousarray(v, dtype=float)
+    M = v.shape[ax] + 1
+    if M < 3:
+        raise ValueError(f"{M - 1} interior faces are too few; the "
+                         f"transfer needs at least 2")
+    inner = math.prod(v.shape[ax + 1:])
+    out, scratch = np.empty(_along(v.shape, ax, M)), np.empty(inner + M + 7)
+    _lib.transfer6(v.ctypes.data, math.prod(v.shape[:ax]), M, inner, 1,
+                   -1.0, scratch.ctypes.data, out.ctypes.data)
+    return out
+
+
+#: mirror parity of the fields [F, u, v, rho] of a face or corner stack: an
+#: even flux, an odd momentum and velocity, an even density
+PARITY = np.array([1.0, -1.0, -1.0, 1.0])
+#: the same for the cell stack [q v_k, q, v_k, rho]: the flux is odd
+PARITY_CELLS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+@functools.lru_cache
+def stack_layout(dim: int, M: int):
+    """The stacks of an explicit tendency on M cells per axis, in the order
+    of `rusanov_stacks`: per axis k the cells, then per axis k the faces
+    with their walls, then in 2D per axis k the interior k-faces swept
+    along the other axis.  Returns the stacks as (faces, sweep axis,
+    parity, field shape, state shape), and the first column of each stack
+    in the stacks buffer and of its states in the states buffer, each with
+    the number of columns last."""
+    cells = (M,) * dim
+    corners = [_along(cells, k, M - 1) for k in range(dim)]
+    stacks = ([(False, k, PARITY_CELLS, cells, _along(cells, k, M + 1))
+               for k in range(dim)]
+              + [(True, k, PARITY, _along(cells, k, M + 1), cells)
+                 for k in range(dim)]
+              + [(False, 1 - k, PARITY, s, _along(s, 1 - k, M + 1))
+                 for k, s in enumerate(corners) if dim == 2])
+    return (stacks, *(np.cumsum([0] + [math.prod(st[i]) for st in stacks])
+                      for i in (3, 4)))
+
+
+def _pointers(arrays):
+    """A C array of the data pointers of arrays."""
+    return (ctypes.c_void_p * len(arrays))(*[a.ctypes.data for a in arrays])
+
+
+def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
+    """The stacks of an explicit tendency from the cell fields rho, q and
+    the interior-face velocities v in axis order, as rows 0..3 of one
+    buffer: stack s in the columns cols[s]..cols[s+1] of `stack_layout`,
+    the face stacks without p1."""
+    dim, M = rho.ndim, rho.shape[0]
+    rho, q, *v = (np.ascontiguousarray(a, dtype=float) for a in (rho, q, *v))
+    want = [(M,) * dim] * 2 + [_along((M,) * dim, k, M - 1)
+                               for k in range(dim)]
+    if [a.shape for a in (rho, q, *v)] != want:
+        raise ValueError(f"fields of shapes {[a.shape for a in (rho, q, *v)]}"
+                         f" are no state of {M} cells per axis")
+    cols = stack_layout(dim, M)[1]
+    x, scratch = np.empty((4, cols[-1])), np.empty((M - 1) ** 2 + M + 7)
+    _lib.rusanov_stacks(dim, M, rho.ctypes.data, q.ctypes.data, _pointers(v),
+                        cols.ctypes.data, cols[-1], x.ctypes.data,
+                        scratch.ctypes.data)
+    return x
+
+
+def rusanov_tendency(states: np.ndarray, sound: np.ndarray, dim: int,
+                     M: int, h: float):
+    """(rho, q, momenta) of the explicit convective tendency from the
+    reconstructed stacks: rows 0..3 of `states` hold the minus states of
+    stack s in the columns cols[s]..cols[s+1] of `stack_layout`, and the
+    plus states after all of them; `sound` the sound speeds at their
+    densities."""
+    cols = stack_layout(dim, M)[2]
+    half = cols[-1]
+    if states.shape != (4, 2 * half) or sound.shape != (2 * half,):
+        raise ValueError(f"states {states.shape} and sound speeds "
+                         f"{sound.shape} do not hold {half} columns a side")
+    states, sound = (np.ascontiguousarray(a, dtype=float)
+                     for a in (states, sound))
+    # the outputs accumulate from -0.0, the identity of addition
+    cells = (M,) * dim
+    rho, q = np.full(cells, -0.0), np.full(cells, -0.0)
+    m = [np.full(_along(cells, k, M - 1), -0.0) for k in range(dim)]
+    fluxes = np.empty(2 * half)
+    _lib.rusanov_tendency(dim, M, h, states.ctypes.data, sound.ctypes.data,
+                          cols.ctypes.data, half, fluxes.ctypes.data,
+                          rho.ctypes.data, q.ctypes.data, _pointers(m))
+    return rho, q, tuple(m)

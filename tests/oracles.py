@@ -30,11 +30,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import block_diag
 
 from chns_imex import model
-from chns_imex.grid import GHOST, MU6, _slc, diff, dual, extend_cell
+from chns_imex.grid import _slc, _walls, axis_sum, diff, dual, face_average
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.solvers import SPLU_SYMMETRIC, HydroSolver
 from chns_imex.state import State
-from chns_imex.weno import D_LIN, WENO_EPS, reconstruct_lr_cells
+from chns_imex.weno import (D_LIN, PARITY, PARITY_CELLS, WENO_EPS,
+                            reconstruct_lr_cells, stack_layout)
+
+
+#: ghost layers added on each side; enough for WENO5 and the 6-point transfer
+GHOST = 3
+
+#: sixth-order transfer weights (midpoint interpolation on 6 neighbours)
+MU6 = np.array([3.0, -25.0, 150.0, 150.0, -25.0, 3.0]) / 256.0
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +77,59 @@ def extend_face_full(f, ax, sign):
     left = sign * np.flip(_slc(f, ax, slice(1, GHOST + 1)), axis=ax)
     right = sign * np.flip(_slc(f, ax, slice(-GHOST - 1, -1)), axis=ax)
     return np.concatenate([left, f, right], axis=ax)
+
+
+def _mirror(f, ax, sign, skip):
+    """f with GHOST mirror ghosts on each side along ax: the first GHOST
+    samples after the `skip` end ones, reversed and times sign."""
+    n = f.shape[ax]
+    left = sign * np.flip(_slc(f, ax, slice(skip, GHOST + skip)), axis=ax)
+    right = sign * np.flip(_slc(f, ax, slice(n - GHOST - skip, n - skip)),
+                           axis=ax)
+    return np.concatenate([left, f, right], axis=ax)
+
+
+def extend_cell(f, ax, sign):
+    """Extend a cell-positioned axis by GHOST mirror ghosts on each side.
+
+    sign=+1 mirrors values (rho, c, q:  f_0 = f_1, f_-1 = f_2, ...),
+    sign=-1 mirrors with a sign flip (velocity components).  An array sign
+    broadcast against f gives each field of a stack its own parity.
+    """
+    return _mirror(f, ax, sign, 0)
+
+
+def extend_face_interior(f, ax):
+    """Extend interior face values (M-1 along axis) across no-slip walls.
+
+    The wall faces (value 0) are inserted, then GHOST odd-mirror ghosts are
+    added on each side: v_{1/2 - k} = -v_{1/2 + k}.  Output length
+    M + 1 + 2 GHOST.
+    """
+    return _mirror(_walls(f, ax), ax, -1, 1)
+
+
+def _transfer6(ext, ax, start):
+    """mu-weighted sums of 6 consecutive samples of ext along ax, the first
+    window at `start` and as many as fit with `start` samples left over at
+    the far end."""
+    count = ext.shape[ax] - 2 * start - 5
+    acc = MU6[0] * _slc(ext, ax, slice(start, start + count))
+    for k in range(1, 6):
+        acc = acc + MU6[k] * _slc(ext, ax, slice(start + k, start + k + count))
+    return acc
+
+
+def cells_to_faces6(ext, ax):
+    """Interpolate an extended cell field to all faces 0..M (length M+1)."""
+    # face i+1/2 (i = 0..M) uses cells i-2..i+3
+    return _transfer6(ext, ax, GHOST - 3)
+
+
+def faces_to_cells6(ext, ax):
+    """Interpolate an extended face field (walls included) to cells 1..M."""
+    # cell i (i = 1..M) uses faces i-5/2..i+5/2
+    return _transfer6(ext, ax, GHOST - 2)
 
 
 def vel_full(v):
@@ -173,6 +234,77 @@ def rusanov_flux(minus, plus, s_minus, s_plus, diffusion=False):
     lam = np.maximum(np.abs(v_m) + s_minus, np.abs(v_p) + s_plus)
     flux = 0.5 * (F_p + F_m) - 0.5 * lam * (u_p - u_m)
     return flux, 0.5 * lam * (r_p - r_m) if diffusion else None
+
+
+def rusanov(disc, Ut):
+    """The NumPy reference of `SpatialDiscretization.rusanov`, the code it
+    replaced: per axis, ghost-extended fields, the six-point transfers and
+    the products in NumPy, `reconstruct_lr` and `rusanov_flux` of each
+    stack with the sound speeds of `disc._sound` on each side, then the
+    differences."""
+    h, p, dim = disc.grid.h, disc.params, disc.grid.dim
+    v = Ut.velocities()
+
+    def flux(stack, ax, parity, faces, diffusion=False):
+        minus, plus = reconstruct_lr(stack, ax + 1, parity, faces)
+        return rusanov_flux(minus, plus, disc._sound(minus[3]),
+                            disc._sound(plus[3]), diffusion)
+
+    mass, dq, mom = [], [], []
+    for k in range(dim):
+        v_ext = extend_face_interior(v[k], k)
+        v_cell = faces_to_cells6(v_ext, k)
+        Fc, d = flux(np.stack([Ut.q * v_cell, Ut.q, v_cell, Ut.rho]), k,
+                     PARITY_CELLS, False, diffusion=True)
+        # the wall entries of the mass diffusion cancel by the mirror
+        # symmetry of the density
+        mass.append(dual(_slc(d, k, slice(1, -1)), k, h))
+        dq.append(-diff(Fc, k) / h)
+        # the density at the faces 0..M along k, from its mirror ghosts
+        rho_f = cells_to_faces6(extend_cell(Ut.rho, k, 1.0), k)
+        v_full = _slc(v_ext, k, slice(GHOST, -GHOST))
+        F = rho_f * v_full**2 + model.p1(rho_f, p)
+        faces = np.stack([F, rho_f * v_full, v_full, rho_f])
+        m_k = -diff(flux(faces, k, PARITY, True)[0], k) / h
+        rho_fi = _slc(rho_f, k, slice(1, -1))
+        for j in range(dim):
+            if j == k:
+                continue
+            # v_j at the k-faces: corner averaging along k and a sixth-order
+            # transfer along j.  Across a j-wall both velocity components
+            # are odd, so the flux rho v1 v2 is even and rho v_k odd.
+            vj = faces_to_cells6(
+                extend_face_interior(face_average(v[j], k), j), j)
+            v_at = list(v)
+            v_at[j] = vj
+            corners = np.stack([rho_fi * v_at[0] * v_at[1], rho_fi * v[k],
+                                vj, rho_fi])
+            m_k += -diff(flux(corners, j, PARITY, False)[0], j) / h
+        mom.append(m_k)
+    return State(axis_sum(mass), axis_sum(dq), tuple(mom))
+
+
+def rusanov_tendency(states, sound, dim, M, h):
+    """The NumPy reference of `weno.rusanov_tendency`: `rusanov_flux` of
+    each stack of `stack_layout`, then the differences of `rusanov` above,
+    as a State."""
+    stacks, _, cols = stack_layout(dim, M)
+    half = cols[-1]
+    fluxes = []
+    for (*_, size), a, b in zip(stacks, cols, cols[1:]):
+        minus, plus = (states[:, c + a:c + b].reshape(4, *size)
+                       for c in (0, half))
+        fluxes.append(rusanov_flux(minus, plus, sound[a:b].reshape(size),
+                                   sound[half + a:half + b].reshape(size),
+                                   True))
+    mass = [dual(_slc(fluxes[k][1], k, slice(1, -1)), k, h)
+            for k in range(dim)]
+    dq = [-diff(fluxes[k][0], k) / h for k in range(dim)]
+    mom = [-diff(fluxes[dim + k][0], k) / h for k in range(dim)]
+    if dim == 2:
+        for k in range(dim):
+            mom[k] += -diff(fluxes[2 * dim + k][0], 1 - k) / h
+    return State(axis_sum(mass), axis_sum(dq), tuple(mom))
 
 
 def weno_cells(f, k, sign):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex.grid import (GHOST, GridSpec, cells_to_faces6, center, diff,
-                            dual, extend_cell, extend_face_interior,
-                            face_average, faces_to_cells6)
+from chns_imex.grid import GridSpec, center, diff, dual, face_average
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  mat_laplacian_neumann)
-from oracles import extend_face_full, laplacian_neumann, mat_center
+from chns_imex.weno import faces_to_cells
+from oracles import (GHOST, cells_to_faces6, extend_cell, extend_face_full,
+                     extend_face_interior, faces_to_cells6, laplacian_neumann,
+                     mat_center)
 
 #: each staggered primitive as f, axis, h -> values, and its dense 1D
 #: matrix for M cells, with the length of its input along the axis
@@ -105,6 +106,22 @@ def test_transfer6_polynomial_exact(deg):
     cells = faces_to_cells6(poly(xf_ext), 0)
     np.testing.assert_allclose(cells, poly((np.arange(1, M + 1) - 0.5) * h),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (9,), (64,), (3, 5), (8, 8),
+                                   (5, 16)])
+def test_compiled_transfer_matches_numpy_form(shape, rng):
+    """`faces_to_cells` gives bit for bit the sixth-order transfer of the
+    ghost-extended interior faces, along every axis: the NumPy form it
+    replaced, on the inner-axis and last-axis paths of the kernel."""
+    for ax in range(len(shape)):
+        v = rng.standard_normal(shape)
+        v[(0,) * len(shape)] = 0.0
+        got = faces_to_cells(v, ax)
+        ref = faces_to_cells6(extend_face_interior(v, ax), ax)
+        assert got.tobytes() == ref.tobytes(), (shape, ax)
+    with pytest.raises(ValueError, match="too few"):
+        faces_to_cells(np.ones((1, 5)), 0)
 
 
 @given(st.integers(0, 1))

@@ -1,11 +1,14 @@
 """Equation of state, pressure splitting, potential splitting."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex import model
+from chns_imex import model, spatial
+from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams, NonPositiveDensityError
 
 
@@ -109,3 +112,33 @@ def test_potential_split():
 def test_free_energy_density():
     p = ModelParams(cp=10.0, cp1=5.0, gamma=2.0)
     assert model.free_energy_density(2.0, p) == pytest.approx(20.0)
+
+
+def test_batched_powers_match_per_piece_calls(rng, caplog):
+    """The explicit tendency takes p1 and the sound speeds of many arrays in
+    one call on a buffer holding them all.  That is bit for bit the same as
+    one call per array on this NumPy's dispatch path: random densities in
+    [0.5, 1.5], cut into pieces of odd lengths at odd offsets; and
+    `_sound` of a buffer with one nonpositive density changes that entry
+    only, and warns once."""
+    params = ModelParams(cp=1e8)
+    for _ in range(100):
+        lengths = 2 * rng.integers(0, 60, 5) + 1
+        start = 2 * rng.integers(0, 4) + 1
+        buf = rng.uniform(0.5, 1.5, start + lengths.sum())
+        ends = start + np.cumsum(lengths)
+        pieces = [buf[a:b] for a, b in zip([start, *ends[:-1]], ends)]
+        for fn in (model.p1, model.sound_speed):
+            whole = fn(buf[start:], params)
+            parts = np.concatenate([fn(p, params) for p in pieces])
+            assert whole.tobytes() == parts.tobytes()
+    disc = spatial.SpatialDiscretization(GridSpec(dim=1, M=8), params)
+    rho = rng.uniform(0.5, 1.5, 203)
+    bad = rho.copy()
+    bad[101] = -0.1
+    with caplog.at_level(logging.WARNING, logger=spatial.log.name):
+        good, fell = disc._sound(rho), disc._sound(bad)
+        disc._sound(bad)
+    assert fell[101] == 0.0
+    assert np.delete(fell, 101).tobytes() == np.delete(good, 101).tobytes()
+    assert len(caplog.records) == 1

@@ -1,13 +1,13 @@
 """WENO5 kernel: polynomial exactness, order of accuracy, symmetry, and the
-compiled kernels (states and Rusanov flux) against their NumPy forms.
+compiled kernels (states and Rusanov fluxes) against their NumPy forms.
 
 The kernel reconstructs the point value at the interface between the 3rd and
 4th of five consecutive samples, treating the samples as cell averages
 (standard finite-difference WENO semantics).
 """
 
-import functools
 import itertools
+import math
 import subprocess
 
 import numpy as np
@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex import solvers, spatial, weno
+from chns_imex import solvers, weno
 from chns_imex.cases import initial_state
-from chns_imex.grid import GridSpec, extend_cell
+from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
+from chns_imex.spatial import SpatialDiscretization
 from chns_imex.weno import D_LIN, reconstruct_lr_cells, reconstruct_lr_faces
 
 import oracles
@@ -125,7 +126,8 @@ def _line(kind, faces, ax, M, rng):
 
 def _extend(f, ax, parity, faces):
     """f with the mirror ghosts the kernel reads by index."""
-    return (oracles.extend_face_full if faces else extend_cell)(f, ax, parity)
+    return (oracles.extend_face_full if faces else oracles.extend_cell)(
+        f, ax, parity)
 
 
 @pytest.mark.parametrize("kind", ["smooth", "step", "random"])
@@ -179,26 +181,22 @@ def test_compiled_kernel_matches_numpy_reference(kind, faces, M, rng):
 
 @pytest.mark.parametrize("M", [4, 5, 9, 17, 64])
 def test_compiled_flux_matches_numpy_reference(M, rng):
-    """`rusanov_flux` gives bit for bit the flux and mass diffusion of the
-    NumPy expressions it replaced, on states of mixed scales with zero
-    sound speeds, a NaN speed and a NaN velocity, and refuses states that
-    do not stack four fields of the speeds' shape."""
-    shape = (M + 1, 7)
-    minus, plus = (_field("scales", (4,) + shape, rng) for _ in range(2))
-    s_minus, s_plus = (np.abs(_field("scales", shape, rng)) for _ in range(2))
-    s_minus[0] = s_plus[1] = 0.0
-    s_minus[2, 3] = minus[2, 3, 4] = np.nan
-    for diffusion in (False, True):
-        got = weno.rusanov_flux(minus, plus, s_minus, s_plus, diffusion)
-        ref = oracles.rusanov_flux(minus, plus, s_minus, s_plus, diffusion)
-        assert np.array_equal(got[0], ref[0], equal_nan=True)
-        assert np.isnan(got[0][2, 3]) and np.isnan(got[0][3, 4])
-        if diffusion:
-            assert np.array_equal(got[1], ref[1], equal_nan=True)
-        else:
-            assert got[1] is None
-    with pytest.raises(ValueError, match="do not stack four fields"):
-        weno.rusanov_flux(minus[:3], plus[:3], s_minus, s_plus)
+    """`rusanov_tendency` gives bit for bit the tendency of the NumPy flux
+    and difference expressions it replaced, on the states of a 2D
+    tendency's stacks at mixed scales, with zero sound speeds, a NaN speed
+    and a NaN velocity, and refuses states of another layout."""
+    half, h = weno.stack_layout(2, M)[2][-1], 1.0 / M
+    states = _field("scales", (4, 2 * half), rng)
+    sound = np.abs(_field("scales", (2 * half,), rng))
+    sound[:M] = sound[half + 5:half + 5 + M] = 0.0
+    sound[3] = states[2, half + 7] = np.nan
+    rho, q, m = weno.rusanov_tendency(states, sound, 2, M, h)
+    ref = oracles.rusanov_tendency(states, sound, 2, M, h)
+    for g, r in zip((rho, q, *m), (ref.rho, ref.q, *ref.m)):
+        assert np.array_equal(g, r, equal_nan=True)
+    assert any(np.isnan(g).any() for g in (rho, q, *m))
+    with pytest.raises(ValueError, match="do not hold"):
+        weno.rusanov_tendency(states[:, 1:], sound, 2, M, h)
 
 
 def test_kernel_loops_are_vectorized(tmp_path):
@@ -214,7 +212,7 @@ def test_kernel_loops_are_vectorized(tmp_path):
     # the loop starts on the line after its pragma, 1-based
     loops = [i + 2 for i, line in enumerate(lines)
              if line.strip() == "#pragma GCC ivdep"]
-    assert len(loops) == 2
+    assert len(loops) == 8
     for n in loops:
         assert any(f"{weno.SOURCE.name}:{n}:" in row
                    and "loop vectorized" in row
@@ -239,7 +237,8 @@ def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
 def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
     """Test 1 at M = 16, C_p = 1e8 and cfl 1.2, past its explicit limit,
     takes damped line-search trials and retries; the run with the compiled
-    kernels and the run with their NumPy forms end in the same state."""
+    passes and the run with the NumPy form of the Rusanov terms end in the
+    same state."""
     trials = []
     trial = solvers.HydroSolver._trial
     monkeypatch.setattr(solvers.HydroSolver, "_trial",
@@ -251,11 +250,7 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
         return integ.run_to_time(initial_state(1, grid, params), 0.0091)
 
     compiled = run()
-    for name, faces in (("reconstruct_lr_cells", False),
-                        ("reconstruct_lr_faces", True)):
-        monkeypatch.setattr(spatial, name, functools.partial(
-            oracles.reconstruct_lr, faces=faces))
-    monkeypatch.setattr(spatial, "rusanov_flux", oracles.rusanov_flux)
+    monkeypatch.setattr(SpatialDiscretization, "rusanov", oracles.rusanov)
     reference = run()
     assert sum(rec.retries for rec in compiled.steps) >= 1 and trials
     assert len(compiled.steps) == len(reference.steps)
@@ -294,6 +289,34 @@ def test_stack_reconstructs_like_single_fields(faces, ax, M, rng):
     for f, sign, m, p in zip(fields, parity, minus, plus):
         m1, p1 = _reconstruct(faces)(f, ax, sign)
         assert np.array_equal(m, m1) and np.array_equal(p, p1)
+
+
+@pytest.mark.parametrize("faces", [False, True], ids=["cells", "faces"])
+def test_reconstruct_writes_into_rows_of_a_buffer(faces, rng):
+    """A stack read from, and its states written into, column blocks of
+    larger buffers (rows far apart, each C-contiguous) gives the states of
+    fresh arrays along either axis; other outputs are refused."""
+    M = 9
+    n = M + 1 if faces else M
+    for ax in (1, 2):
+        field = (n, M) if ax == 1 else (M, n)
+        size = (M, M) if faces \
+            else (field[0] + (ax == 1), field[1] + (ax == 2))
+        buf = rng.standard_normal((4, 3 * n * M))
+        stack = buf[:, 5:5 + n * M].reshape(4, *field)
+        states = np.full((4, 4 * math.prod(size)), np.nan)
+        out = tuple(states[:, c:c + math.prod(size)].reshape(4, *size)
+                    for c in (1, 2 * math.prod(size)))
+        got = _reconstruct(faces)(stack, ax, STACK_PARITIES[0], out=out)
+        ref = _reconstruct(faces)(stack.copy(), ax, STACK_PARITIES[0])
+        assert all(g is o for g, o in zip(got, out))
+        for g, r in zip(out, ref):
+            assert np.array_equal(g, r)
+        assert np.isnan(states[:, 0]).all()
+        for bad in ((out[0], out[1][:, :-1]), (out[0], out[1].T.T[::-1]),
+                    (out[0], np.empty((4, *size), dtype=np.float32))):
+            with pytest.raises(ValueError, match="out must be"):
+                _reconstruct(faces)(stack, ax, STACK_PARITIES[0], out=bad)
 
 
 def test_reconstruct_shapes():
