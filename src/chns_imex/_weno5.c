@@ -286,13 +286,13 @@ void rusanov_stacks(ptrdiff_t dim, ptrdiff_t M, const double *rho,
             memcpy(rc + o * (M - 1) * inner, rf + (o * (M + 1) + 1) * inner,
                    (M - 1) * inner * sizeof(double));
         /* rho v_1 v_2 in axis order, and rho v_k */
-        const double *vt = corner + 2 * width;
-        const double *va = k ? vt : v[k], *vb = k ? v[k] : vt;
+        const double *vk = v[k], *vt = corner + 2 * width;
+        const double *va = k ? vt : vk, *vb = k ? vk : vt;
         double *cu = corner + width;
 #pragma GCC ivdep
         for (ptrdiff_t i = 0; i < n; i++) {
             corner[i] = rc[i] * va[i] * vb[i];
-            cu[i] = rc[i] * v[k][i];
+            cu[i] = rc[i] * vk[i];
         }
     }
 }

@@ -1,4 +1,5 @@
-"""WENO5 (Jiang-Shu) point-value reconstruction on primal and dual grids.
+"""WENO5 (Jiang-Shu) point-value reconstruction on primal and dual grids,
+and the compiled passes of the explicit Rusanov tendency around it.
 
 The kernel works in difference form along the line.  A target with the five
 samples v0..v4 has the first differences Dk = v(k+1) - vk, k = 0..3, and its
@@ -38,8 +39,9 @@ so every physical interface (walls included) gets both states.  Along the
 middle axis of a stack one call runs over the interior targets and one per
 wall target; along the last axis each line is first copied, with its
 mirror images, into a scratch row, and one call runs over all its targets.
-The fields of a stack may lie anywhere in memory, each C-contiguous, so a
-call can read and write the rows of a larger buffer.
+The fields of a stack need not be adjacent, only each C-contiguous and all
+equally far apart, so a call can read and write the rows of a larger
+buffer.
 
 The same library holds the rest of the explicit tendency in two passes
 around the reconstructions (see `spatial.SpatialDiscretization.rusanov`):
@@ -132,7 +134,8 @@ def _reconstruct_lr(f, ax: int, parity, skip: int, out):
         f = np.ascontiguousarray(f, dtype=float)
         f_rows = _rows(f, ax)
     rows = shape[0] if ax else 1
-    sign = np.ascontiguousarray(np.broadcast_to(sign, rows))
+    if sign.size != rows:
+        sign = np.full(rows, sign[0])
     size = shape[:ax] + (shape[ax] + 1 - 2 * skip,) + shape[ax + 1:]
     minus, plus = out if out is not None else (np.empty(size),
                                                np.empty(size))

@@ -90,15 +90,16 @@ def dip_state(grid, rng):
 def test_rusanov_is_byte_equal_to_numpy_form(kind, dim, M, cp, rng):
     """The compiled passes of `rusanov` give byte for byte, signed zeros
     included, the tendency of its NumPy form, on smooth and random states
-    and one state at rest."""
+    and a uniform state at rest, whose differences are all signed zeros."""
     grid = GridSpec(dim=dim, M=M)
     disc = SpatialDiscretization(grid, ModelParams(cp=cp))
     states = [smooth_state(grid) if kind == "smooth"
               else random_state(grid, rng)]
-    if kind == "smooth" and M == 9:
-        rest = random_state(grid, rng)
+    if kind == "smooth":
+        rest = smooth_state(grid)
         states.append(state_from_primitives(
-            rest.rho, [0.0 * v for v in rest.velocities()], rest.c()))
+            np.full_like(rest.rho, 1.3), [np.zeros_like(m) for m in rest.m],
+            np.full_like(rest.rho, 0.2)))
     for U in states:
         got, ref = disc.rusanov(U), oracles.rusanov(disc, U)
         for a, b in zip((got.rho, got.q, *got.m), (ref.rho, ref.q, *ref.m)):
