@@ -137,6 +137,9 @@ class SpatialDiscretization:
                         ax + 1, parity, out=tuple(
                             states[:, c:c + n].reshape(4, *size)
                             for c in (b, out[-1] + b)))
+        # free the stacks for the sound speeds and fluxes to reuse: fresh
+        # buffers of megabytes would page-fault anew in every call
+        del x
         rho, q, m = rusanov_tendency(states, self._sound(states[3]), g.dim,
                                      g.M, g.h)
         return State(rho, q, m)
