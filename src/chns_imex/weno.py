@@ -245,9 +245,10 @@ def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
     rho, q, *v = (np.ascontiguousarray(a, dtype=float) for a in (rho, q, *v))
     want = [(M,) * dim] * 2 + [_along((M,) * dim, k, M - 1)
                                for k in range(dim)]
-    if [a.shape for a in (rho, q, *v)] != want:
+    if dim not in (1, 2) or M < 4 or [a.shape for a in (rho, q, *v)] != want:
         raise ValueError(f"fields of shapes {[a.shape for a in (rho, q, *v)]}"
-                         f" are no state of {M} cells per axis")
+                         f" are no state of a 1D or 2D grid of at least 4 "
+                         f"cells per axis")
     cols = stack_layout(dim, M)[1]
     x, scratch = np.empty((4, cols[-1])), np.empty((M - 1) ** 2 + M + 7)
     _lib.rusanov_stacks(dim, M, rho.ctypes.data, q.ctypes.data, _pointers(v),

@@ -4,10 +4,14 @@ Everything here is written index-by-index from the flux definitions, with its
 own ghost-value helpers, deliberately avoiding the vectorized machinery of
 the package (only the WENO5 kernel, applied to one 5-point stencil by
 `weno5_point`, and the transfer weights are shared, since those are
-certified separately against polynomial exactness).  `reconstruct_lr`
-(mirror ghosts from `extend_cell` or `extend_face_full`, then the NumPy
-kernel `weno5_states`) and `rusanov_flux` are the NumPy forms of the
-compiled kernels, which must match them bit for bit.
+certified separately against polynomial exactness).  The NumPy forms of
+the compiled passes, which must match them bit for bit, are `rusanov` (the
+whole explicit Rusanov tendency: ghost arrays from `extend_cell` and
+`extend_face_interior`, the six-point transfers `cells_to_faces6` and
+`faces_to_cells6`, the products, then per stack `reconstruct_lr` and
+`rusanov_flux`, then the differences), `reconstruct_lr` (mirror ghosts from
+`extend_cell` or `extend_face_full`, then the NumPy kernel `weno5_states`)
+and `rusanov_tendency` (the fluxes and differences of a states buffer).
 The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse

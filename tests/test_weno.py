@@ -199,6 +199,18 @@ def test_compiled_flux_matches_numpy_reference(M, rng):
         weno.rusanov_tendency(states[:, 1:], sound, 2, M, h)
 
 
+def test_rusanov_stacks_refuses_fields_of_no_grid():
+    """The stacks pass reads no bounds, so fields that are no 1D or 2D
+    state of at least 4 cells per axis are refused before it runs."""
+    rho, v = np.ones((6, 6)), (np.zeros((5, 6)), np.zeros((6, 5)))
+    assert weno.rusanov_stacks(rho, rho, v).shape[0] == 4
+    cube, small = np.ones((6, 6, 6)), np.ones((3, 3))
+    for bad in ((rho, rho, v[:1]), (rho, rho, v[::-1]), (cube, cube, v),
+                (small, small, (np.zeros((2, 3)), np.zeros((3, 2))))):
+        with pytest.raises(ValueError, match="no state"):
+            weno.rusanov_stacks(*bad)
+
+
 def test_kernel_loops_are_vectorized(tmp_path):
     """Every loop marked `#pragma GCC ivdep` in the kernel source compiles
     to vector code with CC, so an edit cannot fall back to scalar code
