@@ -107,7 +107,7 @@ def _rows(a: np.ndarray, ax: int):
     """The distance in doubles between the rows a[0], a[1], ... of a float
     array whose rows are C-contiguous (for ax 0, which sweeps axis 0
     itself: 0 if a is C-contiguous), or None."""
-    if a.dtype != float or a.ndim == 0:
+    if a.dtype != float:
         return None
     if ax == 0:
         return 0 if a.flags.c_contiguous else None
