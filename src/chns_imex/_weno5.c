@@ -4,14 +4,16 @@
 
    A stack is an array of shape (rows, outer, n, inner) whose third axis is
    the line: n cell values, or n face values with both wall faces.  Beyond a
-   wall the line continues as its mirror image times the sign of its row,
-   read by index: cell -1-i is cell i, face -i is face i.  Each state takes
-   the operations of the difference form documented in weno.py, in that
-   order, and every other value those of the NumPy form the tests keep, in
-   that order.  Built without floating-point contraction, every operation
-   is a correctly rounded add, subtract, multiply or divide (or a multiply
-   by +-1, which is exact), so a value rounds exactly as that form does at
-   any vector width. */
+   wall the line continues as its mirror image times the sign of its row:
+   cell -1-i is cell i, face -i is face i.  A pass copies each line into
+   scratch with three mirror rows on each side, along either sweep axis,
+   and runs over all its targets there.  Each state takes the operations
+   of the difference form documented in weno.py, in that order, and every
+   other value those of the NumPy form the tests keep, in that order.
+   Built without floating-point contraction, every operation is a
+   correctly rounded add, subtract, multiply or divide (or the multiply of
+   a mirror row by +-1, which is exact), so a value rounds exactly as that
+   form does at any vector width. */
 
 #include <math.h>
 #include <stddef.h>
@@ -38,18 +40,17 @@ static double state(double e_lo, double e_hi, double a1, double d0,
 }
 
 /* right and left states r[j], l[j] of len targets, target j reading the
-   five samples s[k] p[k][j], k = 0..4 */
-static void states(const double *const p[5], const double s[5],
-                   ptrdiff_t len, double eps, double d0, double d1,
-                   double d2, double *r, double *l)
+   five samples b[j + k inner], k = 0..4 */
+static void states(const double *b, ptrdiff_t inner, ptrdiff_t len,
+                   double eps, double d0, double d1, double d2, double *r,
+                   double *l)
 {
-    const double *p0 = p[0], *p1 = p[1], *p2 = p[2], *p3 = p[3],
-                 *p4 = p[4];
-    const double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3], s4 = s[4];
+    const double *p0 = b, *p1 = b + inner, *p2 = b + 2 * inner,
+                 *p3 = b + 3 * inner, *p4 = b + 4 * inner;
 #pragma GCC ivdep
     for (ptrdiff_t j = 0; j < len; j++) {
-        const double v0 = s0 * p0[j], v1 = s1 * p1[j], v2 = s2 * p2[j],
-                     v3 = s3 * p3[j], v4 = s4 * p4[j];
+        const double v0 = p0[j], v1 = p1[j], v2 = p2[j], v3 = p3[j],
+                     v4 = p4[j];
         const double D0 = v1 - v0, D1 = v2 - v1, D2 = v3 - v2, D3 = v4 - v3;
         const double S0 = (D1 - D0) * (D1 - D0) * (13.0 / 12.0);
         const double S1 = (D2 - D1) * (D2 - D1) * (13.0 / 12.0);
@@ -65,33 +66,22 @@ static void states(const double *const p[5], const double s[5],
     }
 }
 
-/* Sample i of a line of n samples inner doubles apart, and in *s its sign:
-   beyond each end the line continues as its mirror image times sign,
-   about its end (skip 0) or about its end sample (skip 1).  A line with
-   walls stores samples 1..n-2 only; samples 0 and n-1 are zero. */
-static const double *sample(const double *line, ptrdiff_t n,
-                            ptrdiff_t inner, ptrdiff_t skip, ptrdiff_t walls,
-                            double sign, ptrdiff_t i, const double *zero,
-                            double *s)
-{
-    *s = 1.0;
-    if (i < 0 || i >= n) {
-        i = i < 0 ? skip - 1 - i : 2 * n - 1 - skip - i;
-        *s = sign;
-    }
-    if (walls)
-        return i == 0 || i == n - 1 ? zero : line + (i - 1) * inner;
-    return line + i * inner;
-}
-
-/* row[3 .. n+2] holds the samples of a line; row[0..2] and
-   row[n+3 .. n+5] get its three mirror samples on each side, as in
-   `sample` */
-static void ghosts(double *row, ptrdiff_t n, ptrdiff_t skip, double sign)
+/* Rows 3 .. n+2 of b, each inner doubles, hold a line of n samples; rows
+   0..2 and n+3 .. n+5 get its three mirror samples on each side: beyond
+   each end the line continues as its mirror image times sign, about its
+   end (skip 0) or about its end sample (skip 1). */
+static void ghosts(double *b, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t skip,
+                   double sign)
 {
     for (ptrdiff_t j = 1; j <= 3; j++) {
-        row[3 - j] = sign * row[2 + j + skip];
-        row[2 + n + j] = sign * row[3 + n - j - skip];
+        double *lo = b + (3 - j) * inner, *hi = b + (2 + n + j) * inner;
+        const double *lo_in = b + (2 + j + skip) * inner;
+        const double *hi_in = b + (3 + n - j - skip) * inner;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < inner; i++) {
+            lo[i] = sign * lo_in[i];
+            hi[i] = sign * hi_in[i];
+        }
     }
 }
 
@@ -101,69 +91,44 @@ static void ghosts(double *row, ptrdiff_t n, ptrdiff_t skip, double sign)
    the stack starts at f + g * f_rows and has the sign sign[g] beyond the
    walls.  The targets are the samples skip-1 .. n-skip; minus at interface
    i is the right state of target skip-1+i and plus the left state of the
-   target after it.  A line needs n >= 3, and scratch max(inner, 3 n + 10)
-   doubles: along the middle axis it takes the state of an end target that
-   no interface takes; along the last axis (inner 1) the mirrored line and
-   the states of all its targets, which one call computes. */
+   target after it.  Each line is copied with its mirror rows into scratch,
+   and one call takes the states of all its targets there.  A line needs
+   n >= 3, and scratch (3 n + 10) inner doubles. */
 void weno5_lr(const double *f, ptrdiff_t f_rows, const double *sign,
               ptrdiff_t rows, ptrdiff_t outer, ptrdiff_t n, ptrdiff_t inner,
               ptrdiff_t skip, double eps, double d0, double d1, double d2,
               double *minus, double *plus, ptrdiff_t out_rows,
               double *scratch)
 {
-    const ptrdiff_t first = skip - 1, count = n + 2 - 2 * skip;
-    const ptrdiff_t m = (count - 1) * inner;
+    const ptrdiff_t count = n + 2 - 2 * skip, m = (count - 1) * inner;
+    double *r = scratch + (n + 6) * inner, *l = r + count * inner;
     for (ptrdiff_t g = 0; g < rows; g++)
     for (ptrdiff_t o = 0; o < outer; o++) {
-        const double *line = f + g * f_rows + o * n * inner;
-        double *mo = minus + g * out_rows + o * m;
-        double *po = plus + g * out_rows + o * m;
-        if (inner == 1) {
-            double *r = scratch + n + 6, *l = r + count;
-            const double *p[5];
-            const double one[5] = {1.0, 1.0, 1.0, 1.0, 1.0};
-            memcpy(scratch + 3, line, n * sizeof(double));
-            ghosts(scratch, n, skip, sign[g]);
-            for (int k = 0; k < 5; k++)
-                p[k] = scratch + 1 + first + k;
-            states(p, one, count, eps, d0, d1, d2, r, l);
-            memcpy(mo, r, (count - 1) * sizeof(double));
-            memcpy(po, l + 1, (count - 1) * sizeof(double));
-            continue;
-        }
-        for (ptrdiff_t t = 0, run; t < count; t += run) {
-            const ptrdiff_t tg = first + t;
-            const double *p[5];
-            double s[5];
-            for (int k = 0; k < 5; k++)
-                p[k] = sample(line, n, inner, skip, 0, sign[g], tg - 2 + k,
-                              NULL, &s[k]);
-            /* targets whose samples all lie on the line read consecutive
-               rows: one run up to target n-3, which never holds an end */
-            run = tg >= 2 && tg + 2 < n ? n - 2 - tg : 1;
-            states(p, s, run * inner, eps, d0, d1, d2,
-                   t < count - 1 ? mo + t * inner : scratch,
-                   t > 0 ? po + (t - 1) * inner : scratch);
-        }
+        memcpy(scratch + 3 * inner, f + g * f_rows + o * n * inner,
+               n * inner * sizeof(double));
+        ghosts(scratch, n, inner, skip, sign[g]);
+        states(scratch + skip * inner, inner, count * inner, eps, d0, d1,
+               d2, r, l);
+        memcpy(minus + g * out_rows + o * m, r, m * sizeof(double));
+        memcpy(plus + g * out_rows + o * m, l + inner, m * sizeof(double));
     }
 }
 
-/* out[j] = the MU6-weighted sum of s[k] p[k][j], k = 0..5, in order */
-static void mu6(const double *const p[6], const double s[6], ptrdiff_t len,
+/* out[j] = the MU6-weighted sum of b[j + k inner], k = 0..5, in order */
+static void mu6(const double *b, ptrdiff_t inner, ptrdiff_t len,
                 double *out)
 {
-    const double *p0 = p[0], *p1 = p[1], *p2 = p[2], *p3 = p[3],
-                 *p4 = p[4], *p5 = p[5];
-    const double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3], s4 = s[4],
-                 s5 = s[5];
+    const double *p0 = b, *p1 = b + inner, *p2 = b + 2 * inner,
+                 *p3 = b + 3 * inner, *p4 = b + 4 * inner,
+                 *p5 = b + 5 * inner;
 #pragma GCC ivdep
     for (ptrdiff_t j = 0; j < len; j++) {
-        double acc = MU6[0] * (s0 * p0[j]);
-        acc = acc + MU6[1] * (s1 * p1[j]);
-        acc = acc + MU6[2] * (s2 * p2[j]);
-        acc = acc + MU6[3] * (s3 * p3[j]);
-        acc = acc + MU6[4] * (s4 * p4[j]);
-        out[j] = acc + MU6[5] * (s5 * p5[j]);
+        double acc = MU6[0] * p0[j];
+        acc = acc + MU6[1] * p1[j];
+        acc = acc + MU6[2] * p2[j];
+        acc = acc + MU6[3] * p3[j];
+        acc = acc + MU6[4] * p4[j];
+        out[j] = acc + MU6[5] * p5[j];
     }
 }
 
@@ -171,38 +136,25 @@ static void mu6(const double *const p[6], const double s[6], ptrdiff_t len,
    across M cells: cell values (walls 0) to the faces 0..M, face i from
    cells i-3..i+2, or interior face values (walls 1, M-1 per line) to the
    cells, cell i from faces i-2..i+3 with zero wall faces; mirrored beyond
-   the walls times sign.  scratch holds max(inner, M + 7) doubles. */
+   the walls times sign.  Each line is copied with its mirror rows into
+   scratch, whose wall faces are set to zero once, and one call takes all
+   its targets there.  scratch holds (M + 7) inner doubles. */
 void transfer6(const double *in, ptrdiff_t outer, ptrdiff_t M,
                ptrdiff_t inner, ptrdiff_t walls, double sign,
                double *scratch, double *out)
 {
-    const ptrdiff_t n = M + walls, count = M + 1 - walls, first = walls - 3;
-    const double one[6] = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-    if (inner > 1)
-        memset(scratch, 0, inner * sizeof(double));
+    const ptrdiff_t n = M + walls, count = M + 1 - walls;
+    const ptrdiff_t len = (n - 2 * walls) * inner;
+    if (walls) {
+        memset(scratch + 3 * inner, 0, inner * sizeof(double));
+        memset(scratch + (2 + n) * inner, 0, inner * sizeof(double));
+    }
     for (ptrdiff_t o = 0; o < outer; o++) {
-        const double *line = in + o * (n - 2 * walls) * inner;
-        double *oo = out + o * count * inner;
-        const double *p[6];
-        double s[6];
-        if (inner == 1) {
-            /* the whole line, walls included, then one run of targets */
-            if (walls)
-                scratch[3] = scratch[2 + n] = 0.0;
-            memcpy(scratch + 3 + walls, line,
-                   (n - 2 * walls) * sizeof(double));
-            ghosts(scratch, n, walls, sign);
-            for (int k = 0; k < 6; k++)
-                p[k] = scratch + 3 + first + k;
-            mu6(p, one, count, oo);
-            continue;
-        }
-        for (ptrdiff_t i = 0; i < count; i++) {
-            for (int k = 0; k < 6; k++)
-                p[k] = sample(line, n, inner, walls, walls, sign,
-                              first + i + k, scratch, &s[k]);
-            mu6(p, s, inner, oo + i * inner);
-        }
+        memcpy(scratch + (3 + walls) * inner, in + o * len,
+               len * sizeof(double));
+        ghosts(scratch, n, inner, walls, sign);
+        mu6(scratch + walls * inner, inner, count * inner,
+            out + o * count * inner);
     }
 }
 
@@ -224,7 +176,7 @@ static void split(ptrdiff_t k, ptrdiff_t M, ptrdiff_t N, ptrdiff_t *outer,
    first row by the caller), then in 2D per axis k the corner stack
    [rho v_1 v_2, rho v_k, v_j, rho] at the interior k-faces, v_j the face
    average along k of v[j] transferred to the cells along j, the other
-   axis.  scratch holds (M - 1)^2 + M + 7 doubles. */
+   axis.  scratch holds (M + 7) M + (M - 1)^2 doubles. */
 void rusanov_stacks(ptrdiff_t dim, ptrdiff_t M, const double *rho,
                     const double *q, const double *const *v,
                     const ptrdiff_t *cols, ptrdiff_t width, double *x,
@@ -263,7 +215,8 @@ void rusanov_stacks(ptrdiff_t dim, ptrdiff_t M, const double *rho,
     for (ptrdiff_t k = 0; dim == 2 && k < 2; k++) {
         const ptrdiff_t j = 1 - k, n = (M - 1) * M;
         ptrdiff_t outer, inner;
-        double *corner = x + cols[2 * dim + k], *avg = scratch + M + 7;
+        double *corner = x + cols[2 * dim + k];
+        double *avg = scratch + (M + 7) * M;
         const double *vj = v[j];
         /* the face average along k of v_j, (M-1, M-1), to the cells
            along j */

@@ -35,10 +35,9 @@ that share axis, staggered location and shape are stacked along a further
 axis and reconstructed in one call; each line is computed exactly as it
 would be alone.  The kernel reads the fields without ghosts: beyond each
 wall it takes the mirror image of the line times the parity of its field,
-so every physical interface (walls included) gets both states.  Along the
-middle axis of a stack one call runs over the interior targets and one per
-wall target; along the last axis each line is first copied, with its
-mirror images, into a scratch row, and one call runs over all its targets.
+so every physical interface (walls included) gets both states.  Along
+either sweep axis each line is copied, with three mirror rows on each side,
+into scratch, and one call runs over all its targets there.
 The fields of a stack need not be adjacent, only each C-contiguous and all
 equally far apart, so a call can read and write the rows of a larger
 buffer.
@@ -146,7 +145,7 @@ def _reconstruct_lr(f, ax: int, parity, skip: int, out):
         raise ValueError(f"out must be two writeable float arrays of shape "
                          f"{size} with C-contiguous rows, equally far apart")
     inner = math.prod(shape[ax + 1:])
-    scratch = np.empty(max(inner, 3 * shape[ax] + 10))
+    scratch = np.empty((3 * shape[ax] + 10) * inner)
     _lib.weno5_lr(f.ctypes.data, f_rows, sign.ctypes.data, rows,
                   math.prod(shape[1:ax]), shape[ax], inner, skip, WENO_EPS,
                   *D_LIN, minus.ctypes.data, plus.ctypes.data, out_rows,
@@ -192,12 +191,13 @@ def faces_to_cells(v: np.ndarray, ax: int) -> np.ndarray:
     and beyond them the faces mirror with a flipped sign, as a velocity's
     do."""
     v = np.ascontiguousarray(v, dtype=float)
+    ax = range(v.ndim)[ax]    # ax < 0 counts from the end
     M = v.shape[ax] + 1
     if M < 3:
         raise ValueError(f"{M - 1} interior faces are too few; the "
                          f"transfer needs at least 2")
     inner = math.prod(v.shape[ax + 1:])
-    out, scratch = np.empty(_along(v.shape, ax, M)), np.empty(inner + M + 7)
+    out, scratch = np.empty(_along(v.shape, ax, M)), np.empty((M + 7) * inner)
     _lib.transfer6(v.ctypes.data, math.prod(v.shape[:ax]), M, inner, 1,
                    -1.0, scratch.ctypes.data, out.ctypes.data)
     return out
@@ -250,7 +250,8 @@ def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
                          f" are no state of a 1D or 2D grid of at least 4 "
                          f"cells per axis")
     cols = stack_layout(dim, M)[1]
-    x, scratch = np.empty((4, cols[-1])), np.empty((M - 1) ** 2 + M + 7)
+    x, scratch = (np.empty((4, cols[-1])),
+                  np.empty((M + 7) * M + (M - 1) ** 2))
     _lib.rusanov_stacks(dim, M, rho.ctypes.data, q.ctypes.data, _pointers(v),
                         cols.ctypes.data, cols[-1], x.ctypes.data,
                         scratch.ctypes.data)

@@ -112,14 +112,18 @@ def test_transfer6_polynomial_exact(deg):
                                    (5, 16)])
 def test_compiled_transfer_matches_numpy_form(shape, rng):
     """`faces_to_cells` gives bit for bit the sixth-order transfer of the
-    ghost-extended interior faces, along every axis: the NumPy form it
-    replaced, on the inner-axis and last-axis paths of the kernel."""
+    ghost-extended interior faces, along every axis, middle or last, and
+    the same when the axis counts from the end: the NumPy form it
+    replaced."""
     for ax in range(len(shape)):
         v = rng.standard_normal(shape)
         v[(0,) * len(shape)] = 0.0
         got = faces_to_cells(v, ax)
         ref = faces_to_cells6(extend_face_interior(v, ax), ax)
         assert got.tobytes() == ref.tobytes(), (shape, ax)
+        back = faces_to_cells(v, ax - len(shape))
+        assert back.shape == got.shape, (shape, ax)
+        assert back.tobytes() == got.tobytes(), (shape, ax)
     with pytest.raises(ValueError, match="too few"):
         faces_to_cells(np.ones((1, 5)), 0)
 

@@ -214,8 +214,9 @@ def test_rusanov_stacks_refuses_fields_of_no_grid():
 def test_kernel_loops_are_vectorized(tmp_path):
     """Every loop marked `#pragma GCC ivdep` in the kernel source compiles
     to vector code with CC, so an edit cannot fall back to scalar code
-    unnoticed."""
-    cmd = [*weno.CC, "-fopt-info-vec-optimized", "-c", str(weno.SOURCE),
+    unnoticed, and the source compiles without a warning."""
+    cmd = [*weno.CC, "-Wall", "-Wextra", "-Werror",
+           "-fopt-info-vec-optimized", "-c", str(weno.SOURCE),
            "-o", str(tmp_path / "kernel.o")]
     report = subprocess.run(cmd, check=True, capture_output=True,
                             text=True).stderr
@@ -224,7 +225,7 @@ def test_kernel_loops_are_vectorized(tmp_path):
     # the loop starts on the line after its pragma, 1-based
     loops = [i + 2 for i, line in enumerate(lines)
              if line.strip() == "#pragma GCC ivdep"]
-    assert len(loops) == 8
+    assert len(loops) == 9
     for n in loops:
         assert any(f"{weno.SOURCE.name}:{n}:" in row
                    and "loop vectorized" in row
