@@ -7,8 +7,9 @@ faces (shape (M, M-1)).  No-slip faces on the wall are not stored; they are
 identically zero.  Arrays are indexed [i, j] with axis 0 = x and axis 1 = y.
 
 No field carries ghost cells.  The compiled passes of the explicit tendency
-(`weno`) continue a field beyond a wall by index, as its mirror image times
-its parity, and so do its sixth-order transfers between cells and faces;
+(`weno`) continue a field beyond a wall, in a scratch copy of each line, as
+its mirror image times its parity, and so do its sixth-order transfers
+between cells and faces;
 their NumPy form, with ghost arrays, is the reference the tests keep.
 """
 

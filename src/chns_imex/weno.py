@@ -250,8 +250,8 @@ def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
                          f" are no state of a 1D or 2D grid of at least 4 "
                          f"cells per axis")
     cols = stack_layout(dim, M)[1]
-    x, scratch = (np.empty((4, cols[-1])),
-                  np.empty((M + 7) * M + (M - 1) ** 2))
+    x = np.empty((4, cols[-1]))
+    scratch = np.empty((M + 7) * M + (M - 1) ** 2)
     _lib.rusanov_stacks(dim, M, rho.ctypes.data, q.ctypes.data, _pointers(v),
                         cols.ctypes.data, cols[-1], x.ctypes.data,
                         scratch.ctypes.data)

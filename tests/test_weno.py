@@ -125,7 +125,7 @@ def _line(kind, faces, ax, M, rng):
 
 
 def _extend(f, ax, parity, faces):
-    """f with the mirror ghosts the kernel reads by index."""
+    """f with the mirror ghosts the kernel writes into its scratch copy."""
     return (oracles.extend_face_full if faces else oracles.extend_cell)(
         f, ax, parity)
 
@@ -158,12 +158,13 @@ STACK_PARITIES = (np.array([1.0, -1.0, 1.0, -1.0]),
 @pytest.mark.parametrize("faces", [False, True], ids=["cells", "faces"])
 @pytest.mark.parametrize("M", [4, 5, 9, 17, 64])
 def test_compiled_kernel_matches_numpy_reference(kind, faces, M, rng):
-    """The compiled kernel, mirroring at the walls by index, gives bit for
-    bit the states of its NumPy form on the ghost-extended field: along
-    both axes of 2D fields and the middle and last axes of 4-field stacks,
-    with either parity per field, on a reversed (non-contiguous) view and
-    on a strided column.  The line lengths M + 1 and M + 2 of the targets
-    and the 7 lines across are no multiple of a vector width."""
+    """The compiled kernel, mirroring each line at the walls in a scratch
+    copy, gives bit for bit the states of its NumPy form on the
+    ghost-extended field: along both axes of 2D fields and the middle and
+    last axes of 4-field stacks, with either parity per field, on a
+    reversed (non-contiguous) view and on a strided column.  The line
+    lengths M + 1 and M + 2 of the targets and the 7 lines across are no
+    multiple of a vector width."""
     cases = []
     for ax in (0, 1):
         f = _line(kind, faces, ax, M, rng)
