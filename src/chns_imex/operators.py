@@ -1,20 +1,27 @@
-"""Sparse 1D operator matrices and their Kronecker-product 2D assemblies.
+"""Sparse 1D operator matrices and their Kronecker-product 2D assemblies,
+and the compiled stencils read off them.
 
 Fields indexed [i, j] (i = x) are vectorized column-major (order='F'), so an
 operator acting along x is kron(I, Op) and along y is kron(Op, I).  The
 implicit terms are these matrices and nothing else: `implicit_operators`
 holds, per grid, the face average, the flux difference and its transpose
 on the packed vector [rho; v_1; ...; v_dim] and the viscous block matrix,
-and `laplacian_nd` the Neumann Laplacian.  The tendency applies them (see
-the spatial module), the Newton Jacobian is built from them, and the
-concentration solve applies and assembles the same Laplacian.  The
-DST-I/DCT-II factors of the flux difference give the Neumann Laplacian's
-eigenvalues, which precondition the concentration solve, and diagonalize
-the free-slip velocity operator of the Newton correction.
+and `laplacian_nd` the Neumann Laplacian.  The Newton Jacobian is built
+from them, and the concentration solve applies and assembles the same
+Laplacian.  `stencils` holds, per grid, the first four as compiled
+stencils (`_hydro.c`): each row of a CSR matrix, in its stored order, is a
+term list, and the rows of a MAC-grid line that share one list shifted by
+a column form a run whose terms read contiguous stretches.  The hydro
+tendency, the Newton residual, the Jacobian product and the chord's
+elimination apply them, byte for byte the CSR products.  The DST-I/DCT-II
+factors of the flux difference give the Neumann Laplacian's eigenvalues,
+which precondition the concentration solve, and diagonalize the free-slip
+velocity operator of the Newton correction.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from typing import NamedTuple
 
@@ -22,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import axis_sum
+from .kernels import lib, ptr
 
 
 def _along(ops: dict, shape) -> sp.csr_matrix:
@@ -161,3 +169,83 @@ def implicit_operators(dim: int, M: int, h: float, nu: float,
     return ImplicitOperators(
         A=A, D=D, G=D.T.tocsr(),
         B=sp.bmat(viscous_blocks(dim, M, h, nu, lam), format="csr"))
+
+
+def _runs(X: sp.csr_matrix):
+    """The rows of a CSR matrix as runs: maximal stretches of rows each of
+    which has the terms of the row before, with the same coefficients, each
+    one column further on.  Returns (run, src, coef): per run its first
+    row, its number of rows and the first and end index of its terms, and
+    per term the column it reads in the run's first row and its
+    coefficient, in the stored order of that row."""
+    n, nnz, col, val = X.shape[0], np.diff(X.indptr), X.indices, X.data
+    row = np.repeat(np.arange(n), nnz)
+    same = np.r_[False, nnz[1:] == nnz[:-1]]
+    ok = same[row]
+    prev = np.flatnonzero(ok) - nnz[row[ok]]   # that term in the row before
+    ok[ok] = (col[ok] == col[prev] + 1) \
+        & (val[ok].view(np.int64) == val[prev].view(np.int64))
+    first = ~same | (np.bincount(row, ~ok, minlength=n) > 0)
+    start = np.flatnonzero(first)
+    terms = np.cumsum(np.r_[0, nnz[start]])
+    run = np.column_stack([start, np.diff(np.r_[start, n]), terms[:-1],
+                           terms[1:]])
+    entries = first[row]
+    return (np.ascontiguousarray(run, dtype=np.intp),
+            col[entries].astype(np.intp), val[entries].copy())
+
+
+class _Op(ctypes.Structure):
+    _fields_ = [("nrun", ctypes.c_ssize_t), ("run", ctypes.c_void_p),
+                ("src", ctypes.c_void_p), ("coef", ctypes.c_void_p)]
+
+
+class _Hydro(ctypes.Structure):
+    _fields_ = [("nc", ctypes.c_ssize_t), ("nf", ctypes.c_ssize_t),
+                *[(name, _Op) for name in ImplicitOperators._fields]]
+
+
+class Stencils:
+    """The implicit operators of one grid as compiled stencils (the `Hydro`
+    of `_hydro.c`), read off their CSR matrices by `_runs`: a run is the
+    stretch of a MAC-grid line whose rows share one stencil, so each of its
+    terms reads a contiguous stretch of the operand, and a row adds its
+    terms in the stored order of its CSR row from +0.0, byte for byte the
+    CSR product.  `address` is what the compiled passes take."""
+
+    def __init__(self, ops: ImplicitOperators):
+        self.ops = ops
+        self.nc, self.nf = ops.D.shape
+        self._arrays = [_runs(X) for X in ops]
+        if any((np.diff(run[:, 2:]) < 1).any() for run, *_ in self._arrays):
+            raise ValueError("an empty row: every row of a stencil adds "
+                             "one term or more")
+        A, _, G, _ = self._arrays
+        # the chord's J_vr takes A's and G's coefficients term by term
+        if not all(np.array_equal(a, g) for a, g in zip(A[:2], G[:2])):
+            raise ValueError("the face average and the gradient differ in "
+                             "their stencils")
+        self._struct = _Hydro(self.nc, self.nf, *[
+            _Op(len(run), ptr(run), ptr(src), ptr(coef))
+            for run, src, coef in self._arrays])
+        self.address = ctypes.addressof(self._struct)
+
+    def apply(self, name: str, x: np.ndarray) -> np.ndarray:
+        """X x for the operator X of `ImplicitOperators` named `name`, by its
+        stencil."""
+        X = getattr(self.ops, name)
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != X.shape[1:]:
+            raise ValueError(f"{name} takes {X.shape[1]} values, not "
+                             f"{x.shape}")
+        y = np.empty(X.shape[0])
+        lib.stencil_apply(self.address + getattr(_Hydro, name).offset,
+                          ptr(x), ptr(y))
+        return y
+
+
+@functools.lru_cache
+def stencils(dim: int, M: int, h: float, nu: float, lam: float) -> Stencils:
+    """The `Stencils` of `implicit_operators` of one grid and viscosities,
+    built once; every caller shares them."""
+    return Stencils(implicit_operators(dim, M, h, nu, lam))

@@ -6,8 +6,12 @@ H(z) = U(z) - dt*a_ii*T(z) - r, with U(z) the density and face momenta of z
 and T the implicit hydro tendency of SpatialDiscretization.hydro_tendency,
 and (b) a linear SPD system for the concentration.  Both work on packed
 column-major vectors with the cached matrices of
-`operators.implicit_operators`: the residual applies them, and the four
-blocks of the Newton Jacobian are built from the same ones.  Only the
+`operators.implicit_operators`: the four blocks of the Newton Jacobian are
+built from them, and the residual, the Jacobian product and the two halves
+of the block elimination around the Schur solve apply them as the compiled
+stencils of `operators.stencils`, one C pass each and byte for byte the
+CSR products and NumPy expressions they replaced (`tests/oracles.py`);
+NumPy keeps the powers of the equation of state.  Only the
 velocity Schur complement S = J_vv - J_vr d^-1 J_rv of a chord Jacobian is
 factorized, with d the diagonal of the density block J_rr; the density
 unknowns are eliminated through d with one LU solve of S.  The defect of
@@ -17,11 +21,12 @@ the iterate has moved since the chord was built; where it exceeds the
 Newton tolerance, one correction solves the same elimination for it, its
 S-solve the exact spectral inverse of S at rest under free-slip walls and
 at the mean density (DST-I/DCT-II transforms and a Sherman-Morrison solve
-per mode), built with each factorization.  The factorization and the blocks
-a direction needs are kept as one Chord, reused across iterations and
-across the stages a solver object serves while dt*a stays within
-LU_KEY_TOLERANCE of the chord's, and refreshed whenever the damped line
-search stalls, so the monotone decrease of ||H||_2 is always enforced.
+per mode), built with each factorization.  The factorization and the
+vectors a direction's elimination needs are kept as one Chord, reused
+across iterations and across the stages a solver object serves while dt*a
+stays within LU_KEY_TOLERANCE of the chord's, and refreshed whenever the
+damped line search stalls, so the monotone decrease of ||H||_2 is always
+enforced.
 The line search evaluates each trial point once and keeps the residual of
 the accepted one for the next iteration: one residual per Newton
 iteration, its full chord step, and one more per damped trial.  Newton
@@ -38,11 +43,14 @@ density is nearly flat, so CG takes a few iterations per solve at every grid
 size.  `assemble_c_matrix` builds the same matrix explicitly; the solver
 does not use it, it is the reference the operator is checked against.  The
 counters of both solves go into a SolveStats, which the integrator's
-per-step StepRecord extends.
+per-step StepRecord extends, with the seconds of the Newton sub-layers:
+the residuals, the refreshes, the LU eliminations, the Jacobian products
+and the spectral corrections.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -54,6 +62,7 @@ from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from . import model
 from .grid import GridSpec
+from .kernels import lib, ptr
 from .model import ModelParams, NonPositiveDensityError
 from .operators import dct_frequencies, laplacian_eigenvalues, laplacian_nd
 from .spatial import SpatialDiscretization
@@ -132,11 +141,23 @@ class SolveStats:
     #: of the current iterate, each by one application of the spectral
     #: Schur inverse
     spectral_corrections: int = 0
+    #: Newton residual evaluations: one per solve, one per iteration's
+    #: full step and one per damped trial
+    residuals: int = 0
     #: seconds (time.perf_counter) in the explicit tendencies, the Newton
     #: solves and the concentration solves
     explicit_s: float = 0.0
     newton_s: float = 0.0
     cstage_s: float = 0.0
+    #: the seconds of newton_s spent in the residuals, the refreshes (the
+    #: Jacobian, the Schur complement and its factorization), the
+    #: eliminations with the LU, the Jacobian products of the directions'
+    #: defects and the spectral corrections
+    residual_s: float = 0.0
+    refresh_s: float = 0.0
+    lu_solve_s: float = 0.0
+    jacobian_product_s: float = 0.0
+    spectral_s: float = 0.0
     #: accepted residual norms per Newton iteration (scaled norm)
     history: list = field(default_factory=list)
 
@@ -144,18 +165,19 @@ class SolveStats:
 class Chord(NamedTuple):
     """The kept Newton chord: the LU of the Schur complement S of the
     chord Jacobian J = [[J_rr, J_rv], [J_vr, J_vv]], the dt*a it was built
-    for, and what its elimination needs next to it: 1/d with
-    d = diag(J_rr), the coupling blocks, and the spectral inverse of S at
-    rest (`free_slip_schur_inverse`) that solves the correction.  The
+    for, and what its elimination needs next to it: the vectors
+    [1/d; v; p2'(rho); A rho] at the chord's point [rho; v], with
+    d = diag(J_rr), from which the compiled elimination applies the
+    coupling blocks J_vr = diag(v) A - dta G diag(p2'(rho)) and
+    J_rv = dta D diag(A rho), and the spectral inverse of S at rest
+    (`free_slip_schur_inverse`) that solves the correction.  The
     correction's defect is taken against the Jacobian of the current
     iterate, so the chord serves only as the preconditioner.  Nothing
-    else of the Jacobian is kept: `HydroSolver._refresh` frees J_rr, J_vv
+    else of the Jacobian is kept: `HydroSolver._refresh` frees the blocks
     and the CSR S before it factorizes."""
     lu: spla.SuperLU
     dta: float
-    inv_d: np.ndarray
-    J_rv: sp.csr_matrix
-    J_vr: sp.csr_matrix
+    coupling: np.ndarray
     inv_P: Callable[[np.ndarray], np.ndarray]
 
 
@@ -246,7 +268,10 @@ class HydroSolver:
     The residual evaluates the implicit hydro tendency of `spatial`, and
     the Jacobian is built from the same matrices `spatial.ops`: the face
     average A, the flux difference D, its transpose G and the viscous
-    matrix B.
+    matrix B.  The residual, the Jacobian product and the two halves of
+    the chord's elimination around its Schur solve apply them as the
+    compiled stencils `spatial.stencils`, one pass each, byte for byte
+    their CSR products; NumPy keeps the powers of the equation of state.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
@@ -258,16 +283,29 @@ class HydroSolver:
         #: step
         self.chord: Chord | None = None
 
+    def _vector(self, x, size: int) -> np.ndarray:
+        """x as a contiguous float vector of the given size: the compiled
+        passes read no bounds."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (size,):
+            raise ValueError(f"a vector of shape {x.shape} where {size} "
+                             f"values are packed")
+        return x
+
     def residual(self, z, r, dta):
         """H(z) = U(z) - dta*T(z) - r: the density and face momenta
         m = (A rho) v of z = [rho; v] less dta times their implicit hydro
         tendency, less r."""
-        rho, v = z[:self.nc], z[self.nc:]
+        st = self.spatial.stencils
+        z, r = (self._vector(a, st.nc + st.nf) for a in (z, r))
+        rho = z[:self.nc]
         if np.any(rho <= 0):
             raise NonPositiveDensityError("nonpositive density in Newton iterate")
-        m = (self.spatial.ops.A @ rho) * v
-        t_rho, t_m = self.spatial.hydro_tendency(rho, m, v)
-        return np.concatenate([rho - dta * t_rho, m - dta * t_m]) - r
+        p2 = model.p2_centered(rho, self.params, float(rho.mean()))
+        out, scratch = np.empty(z.size), np.empty(2 * st.nf)
+        lib.hydro_residual(st.address, ptr(z), ptr(p2), ptr(r), dta,
+                           ptr(out), ptr(scratch))
+        return out
 
     def jacobian(self, z, dta) -> tuple:
         """The blocks (J_rr, J_rv, J_vr, J_vv) of the Jacobian of the
@@ -305,13 +343,17 @@ class HydroSolver:
         w[self.nc:] = 1.0 / amp
         return w
 
-    def _trial(self, z, r, dta, w):
+    def _trial(self, z, r, dta, w, stats: SolveStats):
         """(H(z), its scaled norm) for a damped line-search trial; the norm
         is inf, and H None, where z has a nonpositive density."""
+        t0 = time.perf_counter()
+        stats.residuals += 1
         try:
             res = self.residual(z, r, dta)
         except NonPositiveDensityError:
             return None, np.inf
+        finally:
+            stats.residual_s += time.perf_counter() - t0
         return res, float(np.linalg.norm(w * res))
 
     def solve(self, z0: np.ndarray, r: np.ndarray, dta: float,
@@ -320,7 +362,10 @@ class HydroSolver:
         stats = stats if stats is not None else SolveStats()
         z = z0.copy()
         w = self._row_scaling(z0, dta)
+        t0 = time.perf_counter()
         res = self.residual(z, r, dta)
+        stats.residual_s += time.perf_counter() - t0
+        stats.residuals += 1
         nrm = float(np.linalg.norm(w * res))
         tol = NEWTON_TOL_ABS + NEWTON_TOL_REL * nrm
         stats.history.append(nrm)
@@ -344,11 +389,14 @@ class HydroSolver:
             # here and the damped trials in _trial: perfbench/spans.py counts
             # Newton iterations as the residuals called directly by solve()
             cand = z + delta
+            t0 = time.perf_counter()
             try:
                 cand_res = self.residual(cand, r, dta)
                 cand_nrm = float(np.linalg.norm(w * cand_res))
             except NonPositiveDensityError:
                 cand_res, cand_nrm = None, np.inf
+            stats.residual_s += time.perf_counter() - t0
+            stats.residuals += 1
             alpha = 1.0
             while not cand_nrm < nrm:
                 alpha *= 0.5
@@ -362,7 +410,7 @@ class HydroSolver:
                 if alpha < DAMPING_FLOOR:
                     raise SolverFailure("Newton damping underflow")
                 cand = z + alpha * delta
-                cand_res, cand_nrm = self._trial(cand, r, dta, w)
+                cand_res, cand_nrm = self._trial(cand, r, dta, w, stats)
             z, res, nrm = cand, cand_res, cand_nrm
             stats.newton_iters += 1
             stats.history.append(nrm)
@@ -376,11 +424,13 @@ class HydroSolver:
     def _refresh(self, z, dta, stats: SolveStats):
         """Factorize the Schur complement S = J_vv - J_vr d^-1 J_rv of the
         Jacobian at z, with d = diag(J_rr) = 1 + (dta/2) div_h v, and keep
-        it as the Chord, the spectral inverse built at the mean density of
-        z.  A d that is not finite and positive is a SolverFailure, so the
-        step is retried at a smaller dt.  J_rr, J_vv and the CSR S are
-        freed before the factorization: `splu` runs beside the CSC S and
-        what the Chord keeps, and nothing else of the refresh."""
+        it as the Chord with the vectors its elimination applies J_vr and
+        J_rv from, the spectral inverse built at the mean density of z.  A
+        d that is not finite and positive is a SolverFailure, so the step
+        is retried at a smaller dt.  The blocks and the CSR S are freed
+        before the factorization: `splu` runs beside the CSC S and what
+        the Chord keeps, and nothing else of the refresh."""
+        t0 = time.perf_counter()
         J_rr, J_rv, J_vr, J_vv = self.jacobian(z, dta)
         d = J_rr.diagonal()
         del J_rr
@@ -391,47 +441,45 @@ class HydroSolver:
                                 f"(min {d.min():.3e})")
         inv_d = 1.0 / d
         S = (J_vv - J_vr @ _scale_rows(J_rv, inv_d)).tocsc()
-        del J_vv
-        inv_P = free_slip_schur_inverse(self.spatial,
-                                        float(z[:self.nc].mean()), dta)
+        del J_vv, J_rv, J_vr
+        rho, v = z[:self.nc], z[self.nc:]
+        coupling = np.concatenate([inv_d, v, model.dp2(rho, self.params),
+                                   self.spatial.stencils.apply("A", rho)])
+        inv_P = free_slip_schur_inverse(self.spatial, float(rho.mean()), dta)
         self.chord = None           # the old LU is freed before the new one
         lu = spla.splu(S, **SPLU_SYMMETRIC)
-        self.chord = Chord(lu, dta, inv_d, J_rv, J_vr, inv_P)
+        self.chord = Chord(lu, dta, coupling, inv_P)
         stats.factorizations += 1
+        stats.refresh_s += time.perf_counter() - t0
 
     def _jacobian_times(self, z, delta, dta) -> np.ndarray:
         """J(z) delta for the Jacobian of the residual at z = [rho; v],
-        applied with the matrices of `jacobian` and nothing assembled:
-        [d_rho + dta D dm; dm - dta (G (p2'(rho) d_rho) - B d_v)] with
-        dm = (A d_rho) v + (A rho) d_v."""
-        ops, n = self.spatial.ops, self.nc
-        rho, v = z[:n], z[n:]
-        d_rho, d_v = delta[:n], delta[n:]
-        dm = ops.A @ d_rho
-        dm *= v
-        rho_f = ops.A @ rho
-        rho_f *= d_v
-        dm += rho_f
-        dp = model.dp2(rho, self.params)
-        dp *= d_rho
-        out = np.empty_like(delta)
-        out_rho, out_v = out[:n], out[n:]
-        out_rho[:] = ops.D @ dm
-        out_rho *= dta
-        out_rho += d_rho
-        out_v[:] = ops.G @ dp
-        out_v -= ops.B @ d_v
-        out_v *= -dta
-        out_v += dm
+        applied with the stencils of the matrices of `jacobian` and nothing
+        assembled: [d_rho + dta D dm; dm - dta (G (p2'(rho) d_rho) - B d_v)]
+        with dm = (A d_rho) v + (A rho) d_v."""
+        st = self.spatial.stencils
+        z, delta = (self._vector(a, st.nc + st.nf) for a in (z, delta))
+        dp = model.dp2(z[:self.nc], self.params)
+        out, scratch = np.empty(z.size), np.empty(2 * st.nf)
+        lib.hydro_jacobian_times(st.address, ptr(z), ptr(delta), ptr(dp),
+                                 dta, ptr(out), ptr(scratch))
         return out
 
     def _eliminate(self, b, solve_S) -> np.ndarray:
         """The solution of the chord Jacobian with J_rr replaced by diag(d),
-        for b: solve_S for the velocities, then the densities through d."""
-        ch = self.chord
-        b_rho, b_v = b[:self.nc], b[self.nc:]
-        dv = solve_S(b_v - ch.J_vr @ (ch.inv_d * b_rho))
-        return np.concatenate([ch.inv_d * (b_rho - ch.J_rv @ dv), dv])
+        for b: solve_S for the velocities of
+        b_v - J_vr (b_rho / d), then the densities (b_rho - J_rv dv) / d,
+        the couplings applied from the chord's vectors."""
+        ch, st = self.chord, self.spatial.stencils
+        b = self._vector(b, st.nc + st.nf)
+        t, scratch = np.empty(st.nf), np.empty(st.nc)
+        lib.chord_forward(st.address, ptr(ch.coupling), ch.dta, ptr(b),
+                          ptr(t), ptr(scratch))
+        dv = self._vector(solve_S(t), st.nf)
+        out = np.empty(b.size)
+        lib.chord_back(st.address, ptr(ch.coupling), ch.dta, ptr(b), ptr(dv),
+                       ptr(out))
+        return out
 
     def _direction(self, z, b, dta, w, tol, stats: SolveStats) -> np.ndarray:
         """The Newton direction at z for b = -H(z).  The elimination with the
@@ -442,13 +490,20 @@ class HydroSolver:
         the chord's elimination for r, its S-solve the spectral inverse at
         rest."""
         ch = self.chord
+        t0 = time.perf_counter()
         delta = self._eliminate(b, ch.lu.solve)
+        t1 = time.perf_counter()
         stats.lu_solves += 1
         r = self._jacobian_times(z, delta, dta)
         np.subtract(b, r, out=r)
-        if np.linalg.norm(w * r) > tol:
+        correct = np.linalg.norm(w * r) > tol
+        t2 = time.perf_counter()
+        if correct:
             delta += self._eliminate(r, ch.inv_P)
             stats.spectral_corrections += 1
+            stats.spectral_s += time.perf_counter() - t2
+        stats.lu_solve_s += t1 - t0
+        stats.jacobian_product_s += t2 - t1
         return delta
 
 

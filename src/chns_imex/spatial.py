@@ -14,10 +14,12 @@ explicit ("tilde") state and terms evaluated at the implicit state:
   implicit, concave flux-form part explicit;
 * viscous:  implicit.
 
-The implicit terms are the sparse matrices of `operators.implicit_operators`
+The implicit terms are the matrices of `operators.implicit_operators`
 applied to packed column-major vectors: `hydro_tendency` (mass transport,
-stiff pressure, viscosity), which the Newton residual of the solvers module
-evaluates and whose Jacobian is built from the same matrices, and
+stiff pressure, viscosity), one compiled pass of their stencils
+(`operators.stencils`) byte for byte the CSR products, whose Newton
+residual, Jacobian product and elimination the solvers module applies with
+the same stencils and whose Jacobian it builds from the same matrices, and
 `ch_convex_term`, which the concentration solve applies.  The explicit terms
 are stencils on the field arrays: NumPy expressions, except the Rusanov
 terms, which two compiled passes of `weno` form around the six WENO5
@@ -38,7 +40,8 @@ import numpy as np
 from . import model
 from .grid import GridSpec, axis_sum, center, diff, dual, face_average
 from .model import ModelParams
-from .operators import implicit_operators
+from .kernels import lib, ptr
+from .operators import implicit_operators, stencils
 from .state import State
 from .weno import (reconstruct_lr_cells, reconstruct_lr_faces, rusanov_stacks,
                    rusanov_tendency, stack_layout)
@@ -54,8 +57,10 @@ class SpatialDiscretization:
 
     def __post_init__(self):
         g, p = self.grid, self.params
-        #: the implicit operators of the grid, shared through their cache
+        #: the implicit operators of the grid and their compiled stencils,
+        #: shared through their caches
         self.ops = implicit_operators(g.dim, g.M, g.h, p.nu, p.lam)
+        self.stencils = stencils(g.dim, g.M, g.h, p.nu, p.lam)
         #: field shape per packed block: cells, then the faces of each axis
         self.shapes = [(g.M,) * g.dim] + [
             tuple(g.M - 1 if i == k else g.M for i in range(g.dim))
@@ -207,12 +212,21 @@ class SpatialDiscretization:
         rho, the face momenta m = (A rho) v and the face velocities v.
 
         Returns (T_rho, T_m): the mass transport -D m, and the stiff
-        pressure force G p2 = D^T p2 less the viscous force B v.  The
+        pressure force G p2 = D^T p2 less the viscous force B v, in one
+        compiled pass of the stencils, byte for byte the CSR products.  The
         centered stiff pressure is identical under G, which annihilates
         constants, but free of cancellation noise at large cp2."""
-        ops = self.ops
+        st = self.stencils
+        m, v = (np.ascontiguousarray(a, dtype=float) for a in (m, v))
+        if np.shape(rho) != (st.nc,) or m.shape != (st.nf,) \
+                or v.shape != (st.nf,):
+            raise ValueError(f"no packed cells and faces: {np.shape(rho)}, "
+                             f"{m.shape}, {v.shape}")
         p2 = model.p2_centered(rho, self.params, float(rho.mean()))
-        return -(ops.D @ m), ops.G @ p2 - ops.B @ v
+        out, scratch = np.empty(st.nc + st.nf), np.empty(st.nf)
+        lib.hydro_tendency(st.address, ptr(m), ptr(p2), ptr(v), ptr(out),
+                           ptr(scratch))
+        return out[:st.nc], out[st.nc:]
 
     # -- IMEX split ---------------------------------------------------------
 

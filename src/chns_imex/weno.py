@@ -21,8 +21,8 @@ share them, and
     c0' = 5 D2 - 2 D3,   c1' = D2 + 2 D1,   c2' = 4 D1 - D0,
     a0' = d0 (eps + b2)^-2,   a1' = a1,   a2' = d2 (eps + b0)^-2.
 
-The kernel is the C function `weno5_lr` of `_weno5.c`, built with the
-system's `cc` when this module is imported and loaded with `ctypes`.  It
+The kernel is the C function `weno5_lr` of `_weno5.c`, in the library
+that `kernels` builds with the system's `cc` at import.  It
 reads each target's five samples once and writes both states in one pass,
 taking the operations of `right` and `left` above in the order written,
 with floating-point contraction off; the NumPy form of the same operations
@@ -56,51 +56,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import pathlib
-import subprocess
-import tempfile
 
 import numpy as np
 
+from .kernels import lib as _lib, ptr
+
 WENO_EPS = 1e-6
 D_LIN = np.array([0.1, 0.6, 0.3])
-
-#: the compiler command that builds the kernel: for this host's vector
-#: units, and with no contraction into fused multiply-adds, so each state
-#: rounds as the operations above; the `#pragma GCC ivdep` of each loop
-#: tells the compiler that its outputs overlap none of its inputs
-CC = ("cc", "-O3", "-march=native", "-std=c99", "-ffp-contract=off",
-      "-fPIC", "-shared")
-SOURCE = pathlib.Path(__file__).with_name("_weno5.c")
-
-
-def _build():
-    """The library of SOURCE, compiled with CC into a temporary directory
-    and loaded, with the argument types of its entry points."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cmd = [*CC, str(SOURCE), "-o", str(pathlib.Path(tmp, "_weno5.so"))]
-        try:
-            subprocess.run(cmd, check=True, capture_output=True, text=True)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", None) or exc
-            raise ImportError(f"cannot build the WENO5 kernel with "
-                              f"`{' '.join(cmd)}`: {detail}") from None
-        lib = ctypes.CDLL(cmd[-1])
-    size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    lib.weno5_lr.argtypes = (ptr, size, ptr, *[size] * 5, *[real] * 4,
-                             ptr, ptr, size, ptr)
-    lib.transfer6.argtypes = (ptr, *[size] * 4, real, ptr, ptr)
-    lib.rusanov_stacks.argtypes = (size, size, *[ptr] * 4, size, ptr, ptr)
-    lib.rusanov_tendency.argtypes = (size, size, real, *[ptr] * 3, size,
-                                     *[ptr] * 4)
-    for fn in (lib.weno5_lr, lib.transfer6, lib.rusanov_stacks,
-               lib.rusanov_tendency):
-        fn.restype = None
-    return lib
-
-
-_lib = _build()
-
 
 def _rows(a: np.ndarray, ax: int):
     """The distance in doubles between the rows a[0], a[1], ... of a float
@@ -146,10 +108,10 @@ def _reconstruct_lr(f, ax: int, parity, skip: int, out):
                          f"{size} with C-contiguous rows, equally far apart")
     inner = math.prod(shape[ax + 1:])
     scratch = np.empty((3 * shape[ax] + 10) * inner)
-    _lib.weno5_lr(f.ctypes.data, f_rows, sign.ctypes.data, rows,
+    _lib.weno5_lr(ptr(f), f_rows, ptr(sign), rows,
                   math.prod(shape[1:ax]), shape[ax], inner, skip, WENO_EPS,
-                  *D_LIN, minus.ctypes.data, plus.ctypes.data, out_rows,
-                  scratch.ctypes.data)
+                  *D_LIN, ptr(minus), ptr(plus), out_rows,
+                  ptr(scratch))
     return minus, plus
 
 
@@ -198,8 +160,8 @@ def faces_to_cells(v: np.ndarray, ax: int) -> np.ndarray:
                          f"transfer needs at least 2")
     inner = math.prod(v.shape[ax + 1:])
     out, scratch = np.empty(_along(v.shape, ax, M)), np.empty((M + 7) * inner)
-    _lib.transfer6(v.ctypes.data, math.prod(v.shape[:ax]), M, inner, 1,
-                   -1.0, scratch.ctypes.data, out.ctypes.data)
+    _lib.transfer6(ptr(v), math.prod(v.shape[:ax]), M, inner, 1,
+                   -1.0, ptr(scratch), ptr(out))
     return out
 
 
@@ -233,7 +195,7 @@ def stack_layout(dim: int, M: int):
 
 def _pointers(arrays):
     """A C array of the data pointers of arrays."""
-    return (ctypes.c_void_p * len(arrays))(*[a.ctypes.data for a in arrays])
+    return (ctypes.c_void_p * len(arrays))(*[ptr(a) for a in arrays])
 
 
 def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
@@ -252,9 +214,9 @@ def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
     cols = stack_layout(dim, M)[1]
     x = np.empty((4, cols[-1]))
     scratch = np.empty((M + 7) * M + (M - 1) ** 2)
-    _lib.rusanov_stacks(dim, M, rho.ctypes.data, q.ctypes.data, _pointers(v),
-                        cols.ctypes.data, cols[-1], x.ctypes.data,
-                        scratch.ctypes.data)
+    _lib.rusanov_stacks(dim, M, ptr(rho), ptr(q), _pointers(v),
+                        ptr(cols), cols[-1], ptr(x),
+                        ptr(scratch))
     return x
 
 
@@ -277,7 +239,7 @@ def rusanov_tendency(states: np.ndarray, sound: np.ndarray, dim: int,
     rho, q = np.full(cells, -0.0), np.full(cells, -0.0)
     m = [np.full(_along(cells, k, M - 1), -0.0) for k in range(dim)]
     fluxes = np.empty(2 * half)
-    _lib.rusanov_tendency(dim, M, h, states.ctypes.data, sound.ctypes.data,
-                          cols.ctypes.data, half, fluxes.ctypes.data,
-                          rho.ctypes.data, q.ctypes.data, _pointers(m))
+    _lib.rusanov_tendency(dim, M, h, ptr(states), ptr(sound),
+                          ptr(cols), half, ptr(fluxes),
+                          ptr(rho), ptr(q), _pointers(m))
     return rho, q, tuple(m)

@@ -24,7 +24,10 @@ transport and explicit Rusanov terms into the quantity that
 complement: the whole (rho, v) chord Jacobian (`full_jacobian`) factorized
 and solved exactly, then corrected as the solver corrects its own.
 `dense_free_slip_schur` assembles the free-slip operator whose inverse the
-Newton correction applies spectrally.
+Newton correction applies spectrally.  `hydro_tendency`, `residual`,
+`jacobian_times` and `eliminate` are the Newton algebra as the CSR products
+and NumPy expressions that the compiled stencils replaced; the package must
+match them byte for byte.
 """
 
 import numpy as np
@@ -36,7 +39,9 @@ from scipy.linalg import block_diag
 from chns_imex import model
 from chns_imex.grid import _slc, _walls, axis_sum, diff, dual, face_average
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
-from chns_imex.solvers import SPLU_SYMMETRIC, HydroSolver
+from chns_imex.model import NonPositiveDensityError
+from chns_imex.solvers import (SPLU_SYMMETRIC, HydroSolver, _scale_cols,
+                               _scale_rows)
 from chns_imex.state import State
 from chns_imex.weno import (D_LIN, PARITY, PARITY_CELLS, WENO_EPS,
                             reconstruct_lr_cells, stack_layout)
@@ -801,6 +806,74 @@ def swap_xy(U):
     """Mirror a 2D state in the diagonal x = y."""
     return State(rho=U.rho.T.copy(), q=U.q.T.copy(),
                  m=(U.m[1].T.copy(), U.m[0].T.copy()))
+
+
+# ---------------------------------------------------------------------------
+# the Newton algebra as CSR products: the forms the compiled stencils of
+# `_hydro.c` replaced, which they must match byte for byte
+# ---------------------------------------------------------------------------
+
+def hydro_tendency(disc, rho, m, v):
+    """`SpatialDiscretization.hydro_tendency` as CSR products:
+    (-(D m), G p2 - B v)."""
+    ops = disc.ops
+    p2 = model.p2_centered(rho, disc.params, float(rho.mean()))
+    return -(ops.D @ m), ops.G @ p2 - ops.B @ v
+
+
+def residual(hydro, z, r, dta):
+    """`HydroSolver.residual` as CSR products and NumPy expressions."""
+    rho, v = z[:hydro.nc], z[hydro.nc:]
+    if np.any(rho <= 0):
+        raise NonPositiveDensityError("nonpositive density in Newton iterate")
+    m = (hydro.spatial.ops.A @ rho) * v
+    t_rho, t_m = hydro_tendency(hydro.spatial, rho, m, v)
+    return np.concatenate([rho - dta * t_rho, m - dta * t_m]) - r
+
+
+def jacobian_times(hydro, z, delta, dta):
+    """`HydroSolver._jacobian_times` as CSR products and in-place NumPy
+    operations."""
+    ops, n = hydro.spatial.ops, hydro.nc
+    rho, v = z[:n], z[n:]
+    d_rho, d_v = delta[:n], delta[n:]
+    dm = ops.A @ d_rho
+    dm *= v
+    rho_f = ops.A @ rho
+    rho_f *= d_v
+    dm += rho_f
+    dp = model.dp2(rho, hydro.params)
+    dp *= d_rho
+    out = np.empty_like(delta)
+    out_rho, out_v = out[:n], out[n:]
+    out_rho[:] = ops.D @ dm
+    out_rho *= dta
+    out_rho += d_rho
+    out_v[:] = ops.G @ dp
+    out_v -= ops.B @ d_v
+    out_v *= -dta
+    out_v += dm
+    return out
+
+
+def chord_couplings(hydro):
+    """(1/d, J_rv, J_vr) of the kept chord as the CSR matrices
+    `HydroSolver.jacobian` builds, from the chord's vectors."""
+    ch, ops, n = hydro.chord, hydro.spatial.ops, hydro.nc
+    inv_d, v, dp, rho_f = np.split(ch.coupling, np.cumsum(
+        [n, ops.A.shape[0], n]))
+    J_rv = ch.dta * _scale_cols(ops.D, rho_f)
+    J_vr = _scale_rows(ops.A, v) - ch.dta * _scale_cols(ops.G, dp)
+    return inv_d, J_rv, J_vr
+
+
+def eliminate(hydro, b, solve_S):
+    """`HydroSolver._eliminate` with the chord's couplings as CSR
+    matrices."""
+    inv_d, J_rv, J_vr = chord_couplings(hydro)
+    b_rho, b_v = b[:hydro.nc], b[hydro.nc:]
+    dv = solve_S(b_v - J_vr @ (inv_d * b_rho))
+    return np.concatenate([inv_d * (b_rho - J_rv @ dv), dv])
 
 
 # ---------------------------------------------------------------------------

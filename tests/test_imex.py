@@ -410,6 +410,27 @@ def test_newton_call_pattern_matches_step_records(monkeypatch):
     assert calls["solve"] == 3 * 2                # two stages per step
     assert calls["direct residual"] == calls["solve"] + iters
     assert calls["residual"] == calls["direct residual"] + calls["_trial"]
+    assert calls["residual"] == sum(rec.residuals for rec in records)
+
+
+def test_step_records_newton_sublayer_seconds():
+    """The seconds of the Newton sub-layers are each nonnegative, positive
+    on every step whose counter is (residuals; factorizations for the
+    refreshes; LU solves for the eliminations and the Jacobian products,
+    one each per direction; spectral corrections), and sum to at most the
+    step's Newton seconds, on three steps of Test 1 that factorize and
+    correct."""
+    _, records = _test1_steps(GridSpec(dim=2, M=16), ModelParams(cp=1e4), 3)
+    counted = (("residual_s", "residuals"), ("refresh_s", "factorizations"),
+               ("lu_solve_s", "lu_solves"), ("jacobian_product_s", "lu_solves"),
+               ("spectral_s", "spectral_corrections"))
+    for rec in records:
+        for seconds, count in counted:
+            assert getattr(rec, seconds) >= 0.0
+            assert (getattr(rec, seconds) > 0.0) >= (getattr(rec, count) > 0)
+        assert sum(getattr(rec, s) for s, _ in counted) <= rec.newton_s
+    for _, count in counted:
+        assert sum(getattr(rec, count) for rec in records) > 0
 
 
 def test_step_records_layer_seconds():

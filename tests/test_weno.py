@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex import solvers, weno
+from chns_imex import kernels, solvers, weno
 from chns_imex.cases import initial_state
 from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
@@ -212,36 +212,42 @@ def test_rusanov_stacks_refuses_fields_of_no_grid():
             weno.rusanov_stacks(*bad)
 
 
+#: the loops marked `#pragma GCC ivdep` in each source of the library
+IVDEP_LOOPS = {"_weno5.c": 9, "_hydro.c": 15}
+
+
 def test_kernel_loops_are_vectorized(tmp_path):
-    """Every loop marked `#pragma GCC ivdep` in the kernel source compiles
-    to vector code with CC, so an edit cannot fall back to scalar code
-    unnoticed, and the source compiles without a warning."""
-    cmd = [*weno.CC, "-Wall", "-Wextra", "-Werror",
-           "-fopt-info-vec-optimized", "-c", str(weno.SOURCE),
-           "-o", str(tmp_path / "kernel.o")]
-    report = subprocess.run(cmd, check=True, capture_output=True,
-                            text=True).stderr
-    assert "loop vectorized" in report
-    lines = weno.SOURCE.read_text().splitlines()
-    # the loop starts on the line after its pragma, 1-based
-    loops = [i + 2 for i, line in enumerate(lines)
-             if line.strip() == "#pragma GCC ivdep"]
-    assert len(loops) == 9
-    for n in loops:
-        assert any(f"{weno.SOURCE.name}:{n}:" in row
-                   and "loop vectorized" in row
-                   for row in report.splitlines()), (n, report)
+    """Every loop marked `#pragma GCC ivdep` in each source of the compiled
+    library compiles to vector code with CC, so an edit cannot fall back to
+    scalar code unnoticed, and every source compiles without a
+    warning."""
+    assert sorted(p.name for p in kernels.SOURCES) == sorted(IVDEP_LOOPS)
+    for source in kernels.SOURCES:
+        cmd = [*kernels.CC, "-Wall", "-Wextra", "-Werror",
+               "-fopt-info-vec-optimized", "-c", str(source),
+               "-o", str(tmp_path / "kernel.o")]
+        report = subprocess.run(cmd, check=True, capture_output=True,
+                                text=True).stderr
+        lines = source.read_text().splitlines()
+        # the loop starts on the line after its pragma, 1-based
+        loops = [i + 2 for i, line in enumerate(lines)
+                 if line.strip() == "#pragma GCC ivdep"]
+        assert len(loops) == IVDEP_LOOPS[source.name]
+        for n in loops:
+            assert any(f"{source.name}:{n}:" in row
+                       and "loop vectorized" in row
+                       for row in report.splitlines()), (source, n, report)
 
 
 @pytest.mark.parametrize("cc", [("no-such-cc",), ("cc", "--no-such-flag")])
 def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
-    """A kernel that cannot be built raises ImportError with the command,
+    """A library that cannot be built raises ImportError with the command,
     its flags and what the compiler (or the system) said, and nothing
     else in its chain."""
-    command = cc + weno.CC[1:]
-    monkeypatch.setattr(weno, "CC", command)
+    command = cc + kernels.CC[1:]
+    monkeypatch.setattr(kernels, "CC", command)
     with pytest.raises(ImportError) as info:
-        weno._build()
+        kernels._build()
     msg = str(info.value)
     assert " ".join(command) in msg
     assert msg.split("`: ", 1)[1].strip()
@@ -251,8 +257,9 @@ def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
 def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
     """Test 1 at M = 16, C_p = 1e8 and cfl 1.2, past its explicit limit,
     takes damped line-search trials and retries; the run with the compiled
-    passes and the run with the NumPy form of the Rusanov terms end in the
-    same state."""
+    passes and the run with the NumPy form of the Rusanov terms and the
+    CSR forms of the Newton residual, Jacobian product, elimination and
+    hydro tendency end in the same state."""
     trials = []
     trial = solvers.HydroSolver._trial
     monkeypatch.setattr(solvers.HydroSolver, "_trial",
@@ -265,6 +272,12 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
 
     compiled = run()
     monkeypatch.setattr(SpatialDiscretization, "rusanov", oracles.rusanov)
+    monkeypatch.setattr(SpatialDiscretization, "hydro_tendency",
+                        oracles.hydro_tendency)
+    for name, form in (("residual", oracles.residual),
+                       ("_jacobian_times", oracles.jacobian_times),
+                       ("_eliminate", oracles.eliminate)):
+        monkeypatch.setattr(solvers.HydroSolver, name, form)
     reference = run()
     assert sum(rec.retries for rec in compiled.steps) >= 1 and trials
     assert len(compiled.steps) == len(reference.steps)
