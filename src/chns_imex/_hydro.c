@@ -65,7 +65,7 @@ static inline void sums(double *o, ptrdiff_t len, const double *c,
    zeros), row by row in scalar sums, and every other run in the vector
    loop of its number of terms */
 enum { MAXTERM = 9 };
-static void apply(const Op *X, const double *x, double *y)
+void stencil_apply(const Op *X, const double *x, double *y)
 {
     for (ptrdiff_t r = 0; r < X->nrun; r++) {
         const ptrdiff_t *run = X->run + 4 * r, len = run[1];
@@ -127,24 +127,18 @@ static void couple(const Op *X, const Op *Y, const double *u,
     }
 }
 
-/* y = X x for one operator of a Hydro */
-void stencil_apply(const Op *X, const double *x, double *y)
-{
-    apply(X, x, y);
-}
-
 /* The implicit hydro tendency [-(D m); G p2 - B v] into out (nc + nf);
    scratch holds nf doubles. */
 void hydro_tendency(const Hydro *h, const double *m, const double *p2,
                     const double *v, double *out, double *scratch)
 {
     double *tm = out + h->nc;
-    apply(&h->D, m, out);
+    stencil_apply(&h->D, m, out);
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < h->nc; c++)
         out[c] = -out[c];
-    apply(&h->G, p2, tm);
-    apply(&h->B, v, scratch);
+    stencil_apply(&h->G, p2, tm);
+    stencil_apply(&h->B, v, scratch);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < h->nf; f++)
         tm[f] = tm[f] - scratch[f];
@@ -160,16 +154,16 @@ void hydro_residual(const Hydro *h, const double *z, const double *p2,
     const ptrdiff_t nc = h->nc, nf = h->nf;
     const double *v = z + nc;
     double *m = scratch, *bv = scratch + nf, *tm = out + nc;
-    apply(&h->A, z, m);
+    stencil_apply(&h->A, z, m);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
         m[f] = m[f] * v[f];
-    apply(&h->D, m, out);
+    stencil_apply(&h->D, m, out);
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
         out[c] = (z[c] - dta * -out[c]) - rhs[c];
-    apply(&h->G, p2, tm);
-    apply(&h->B, v, bv);
+    stencil_apply(&h->G, p2, tm);
+    stencil_apply(&h->B, v, bv);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
         tm[f] = (m[f] - dta * (tm[f] - bv[f])) - rhs[nc + f];
@@ -186,20 +180,20 @@ void hydro_jacobian_times(const Hydro *h, const double *z,
     const ptrdiff_t nc = h->nc, nf = h->nf;
     const double *v = z + nc, *d_v = delta + nc;
     double *dm = scratch, *t = scratch + nf, *ov = out + nc;
-    apply(&h->A, delta, dm);
-    apply(&h->A, z, t);
+    stencil_apply(&h->A, delta, dm);
+    stencil_apply(&h->A, z, t);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
         dm[f] = dm[f] * v[f] + t[f] * d_v[f];
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
         dp[c] = dp[c] * delta[c];
-    apply(&h->D, dm, out);
+    stencil_apply(&h->D, dm, out);
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
         out[c] = out[c] * dta + delta[c];
-    apply(&h->G, dp, ov);
-    apply(&h->B, d_v, t);
+    stencil_apply(&h->G, dp, ov);
+    stencil_apply(&h->B, d_v, t);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
         ov[f] = (ov[f] - t[f]) * -dta + dm[f];
