@@ -247,5 +247,7 @@ class Stencils:
 @functools.lru_cache
 def stencils(dim: int, M: int, h: float, nu: float, lam: float) -> Stencils:
     """The `Stencils` of `implicit_operators` of one grid and viscosities,
-    built once; every caller shares them."""
+    built once; every caller shares them.  They read the matrices that
+    cache held when they were built, so a caller that clears it clears
+    this cache too."""
     return Stencils(implicit_operators(dim, M, h, nu, lam))

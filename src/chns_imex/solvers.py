@@ -472,13 +472,12 @@ class HydroSolver:
         the couplings applied from the chord's vectors."""
         ch, st = self.chord, self.spatial.stencils
         b = self._vector(b, st.nc + st.nf)
+        c, pb = ptr(ch.coupling), ptr(b)
         t, scratch = np.empty(st.nf), np.empty(st.nc)
-        lib.chord_forward(st.address, ptr(ch.coupling), ch.dta, ptr(b),
-                          ptr(t), ptr(scratch))
+        lib.chord_forward(st.address, c, ch.dta, pb, ptr(t), ptr(scratch))
         dv = self._vector(solve_S(t), st.nf)
         out = np.empty(b.size)
-        lib.chord_back(st.address, ptr(ch.coupling), ch.dta, ptr(b), ptr(dv),
-                       ptr(out))
+        lib.chord_back(st.address, c, ch.dta, pb, ptr(dv), ptr(out))
         return out
 
     def _direction(self, z, b, dta, w, tol, stats: SolveStats) -> np.ndarray:

@@ -13,7 +13,8 @@ from chns_imex.grid import GridSpec
 from chns_imex.imex import Integrator
 from chns_imex.mms import forcing_state
 from chns_imex.model import ModelParams
-from chns_imex.operators import implicit_operators, mat_dual, viscous_blocks
+from chns_imex.operators import (implicit_operators, mat_dual, stencils,
+                                 viscous_blocks)
 from chns_imex.solvers import HydroSolver
 from chns_imex.spatial import SpatialDiscretization
 from chns_imex.state import state_from_primitives
@@ -341,10 +342,12 @@ def test_viscous_blocks_against_hand_assembly():
 
 def test_viscous_blocks_built_once_and_shared(rng):
     """An integrator builds the implicit operators once; its Newton
-    residual, its Jacobian and its tendency use the same matrices, and the
-    viscous matrix is the viscous blocks joined."""
+    residual (through the stencils read off them), its Jacobian and its
+    tendency use the same matrices, and the viscous matrix is the viscous
+    blocks joined."""
     grid = GridSpec(dim=2, M=8)
     implicit_operators.cache_clear()
+    stencils.cache_clear()
     integ = Integrator(grid, PARAMS)
     U = random_state(grid, rng)
     oracles.implicit_tendency(integ.sp, U)
@@ -354,6 +357,7 @@ def test_viscous_blocks_built_once_and_shared(rng):
     assert implicit_operators.cache_info().misses == 1
     ops = implicit_operators(grid.dim, grid.M, grid.h, PARAMS.nu, PARAMS.lam)
     assert integ.sp.ops is ops and integ.hydro.spatial.ops is ops
+    assert integ.hydro.spatial.stencils.ops is ops
     B = viscous_blocks(grid.dim, grid.M, grid.h, PARAMS.nu, PARAMS.lam)
     assert (ops.B != sp.bmat(B)).nnz == 0
 

@@ -47,15 +47,16 @@ def test_stencils_equal_csr_products(dim, M, rng):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stencils_are_runs_along_the_lines(dim):
-    """The stencils are built once per grid, and on a grid of M = 64 the
+    """The stencils are built once per grid from its cached implicit
+    operators, and on a grid of M = 64 the
     rows of runs at least M - 3 long (the interior of each line) are at
     least 90% of every operator's rows: each term of such a run reads a
     contiguous stretch, which is where the speed comes from."""
     M = 64
     st = stencils(dim, M, 1.0 / M, 1.0, 0.1)
     assert stencils(dim, M, 1.0 / M, 1.0, 0.1) is st
-    assert SpatialDiscretization(GridSpec(dim, M), ModelParams()).ops \
-        is implicit_operators(dim, M, 1.0 / M, 1.0, 0.1)
+    assert SpatialDiscretization(GridSpec(dim, M), ModelParams()).stencils \
+        is st and st.ops is implicit_operators(dim, M, 1.0 / M, 1.0, 0.1)
     for X, (run, _, _) in zip(st.ops, st._arrays):
         assert run[:, 1].sum() == X.shape[0]
         assert run[run[:, 1] >= M - 3, 1].sum() >= 0.9 * X.shape[0]
