@@ -5,6 +5,13 @@
    2D, and the passes of the Newton residual, the Jacobian product and the
    chord's block elimination built from them.
 
+   `hydro_tendency` is the one place that applies D, G and B to fields:
+   the residual calls it at the iterate, with m = (A rho) v, and the
+   Jacobian product at the linear terms of a direction, with dm = (A d_rho)
+   v + (A rho) d_v and p2'(rho) d_rho, and each forms U - dta T from its
+   output.  Only the chord's couplings apply A, D and G again, with the
+   coefficients of the assembled Jacobian blocks.
+
    An operator is a list of runs, read off its CSR matrix by
    `operators.stencils`: run r covers the rows out .. out + len - 1, and
    row out + i takes the terms k0 .. k1 - 1 of the run, term k being
@@ -46,53 +53,42 @@ static Chord chord(const Hydro *h, const double *c)
     return ch;
 }
 
-/* o[i] = ((0.0 + c[0] s[0][i]) + c[1] s[1][i]) + ... over n terms;
-   inlined with a constant n, the sum of each i stays in a register */
+/* o[i] = ((0.0 + c[0] x[src[0] + i]) + c[1] x[src[1] + i]) + ... over the
+   n terms of a run; inlined with a constant n, the sum of each i stays in a
+   register */
 static inline void sums(double *o, ptrdiff_t len, const double *c,
-                        const double *const *s, const int n)
+                        const double *x, const ptrdiff_t *src, ptrdiff_t n)
 {
 #pragma GCC ivdep
     for (ptrdiff_t i = 0; i < len; i++) {
         double acc = 0.0;
-        for (int k = 0; k < n; k++)
-            acc = acc + c[k] * s[k][i];
+        for (ptrdiff_t k = 0; k < n; k++)
+            acc = acc + c[k] * x[src[k] + i];
         o[i] = acc;
     }
 }
 
-/* y = X x: a run of one row (a wall or corner row), or of more than
-   MAXTERM terms (only the 2D viscous rows of M = 4, with their explicit
-   zeros), row by row in scalar sums, and every other run in the vector
-   loop of its number of terms */
-enum { MAXTERM = 9 };
+/* y = X x, dispatched once per run: a run of more than one row in the
+   loop of its number of terms, one of the numbers a MAC grid has (A and G
+   2, D 2 to 4, B 3, 6, 8 or 9), and a run of one row (a wall or corner row,
+   or the 12- and 13-term viscous rows of 2D M = 4, with their explicit
+   zeros) or of any other number of terms in the loop with n read at run
+   time */
 void stencil_apply(const Op *X, const double *x, double *y)
 {
     for (ptrdiff_t r = 0; r < X->nrun; r++) {
         const ptrdiff_t *run = X->run + 4 * r, len = run[1];
         const ptrdiff_t n = run[3] - run[2], *src = X->src + run[2];
-        const double *c = X->coef + run[2], *s[MAXTERM];
+        const double *c = X->coef + run[2];
         double *o = y + run[0];
-        if (len == 1 || n > MAXTERM) {
-            for (ptrdiff_t i = 0; i < len; i++) {
-                double acc = 0.0;
-                for (ptrdiff_t k = 0; k < n; k++)
-                    acc = acc + c[k] * x[src[k] + i];
-                o[i] = acc;
-            }
-            continue;
-        }
-        for (ptrdiff_t k = 0; k < n; k++)
-            s[k] = x + src[k];
-        switch (n) {
-        case 1: sums(o, len, c, s, 1); break;
-        case 2: sums(o, len, c, s, 2); break;
-        case 3: sums(o, len, c, s, 3); break;
-        case 4: sums(o, len, c, s, 4); break;
-        case 5: sums(o, len, c, s, 5); break;
-        case 6: sums(o, len, c, s, 6); break;
-        case 7: sums(o, len, c, s, 7); break;
-        case 8: sums(o, len, c, s, 8); break;
-        case 9: sums(o, len, c, s, 9); break;
+        switch (len == 1 ? 0 : n) {
+        case 2: sums(o, len, c, x, src, 2); break;
+        case 3: sums(o, len, c, x, src, 3); break;
+        case 4: sums(o, len, c, x, src, 4); break;
+        case 6: sums(o, len, c, x, src, 6); break;
+        case 8: sums(o, len, c, x, src, 8); break;
+        case 9: sums(o, len, c, x, src, 9); break;
+        default: sums(o, len, c, x, src, n);
         }
     }
 }
@@ -144,8 +140,8 @@ void hydro_tendency(const Hydro *h, const double *m, const double *p2,
         tm[f] = tm[f] - scratch[f];
 }
 
-/* The Newton residual H = [rho - dta (-(D m)) - r_rho;
-   m - dta (G p2 - B v) - r_m] of z = [rho; v], m = (A rho) v, into out
+/* The Newton residual H = [rho - dta T_rho - r_rho; m - dta T_m - r_m]
+   of z = [rho; v], m = (A rho) v, T = hydro_tendency(m, p2, v), into out
    (nc + nf); scratch holds 2 nf doubles. */
 void hydro_residual(const Hydro *h, const double *z, const double *p2,
                     const double *rhs, double dta, double *out,
@@ -153,26 +149,26 @@ void hydro_residual(const Hydro *h, const double *z, const double *p2,
 {
     const ptrdiff_t nc = h->nc, nf = h->nf;
     const double *v = z + nc;
-    double *m = scratch, *bv = scratch + nf, *tm = out + nc;
+    double *m = scratch, *tm = out + nc;
     stencil_apply(&h->A, z, m);
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
         m[f] = m[f] * v[f];
-    stencil_apply(&h->D, m, out);
+    hydro_tendency(h, m, p2, v, out, scratch + nf);
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
-        out[c] = (z[c] - dta * -out[c]) - rhs[c];
-    stencil_apply(&h->G, p2, tm);
-    stencil_apply(&h->B, v, bv);
+        out[c] = (z[c] - dta * out[c]) - rhs[c];
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
-        tm[f] = (m[f] - dta * (tm[f] - bv[f])) - rhs[nc + f];
+        tm[f] = (m[f] - dta * tm[f]) - rhs[nc + f];
 }
 
-/* J(z) delta = [d_rho + dta D dm; dm - dta (G (p2' d_rho) - B d_v)],
-   dm = (A d_rho) v + (A rho) d_v, as ((D dm) dta + d_rho;
-   ((G dp - B d_v) (-dta)) + dm), into out (nc + nf).  dp holds p2'(rho)
-   on entry and p2'(rho) d_rho on return; scratch holds 2 nf doubles. */
+/* J(z) delta = [d_rho - dta T_rho; dm - dta T_m], the tendency T =
+   hydro_tendency(dm, p2'(rho) d_rho, d_v) of its linear terms at
+   dm = (A d_rho) v + (A rho) d_v, into out (nc + nf), each value rounded
+   as in the form ((D dm) dta + d_rho; (G dp - B d_v) (-dta) + dm).  dp
+   holds p2'(rho) on entry and p2'(rho) d_rho on return; scratch holds
+   2 nf doubles. */
 void hydro_jacobian_times(const Hydro *h, const double *z,
                           const double *delta, double *dp, double dta,
                           double *out, double *scratch)
@@ -188,15 +184,13 @@ void hydro_jacobian_times(const Hydro *h, const double *z,
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
         dp[c] = dp[c] * delta[c];
-    stencil_apply(&h->D, dm, out);
+    hydro_tendency(h, dm, dp, d_v, out, t);
 #pragma GCC ivdep
     for (ptrdiff_t c = 0; c < nc; c++)
-        out[c] = out[c] * dta + delta[c];
-    stencil_apply(&h->G, dp, ov);
-    stencil_apply(&h->B, d_v, t);
+        out[c] = delta[c] - dta * out[c];
 #pragma GCC ivdep
     for (ptrdiff_t f = 0; f < nf; f++)
-        ov[f] = (ov[f] - t[f]) * -dta + dm[f];
+        ov[f] = dm[f] - dta * ov[f];
 }
 
 /* The right-hand side b_v - J_vr (b_rho / d) of the chord's Schur solve,

@@ -31,12 +31,20 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [0,1]^dim with M cells per axis and spacing h = 1/M."""
+    """Uniform grid on [0,1]^dim with M cells per axis and spacing h = 1/M.
+    dim and M are integers (NumPy integers are stored as int)."""
 
     dim: int
     M: int
 
     def __post_init__(self):
+        for name in ("dim", "M"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{value!r}") from None
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.M < 4:

@@ -10,8 +10,12 @@ column-major vectors with the cached matrices of
 built from them, and the residual, the Jacobian product and the two halves
 of the block elimination around the Schur solve apply them as the compiled
 stencils of `operators.stencils`, one C pass each and byte for byte the
-CSR products and NumPy expressions they replaced (`tests/oracles.py`);
-NumPy keeps the powers of the equation of state.  Only the
+CSR products and NumPy expressions they replaced (`tests/oracles.py`).
+The residual and the Jacobian product both go through the compiled hydro
+tendency: the residual takes it at the iterate, the product at the linear
+terms (A d_rho) v + (A rho) d_v, p2'(rho) d_rho and d_v of a direction,
+and each forms U - dt*a_ii*T from it; NumPy keeps the powers of the
+equation of state.  Only the
 velocity Schur complement S = J_vv - J_vr d^-1 J_rv of a chord Jacobian is
 factorized, with d the diagonal of the density block J_rr; the density
 unknowns are eliminated through d with one LU solve of S.  The defect of
@@ -271,7 +275,10 @@ class HydroSolver:
     matrix B.  The residual, the Jacobian product and the two halves of
     the chord's elimination around its Schur solve apply them as the
     compiled stencils `spatial.stencils`, one pass each, byte for byte
-    their CSR products; NumPy keeps the powers of the equation of state.
+    their CSR products.  The residual and the Jacobian product apply D, G
+    and B only through the tendency's own compiled pass, the product as
+    the tendency of its linear terms; NumPy keeps the powers of the
+    equation of state.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):

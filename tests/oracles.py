@@ -27,7 +27,9 @@ and solved exactly, then corrected as the solver corrects its own.
 Newton correction applies spectrally.  `hydro_tendency`, `residual`,
 `jacobian_times` and `eliminate` are the Newton algebra as the CSR products
 and NumPy expressions that the compiled stencils replaced; the package must
-match them byte for byte.
+match them byte for byte.  `IncompressibleLimit` is the integrator with the
+C_p -> inf limit of its hydro stage, which runs at large C_p must approach
+like 1/C_p.
 """
 
 import numpy as np
@@ -38,11 +40,12 @@ from scipy.linalg import block_diag
 
 from chns_imex import model
 from chns_imex.grid import _slc, _walls, axis_sum, diff, dual, face_average
+from chns_imex.imex import Integrator
 from chns_imex.operators import laplacian_nd, mat_average, mat_dual
 from chns_imex.model import NonPositiveDensityError
 from chns_imex.solvers import (SPLU_SYMMETRIC, HydroSolver, _scale_cols,
-                               _scale_rows)
-from chns_imex.state import State
+                               _scale_rows, solve_c_stage)
+from chns_imex.state import State, state_from_primitives
 from chns_imex.weno import (D_LIN, PARITY, PARITY_CELLS, WENO_EPS,
                             reconstruct_lr_cells, stack_layout)
 
@@ -948,3 +951,34 @@ def dense_free_slip_schur(M, h, params, dim, rbar, dta):
     B = params.nu * lap + (params.nu + params.lam) * D.T @ D
     return rbar * np.eye(D.shape[1]) + dta * B \
         + dta**2 * rbar * float(model.dp2(rbar, params)) * D.T @ D
+
+
+# ---------------------------------------------------------------------------
+# the incompressible limit
+# ---------------------------------------------------------------------------
+
+class IncompressibleLimit(Integrator):
+    """The C_p -> inf limit of `Integrator` at fixed C_p1 (the rho = rbar +
+    delta rho_2 limit of the all-speed schemes: Haack, Jin & Liu, CiCP 12,
+    2012; Cordier, Degond & Kumbaro, JCP 231, 2012).  The hydro stage is
+    linear: the density is the mean rbar of the hat density, and the face
+    velocities v and the pressure pi solve the bordered system
+    [rbar I + dta B, -dta G, 0; dta rbar D, 0, 1; 0, 1^T, 0] [v; pi; l] =
+    [m_hat; rho_hat - rbar; 0] by one sparse direct solve, mean(pi) = 0 and
+    the multiplier l taking up the round-off of sum(rho_hat - rbar).  The
+    explicit tendency and the concentration stage are the integrator's."""
+
+    def _solve_stage(self, hat, tilde, dta, stats):
+        ops, n = self.sp.ops, self.hydro.nc
+        rho_hat = np.ravel(hat.rho, order="F")
+        rbar = float(rho_hat.mean())
+        ones = sp.csr_matrix(np.ones((1, n)))
+        K = sp.bmat([[rbar * sp.identity(ops.B.shape[0]) + dta * ops.B,
+                      -dta * ops.G, None],
+                     [dta * rbar * ops.D, None, ones.T],
+                     [None, ones, None]], format="csc")
+        x = spla.spsolve(K, np.r_[self.sp.pack(*hat.m), rho_hat - rbar, 0.0])
+        rho = np.full(hat.rho.shape, rbar)
+        C = solve_c_stage(rho, hat.q, dta, self.params.eps, self.grid, stats)
+        return state_from_primitives(rho, self.sp.unpack(x[:ops.B.shape[0]]),
+                                     C)

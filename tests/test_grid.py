@@ -171,6 +171,11 @@ def test_gridspec_validation():
         GridSpec(dim=3, M=8)
     with pytest.raises(ValueError):
         GridSpec(dim=1, M=2)
+    for dim, M in ((2, 8.5), (2.0, 8), (2, "8")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(dim=dim, M=M)
+    g = GridSpec(dim=np.int64(2), M=np.int32(8))
+    assert (g.dim, g.M) == (2, 8) and type(g.M) is int and g == GridSpec(2, 8)
     g = GridSpec(dim=2, M=10)
     assert g.h == 0.1
     assert len(g.cell_centers()) == 10

@@ -13,6 +13,7 @@ from chns_imex import solvers
 from chns_imex.grid import GridSpec
 from chns_imex.imex import (DEFAULT_CFL, MAX_RETRIES, Integrator, RunResult,
                             make_tableau)
+from chns_imex.cases import initial_state
 from chns_imex.diagnostics import compute_eoc, error_norm
 from chns_imex.mms import exact_momenta, exact_state, make_forcing
 from chns_imex.model import ModelParams
@@ -75,9 +76,11 @@ def test_nonpositive_or_non_finite_cfl_rejected(cfl):
         Integrator(GridSpec(dim=1, M=8), PARAMS, cfl=cfl)
 
 
-@pytest.mark.parametrize("T", [np.inf, np.nan])
+@pytest.mark.parametrize("T", [np.inf, np.nan, -1.0])
 def test_run_to_non_finite_time_rejected(T):
-    """A run to T = inf would never return; it fails before any step."""
+    """A run to T = inf would never return, and one to T < 0 would return
+    its initial state as if it had reached T; each fails before any
+    step."""
     grid, params, integ = _small_problem("star_dirksa")
     U0 = exact_state(grid, params, 0.0)
     with pytest.raises(ValueError, match="final time must be finite"):
@@ -191,6 +194,42 @@ def test_mms_accuracy_uniform_in_cp():
                 f"C_p={cp:g}, M={M}: error {e:.4e} against {e0:.4e}"
         order = compute_eoc(Ms, errs)[-1]
         assert order >= 1.85, f"C_p={cp:g}: order {order:.3f} at M=64"
+
+
+def test_gap_to_incompressible_limit_falls_like_inverse_cp():
+    """Asymptotic preservation, against the limit scheme itself: Test 1 at
+    M = 16, C_p1 = 10, T = 0.01 and the fixed dt = 0.4 h / (2 + sqrt(gamma
+    C_p1)), run at C_p = 1e6, 1e8 and 1e10 and by `oracles.
+    IncompressibleLimit` from the delta = 0 data.  C_p times the gap of
+    the face velocities and of q stays within a factor 2 of its value at
+    C_p = 1e8 (measured: 133, 118 and 118 for v; 3.8, 4.3 and 4.3 for q),
+    so the gap falls like 1/C_p to the discrete limit.  Beyond 1e10 the
+    Newton stopping rule and the round-off of rho ~ 1 stop it falling
+    (8.1e3 for v at 1e12)."""
+    grid, T = GridSpec(dim=2, M=16), 0.01
+    dt = 0.4 * grid.h / (2.0 + np.sqrt(ModelParams().gamma * 10.0))
+
+    def run(cls, params, U0):
+        integ = cls(grid, params)
+        integ.select_dt = lambda U: dt
+        return integ.run_to_time(U0, T).state
+
+    # delta = 1e-300 rounds 1 +- delta to 1: the delta = 0 initial data
+    zero_delta = ModelParams(cp=1e300, cp1=10.0)
+    lim = run(oracles.IncompressibleLimit, zero_delta,
+              initial_state(1, grid, zero_delta))
+    gaps = {}
+    for cp in (1e6, 1e8, 1e10):
+        params = ModelParams(cp=cp, cp1=10.0)
+        U = run(Integrator, params, initial_state(1, grid, params))
+        gaps[cp] = cp * np.array([
+            max(np.abs(a - b).max()
+                for a, b in zip(U.velocities(), lim.velocities())),
+            np.abs(U.q - lim.q).max()])
+    for cp, gap in gaps.items():
+        ratio = gap / gaps[1e8]
+        assert ((0.5 <= ratio) & (ratio <= 2.0)).all(), \
+            f"C_p={cp:g}: C_p * (v, q) gaps {gap}, at 1e8 {gaps[1e8]}"
 
 
 @pytest.mark.parametrize("cp", [1e2, 1e8])

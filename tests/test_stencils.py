@@ -62,6 +62,30 @@ def test_stencils_are_runs_along_the_lines(dim):
         assert run[run[:, 1] >= M - 3, 1].sum() >= 0.9 * X.shape[0]
 
 
+#: the term counts that `stencil_apply` of `_hydro.c` has a vector loop for
+VECTOR_TERMS = {2, 3, 4, 6, 8, 9}
+
+
+@pytest.mark.parametrize("dim,counts", [
+    (1, {"A": {2}, "D": {2}, "G": {2}, "B": {3}}),
+    (2, {"A": {2}, "D": {3, 4}, "G": {2}, "B": {6, 8, 9}})])
+def test_runs_of_many_rows_have_a_vector_loop(dim, counts):
+    """On the grids of M = 4 .. 40, 64 and 128 the runs of more than one
+    row of A, D, G and B have these term counts, each in VECTOR_TERMS, so
+    no operator edit sends a line's interior to the scalar loop
+    unnoticed."""
+    params = ModelParams()
+    seen = {name: set() for name in counts}
+    for M in (*range(4, 41), 64, 128):
+        ops = implicit_operators.__wrapped__(dim, M, 1.0 / M, params.nu,
+                                             params.lam)
+        for name, X in zip(ops._fields, ops):
+            run = _runs(X)[0]
+            seen[name].update(np.diff(run[run[:, 1] > 1, 2:]).ravel().tolist())
+    assert seen == counts
+    assert set().union(*counts.values()) <= VECTOR_TERMS
+
+
 def test_runs_follow_the_stored_rows():
     """A run holds rows whose terms are those of the row before, one
     column further on with the same coefficients; an explicit zero is a
