@@ -1,9 +1,11 @@
-/* The implicit hydro terms of the Newton solve as compiled stencils: the
-   face average A, the flux difference D, its transpose G = D^T and the
-   viscous matrix B of `operators.implicit_operators`, applied to packed
-   column-major vectors [rho; v_1; ...; v_dim] in one code path for 1D and
-   2D, and the passes of the Newton residual, the Jacobian product and the
-   chord's block elimination built from them.
+/* The implicit terms as compiled stencils: the face average A, the flux
+   difference D, its transpose G = D^T and the viscous matrix B of
+   `operators.implicit_operators`, applied to packed column-major vectors
+   [rho; v_1; ...; v_dim] in one code path for 1D and 2D, and the passes of
+   the Newton residual, the Jacobian product and the chord's block
+   elimination built from them; and the Neumann Laplacian L of
+   `operators.laplacian_nd` in the operator of the concentration stage,
+   which CG applies.
 
    `hydro_tendency` is the one place that applies D, G and B to fields:
    the residual calls it at the iterate, with m = (A rho) v, and the
@@ -70,7 +72,7 @@ static inline void sums(double *o, ptrdiff_t len, const double *c,
 
 /* y = X x, dispatched once per run: a run of more than one row in the
    loop of its number of terms, one of the numbers a MAC grid has (A and G
-   2, D 2 to 4, B 3, 6, 8 or 9), and a run of one row (a wall or corner row,
+   2, D 2 to 4, B 3, 6, 8 or 9, the Laplacian 3 to 5), and a run of one row (a wall or corner row,
    or the 12- and 13-term viscous rows of 2D M = 4, with their explicit
    zeros) or of any other number of terms in the loop with n read at run
    time */
@@ -85,6 +87,7 @@ void stencil_apply(const Op *X, const double *x, double *y)
         case 2: sums(o, len, c, x, src, 2); break;
         case 3: sums(o, len, c, x, src, 3); break;
         case 4: sums(o, len, c, x, src, 4); break;
+        case 5: sums(o, len, c, x, src, 5); break;
         case 6: sums(o, len, c, x, src, 6); break;
         case 8: sums(o, len, c, x, src, 8); break;
         case 9: sums(o, len, c, x, src, 9); break;
@@ -221,4 +224,22 @@ void chord_back(const Hydro *h, const double *c, double dta,
     for (ptrdiff_t i = 0; i < h->nc; i++)
         out[i] = ch.inv_d[i] * (b[i] - out[i]);
     memcpy(out + h->nc, dv, h->nf * sizeof(double));
+}
+
+/* The operator of the concentration stage on n cells,
+   y = rho x - dta (2 L x - eps L(L x / rho)), L the Neumann Laplacian as
+   the stencil of its CSR matrix, each value rounded as in that NumPy form;
+   scratch holds 2 n doubles. */
+void c_stage_apply(const Op *L, ptrdiff_t n, const double *rho, double dta,
+                   double eps, const double *x, double *y, double *scratch)
+{
+    double *lap = scratch, *u = scratch + n;
+    stencil_apply(L, x, lap);
+#pragma GCC ivdep
+    for (ptrdiff_t i = 0; i < n; i++)
+        u[i] = lap[i] / rho[i];
+    stencil_apply(L, u, y);
+#pragma GCC ivdep
+    for (ptrdiff_t i = 0; i < n; i++)
+        y[i] = rho[i] * x[i] - dta * (2.0 * lap[i] - eps * y[i]);
 }

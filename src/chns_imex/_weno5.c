@@ -1,6 +1,8 @@
 /* The compiled passes of the explicit tendency: sixth-order transfers and
-   the products that form its stacks, WENO5 states, and the Rusanov fluxes
-   with their differences.
+   the products that form its stacks, WENO5 states, the Rusanov fluxes
+   with their differences, and the explicit sources (gravity, capillarity
+   and the concave Cahn-Hilliard term) added into them, so only the powers
+   of the equation of state stay NumPy calls.
 
    A stack is an array of shape (rows, outer, n, inner) whose third axis is
    the line: n cell values, or n face values with both wall faces.  Beyond a
@@ -324,4 +326,138 @@ void rusanov_tendency(ptrdiff_t dim, ptrdiff_t M, double h,
             difference(flux + cols[2 * dim + k], k ? 1 : M - 1, M,
                        k ? M - 1 : 1, -1.0, h, m[k]);
     }
+}
+
+/* The explicit sources of the tendency of the cell fields rho and q (M, N),
+   added in place, in the operations of their NumPy form (tests/oracles.py)
+   and in its order: with c = q / rho,
+   - into the momentum m[dim-1] of the last axis the buoyancy
+     g (0.5 (rho+ + rho-)), rho+- the cells beside each face;
+   - into each momentum m[k] the capillary force eps t, where
+     t = 0.5 ((s+ - s-) / h) at the k-faces less, per axis j != k, the
+     difference over h along j of the corner products (zero beyond the
+     walls), s = -c_k^2 + sum_{j != k} c_j^2 at the cells, c_j the centred
+     difference of c along j over 2h, its end values repeated, and a corner
+     product the two face gradients of c, each averaged to the cell
+     corners;
+   - into tq the concave Cahn-Hilliard term, from -0.0 the sum over axes
+     k of the difference over h along k of the fluxes
+     (0.5 (psi+ + psi-)) (c+ - c-) / h, psi = 3 c^2 - 3, zero at the walls.
+   scratch holds (dim + 4) M N + (2 M + 7) N + (M - 1)^2 doubles. */
+void explicit_sources(ptrdiff_t dim, ptrdiff_t M, double h, double eps,
+                      double g, const double *rho, const double *q,
+                      double *tq, double *const *m, double *scratch)
+{
+    const ptrdiff_t N = dim == 2 ? M : 1, cells = M * N, nf = (M - 1) * N;
+    double *c = scratch, *psi = c + cells, *c2 = psi + cells;
+    double *t = c2 + dim * cells, *sum = t + cells, *line = sum + cells;
+    double *w = line + (M + 6) * N, *corner = w + (M + 1) * N;
+    ptrdiff_t outer, inner;
+#pragma GCC ivdep
+    for (ptrdiff_t i = 0; i < cells; i++) {
+        c[i] = q[i] / rho[i];
+        psi[i] = 3.0 * (c[i] * c[i]) - 3.0;
+    }
+    /* buoyancy */
+    split(dim - 1, M, N, &outer, &inner);
+    for (ptrdiff_t o = 0; o < outer; o++) {
+        const double *r = rho + o * M * inner;
+        double *mo = m[dim - 1] + o * (M - 1) * inner;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < (M - 1) * inner; i++)
+            mo[i] = mo[i] + g * (0.5 * (r[i + inner] + r[i]));
+    }
+    /* the squared centred differences, each line with its end values
+       repeated in the mirror rows of scratch */
+    for (ptrdiff_t k = 0; k < dim; k++) {
+        split(k, M, N, &outer, &inner);
+        for (ptrdiff_t o = 0; o < outer; o++) {
+            double *out = c2 + k * cells + o * M * inner;
+            const double *e = line + 2 * inner;
+            memcpy(line + 3 * inner, c + o * M * inner,
+                   M * inner * sizeof(double));
+            ghosts(line, M, inner, 0, 1.0);
+#pragma GCC ivdep
+            for (ptrdiff_t i = 0; i < M * inner; i++) {
+                const double d = (e[i + 2 * inner] - e[i]) / (2.0 * h);
+                out[i] = d * d;
+            }
+        }
+    }
+    /* the corner products, (M-1, M-1) */
+    for (ptrdiff_t a = 0; dim == 2 && a < M - 1; a++) {
+        const double *r0 = c + a * M, *r1 = r0 + M;
+        double *co = corner + a * (M - 1);
+#pragma GCC ivdep
+        for (ptrdiff_t b = 0; b < M - 1; b++) {
+            const double gx = 0.5 * ((r1[b + 1] - r0[b + 1]) / h
+                                     + (r1[b] - r0[b]) / h);
+            const double gy = 0.5 * ((r1[b + 1] - r1[b]) / h
+                                     + (r0[b + 1] - r0[b]) / h);
+            co[b] = gx * gy;
+        }
+    }
+    /* the capillary force */
+    for (ptrdiff_t k = 0; k < dim; k++) {
+        const double *ck = c2 + k * cells;
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < cells; i++)
+            sum[i] = -ck[i];
+        for (ptrdiff_t j = 0; j < dim; j++) {
+            const double *cj = c2 + j * cells;
+            if (j == k)
+                continue;
+#pragma GCC ivdep
+            for (ptrdiff_t i = 0; i < cells; i++)
+                sum[i] = sum[i] + cj[i];
+        }
+        split(k, M, N, &outer, &inner);
+        for (ptrdiff_t o = 0; o < outer; o++) {
+            const double *so = sum + o * M * inner;
+            double *to = t + o * (M - 1) * inner;
+#pragma GCC ivdep
+            for (ptrdiff_t i = 0; i < (M - 1) * inner; i++)
+                to[i] = 0.5 * ((so[i + inner] - so[i]) / h);
+        }
+        for (ptrdiff_t j = 0; j < dim; j++) {
+            if (j == k)
+                continue;
+            /* the corner products along j, on the k-faces (M-1 along k,
+               M along j), with a zero row beyond each wall */
+            split(j, k ? M : M - 1, k ? M - 1 : M, &outer, &inner);
+            for (ptrdiff_t o = 0; o < outer; o++) {
+                double *lw = w + o * (M + 1) * inner;
+                memset(lw, 0, inner * sizeof(double));
+                memcpy(lw + inner, corner + o * (M - 1) * inner,
+                       (M - 1) * inner * sizeof(double));
+                memset(lw + M * inner, 0, inner * sizeof(double));
+            }
+            difference(w, outer, M, inner, -1.0, h, t);
+        }
+        double *mk = m[k];
+#pragma GCC ivdep
+        for (ptrdiff_t i = 0; i < nf; i++)
+            mk[i] = mk[i] + eps * t[i];
+    }
+    /* the concave Cahn-Hilliard term */
+#pragma GCC ivdep
+    for (ptrdiff_t i = 0; i < cells; i++)
+        sum[i] = -0.0;
+    for (ptrdiff_t k = 0; k < dim; k++) {
+        split(k, M, N, &outer, &inner);
+        for (ptrdiff_t o = 0; o < outer; o++) {
+            const double *co = c + o * M * inner, *po = psi + o * M * inner;
+            double *lw = w + o * (M + 1) * inner, *f = lw + inner;
+            memset(lw, 0, inner * sizeof(double));
+            memset(lw + M * inner, 0, inner * sizeof(double));
+#pragma GCC ivdep
+            for (ptrdiff_t i = 0; i < (M - 1) * inner; i++)
+                f[i] = 0.5 * (po[i + inner] + po[i]) * (co[i + inner] - co[i])
+                       / h;
+        }
+        difference(w, outer, M, inner, 1.0, h, sum);
+    }
+#pragma GCC ivdep
+    for (ptrdiff_t i = 0; i < cells; i++)
+        tq[i] = tq[i] + sum[i];
 }

@@ -117,16 +117,6 @@ def dual(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     return diff(_walls(f, ax), ax) / h
 
 
-def center(f: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """Centered derivative at cell centers (M -> M): the two-apart
-    difference with the end values repeated, so the wall rows are
-    one-sided with the same 1/(2h)."""
-    e = np.concatenate([_slc(f, ax, slice(0, 1)), f,
-                        _slc(f, ax, slice(-1, None))], axis=ax)
-    return (_slc(e, ax, slice(2, None)) - _slc(e, ax, slice(None, -2))) \
-        / (2 * h)
-
-
 def face_average(f: np.ndarray, ax: int) -> np.ndarray:
     """A_M along an axis: neighbour mean, cells -> interior faces."""
     return 0.5 * (_slc(f, ax, slice(1, None)) + _slc(f, ax, slice(None, -1)))

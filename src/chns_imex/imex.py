@@ -109,6 +109,9 @@ class Integrator:
         self.hydro = HydroSolver(grid, params)
         self.sp = self.hydro.spatial
         self._speed = None    # lagged non-stiff characteristic speed
+        #: the last state whose speed is known, and that speed: the state
+        #: the last accepted step returned, or the one select_dt measured
+        self._known = (None, 0.0)
 
     # -- time-step selection -------------------------------------------------
 
@@ -118,16 +121,20 @@ class Integrator:
         return v + s
 
     def select_dt(self, U: State) -> float:
-        speed = self._speed if self._speed is not None else self._state_speed(U)
+        speed = self._speed
+        if speed is None:
+            speed = self._state_speed(U)
+            self._known = (U, speed)
         if speed <= 0.0:
             return self.cfl * self.grid.h
         return self.cfl * self.grid.h / speed
 
     # -- one stage ------------------------------------------------------------
 
-    def _solve_stage(self, hat: State, tilde: State, dta: float,
+    def _solve_stage(self, hat: State, z0: np.ndarray, dta: float,
                      stats: SolveStats) -> State:
-        z0 = self.sp.pack(tilde.rho, *tilde.velocities())
+        """The stage state of the hat data, from the packed initial guess
+        z0 = [rho; v] of the Newton solve."""
         r = self.sp.pack(hat.rho, *hat.m)
         t0 = time.perf_counter()
         z = self.hydro.solve(z0, r, dta, stats)
@@ -142,10 +149,15 @@ class Integrator:
 
     def attempt_step(self, Un: State, t: float, dt: float,
                      stats: SolveStats) -> State:
+        """One step from Un; the speed of Un is taken as known if Un is the
+        state of `_known`, which no caller changes in place.  Each stage's
+        explicit state gives its face velocities to the explicit tendency
+        and, as the Newton initial guess, to the implicit stage."""
         tab = self.tab
         s = tab.stages
         K: list[State] = []
-        speeds = [self._state_speed(Un)]
+        known, speed = self._known
+        speeds = [speed if Un is known else self._state_speed(Un)]
         for i in range(s):
             tilde = Un.copy()
             for j in range(i):
@@ -153,19 +165,22 @@ class Integrator:
             tilde.check_valid()
             frc = self.forcing(t + tab.ct[i] * dt) if self.forcing else None
             t0 = time.perf_counter()
-            E = self.sp.explicit_tendency(tilde, frc)
+            v = tilde.velocities()
+            E = self.sp.explicit_tendency(tilde, frc, v)
             stats.explicit_s += time.perf_counter() - t0
             hat_pre = Un.copy()
             for j in range(i):
                 hat_pre.axpy(dt * tab.a[i, j], K[j])
             dta = dt * tab.a[i, i]
             hat = hat_pre.copy().axpy(dta, E)
-            U_i = self._solve_stage(hat, tilde, dta, stats)
+            U_i = self._solve_stage(hat, self.sp.pack(tilde.rho, *v), dta,
+                                    stats)
             U_i.check_valid()
             if i + 1 < s:               # read by the later stages only
                 K.append((U_i - hat_pre) * (1.0 / dta))
             speeds.append(self._state_speed(U_i))
         self._speed = max(speeds)
+        self._known = (U_i, speeds[-1])
         return U_i
 
     def step(self, Un: State, t: float, dt: float):

@@ -2,9 +2,10 @@
 the system's `cc` into one shared library when this module is imported and
 loaded with `ctypes`.
 
-`_weno5.c` holds the passes of the explicit tendency (see `weno`), and
-`_hydro.c` the implicit hydro terms of the Newton solve as stencils (see
-`operators.stencils`).  Both are built with contraction off, so each value
+`_weno5.c` holds the passes of the explicit tendency (see `weno` and
+`spatial.SpatialDiscretization.sources`), and `_hydro.c` the implicit
+terms as stencils (see `operators.Stencil`): the hydro terms of the Newton
+solve and the operator of the concentration solve.  Both are built with contraction off, so each value
 rounds as the NumPy or sparse form the tests keep as its reference.  Every
 call passes its arrays by the address `ptr` reads.
 """
@@ -40,6 +41,8 @@ SIGNATURES = {
     "hydro_jacobian_times": (_ptr, *[_ptr] * 3, _real, _ptr, _ptr),
     "chord_forward": (_ptr, _ptr, _real, *[_ptr] * 3),
     "chord_back": (_ptr, _ptr, _real, *[_ptr] * 3),
+    "explicit_sources": (_size, _size, *[_real] * 3, *[_ptr] * 5),
+    "c_stage_apply": (_ptr, _size, _ptr, _real, _real, *[_ptr] * 3),
 }
 
 
@@ -71,3 +74,9 @@ def ptr(a) -> int:
     1.3-1.5 us for `a.__array_interface__["data"][0]`, NumPy 2.4 on a
     2-vCPU host); every kernel call reads its addresses here."""
     return a.ctypes.data
+
+
+def pointers(arrays):
+    """A C array of the addresses of arrays, for a pass that takes one
+    array per axis."""
+    return (ctypes.c_void_p * len(arrays))(*[ptr(a) for a in arrays])

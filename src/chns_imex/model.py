@@ -5,7 +5,8 @@ p1 = C_{p,1} rho^gamma (kept explicit, enters the CFL condition) and a stiff
 part p2 = C_{p,2} rho^gamma (treated implicitly).  The squared Mach number is
 delta = 1/C_p.  The double-well potential psi(c) = (c^2-1)^2/4 is split into
 a convex part (psi1' = 2c, implicit) and a concave part (psi2' = c^3 - 3c,
-explicit) so the Cahn-Hilliard update is unconditionally stable.
+explicit) so the Cahn-Hilliard update is unconditionally stable; the
+compiled sources pass of the explicit tendency takes psi2'' = 3c^2 - 3.
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def sound_speed(rho, params: ModelParams):
 
 def psi(c):
     return 0.25 * (np.asarray(c) ** 2 - 1.0) ** 2
-
-
-def ddpsi2(c):
-    """Second derivative of the concave branch psi2' = c^3 - 3c (explicit
-    part); the convex branch psi1' = 2c is implicit."""
-    c = np.asarray(c)
-    return 3.0 * c**2 - 3.0
 
 
 def free_energy_density(rho, params: ModelParams):

@@ -7,13 +7,14 @@ implicit terms are these matrices and nothing else: `implicit_operators`
 holds, per grid, the face average, the flux difference and its transpose
 on the packed vector [rho; v_1; ...; v_dim] and the viscous block matrix,
 and `laplacian_nd` the Neumann Laplacian.  The Newton Jacobian is built
-from them, and the concentration solve applies and assembles the same
-Laplacian.  `stencils` holds, per grid, the first four as compiled
-stencils (`_hydro.c`): each row of a CSR matrix, in its stored order, is a
-term list, and the rows of a MAC-grid line that share one list shifted by
-a column form a run whose terms read contiguous stretches.  The hydro
-tendency, the Newton residual, the Jacobian product and the chord's
-elimination apply them, byte for byte the CSR products.  The DST-I/DCT-II
+from them.  `stencils` holds, per grid, the first four as compiled
+stencils (`_hydro.c`), and `laplacian_stencil` the Laplacian: each row of
+a CSR matrix, in its stored order, is a term list, and the rows of a
+MAC-grid line that share one list shifted by a column form a run whose
+terms read contiguous stretches.  The hydro tendency, the Newton residual,
+the Jacobian product and the chord's elimination apply the first four,
+and the concentration solve's operator the Laplacian, byte for byte the
+CSR products.  The DST-I/DCT-II
 factors of the flux difference give the Neumann Laplacian's eigenvalues,
 which precondition the concentration solve, and diagonalize the free-slip
 velocity operator of the Newton correction.
@@ -205,29 +206,39 @@ class _Hydro(ctypes.Structure):
                 *[(name, _Op) for name in ImplicitOperators._fields]]
 
 
+class Stencil:
+    """One CSR matrix as a compiled stencil (the `Op` of `_hydro.c`), read
+    off it by `_runs`: a run is the stretch of a MAC-grid line whose rows
+    share one stencil, so each of its terms reads a contiguous stretch of
+    the operand, and a row adds its terms in the stored order of its CSR
+    row from +0.0, byte for byte the CSR product.  `address` is what the
+    compiled passes take."""
+
+    def __init__(self, X: sp.csr_matrix):
+        self.shape = X.shape
+        self.arrays = run, src, coef = _runs(X)
+        if (np.diff(run[:, 2:]) < 1).any():
+            raise ValueError("an empty row: every row of a stencil adds "
+                             "one term or more")
+        self.struct = _Op(len(run), ptr(run), ptr(src), ptr(coef))
+        self.address = ctypes.addressof(self.struct)
+
+
 class Stencils:
-    """The implicit operators of one grid as compiled stencils (the `Hydro`
-    of `_hydro.c`), read off their CSR matrices by `_runs`: a run is the
-    stretch of a MAC-grid line whose rows share one stencil, so each of its
-    terms reads a contiguous stretch of the operand, and a row adds its
-    terms in the stored order of its CSR row from +0.0, byte for byte the
-    CSR product.  `address` is what the compiled passes take."""
+    """The implicit operators of one grid as compiled `Stencil`s, in the
+    `Hydro` of `_hydro.c` whose `address` the compiled passes take."""
 
     def __init__(self, ops: ImplicitOperators):
         self.ops = ops
         self.nc, self.nf = ops.D.shape
-        self._arrays = [_runs(X) for X in ops]
-        if any((np.diff(run[:, 2:]) < 1).any() for run, *_ in self._arrays):
-            raise ValueError("an empty row: every row of a stencil adds "
-                             "one term or more")
-        A, _, G, _ = self._arrays
+        self._stencils = [Stencil(X) for X in ops]
+        A, _, G, _ = (s.arrays for s in self._stencils)
         # the chord's J_vr takes A's and G's coefficients term by term
         if not all(np.array_equal(a, g) for a, g in zip(A[:2], G[:2])):
             raise ValueError("the face average and the gradient differ in "
                              "their stencils")
-        self._struct = _Hydro(self.nc, self.nf, *[
-            _Op(len(run), ptr(run), ptr(src), ptr(coef))
-            for run, src, coef in self._arrays])
+        self._struct = _Hydro(self.nc, self.nf,
+                              *[s.struct for s in self._stencils])
         self.address = ctypes.addressof(self._struct)
 
     def apply(self, name: str, x: np.ndarray) -> np.ndarray:
@@ -251,3 +262,11 @@ def stencils(dim: int, M: int, h: float, nu: float, lam: float) -> Stencils:
     cache held when they were built, so a caller that clears it clears
     this cache too."""
     return Stencils(implicit_operators(dim, M, h, nu, lam))
+
+
+@functools.lru_cache
+def laplacian_stencil(dim: int, M: int, h: float) -> Stencil:
+    """The `Stencil` of `laplacian_nd`, which the operator of the
+    concentration stage applies, built once per grid; every caller shares
+    it.  It reads the matrix that cache held when it was built."""
+    return Stencil(laplacian_nd(dim, M, h))

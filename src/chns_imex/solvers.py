@@ -11,6 +11,9 @@ built from them, and the residual, the Jacobian product and the two halves
 of the block elimination around the Schur solve apply them as the compiled
 stencils of `operators.stencils`, one C pass each and byte for byte the
 CSR products and NumPy expressions they replaced (`tests/oracles.py`).
+NumPy keeps the powers and transcendentals of the equation of state and
+the DCT/DST transforms, and SciPy the LU factorization and solves
+(SuperLU) and CG.
 The residual and the Jacobian product both go through the compiled hydro
 tendency: the residual takes it at the iterate, the product at the linear
 terms (A d_rho) v + (A rho) d_v, p2'(rho) d_rho and d_v of a direction,
@@ -38,11 +41,12 @@ stops at NEWTON_TOL_ABS + NEWTON_TOL_REL ||H(z0)|| in a row-scaled norm;
 an initial guess is accepted only if its residual meets that unscaled
 too.
 
-The concentration system is solved by matrix-free CG to the criterion
-||b - A x|| <= LINEAR_TOL ||b||, applying the operator with the Laplacian
-matrix the assembly uses (`SpatialDiscretization.ch_convex_term`), and
-preconditioned by the exact inverse of the constant-coefficient operator at
-the mean density, which the DCT-II diagonalizes.  In the low-Mach regime the
+The concentration system is solved by matrix-free CG (SciPy's `cg`) to the
+criterion ||b - A x|| <= LINEAR_TOL ||b||, applying the operator in one
+compiled pass with the stencil of the Laplacian matrix the assembly uses,
+byte for byte its CSR products, and preconditioned by the exact inverse of
+the constant-coefficient operator at the mean density, which the DCT-II
+diagonalizes.  In the low-Mach regime the
 density is nearly flat, so CG takes a few iterations per solve at every grid
 size.  `assemble_c_matrix` builds the same matrix explicitly; the solver
 does not use it, it is the reference the operator is checked against.  The
@@ -68,7 +72,8 @@ from . import model
 from .grid import GridSpec
 from .kernels import lib, ptr
 from .model import ModelParams, NonPositiveDensityError
-from .operators import dct_frequencies, laplacian_eigenvalues, laplacian_nd
+from .operators import (dct_frequencies, laplacian_eigenvalues, laplacian_nd,
+                        laplacian_stencil)
 from .spatial import SpatialDiscretization
 
 
@@ -532,20 +537,29 @@ def assemble_c_matrix(rho: np.ndarray, dta: float, eps: float,
 
 def c_stage_operator(rho: np.ndarray, dta: float, eps: float,
                      grid: GridSpec) -> spla.LinearOperator:
-    """The c-matrix of `assemble_c_matrix` applied to column-major vectors
-    with the same Laplacian matrix L:
-    x -> rho x - dta (2 L x - eps L(L x / rho))."""
+    """The c-matrix of `assemble_c_matrix` applied to column-major vectors in
+    one compiled pass (`c_stage_apply` of `_hydro.c`), with the stencil of
+    the same Laplacian matrix L (`laplacian_stencil`):
+    x -> rho x - dta (2 L x - eps L(L x / rho)), byte for byte the CSR
+    products and NumPy operations of that form (`tests/oracles.py`)."""
     if np.any(rho <= 0):
         raise NonPositiveDensityError("nonpositive density in c-system")
-    rv = np.ravel(rho, order="F")
-    L = laplacian_nd(grid.dim, grid.M, grid.h)
+    rv = np.ascontiguousarray(np.ravel(rho, order="F"), dtype=float)
+    n = rv.size
+    L = laplacian_stencil(grid.dim, grid.M, grid.h)
+    if L.shape != (n, n):
+        raise ValueError(f"{n} densities on a grid of {L.shape[0]} cells")
+    scratch = np.empty(2 * n)
 
     def matvec(x):
-        return rv * x - dta * SpatialDiscretization.ch_convex_term(
-            x, rv, eps, L)
+        # LinearOperator.matvec has refused every other shape
+        x = np.ascontiguousarray(x, dtype=float)
+        y = np.empty(n)
+        lib.c_stage_apply(L.address, n, ptr(rv), dta, eps, ptr(x), ptr(y),
+                          ptr(scratch))
+        return y
 
-    return spla.LinearOperator((rv.size, rv.size), matvec=matvec,
-                               dtype=float)
+    return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
 def c_stage_preconditioner(rho: np.ndarray, dta: float, eps: float,

@@ -19,28 +19,29 @@ applied to packed column-major vectors: `hydro_tendency` (mass transport,
 stiff pressure, viscosity), one compiled pass of their stencils
 (`operators.stencils`) byte for byte the CSR products, whose Newton
 residual, Jacobian product and elimination the solvers module applies with
-the same stencils and whose Jacobian it builds from the same matrices, and
-`ch_convex_term`, which the concentration solve applies.  The explicit terms
-are stencils on the field arrays: NumPy expressions, except the Rusanov
-terms, which two compiled passes of `weno` form around the six WENO5
-reconstructions of a tendency, NumPy keeping only the powers of the
-equation of state (p1 and the sound speeds, one call each).
+the same stencils and whose Jacobian it builds from the same matrices; the
+convex Cahn-Hilliard term is applied only inside the concentration solve
+(`solvers.c_stage_operator`).  The explicit terms are compiled passes on
+the field arrays: the Rusanov terms, which two passes of `weno` form
+around the six WENO5 reconstructions of a tendency, and the `sources`
+(gravity, capillarity and the concave Cahn-Hilliard part), one pass added
+into them in place.  NumPy keeps only the powers of the equation of state
+(p1 and the sound speeds, one call each).  Every pass rounds each value
+as the NumPy form that `tests/oracles.py` keeps as its reference.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .grid import GridSpec, axis_sum, center, diff, dual, face_average
+from .grid import GridSpec
 from .model import ModelParams
-from .kernels import lib, ptr
+from .kernels import lib, pointers, ptr
 from .operators import implicit_operators, stencils
 from .state import State
 from .weno import (reconstruct_lr_cells, reconstruct_lr_faces, rusanov_stacks,
@@ -106,9 +107,9 @@ class SpatialDiscretization:
 
     # -- convection --------------------------------------------------------
 
-    def rusanov(self, Ut: State) -> State:
+    def rusanov(self, Ut: State, v: tuple | None = None) -> State:
         """The explicit convective terms: WENO5-reconstructed Rusanov fluxes
-        from the explicit state.
+        from the explicit state, whose face velocities are v if given.
 
         One stack [F, u, v, rho] per axis and staggered location holds a
         flux, its conserved quantity, the normal velocity and the density,
@@ -129,7 +130,8 @@ class SpatialDiscretization:
         """
         g = self.grid
         stacks, cols, out = stack_layout(g.dim, g.M)
-        x = rusanov_stacks(Ut.rho, Ut.q, Ut.velocities())
+        x = rusanov_stacks(Ut.rho, Ut.q,
+                           Ut.velocities() if v is None else v)
         faces = slice(cols[g.dim], cols[2 * g.dim])
         x[0, faces] += model.p1(x[3, faces], self.params)
         states = np.empty((4, 2 * out[-1]))
@@ -149,60 +151,36 @@ class SpatialDiscretization:
                                      g.M, g.h)
         return State(rho, q, m)
 
-    # -- gravity -------------------------------------------------------------
+    # -- explicit sources --------------------------------------------------
 
-    def gravity(self, Ut: State) -> np.ndarray:
-        """Explicit buoyancy source on the momentum of the last axis."""
-        return self.params.g * face_average(Ut.rho, self.grid.dim - 1)
-
-    # -- capillary forces ---------------------------------------------------
-
-    def capillary(self, Ut: State) -> tuple:
-        """Explicit capillary force, one array per momentum: momentum k gets
+    def sources(self, Ut: State, out: State) -> State:
+        """Add the explicit source terms of Ut into the tendency `out` in
+        place and return it, in one compiled pass (`explicit_sources` of
+        `_weno5.c`): the buoyancy g A rho on the momentum of the last axis;
+        the capillary force on every momentum, momentum k getting
         eps (grad_k(sum_{j!=k} c_j^2 - c_k^2)/2 - sum_{j!=k} dual_j(corner)),
-        c_j the centered derivatives and corner the product, in axis order,
-        of the face gradients of c averaged to the cell corners."""
-        h, eps, dim = self.grid.h, self.params.eps, self.grid.dim
-        c = Ut.c()
-        c2 = [center(c, k, h) ** 2 for k in range(dim)]
-        grads = []
-        for k in range(dim):
-            gk = diff(c, k) / h
-            for j in range(dim):
-                if j != k:
-                    gk = face_average(gk, j)      # to the cell corners
-            grads.append(gk)
-        corner = functools.reduce(operator.mul, grads)
-        mom = []
-        for k in range(dim):
-            others = [j for j in range(dim) if j != k]
-            # -c_k^2 first: in 1D the sum is just -c_k^2
-            s = sum((c2[j] for j in others), -c2[k])
-            t = 0.5 * (diff(s, k) / h)
-            for j in others:
-                t = t - dual(corner, j, h)
-            mom.append(eps * t)
-        return tuple(mom)
-
-    # -- Cahn-Hilliard -------------------------------------------------------
-
-    @staticmethod
-    def ch_convex_term(c: np.ndarray, rho: np.ndarray, eps: float,
-                       L) -> np.ndarray:
-        """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on
-        column-major cell vectors, L the Neumann Laplacian matrix.  The only
-        definition of the operator the concentration stage solves with: the
-        c-stage CG applies it to its iterates."""
-        lap = L @ c
-        return 2.0 * lap - eps * (L @ (lap / rho))
-
-    def ch_concave(self, Ut: State) -> np.ndarray:
-        """Explicit (concave) phase-field tendency of q in flux form."""
-        h = self.grid.h
-        ct = Ut.q / Ut.rho
-        psi2 = model.ddpsi2(ct)
-        return axis_sum(dual(face_average(psi2, k) * diff(ct, k) / h, k, h)
-                        for k in range(self.grid.dim))
+        c_j the centred derivatives of c = q/rho and corner the product, in
+        axis order, of its face gradients averaged to the cell corners; and
+        the concave Cahn-Hilliard term, the flux-form sum over axes of
+        dual_k(A_k psi2''(c) grad_k c), on q; in that order, each value
+        rounded as their NumPy form (`tests/oracles.py`).  The outputs are
+        written in place, so they must be C-contiguous."""
+        g, p = self.grid, self.params
+        rho, q = (np.ascontiguousarray(a, dtype=float) for a in (Ut.rho,
+                                                                   Ut.q))
+        outs = (out.q, *out.m)
+        shapes = [a.shape for a in (rho, q, *outs)]
+        if shapes != self.shapes[:1] * 3 + self.shapes[1:] or not all(
+                a.dtype == float and a.flags.c_contiguous and a.flags.writeable
+                for a in outs):
+            raise ValueError(f"fields of shapes {shapes} are no state and "
+                             f"writeable C-contiguous tendency of this grid")
+        N = g.M if g.dim == 2 else 1
+        scratch = np.empty((g.dim + 4) * g.M * N + (2 * g.M + 7) * N
+                           + (g.M - 1) ** 2)
+        lib.explicit_sources(g.dim, g.M, g.h, p.eps, p.g, ptr(rho), ptr(q),
+                             ptr(out.q), pointers(out.m), ptr(scratch))
+        return out
 
     # -- implicit hydro terms ------------------------------------------------
 
@@ -230,16 +208,13 @@ class SpatialDiscretization:
 
     # -- IMEX split ---------------------------------------------------------
 
-    def explicit_tendency(self, Ut: State,
-                          forcing: State | None = None) -> State:
+    def explicit_tendency(self, Ut: State, forcing: State | None = None,
+                          v: tuple | None = None) -> State:
         """All terms evaluated at the explicitly-known stage state, summed
-        into the Rusanov tendency in place: gravity, capillarity, the
-        concave Cahn-Hilliard part, then the forcing."""
-        out = self.rusanov(Ut)
-        np.add(out.m[-1], self.gravity(Ut), out=out.m[-1])
-        for mk, fk in zip(out.m, self.capillary(Ut)):
-            mk += fk
-        out.q += self.ch_concave(Ut)
+        into the Rusanov tendency in place: the `sources` (gravity,
+        capillarity, the concave Cahn-Hilliard part), then the forcing.  v
+        are the face velocities of Ut where the caller has them."""
+        out = self.sources(Ut, self.rusanov(Ut, v))
         if forcing is not None:
             out.axpy(1.0, forcing)
         return out

@@ -42,24 +42,26 @@ The fields of a stack need not be adjacent, only each C-contiguous and all
 equally far apart, so a call can read and write the rows of a larger
 buffer.
 
-The same library holds the rest of the explicit tendency in two passes
-around the reconstructions (see `spatial.SpatialDiscretization.rusanov`):
+The same library holds the rest of the Rusanov terms in two passes around
+the reconstructions (see `spatial.SpatialDiscretization.rusanov`):
 `rusanov_stacks` forms every stack of a tendency in one buffer, with the
 sixth-order transfers and the products, and `rusanov_tendency` forms each
 Rusanov flux and mass diffusion and their differences over h, in the
-order of operations of the NumPy form it replaced.  `faces_to_cells` is the
-transfer of the velocities to the cells alone.
+order of operations of the NumPy form it replaced.  Its last pass of the
+explicit tendency, `explicit_sources`, adds the source terms and is called
+by `spatial.SpatialDiscretization.sources`.  `faces_to_cells` is the
+transfer of the velocities to the cells alone.  So NumPy keeps only the
+powers of the equation of state in a tendency.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 
 import numpy as np
 
-from .kernels import lib as _lib, ptr
+from .kernels import lib as _lib, pointers, ptr
 
 WENO_EPS = 1e-6
 D_LIN = np.array([0.1, 0.6, 0.3])
@@ -193,11 +195,6 @@ def stack_layout(dim: int, M: int):
                       for i in (3, 4)))
 
 
-def _pointers(arrays):
-    """A C array of the data pointers of arrays."""
-    return (ctypes.c_void_p * len(arrays))(*[ptr(a) for a in arrays])
-
-
 def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
     """The stacks of an explicit tendency from the cell fields rho, q and
     the interior-face velocities v in axis order, as rows 0..3 of one
@@ -214,7 +211,7 @@ def rusanov_stacks(rho: np.ndarray, q: np.ndarray, v) -> np.ndarray:
     cols = stack_layout(dim, M)[1]
     x = np.empty((4, cols[-1]))
     scratch = np.empty((M + 7) * M + (M - 1) ** 2)
-    _lib.rusanov_stacks(dim, M, ptr(rho), ptr(q), _pointers(v),
+    _lib.rusanov_stacks(dim, M, ptr(rho), ptr(q), pointers(v),
                         ptr(cols), cols[-1], ptr(x),
                         ptr(scratch))
     return x
@@ -241,5 +238,5 @@ def rusanov_tendency(states: np.ndarray, sound: np.ndarray, dim: int,
     fluxes = np.empty(2 * half)
     _lib.rusanov_tendency(dim, M, h, ptr(states), ptr(sound),
                           ptr(cols), half, ptr(fluxes),
-                          ptr(rho), ptr(q), _pointers(m))
+                          ptr(rho), ptr(q), pointers(m))
     return rho, q, tuple(m)

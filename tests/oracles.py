@@ -16,8 +16,8 @@ The stencils of the implicit terms are the exception: the viscous operator,
 the mass transport, the pressure force and the Neumann Laplacian are written
 with the grid's slice helpers, and are the references the package's sparse
 matrices are checked against.  `ch_convex`, `implicit_tendency` and
-`convective` are not oracles: the first two apply the package's own
-implicit terms to a State, and `convective` sums its implicit mass
+`convective` are not oracles: the first two apply the implicit terms to
+a State, and `convective` sums its implicit mass
 transport and explicit Rusanov terms into the quantity that
 `convective_1d`/`convective_2d` compute.  `full_jacobian_refresh` and
 `full_jacobian_direction` are the Newton direction before the Schur
@@ -26,11 +26,17 @@ and solved exactly, then corrected as the solver corrects its own.
 `dense_free_slip_schur` assembles the free-slip operator whose inverse the
 Newton correction applies spectrally.  `hydro_tendency`, `residual`,
 `jacobian_times` and `eliminate` are the Newton algebra as the CSR products
-and NumPy expressions that the compiled stencils replaced; the package must
-match them byte for byte.  `IncompressibleLimit` is the integrator with the
+and NumPy expressions that the compiled stencils replaced, `sources` (from
+`gravity`, `capillary` and `ch_concave_flux`) the explicit source terms and
+`c_stage_operator` (from `ch_convex_term`) the operator of the
+concentration stage as the NumPy expressions that their compiled passes
+replaced; the package must match them byte for byte.  `IncompressibleLimit` is the integrator with the
 C_p -> inf limit of its hydro stage, which runs at large C_p must approach
 like 1/C_p.
 """
+
+import functools
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -248,12 +254,13 @@ def rusanov_flux(minus, plus, s_minus, s_plus, diffusion=False):
     return flux, 0.5 * lam * (r_p - r_m) if diffusion else None
 
 
-def rusanov(disc, Ut):
+def rusanov(disc, Ut, v=None):
     """The NumPy reference of `SpatialDiscretization.rusanov`, the code it
     replaced: per axis, ghost-extended fields, the six-point transfers and
     the products in NumPy, `reconstruct_lr` and `rusanov_flux` of each
     stack with the sound speeds of `disc._sound` on each side, then the
-    differences."""
+    differences.  It takes the velocities of Ut itself, whatever v the
+    caller has."""
     h, p, dim = disc.grid.h, disc.params, disc.grid.dim
     v = Ut.velocities()
 
@@ -382,12 +389,13 @@ def lam_max(vm, vp, rm, rp, params):
 # ---------------------------------------------------------------------------
 
 def ch_convex(disc, U):
-    """The implicit (convex) phase-field tendency of U as a State: the
-    package's `ch_convex_term` applied to c = q/rho, zero elsewhere."""
+    """The implicit (convex) phase-field tendency of U as a State:
+    `ch_convex_term` applied to c = q/rho with the package's Laplacian
+    matrix, zero elsewhere."""
     rho = np.ravel(U.rho, order="F")
     g = disc.grid
-    q = disc.ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
-                            disc.params.eps, laplacian_nd(g.dim, g.M, g.h)) \
+    q = ch_convex_term(np.ravel(U.q, order="F") / rho, rho,
+                       disc.params.eps, laplacian_nd(g.dim, g.M, g.h)) \
         .reshape(U.q.shape, order="F")
     return State(np.zeros(U.rho.shape), q,
                  tuple(np.zeros(mk.shape) for mk in U.m))
@@ -812,6 +820,103 @@ def swap_xy(U):
 
 
 # ---------------------------------------------------------------------------
+# the explicit sources and the c-stage operator as NumPy expressions: the
+# forms the compiled passes replaced, which they must match byte for byte
+# ---------------------------------------------------------------------------
+
+def gravity(disc, Ut):
+    """Explicit buoyancy source on the momentum of the last axis."""
+    return disc.params.g * face_average(Ut.rho, disc.grid.dim - 1)
+
+
+def capillary(disc, Ut):
+    """Explicit capillary force, one array per momentum: momentum k gets
+    eps (grad_k(sum_{j!=k} c_j^2 - c_k^2)/2 - sum_{j!=k} dual_j(corner)),
+    c_j the centered derivatives and corner the product, in axis order,
+    of the face gradients of c averaged to the cell corners."""
+    h, eps, dim = disc.grid.h, disc.params.eps, disc.grid.dim
+    c = Ut.c()
+    c2 = [center(c, k, h) ** 2 for k in range(dim)]
+    grads = []
+    for k in range(dim):
+        gk = diff(c, k) / h
+        for j in range(dim):
+            if j != k:
+                gk = face_average(gk, j)      # to the cell corners
+        grads.append(gk)
+    corner = functools.reduce(operator.mul, grads)
+    mom = []
+    for k in range(dim):
+        others = [j for j in range(dim) if j != k]
+        # -c_k^2 first: in 1D the sum is just -c_k^2
+        s = sum((c2[j] for j in others), -c2[k])
+        t = 0.5 * (diff(s, k) / h)
+        for j in others:
+            t = t - dual(corner, j, h)
+        mom.append(eps * t)
+    return tuple(mom)
+
+
+def center(f, ax, h):
+    """Centered derivative at cell centers (M -> M): the two-apart
+    difference with the end values repeated, so the wall rows are
+    one-sided with the same 1/(2h)."""
+    e = np.concatenate([_slc(f, ax, slice(0, 1)), f,
+                        _slc(f, ax, slice(-1, None))], axis=ax)
+    return (_slc(e, ax, slice(2, None)) - _slc(e, ax, slice(None, -2))) \
+        / (2 * h)
+
+
+def ddpsi2(c):
+    """Second derivative of the concave branch psi2' = c^3 - 3c (explicit
+    part); the convex branch psi1' = 2c is implicit."""
+    c = np.asarray(c)
+    return 3.0 * c**2 - 3.0
+
+
+def ch_concave_flux(disc, Ut):
+    """Explicit (concave) phase-field tendency of q in flux form."""
+    h = disc.grid.h
+    ct = Ut.q / Ut.rho
+    psi2 = ddpsi2(ct)
+    return axis_sum(dual(face_average(psi2, k) * diff(ct, k) / h, k, h)
+                    for k in range(disc.grid.dim))
+
+
+def sources(disc, Ut, out):
+    """`SpatialDiscretization.sources` as NumPy expressions: `gravity`,
+    `capillary` and `ch_concave_flux` added into out in place, in that
+    order."""
+    np.add(out.m[-1], gravity(disc, Ut), out=out.m[-1])
+    for mk, fk in zip(out.m, capillary(disc, Ut)):
+        mk += fk
+    out.q += ch_concave_flux(disc, Ut)
+    return out
+
+
+def ch_convex_term(c, rho, eps, L):
+    """The convex Cahn-Hilliard term 2 L c - eps L(L c / rho) on
+    column-major cell vectors, L the Neumann Laplacian matrix."""
+    lap = L @ c
+    return 2.0 * lap - eps * (L @ (lap / rho))
+
+
+def c_stage_operator(rho, dta, eps, grid):
+    """`solvers.c_stage_operator` as CSR products and NumPy expressions:
+    x -> rho x - dta `ch_convex_term`(x)."""
+    if np.any(rho <= 0):
+        raise NonPositiveDensityError("nonpositive density in c-system")
+    rv = np.ravel(rho, order="F")
+    L = laplacian_nd(grid.dim, grid.M, grid.h)
+
+    def matvec(x):
+        return rv * x - dta * ch_convex_term(x, rv, eps, L)
+
+    return spla.LinearOperator((rv.size, rv.size), matvec=matvec,
+                               dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # the Newton algebra as CSR products: the forms the compiled stencils of
 # `_hydro.c` replaced, which they must match byte for byte
 # ---------------------------------------------------------------------------
@@ -968,7 +1073,7 @@ class IncompressibleLimit(Integrator):
     the multiplier l taking up the round-off of sum(rho_hat - rbar).  The
     explicit tendency and the concentration stage are the integrator's."""
 
-    def _solve_stage(self, hat, tilde, dta, stats):
+    def _solve_stage(self, hat, z0, dta, stats):
         ops, n = self.sp.ops, self.hydro.nc
         rho_hat = np.ravel(hat.rho, order="F")
         rbar = float(rho_hat.mean())

@@ -8,6 +8,7 @@ kernel.  Each criterion also asserts its runtime budget.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chns_imex.model import ModelParams
 from chns_imex.solvers import (HydroSolver, SolveStats, assemble_c_matrix,
                                solve_c_stage)
 from chns_imex.spatial import SpatialDiscretization
+from chns_imex.state import State
 
 import oracles
 from oracles import weno5_point
@@ -270,7 +272,12 @@ def test_criterion_08_operator_and_jacobian_oracles():
                 np.testing.assert_allclose(g, r, rtol=rel, atol=rel * scale)
 
             if dim == 2:
-                cap = disc.capillary(Ut)
+                # the capillary forces of the compiled sources pass: its
+                # momenta, added into zeros with no gravity
+                zero = SpatialDiscretization(grid, replace(params, g=0.0))
+                cap = zero.sources(Ut, State(
+                    np.zeros(Ut.rho.shape), np.zeros(Ut.q.shape),
+                    tuple(np.zeros(mk.shape) for mk in Ut.m))).m
                 c_mx, c_my = oracles.capillary_2d(Ut, grid.h, params)
                 cs = max(np.abs(c_mx).max(), np.abs(c_my).max())
                 np.testing.assert_allclose(cap[0], c_mx, rtol=rel,

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chns_imex.grid import GridSpec, center, diff, dual, face_average
+from chns_imex.grid import GridSpec, diff, dual, face_average
 from chns_imex.operators import (laplacian_nd, mat_average, mat_dual,
                                  mat_laplacian_neumann)
 from chns_imex.weno import faces_to_cells
-from oracles import (GHOST, cells_to_faces6, extend_cell, extend_face_full,
-                     extend_face_interior, faces_to_cells6, laplacian_neumann,
-                     mat_center)
+from oracles import (GHOST, cells_to_faces6, center, extend_cell,
+                     extend_face_full, extend_face_interior, faces_to_cells6,
+                     laplacian_neumann, mat_center)
 
 #: each staggered primitive as f, axis, h -> values, and its dense 1D
 #: matrix for M cells, with the length of its input along the axis

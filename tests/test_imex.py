@@ -789,3 +789,42 @@ def test_cfl_step_damps_test3_phase_separation():
         dt_sigma[cfl] = max(r.dt for r in res.steps) * sigma_max
     assert dt_sigma[DEFAULT_CFL] > 1.0 > dt_sigma[DEFAULT_CFL / 8]
     assert c_max[DEFAULT_CFL / 8] >= 100.0 * c_max[DEFAULT_CFL]
+
+
+class _NoSpeedReuse(Integrator):
+    """The integrator with the reuse of known speeds patched out: every
+    attempt computes the speed of the state it starts from."""
+
+    def attempt_step(self, Un, *args):
+        self._known = (None, 0.0)
+        return super().attempt_step(Un, *args)
+
+
+@pytest.mark.parametrize("cfl,T", [(DEFAULT_CFL, 0.003), (1.2, 0.0091)],
+                         ids=["plain", "retried"])
+def test_each_state_speed_is_computed_once(cfl, T, monkeypatch):
+    """A Test 1 run (M = 16, C_p = 1e8) computes the speed of each state
+    once: `_state_speed` runs once for the initial state in select_dt and
+    `stages` times per accepted step (stages + 1 without the reuse).  The
+    run ends bit for bit in the state of a run with the reuse patched out,
+    also past the stable cfl, where steps are retried."""
+    grid, params = GridSpec(dim=2, M=16), ModelParams(cp=1e8)
+    calls = []
+    speed = Integrator._state_speed
+    monkeypatch.setattr(Integrator, "_state_speed",
+                        lambda self, U: calls.append(1) or speed(self, U))
+    runs = []
+    for cls in (Integrator, _NoSpeedReuse):
+        calls.clear()
+        integ = cls(grid, params, cfl=cfl)
+        runs.append(integ.run_to_time(initial_state(1, grid, params), T))
+        retries = sum(rec.retries for rec in runs[-1].steps)
+        if retries == 0:
+            extra = 0 if cls is Integrator else runs[-1].n_steps
+            assert len(calls) == 1 + (integ.tab.stages * runs[-1].n_steps
+                                      + extra)
+    assert (retries > 0) == (cfl > 1)
+    U, V = (r.state for r in runs)
+    assert len(runs[0].steps) == len(runs[1].steps)
+    for a, b in zip((U.rho, U.q, *U.m), (V.rho, V.q, *V.m)):
+        assert np.array_equal(a, b)

@@ -17,7 +17,7 @@ from chns_imex.operators import (implicit_operators, mat_dual, stencils,
                                  viscous_blocks)
 from chns_imex.solvers import HydroSolver
 from chns_imex.spatial import SpatialDiscretization
-from chns_imex.state import state_from_primitives
+from chns_imex.state import State, state_from_primitives
 
 import oracles
 
@@ -192,10 +192,12 @@ def test_nonpositive_reconstructed_density_falls_back_to_velocity_bound(
 # ---------------------------------------------------------------------------
 
 def test_capillary_2d_matches_oracle(rng):
+    """The NumPy form of the capillary force, which the compiled sources
+    pass matches byte for byte, is the scalar-loop stencil."""
     grid = GridSpec(dim=2, M=8)
     Ut = random_state(grid, rng)
     disc = SpatialDiscretization(grid, PARAMS)
-    out = disc.capillary(Ut)
+    out = oracles.capillary(disc, Ut)
     t_mx, t_my = oracles.capillary_2d(Ut, grid.h, PARAMS)
     scale = max(np.abs(t_mx).max(), np.abs(t_my).max())
     assert len(out) == 2
@@ -214,7 +216,7 @@ def test_capillary_1d_explicit_formula(rng):
     cx[0] = (c[1] - c[0]) / (2 * h)
     cx[-1] = (c[-1] - c[-2]) / (2 * h)
     expected = -0.5 * PARAMS.eps * (cx[1:] ** 2 - cx[:-1] ** 2) / h
-    out = SpatialDiscretization(grid, PARAMS).capillary(Ut)
+    out = oracles.capillary(SpatialDiscretization(grid, PARAMS), Ut)
     (m_x,) = out
     np.testing.assert_allclose(m_x, expected, rtol=1e-12, atol=1e-14)
 
@@ -378,11 +380,12 @@ def test_ch_convex_matches_dense_laplacian(dim, rng):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ch_concave_matches_oracle(dim, rng):
-    """The concave Cahn-Hilliard tendency is the scalar-loop flux
+    """The concave Cahn-Hilliard tendency, in the NumPy form that the
+    compiled sources pass matches byte for byte, is the scalar-loop flux
     difference, and with no flux through the walls its cell sum vanishes."""
     grid = GridSpec(dim=dim, M=8)
     Ut = random_state(grid, rng)
-    got = SpatialDiscretization(grid, PARAMS).ch_concave(Ut)
+    got = oracles.ch_concave_flux(SpatialDiscretization(grid, PARAMS), Ut)
     want = oracles.ch_concave(Ut, grid.h)
     scale = np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
@@ -393,32 +396,61 @@ def _fields(U):
     return (U.rho, U.q, *U.m)
 
 
+def _unpacked(disc, U):
+    """U with every field an F-ordered view, as `unpack` returns them."""
+    rho, m = disc.unpack(disc.pack(U.rho, *U.m))
+    return State(rho, disc.unpack(disc.pack(U.q, *U.m))[0], tuple(m))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "mms"])
+@pytest.mark.parametrize("M", [4, 5, 16, 33, 64])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_explicit_tendency_is_the_sum_of_its_terms(dim, forced, rng):
-    """The explicit tendency is, bit for bit, the Rusanov terms plus gravity
-    on the last momentum, the capillary forces, the concave Cahn-Hilliard
-    part and the forcing, added in that order; neither the stage state nor
-    the forcing is changed by it."""
-    grid = GridSpec(dim=dim, M=8)
+def test_explicit_tendency_is_the_sum_of_its_terms(dim, M, forced, layout,
+                                                   rng):
+    """The explicit tendency is, byte for byte, the Rusanov terms plus the
+    NumPy forms of gravity on the last momentum, the capillary forces, the
+    concave Cahn-Hilliard part and the forcing, added in that order, from
+    a state of random positive densities whose fields are C-ordered
+    arrays or the F-ordered views of `unpack`; neither the stage state
+    nor the forcing is changed by it."""
+    grid = GridSpec(dim=dim, M=M)
     disc = SpatialDiscretization(grid, PARAMS)
-    Ut = random_state(grid, rng)
+    Ut = random_state(grid, rng, amp=0.2)
+    if layout == "F":
+        Ut = _unpacked(disc, Ut)
+        assert not Ut.rho.flags.c_contiguous or dim == 1
     frc = forcing_state(grid, PARAMS, 0.3) if forced else None
     before = [U.copy() for U in (Ut, frc) if U is not None]
     got = disc.explicit_tendency(Ut, frc)
 
     rus = disc.rusanov(Ut)
     mom = list(rus.m)
-    mom[-1] = mom[-1] + disc.gravity(Ut)
-    mom = [mk + fk for mk, fk in zip(mom, disc.capillary(Ut))]
-    want = [rus.rho, rus.q + disc.ch_concave(Ut), *mom]
+    mom[-1] = mom[-1] + oracles.gravity(disc, Ut)
+    mom = [mk + fk for mk, fk in zip(mom, oracles.capillary(disc, Ut))]
+    want = [rus.rho, rus.q + oracles.ch_concave_flux(disc, Ut), *mom]
     if forced:
         want = [w + f for w, f in zip(want, _fields(frc))]
-    assert all(np.array_equal(a, b) for a, b in zip(_fields(got), want,
-                                                      strict=True))
+    assert all(a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64))
+        for a, b in zip(_fields(got), want, strict=True))
     for old, new in zip(before, (Ut, frc)):
         assert all(np.array_equal(a, b)
                    for a, b in zip(_fields(old), _fields(new), strict=True))
+
+
+def test_sources_refuse_fields_of_another_grid(rng):
+    """The sources pass reads no bounds and writes in place, so a state of
+    another grid, or a tendency that is not C-contiguous, is refused
+    before it runs."""
+    grid = GridSpec(dim=2, M=8)
+    disc = SpatialDiscretization(grid, PARAMS)
+    Ut = random_state(grid, rng)
+    other = random_state(GridSpec(dim=2, M=9), rng)
+    for U, out in ((other, Ut.copy()), (Ut, other),
+                   (Ut, _unpacked(disc, Ut.copy()))):
+        with pytest.raises(ValueError, match="no state"):
+            disc.sources(U, out)
 
 
 # ---------------------------------------------------------------------------

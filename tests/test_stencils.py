@@ -1,6 +1,7 @@
-"""The compiled stencils of the implicit operators (`operators.stencils`,
-`_hydro.c`) and the Newton passes built from them, byte for byte against
-the CSR products and NumPy expressions of `oracles`."""
+"""The compiled stencils of the implicit operators and the Laplacian
+(`operators.stencils`, `operators.laplacian_stencil`, `_hydro.c`) and the
+Newton and concentration-stage passes built from them, byte for byte
+against the CSR products and NumPy expressions of `oracles`."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import scipy.sparse as sp
 
 from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams, NonPositiveDensityError
-from chns_imex.operators import _runs, implicit_operators, stencils
-from chns_imex.solvers import HydroSolver, SolveStats
+from chns_imex.operators import (_runs, implicit_operators, laplacian_nd,
+                                 laplacian_stencil, stencils)
+from chns_imex.kernels import lib, ptr
+from chns_imex.solvers import HydroSolver, SolveStats, c_stage_operator
 from chns_imex.spatial import SpatialDiscretization
 
 import oracles
@@ -43,12 +46,17 @@ def test_stencils_equal_csr_products(dim, M, rng):
             assert _same(st.apply(name, x), X @ x), (name, x[:3])
     with pytest.raises(ValueError, match="takes"):
         st.apply("B", np.ones(1))
+    L, X = laplacian_stencil(dim, M, 1.0 / M), laplacian_nd(dim, M, 1.0 / M)
+    for x in _vectors(X.shape[1], rng):
+        y = np.empty(X.shape[0])
+        lib.stencil_apply(L.address, ptr(x), ptr(y))
+        assert _same(y, X @ x), ("L", x[:3])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stencils_are_runs_along_the_lines(dim):
     """The stencils are built once per grid from its cached implicit
-    operators, and on a grid of M = 64 the
+    operators and Laplacian, and on a grid of M = 64 the
     rows of runs at least M - 3 long (the interior of each line) are at
     least 90% of every operator's rows: each term of such a run reads a
     contiguous stretch, which is where the speed comes from."""
@@ -57,29 +65,34 @@ def test_stencils_are_runs_along_the_lines(dim):
     assert stencils(dim, M, 1.0 / M, 1.0, 0.1) is st
     assert SpatialDiscretization(GridSpec(dim, M), ModelParams()).stencils \
         is st and st.ops is implicit_operators(dim, M, 1.0 / M, 1.0, 0.1)
-    for X, (run, _, _) in zip(st.ops, st._arrays):
+    L = laplacian_stencil(dim, M, 1.0 / M)
+    assert laplacian_stencil(dim, M, 1.0 / M) is L
+    for X, s in (*zip(st.ops, st._stencils),
+                 (laplacian_nd(dim, M, 1.0 / M), L)):
+        run = s.arrays[0]
         assert run[:, 1].sum() == X.shape[0]
         assert run[run[:, 1] >= M - 3, 1].sum() >= 0.9 * X.shape[0]
 
 
 #: the term counts that `stencil_apply` of `_hydro.c` has a vector loop for
-VECTOR_TERMS = {2, 3, 4, 6, 8, 9}
+VECTOR_TERMS = {2, 3, 4, 5, 6, 8, 9}
 
 
 @pytest.mark.parametrize("dim,counts", [
-    (1, {"A": {2}, "D": {2}, "G": {2}, "B": {3}}),
-    (2, {"A": {2}, "D": {3, 4}, "G": {2}, "B": {6, 8, 9}})])
+    (1, {"A": {2}, "D": {2}, "G": {2}, "B": {3}, "L": {3}}),
+    (2, {"A": {2}, "D": {3, 4}, "G": {2}, "B": {6, 8, 9}, "L": {4, 5}})])
 def test_runs_of_many_rows_have_a_vector_loop(dim, counts):
     """On the grids of M = 4 .. 40, 64 and 128 the runs of more than one
-    row of A, D, G and B have these term counts, each in VECTOR_TERMS, so
-    no operator edit sends a line's interior to the scalar loop
-    unnoticed."""
+    row of A, D, G, B and the Laplacian L have these term counts, each in
+    VECTOR_TERMS, so no operator edit sends a line's interior to the
+    scalar loop unnoticed."""
     params = ModelParams()
     seen = {name: set() for name in counts}
     for M in (*range(4, 41), 64, 128):
         ops = implicit_operators.__wrapped__(dim, M, 1.0 / M, params.nu,
                                              params.lam)
-        for name, X in zip(ops._fields, ops):
+        for name, X in (*zip(ops._fields, ops),
+                        ("L", laplacian_nd.__wrapped__(dim, M, 1.0 / M))):
             run = _runs(X)[0]
             seen[name].update(np.diff(run[run[:, 1] > 1, 2:]).ravel().tolist())
     assert seen == counts
@@ -174,3 +187,30 @@ def test_residual_refuses_nonpositive_density_and_other_vectors(rng):
     assert _same(hydro.residual(z.astype(np.float32), r, 1e-2),
                  oracles.residual(hydro, z.astype(np.float32).astype(float),
                                   r, 1e-2))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("M", [4, 5, 16, 33, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_c_stage_operator_equals_numpy_form(dim, M, layout, rng):
+    """The compiled operator of the concentration stage gives byte for byte
+    the CSR products and NumPy expressions of `oracles.c_stage_operator`,
+    at random positive densities given as a C-ordered array or as the
+    F-ordered view of `unpack`, on random, signed-zero and +-1e300
+    vectors and a strided one; a vector of another size is refused, since
+    the pass reads no bounds."""
+    grid = GridSpec(dim, M)
+    rho = rng.uniform(0.1, 3.0, (M,) * dim)
+    if layout == "F":
+        disc = SpatialDiscretization(grid, ModelParams())
+        rho = disc.unpack(disc.pack(rho, *(np.zeros(s)
+                                           for s in disc.shapes[1:])))[0]
+    for dta, eps in ((0.5 / M, 1e-3), (3e-5, 1e-4)):
+        op = c_stage_operator(rho, dta, eps, grid)
+        ref = oracles.c_stage_operator(rho, dta, eps, grid)
+        for x in _vectors(rho.size, rng):
+            assert _same(op.matvec(x), ref.matvec(x)), (dta, x[:3])
+        x = rng.standard_normal(2 * rho.size)[::2]
+        assert _same(op.matvec(x), ref.matvec(x))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op.matvec(np.ones(rho.size - 1))

@@ -213,7 +213,7 @@ def test_rusanov_stacks_refuses_fields_of_no_grid():
 
 
 #: the loops marked `#pragma GCC ivdep` in each source of the library
-IVDEP_LOOPS = {"_weno5.c": 9, "_hydro.c": 15}
+IVDEP_LOOPS = {"_weno5.c": 20, "_hydro.c": 17}
 
 
 def test_kernel_loops_are_vectorized(tmp_path):
@@ -257,9 +257,10 @@ def test_failed_build_raises_import_error_naming_the_command(cc, monkeypatch):
 def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
     """Test 1 at M = 16, C_p = 1e8 and cfl 1.2, past its explicit limit,
     takes damped line-search trials and retries; the run with the compiled
-    passes and the run with the NumPy form of the Rusanov terms and the
-    CSR forms of the Newton residual, Jacobian product, elimination and
-    hydro tendency end in the same state."""
+    passes and the run with the NumPy forms of the Rusanov terms and the
+    explicit sources, and the CSR forms of the Newton residual, Jacobian
+    product, elimination and hydro tendency and of the concentration
+    stage's operator, end in the same state."""
     trials = []
     trial = solvers.HydroSolver._trial
     monkeypatch.setattr(solvers.HydroSolver, "_trial",
@@ -272,6 +273,8 @@ def test_chaotic_retried_run_is_bit_identical_with_numpy_kernel(monkeypatch):
 
     compiled = run()
     monkeypatch.setattr(SpatialDiscretization, "rusanov", oracles.rusanov)
+    monkeypatch.setattr(SpatialDiscretization, "sources", oracles.sources)
+    monkeypatch.setattr(solvers, "c_stage_operator", oracles.c_stage_operator)
     monkeypatch.setattr(SpatialDiscretization, "hydro_tendency",
                         oracles.hydro_tendency)
     for name, form in (("residual", oracles.residual),
