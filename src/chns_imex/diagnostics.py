@@ -45,7 +45,9 @@ def c_extrema(U: State) -> tuple[float, float]:
 
 
 def total_energy(U: State, grid: GridSpec, params: ModelParams) -> float:
-    """Kinetic + internal + interfacial energy (quadrature at native points)."""
+    """Kinetic + internal + interfacial + gravitational potential energy
+    (quadrature at native points); the potential is -g rho y, y the cell
+    centre coordinate of the last axis, the one gravity acts along."""
     w = grid.h ** grid.dim
     kin = axis_sum([0.5 * float((mk * vk).sum())
                     for mk, vk in zip(U.m, U.velocities())])
@@ -55,7 +57,8 @@ def total_energy(U: State, grid: GridSpec, params: ModelParams) -> float:
     interf = 0.5 * params.eps * axis_sum([
         float(((diff(c, k) / grid.h) ** 2).sum())
         for k in range(grid.dim)])
-    return w * (kin + internal + mix + interf)
+    potential = -params.g * float((U.rho * grid.cell_centers()).sum())
+    return w * (kin + internal + mix + interf + potential)
 
 
 def error_norm(U: State, exact_rho, exact_momenta, exact_q,

@@ -1,12 +1,16 @@
 """Conservation totals, low-Mach metrics, error norms, observed orders."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chns_imex.cases import initial_state
 from chns_imex.diagnostics import (ap_metrics, c_extrema, compute_eoc,
                                    conservation_errors, conserved_totals,
                                    error_norm, total_energy)
 from chns_imex.grid import GridSpec
+from chns_imex.imex import Integrator
 from chns_imex.model import ModelParams
 from chns_imex.state import state_from_primitives
 
@@ -93,9 +97,31 @@ def test_total_energy_uniform_state_closed_form():
     U = _uniform_state(grid, rho0=rho0, c0=c0)
     p = PARAMS
     from chns_imex import model
+    # the potential -g rho y over the unit square, whose mean height is 1/2
     expected = rho0 * model.free_energy_density(rho0, p) \
-        + rho0 * float(model.psi(np.array([c0]))[0])
+        + rho0 * float(model.psi(np.array([c0]))[0]) - p.g * rho0 * 0.5
     assert total_energy(U, grid, p) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("test,T", [(1, 0.01), (3, 0.006)])
+def test_energy_does_not_rise_between_steps(test, T):
+    """On Tests 1 and 3 at M = 32 and C_p = 1e4 the total energy falls on
+    every accepted step.  The gravitational potential is needed for that:
+    without it the energy of Test 3, whose heavy phase sinks, rises."""
+    grid, params = GridSpec(dim=2, M=32), ModelParams(cp=1e4)
+    U0 = initial_state(test, grid, params, seed=0)
+    energies = {params.g: [], 0.0: []}
+
+    def record(U, rec=None):
+        for g, e in energies.items():
+            e.append(total_energy(U, grid, replace(params, g=g)))
+
+    record(U0)
+    res = Integrator(grid, params).run_to_time(U0, T, on_step=record)
+    assert res.n_steps >= 5
+    assert (np.diff(energies[params.g]) < 0).all()
+    if test == 3:
+        assert (np.diff(energies[0.0]) > 0).any()
 
 
 def test_total_energy_kinetic_term():
