@@ -72,10 +72,10 @@ static inline void sums(double *o, ptrdiff_t len, const double *c,
 
 /* y = X x, dispatched once per run: a run of more than one row in the
    loop of its number of terms, one of the numbers a MAC grid has (A and G
-   2, D 2 to 4, B 3, 6, 8 or 9, the Laplacian 3 to 5), and a run of one row (a wall or corner row,
-   or the 12- and 13-term viscous rows of 2D M = 4, with their explicit
-   zeros) or of any other number of terms in the loop with n read at run
-   time */
+   2, D 2 to 4, B 3, 6, 8 or 9, the Laplacian 3 to 5), and a run of one
+   row (a wall or corner row, or the 12- and 13-term viscous rows of 2D
+   M = 4, with their explicit zeros) or of any other number of terms in
+   the loop with n read at run time */
 void stencil_apply(const Op *X, const double *x, double *y)
 {
     for (ptrdiff_t r = 0; r < X->nrun; r++) {

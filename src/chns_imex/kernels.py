@@ -5,9 +5,10 @@ loaded with `ctypes`.
 `_weno5.c` holds the passes of the explicit tendency (see `weno` and
 `spatial.SpatialDiscretization.sources`), and `_hydro.c` the implicit
 terms as stencils (see `operators.Stencil`): the hydro terms of the Newton
-solve and the operator of the concentration solve.  Both are built with contraction off, so each value
-rounds as the NumPy or sparse form the tests keep as its reference.  Every
-call passes its arrays by the address `ptr` reads.
+solve and the operator of the concentration solve.  Both are built with
+contraction off, so each value rounds as the NumPy or sparse form the
+tests keep as its reference.  Every call passes its arrays by the address
+`ptr` reads.
 """
 
 from __future__ import annotations

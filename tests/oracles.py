@@ -30,9 +30,9 @@ and NumPy expressions that the compiled stencils replaced, `sources` (from
 `gravity`, `capillary` and `ch_concave_flux`) the explicit source terms and
 `c_stage_operator` (from `ch_convex_term`) the operator of the
 concentration stage as the NumPy expressions that their compiled passes
-replaced; the package must match them byte for byte.  `IncompressibleLimit` is the integrator with the
-C_p -> inf limit of its hydro stage, which runs at large C_p must approach
-like 1/C_p.
+replaced; the package must match them byte for byte.
+`IncompressibleLimit` is the integrator with the C_p -> inf limit of its
+hydro stage, which runs at large C_p must approach like 1/C_p.
 """
 
 import functools

@@ -197,8 +197,8 @@ def test_c_stage_operator_equals_numpy_form(dim, M, layout, rng):
     the CSR products and NumPy expressions of `oracles.c_stage_operator`,
     at random positive densities given as a C-ordered array or as the
     F-ordered view of `unpack`, on random, signed-zero and +-1e300
-    vectors and a strided one; a vector of another size is refused, since
-    the pass reads no bounds."""
+    vectors and a strided one; a vector of another size, and densities of
+    another grid, are refused, since the pass reads no bounds."""
     grid = GridSpec(dim, M)
     rho = rng.uniform(0.1, 3.0, (M,) * dim)
     if layout == "F":
@@ -214,3 +214,5 @@ def test_c_stage_operator_equals_numpy_form(dim, M, layout, rng):
         assert _same(op.matvec(x), ref.matvec(x))
     with pytest.raises(ValueError, match="dimension mismatch"):
         op.matvec(np.ones(rho.size - 1))
+    with pytest.raises(ValueError, match="densities on a grid"):
+        c_stage_operator(np.ones((M + 1,) * dim), 0.1, 1e-3, grid)
