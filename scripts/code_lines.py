@@ -12,7 +12,10 @@ removed.  Usage:
 
 Each PATH is a source file or a directory searched for `*.py` and `*.c`
 files.  One line per file gives its count and path, and a last line the
-total.
+total of the hand-written files.  A Python module with a docstring line
+that starts with the word GENERATED, as `_forcing.py` has (written by
+`derive_forcing.py`), has its count on its own line, marked as generated,
+and is left out of the total.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ def code_lines(source: str) -> int:
     return len(rows)
 
 
+def generated(source: str) -> bool:
+    """Whether a line of a Python module's docstring starts with the word
+    GENERATED."""
+    return bool(re.search(r"^GENERATED\b",
+                          ast.get_docstring(ast.parse(source)) or "", re.M))
+
+
 def c_code_lines(source: str) -> int:
     """Number of lines of C source that hold code."""
     def blank(m):
@@ -68,6 +78,8 @@ def c_code_lines(source: str) -> int:
                if line.strip())
 
 
+#: what follows the count and path of a generated module
+GENERATED_NOTE = "  (generated, not in the total)"
 #: the line counter of each source suffix
 COUNTERS = {".py": code_lines, ".c": c_code_lines}
 
@@ -89,9 +101,11 @@ def main(argv=None) -> int:
         return 2
     total = 0
     for path in source_files(paths):
-        n = COUNTERS.get(path.suffix, code_lines)(path.read_text())
-        total += n
-        print(f"{n:6d}  {path}")
+        source = path.read_text()
+        n = COUNTERS.get(path.suffix, code_lines)(source)
+        skip = path.suffix == ".py" and generated(source)
+        total += 0 if skip else n
+        print(f"{n:6d}  {path}{GENERATED_NOTE if skip else ''}")
     print(f"{total:6d}  total")
     return 0
 

@@ -30,19 +30,20 @@ COORDS = {1: ["x"], 2: ["x", "y"]}
 
 
 def exact(dim):
-    """(rho, [v_1, ..., v_dim], c) of the manufactured solution."""
-    if dim == 1:
-        rho = 1 + delta * sp.cos(2 * sp.pi * x) * (t + 1)
-        return rho, [sp.Integer(0)], sp.Rational(3, 4) \
-            - sp.Rational(1, 10) * (1 - delta) * sp.cos(sp.pi * x) * (t - 1)
-    rho = 1 + delta * sp.cos(2 * sp.pi * x) * sp.cos(sp.pi * y) * (t + 1)
-    v1 = (1 + delta) * (1 - sp.cos(2 * sp.pi * x)) * sp.sin(2 * sp.pi * y) \
-        * (1 - 2 * t**2)
-    v2 = (1 + delta) * (1 - sp.cos(2 * sp.pi * y)) * sp.sin(2 * sp.pi * x) \
-        * (2 * t**2 - 1)
+    """(rho, [v_1, ..., v_dim], c) of the manufactured solution: the x-waves
+    of rho and c times cos(pi y) per transverse axis y, and v zero in 1D."""
+    X = (x, y)[:dim]
+    transverse = sp.prod([sp.cos(sp.pi * xj) for xj in X[1:]])
+    rho = 1 + delta * sp.cos(2 * sp.pi * x) * transverse * (t + 1)
+    v = [sp.Integer(0)] if dim == 1 else [
+        (1 + delta) * (1 - sp.cos(2 * sp.pi * xk))
+        * sp.prod([sp.sin(2 * sp.pi * xj) for xj in X if xj != xk])
+        * (1 - 2 * t**2, 2 * t**2 - 1)[k] for k, xk in enumerate(X)]
+    # the wave of c times 1 - t, written -(t - 1) as _forcing.py was
+    # derived: sympy keeps the two forms apart
     c = sp.Rational(3, 4) - sp.Rational(1, 10) * (1 - delta) \
-        * sp.cos(sp.pi * x) * sp.cos(sp.pi * y) * (t - 1)
-    return rho, [v1, v2], c
+        * sp.cos(sp.pi * x) * transverse * (t - 1)
+    return rho, v, c
 
 
 def pressure(rho):

@@ -1,8 +1,10 @@
 """Initial data for the physical test problems.
 
 Test 1: smooth acoustic/vortical perturbation with the concentration centred
-        in the spinodal region (phase separation sets in immediately).
-Test 2: the same flow with the concentration offset to 3/4 (stable mixture).
+        in the spinodal region (phase separation sets in immediately): the
+        manufactured solution of `mms` at t = 0, without the mean 3/4 of c.
+Test 2: the manufactured solution at t = 0, whose concentration is offset
+        to 3/4 (stable mixture).
 Test 3: quiescent uniform state with a tiny uniform random concentration
         perturbation of exactly zero mean (seeded).
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec
+from .mms import concentration_wave, exact_c, exact_rho, exact_velocity
 from .model import ModelParams
 from .state import State, state_from_primitives
 
@@ -26,23 +29,14 @@ def initial_state(test: int, grid: GridSpec, params: ModelParams,
                   seed: int = 0) -> State:
     if grid.dim != 2:
         raise ValueError("the physical test problems are two-dimensional")
-    d = params.delta
 
     if test in (1, 2):
-        # each factor depends on one coordinate: evaluate it on that axis's
-        # vector and let the products broadcast to the full arrays
-        x, y = grid.coords(sparse=True)
-        xfx, yfx = grid.coords(0, sparse=True)
-        xfy, yfy = grid.coords(1, sparse=True)
-        rho = 1.0 + d * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
-        v1 = (1.0 + d) * (1.0 - np.cos(2 * np.pi * xfx)) \
-            * np.sin(2 * np.pi * yfx)
-        v2 = (1.0 + d) * (np.cos(2 * np.pi * yfy) - 1.0) \
-            * np.sin(2 * np.pi * xfy)
-        c = 0.1 * (1.0 - d) * np.cos(np.pi * x) * np.cos(np.pi * y)
-        if test == 2:
-            c = 0.75 + c
-        return state_from_primitives(rho, (v1, v2), c)
+        # mms.exact_state at t = 0, with Test 1's c the wave alone
+        d, c = params.delta, concentration_wave if test == 1 else exact_c
+        v = [exact_velocity(k, d, grid.coords(k, sparse=True), 0.0)
+             for k in range(2)]
+        at = d, grid.coords(sparse=True), 0.0
+        return state_from_primitives(exact_rho(*at), v, c(*at))
 
     if test == 3:
         M = grid.M

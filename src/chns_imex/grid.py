@@ -64,7 +64,10 @@ class GridSpec:
         """Coordinate arrays (one per axis, indexing 'ij') of the cell
         centres, or of the interior faces normal to axis `face`; with
         `sparse`, one vector per axis shaped to broadcast against the
-        others."""
+        others.  A face that is not an axis raises ValueError."""
+        if face is not None and face not in range(self.dim):
+            raise ValueError(f"face must be None or an axis below "
+                             f"{self.dim}, got {face!r}")
         xc, xf = self.cell_centers(), self.interior_faces()
         return tuple(np.meshgrid(*[xf if k == face else xc
                                    for k in range(self.dim)], indexing="ij",

@@ -217,13 +217,19 @@ class Integrator:
 
         A step records every dump time it reaches within `tiny`, so equal
         or nearly equal dump times share one snapshot and no step is
-        shorter than `tiny`.  A negative or non-finite T, and a dump time
-        outside [0, T] (beyond `tiny`) or not finite, raise ValueError.
-        `on_step(state, record)` is invoked after every accepted step.
+        shorter than `tiny`.  A negative or non-finite T, a dump time
+        outside [0, T] (beyond `tiny`) or not finite, and a U0 with a
+        non-finite value or a nonpositive density raise ValueError before
+        the first step.  `on_step(state, record)` is invoked after every
+        accepted step.
         """
         if not 0 <= T < np.inf:
             raise ValueError(f"final time must be finite and nonnegative, "
                              f"got {T}")
+        try:
+            U0.check_valid()
+        except FloatingPointError as exc:
+            raise ValueError(f"initial state: {exc}") from None
         tiny = 1e-12
         dump_times = list(dump_times or [])
         bad = [d for d in dump_times if not -tiny <= d <= T + tiny]

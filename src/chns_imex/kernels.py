@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ctypes
 import pathlib
+import re
 import subprocess
 import tempfile
 
@@ -27,29 +28,17 @@ CC = ("cc", "-O3", "-march=native", "-std=c99", "-ffp-contract=off",
 SOURCES = tuple(pathlib.Path(__file__).with_name(name)
                 for name in ("_weno5.c", "_hydro.c"))
 
-_size, _ptr, _real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-#: the argument types of the entry points; every one returns nothing
-SIGNATURES = {
-    "weno5_lr": (_ptr, _size, _ptr, *[_size] * 5, *[_real] * 4, _ptr, _ptr,
-                 _size, _ptr),
-    "transfer6": (_ptr, *[_size] * 4, _real, _ptr, _ptr),
-    "rusanov_stacks": (_size, _size, *[_ptr] * 4, _size, _ptr, _ptr),
-    "rusanov_tendency": (_size, _size, _real, *[_ptr] * 3, _size,
-                         *[_ptr] * 4),
-    "stencil_apply": (_ptr, _ptr, _ptr),
-    "hydro_tendency": (_ptr, *[_ptr] * 5),
-    "hydro_residual": (_ptr, *[_ptr] * 3, _real, _ptr, _ptr),
-    "hydro_jacobian_times": (_ptr, *[_ptr] * 3, _real, _ptr, _ptr),
-    "chord_forward": (_ptr, _ptr, _real, *[_ptr] * 3),
-    "chord_back": (_ptr, _ptr, _real, *[_ptr] * 3),
-    "explicit_sources": (_size, _size, *[_real] * 3, *[_ptr] * 5),
-    "c_stage_apply": (_ptr, _size, _ptr, _real, _real, *[_ptr] * 3),
-}
+#: the prototype of an entry point, a function of SOURCES that is not
+#: static and returns nothing; each of its arguments is a pointer or one of
+#: the types of CTYPES
+PROTOTYPE = re.compile(r"^void (\w+)\(([^)]*)\)", re.M)
+CTYPES = {"ptrdiff_t": ctypes.c_ssize_t, "double": ctypes.c_double}
 
 
 def _build():
     """The library of SOURCES, compiled with CC into a temporary directory
-    and loaded, with the argument types of its entry points."""
+    and loaded, with the argument types of each entry point read from its
+    prototype."""
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [*CC, *map(str, SOURCES), "-o",
                str(pathlib.Path(tmp, "_kernels.so"))]
@@ -60,9 +49,12 @@ def _build():
             raise ImportError(f"cannot build the compiled kernels with "
                               f"`{' '.join(cmd)}`: {detail}") from None
         lib = ctypes.CDLL(cmd[-1])
-    for name, argtypes in SIGNATURES.items():
+    for name, params in PROTOTYPE.findall(
+            "".join(source.read_text() for source in SOURCES)):
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
+        fn.restype = None
+        fn.argtypes = [ctypes.c_void_p if "*" in p else CTYPES[p.split()[-2]]
+                       for p in params.split(",")]
     return lib
 
 

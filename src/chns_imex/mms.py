@@ -25,49 +25,54 @@ from .model import ModelParams
 from .state import State, state_from_primitives
 
 
-def exact_rho(dim: int, delta: float, x, t, y=None):
-    """Pointwise exact density."""
-    if dim == 1:
-        return 1.0 + delta * np.cos(2 * np.pi * x) * (t + 1.0)
-    return 1.0 + delta * np.cos(2 * np.pi * x) * np.cos(np.pi * y) * (t + 1.0)
+def _transverse(w, pts):
+    """The x-wave w times cos(pi y) for each transverse axis y of the
+    points pts = (x[, y]), in axis order."""
+    for y in pts[1:]:
+        w = w * np.cos(np.pi * y)
+    return w
 
 
-def exact_velocity(k: int, dim: int, delta: float, x, t, y=None):
-    """Pointwise exact velocity component along axis k."""
-    if dim == 1:
-        return np.zeros(np.shape(x))
-    if k == 0:
-        return (1.0 + delta) * (1.0 - np.cos(2 * np.pi * x)) \
-            * np.sin(2 * np.pi * y) * (1.0 - 2.0 * t**2)
-    return (1.0 + delta) * (1.0 - np.cos(2 * np.pi * y)) \
-        * np.sin(2 * np.pi * x) * (2.0 * t**2 - 1.0)
+def exact_rho(delta: float, pts, t):
+    """Pointwise exact density at the points pts = (x[, y])."""
+    return 1.0 + _transverse(delta * np.cos(2 * np.pi * pts[0]), pts) \
+        * (t + 1.0)
 
 
-def exact_c(dim: int, delta: float, x, t, y=None):
-    """Pointwise exact concentration."""
-    if dim == 1:
-        return 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * (t - 1.0)
-    return 0.75 - 0.1 * (1.0 - delta) * np.cos(np.pi * x) * np.cos(np.pi * y) \
-        * (t - 1.0)
+def exact_velocity(k: int, delta: float, pts, t):
+    """Pointwise exact velocity component along axis k at the points pts:
+    zero in 1D, and in 2D the curl of a stream function, so divergence
+    free."""
+    if not 0 <= k < len(pts):
+        raise ValueError(f"no velocity component {k} on a "
+                         f"{len(pts)}-dimensional grid")
+    if len(pts) == 1:
+        return np.zeros(np.shape(pts[0]))
+    v = (1.0 + delta) * (1.0 - np.cos(2 * np.pi * pts[k]))
+    for y in pts[:k] + pts[k + 1:]:
+        v = v * np.sin(2 * np.pi * y)
+    return v * (1.0 - 2.0 * t**2, 2.0 * t**2 - 1.0)[k]
 
 
-def exact_solution(dim: int, delta: float, x, t, y=None):
-    """Pointwise exact fields; returns (rho, v1, c) in 1D and
-    (rho, v1, v2, c) in 2D."""
-    args = (dim, delta, x, t, y)
-    return (exact_rho(*args),
-            *(exact_velocity(k, *args) for k in range(dim)), exact_c(*args))
+def concentration_wave(delta: float, pts, t):
+    """The wave of the exact concentration about its mean 3/4."""
+    return _transverse(0.1 * (1.0 - delta) * np.cos(np.pi * pts[0]), pts) \
+        * (1.0 - t)
+
+
+def exact_c(delta: float, pts, t):
+    """Pointwise exact concentration: 3/4 plus its wave."""
+    return 0.75 + concentration_wave(delta, pts, t)
 
 
 def _at(grid: GridSpec, params: ModelParams, t: float,
         face: int | None = None) -> tuple:
-    """Arguments (dim, delta, x, t[, y]) of the exact fields at the cell
-    centres, or at the faces normal to axis `face`: every factor of a
-    field depends on one coordinate, so it is evaluated on the
-    broadcastable vectors of `GridSpec.coords(sparse=True)` and only the
-    products are full arrays."""
-    x, *y = grid.coords(face, sparse=True)
-    return (grid.dim, params.delta, x, t, *y)
+    """Arguments (delta, pts, t) of the exact fields at the cell centres,
+    or at the faces normal to axis `face`: every factor of a field depends
+    on one coordinate, so it is evaluated on the broadcastable vectors pts
+    of `GridSpec.coords(sparse=True)` and only the products are full
+    arrays."""
+    return params.delta, grid.coords(face, sparse=True), t
 
 
 def exact_state(grid: GridSpec, params: ModelParams, t: float) -> State:

@@ -51,11 +51,14 @@ class State:
         return self.q / self.rho
 
     def check_valid(self):
-        for a in (self.rho, *self.m, self.q):
+        """Raise FloatingPointError naming the first of rho, m[0], ..., q
+        with a non-finite value, or rho if it has a nonpositive one."""
+        names = ["rho", *(f"m[{k}]" for k in range(len(self.m))), "q"]
+        for name, a in zip(names, (self.rho, *self.m, self.q)):
             if not np.all(np.isfinite(a)):
-                raise FloatingPointError("non-finite value in state")
+                raise FloatingPointError(f"non-finite value in {name}")
         if np.any(self.rho <= 0):
-            raise FloatingPointError("nonpositive density in state")
+            raise FloatingPointError("nonpositive value in rho")
 
 
 def state_from_primitives(rho: np.ndarray, v, c: np.ndarray) -> State:

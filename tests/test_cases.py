@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chns_imex import mms
 from chns_imex.cases import DUMP_TIMES, TEST3_AMP, initial_state
 from chns_imex.grid import GridSpec
 from chns_imex.model import ModelParams
@@ -48,6 +49,29 @@ def test_test2_concentration_offset():
     np.testing.assert_allclose(U1.velocities()[0], U2.velocities()[0],
                                atol=1e-15)
     np.testing.assert_allclose(U1.rho, U2.rho, atol=1e-15)
+
+
+@pytest.mark.parametrize("cp", [3.7, 1e2, 1e4, 1e8])
+def test_tests_1_2_are_the_manufactured_solution_at_t0(cp):
+    """Test 2's initial state is byte for byte exact_state(grid, params, 0);
+    Test 1's density and momenta are too, and its concentration is the
+    wave alone, 0.1 (1 - delta) cos(pi x) cos(pi y), without the mean 3/4
+    of Test 2's."""
+    params = ModelParams(cp=cp)
+    d = params.delta
+    for M in (8, 13, 16, 64, 128):
+        grid = GridSpec(dim=2, M=M)
+        exact = mms.exact_state(grid, params, 0.0)
+        U1, U2 = (initial_state(test, grid, params) for test in (1, 2))
+        x, y = grid.coords()
+        wave = 0.1 * (1.0 - d) * np.cos(np.pi * x) * np.cos(np.pi * y)
+        pairs = [(U2.rho, exact.rho), (U2.q, exact.q),
+                 *zip(U2.m, exact.m), (U1.rho, exact.rho),
+                 *zip(U1.m, exact.m), (U1.q, exact.rho * wave),
+                 (U2.q, exact.rho * (0.75 + wave))]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
 
 
 def test_test3_quiescent_zero_mean():

@@ -180,3 +180,21 @@ def test_gridspec_validation():
     assert g.h == 0.1
     assert len(g.cell_centers()) == 10
     assert len(g.interior_faces()) == 9
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coords_refuse_a_face_that_is_not_an_axis(dim):
+    """coords(face) takes None (the cell centres) or an axis 0..dim-1; any
+    other face raises, where it once returned the cell centres."""
+    g = GridSpec(dim=dim, M=8)
+    centres = g.coords()
+    for face in (dim, dim + 1, -1):
+        for sparse in (False, True):
+            with pytest.raises(ValueError, match="face must be None or an "
+                                                 "axis"):
+                g.coords(face, sparse=sparse)
+    for k in range(dim):
+        faces = g.coords(k)
+        assert faces[k].shape[k] == 7
+        assert all(a.shape == faces[0].shape for a in faces)
+    assert all(a.shape == (8,) * dim for a in centres)

@@ -1,6 +1,7 @@
 """Time integrator: tableau structure, update identities, step control."""
 
 import collections
+import re
 import sys
 import time
 
@@ -85,6 +86,34 @@ def test_run_to_non_finite_time_rejected(T):
     U0 = exact_state(grid, params, 0.0)
     with pytest.raises(ValueError, match="final time must be finite"):
         integ.run_to_time(U0, T, on_step=pytest.fail)
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("rho", (3, 4), np.nan, "non-finite value in rho"),
+    ("rho", (0, 0), 0.0, "nonpositive value in rho"),
+    ("rho", (7, 7), -1.0, "nonpositive value in rho"),
+    ("m", (0, 2, 3), np.inf, "non-finite value in m[0]"),
+    ("m", (1, 5, 6), -np.inf, "non-finite value in m[1]"),
+    ("q", (1, 1), np.nan, "non-finite value in q"),
+], ids=["nan-rho", "zero-rho", "negative-rho", "inf-m0", "minus-inf-m1",
+        "nan-q"])
+def test_run_rejects_an_invalid_initial_state(field, index, value, message):
+    """A non-finite value in any field of U0, or a nonpositive density,
+    fails before the first step with a ValueError naming the field, where
+    a NaN density once took six attempts and ended in a SolverFailure
+    that blamed the cfl."""
+    grid, params = GridSpec(dim=2, M=8), ModelParams(cp=1e2)
+    integ = Integrator(grid, params, forcing=make_forcing(grid, params))
+    U0 = exact_state(grid, params, 0.0)
+    U0.check_valid()
+    if field == "m":
+        U0.m[index[0]][index[1:]] = value
+    else:
+        getattr(U0, field)[index] = value
+    integ.step = pytest.fail
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'initial state: {message}')}$"):
+        integ.run_to_time(U0, 0.01, on_step=pytest.fail)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +294,39 @@ def test_temporal_orders_2d_at_fixed_grid(cp):
     else:
         assert ((1.0 <= order_rho) & (order_rho <= 1.35)).all(), \
             f"density orders {order_rho}"
+
+
+def test_test1_initial_layer_stalls_fixed_steps_near_inverse_root_cp():
+    """Test 1's data are divergence-free but their pressure is not the
+    incompressible one, so they start an O(Mach) acoustic layer that fixed
+    steps of the size used here do not resolve.  At M = 16 to T = 0.002,
+    with N = 16, 32, 64, 128 fixed steps against N = 256, the momentum
+    errors at C_p = 1e8 stop falling near sqrt(1/C_p) (measured 3.0e-4,
+    2.8e-4, 4.4e-4, 1.2e-4), while at C_p = 1e4 the same study falls at
+    second order (6.9e-5, 1.7e-5, 4.1e-6, 8.1e-7: orders 2.01-2.32)."""
+    grid, T = GridSpec(dim=2, M=16), 0.002
+
+    def errors(cp):
+        params = ModelParams(cp=cp)
+
+        def run(N):
+            integ = Integrator(grid, params)
+            integ.select_dt = lambda U: T / N
+            res = integ.run_to_time(initial_state(1, grid, params), T)
+            assert res.n_steps == N
+            return res.state
+
+        ref = run(256)
+        return np.array([max(np.abs(a - b).max()
+                             for a, b in zip(run(N).m, ref.m))
+                         for N in (16, 32, 64, 128)])
+
+    stiff = errors(1e8)
+    assert np.all((0.5e-4 <= stiff) & (stiff <= 5e-4)), stiff
+    assert stiff.min() > stiff[0] / 4, stiff
+    soft = errors(1e4)
+    orders = np.log2(soft[:-1] / soft[1:])
+    assert np.all(orders >= 1.9), orders
 
 
 #: the alias runs of the parametrized tests below; the warning itself is

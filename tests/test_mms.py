@@ -35,6 +35,14 @@ def d2(f, x, h=4e-3):
     return sum(w * f(x + k * h) for w, k in zip(W2, OFF)) / h ** 2
 
 
+def exact_fields(delta, pts, t):
+    """(rho, v_1, ..., v_dim, c) of the manufactured solution at the points
+    pts = (x[, y])."""
+    return (mms.exact_rho(delta, pts, t),
+            *(mms.exact_velocity(k, delta, pts, t) for k in range(len(pts))),
+            mms.exact_c(delta, pts, t))
+
+
 # ---------------------------------------------------------------------------
 # exact fields
 # ---------------------------------------------------------------------------
@@ -42,7 +50,7 @@ def d2(f, x, h=4e-3):
 def test_exact_fields_1d_at_t0():
     x = np.linspace(0, 1, 9)
     p = ModelParams(cp=1e2)
-    rho, v1, c = mms.exact_solution(1, p.delta, x, 0.0)
+    rho, v1, c = exact_fields(p.delta, (x,), 0.0)
     np.testing.assert_allclose(rho, 1.0 + p.delta * np.cos(2 * np.pi * x))
     assert np.all(v1 == 0.0)
     np.testing.assert_allclose(
@@ -55,9 +63,20 @@ def test_exact_velocity_divergence_free_2d():
     d = 1e-2
     for _ in range(10):
         x, y, t = rng.uniform(0.1, 0.9, 3)
-        dv1 = d1(lambda s: mms.exact_solution(2, d, s, t, y=y)[1], x)
-        dv2 = d1(lambda s: mms.exact_solution(2, d, x, t, y=s)[2], y)
+        dv1 = d1(lambda s: mms.exact_velocity(0, d, (s, y), t), x)
+        dv2 = d1(lambda s: mms.exact_velocity(1, d, (x, s), t), y)
         assert abs(dv1 + dv2) < 1e-10
+
+
+def test_exact_velocity_refuses_an_axis_outside_the_grid():
+    """exact_velocity(k) takes an axis k of the points it is given; any
+    other k raises, where any k != 0 once gave axis 1's velocity."""
+    x = np.linspace(0.0, 1.0, 5)
+    for pts in ((x,), (x, x)):
+        for k in (-1, len(pts), len(pts) + 1):
+            with pytest.raises(ValueError, match=f"no velocity component "
+                                                 f"{k} on a {len(pts)}-"):
+                mms.exact_velocity(k, 1e-2, pts, 0.3)
 
 
 def test_initial_discrete_divergence_roundoff():
@@ -78,7 +97,7 @@ def test_exact_density_well_prepared():
         p = ModelParams(cp=cp)
         assert p.delta == pytest.approx(1.0 / cp)
         x = np.linspace(0, 1, 33)
-        rho = mms.exact_solution(1, p.delta, x, 0.5)[0]
+        rho = mms.exact_rho(p.delta, (x,), 0.5)
         # amplitude delta*(1+t) at t = 0.5
         assert np.abs(rho - 1.0).max() <= 1.5 * p.delta * (1 + 1e-12)
 
@@ -195,8 +214,7 @@ def test_exact_fields_are_evaluated_only_where_used(dim, monkeypatch):
 
         def wrapped(*args, **kwargs):
             a = sig.bind(*args, **kwargs).arguments
-            pts = [a["x"]] + ([] if a.get("y") is None else [a["y"]])
-            calls.append((field.__name__, a.get("k"), where(pts)))
+            calls.append((field.__name__, a.get("k"), where(a["pts"])))
             return field(*args, **kwargs)
         return wrapped
 
@@ -235,13 +253,13 @@ def _residual_1d(x, t, p):
     eps = p.eps
 
     def rho(s, tt=None):
-        return mms.exact_solution(1, d, s, t if tt is None else tt)[0]
+        return mms.exact_rho(d, (s,), t if tt is None else tt)
 
     def v(s, tt=None):
-        return mms.exact_solution(1, d, s, t if tt is None else tt)[1]
+        return mms.exact_velocity(0, d, (s,), t if tt is None else tt)
 
     def c(s, tt=None):
-        return mms.exact_solution(1, d, s, t if tt is None else tt)[2]
+        return mms.exact_c(d, (s,), t if tt is None else tt)
 
     r, u, cc = rho(x), v(x), c(x)
     cx, cxx = d1(c, x), d2(c, x)
@@ -279,7 +297,7 @@ def _residual_2d(x, y, t, p):
     nu, lam, eps = p.nu, p.lam, p.eps
 
     def F(i):
-        return lambda xx, yy, tt: mms.exact_solution(2, d, xx, tt, y=yy)[i]
+        return lambda xx, yy, tt: exact_fields(d, (xx, yy), tt)[i]
 
     rho, v1, v2, c = F(0), F(1), F(2), F(3)
 

@@ -6,8 +6,11 @@ The kernel reconstructs the point value at the interface between the 3rd and
 (standard finite-difference WENO semantics).
 """
 
+import ctypes
 import itertools
 import math
+import pathlib
+import re
 import subprocess
 
 import numpy as np
@@ -237,6 +240,40 @@ def test_kernel_loops_are_vectorized(tmp_path):
             assert any(f"{source.name}:{n}:" in row
                        and "loop vectorized" in row
                        for row in report.splitlines()), (source, n, report)
+
+
+#: the ctypes type of a C parameter that is not a pointer, by its type
+C_TYPES = {"ptrdiff_t": ctypes.c_ssize_t, "double": ctypes.c_double}
+
+
+def test_entry_points_take_argument_types_from_their_prototypes():
+    """Every `lib.<name>` that a module of the package calls is a `void`
+    function of the C sources, and nothing else is: each takes c_void_p for
+    a pointer parameter of its prototype, c_ssize_t for a ptrdiff_t and
+    c_double for a double, and returns nothing, so ctypes refuses a call
+    with one argument too few or a float for an integer before the C code
+    runs."""
+    package = pathlib.Path(kernels.__file__).parent
+    called = {name for module in package.glob("*.py")
+              for name in re.findall(r"\b_?lib\.(\w+)\(",
+                                     module.read_text())}
+    text = "".join(source.read_text() for source in kernels.SOURCES)
+    assert called == set(re.findall(r"^void (\w+)\(", text, re.M))
+    for name in sorted(called):
+        params = re.search(rf"^void {name}\((.*?)\)", text, re.M | re.S)[1]
+        want = [ctypes.c_void_p if "*" in d else C_TYPES[d.split()[-2]]
+                for d in params.split(",")]
+        fn = getattr(kernels.lib, name)
+        assert fn.restype is None
+        assert list(fn.argtypes) == want, name
+        with pytest.raises(TypeError, match=f"at least {len(want)} "
+                                            f"arguments \\({len(want) - 1} "
+                                            f"given\\)"):
+            fn(*[0] * (len(want) - 1))
+        if ctypes.c_ssize_t in want:
+            args = [0.5 if t is ctypes.c_ssize_t else 0 for t in want]
+            with pytest.raises(ctypes.ArgumentError):
+                fn(*args)
 
 
 @pytest.mark.parametrize("cc", [("no-such-cc",), ("cc", "--no-such-flag")])
