@@ -5,10 +5,10 @@ Subcommands:
   run    physical test problems 1-3 with field dumps and diagnostics
   sweep  stiffness sweep: repeat a test over a list of C_p values
 
-Options come from the command-line flags alone, one flag per RunConfig
-field; an option not given takes its default.  There are no CHNS_*
-environment variables and no config file.  Cases of an M-list or a C_p-list
-run one after another.
+Options come from the command-line flags alone: each subcommand has one
+flag per RunConfig field that it reads, and an option not given takes its
+default.  There are no CHNS_* environment variables and no config file.
+Cases of an M-list or a C_p-list run one after another.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**({"T": 0.01} if args.command == "mms" else {}) | given)
     if args.command == "sweep":
         cfg.cp_list = cp_list or (cfg.cp,)
-    if args.command != "mms" and cfg.test is None:
-        raise ValueError(f"{args.command}: --test is required")
     if args.command != "mms" and len(cfg.M) > 1:
         raise ValueError(f"{args.command}: --M takes one grid size, got "
                          f"{','.join(map(str, cfg.M))}")
@@ -175,11 +173,10 @@ def _mms_case(cfg: RunConfig, M: int, outdir: pathlib.Path):
     """One grid of the order study."""
     grid = GridSpec(dim=cfg.dim, M=M)
     params = cfg.model_params()
-    integ = _integrator(grid, params, cfg,
-                        forcing=make_forcing(grid, params))
+    integ = _integrator(grid, params, cfg, make_forcing(grid, params))
     U0 = exact_state(grid, params, 0.0)
     t0 = time.perf_counter()
-    res = integ.run_to_time(U0, cfg.T, dump_times=cfg.dump_times)
+    res = integ.run_to_time(U0, cfg.T)
     wall = time.perf_counter() - t0
     ref = exact_state(grid, params, res.t)
     mom = exact_momenta(grid, params, res.t)
@@ -285,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_options(q: argparse.ArgumentParser, command: str):
-    """One flag per RunConfig field but `command`; a flag not given parses
-    to None."""
-    # the physical test problems are two-dimensional
-    q.add_argument("--dim", type=int,
-                   choices=(1, 2) if command == "mms" else (2,))
-    q.add_argument("--test", type=int, choices=(1, 2, 3))
+    """One flag per RunConfig field that `command` reads; a flag not given
+    parses to None."""
+    if command == "mms":
+        q.add_argument("--dim", type=int, choices=(1, 2))
+    else:
+        q.add_argument("--test", type=int, choices=(1, 2, 3), required=True)
     q.add_argument("--scheme", choices=("ee_ie", "star_dirksa"))
     q.add_argument("--M", type=int_list,
                    help="grid size, or comma-separated list")
@@ -303,16 +300,14 @@ def _add_options(q: argparse.ArgumentParser, command: str):
     q.add_argument("--cp1", type=float, help="non-stiff coefficient "
                    "C_p1 (default sqrt(C_p))")
     q.add_argument("--T", type=float, help="final time")
-    q.add_argument("--cfl", type=float)
-    q.add_argument("--nu", type=float)
-    q.add_argument("--lam", type=float)
-    q.add_argument("--eps", type=float)
-    q.add_argument("--g", type=float)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--seed", type=int)
+    for name in ("cfl", "nu", "lam", "eps", "g", "gamma"):
+        q.add_argument(f"--{name}", type=float)
+    if command != "mms":
+        q.add_argument("--seed", type=int)
     q.add_argument("--out", help="output directory")
-    q.add_argument("--dump-times", type=float_list,
-                   help="comma-separated snapshot times")
+    if command == "run":
+        q.add_argument("--dump-times", type=float_list,
+                       help="comma-separated snapshot times")
 
 
 def main(argv=None) -> int:

@@ -439,9 +439,10 @@ class HydroSolver:
         it as the Chord with the vectors its elimination applies J_vr and
         J_rv from, the spectral inverse built at the mean density of z.  A
         d that is not finite and positive is a SolverFailure, so the step
-        is retried at a smaller dt.  The blocks and the CSR S are freed
-        before the factorization: `splu` runs beside the CSC S and what
-        the Chord keeps, and nothing else of the refresh."""
+        is retried at a smaller dt, and so is an S that SuperLU finds
+        singular.  The blocks and the CSR S are freed before the
+        factorization: `splu` runs beside the CSC S and what the Chord
+        keeps, and nothing else of the refresh."""
         t0 = time.perf_counter()
         J_rr, J_rv, J_vr, J_vv = self.jacobian(z, dta)
         d = J_rr.diagonal()
@@ -459,7 +460,10 @@ class HydroSolver:
                                    self.spatial.stencils.apply("A", rho)])
         inv_P = free_slip_schur_inverse(self.spatial, float(rho.mean()), dta)
         self.chord = None           # the old LU is freed before the new one
-        lu = spla.splu(S, **SPLU_SYMMETRIC)
+        try:
+            lu = spla.splu(S, **SPLU_SYMMETRIC)
+        except RuntimeError as exc:     # SuperLU found S singular
+            raise SolverFailure(f"factorizing the Schur complement: {exc}")
         self.chord = Chord(lu, dta, coupling, inv_P)
         stats.factorizations += 1
         stats.refresh_s += time.perf_counter() - t0

@@ -54,7 +54,7 @@ log = logging.getLogger(__name__)
 class SpatialDiscretization:
     grid: GridSpec
     params: ModelParams
-    _warned_sound: bool = field(default=False, repr=False)
+    _warned_sound: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         g, p = self.grid, self.params

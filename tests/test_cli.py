@@ -45,11 +45,11 @@ def test_mms_default_final_time():
 
 
 def test_m_list_and_dump_times_parsing():
-    args = build_parser().parse_args(
-        ["mms", "--M", "8,16,32", "--dump-times", "0.0,0.005"])
-    cfg = resolve_config(args)
+    cfg = resolve_config(build_parser().parse_args(["mms", "--M", "8,16,32"]))
     assert cfg.M == (8, 16, 32)
-    assert cfg.dump_times == (0.0, 0.005)
+    args = build_parser().parse_args(
+        ["run", "--test", "1", "--dump-times", "0.0,0.005"])
+    assert resolve_config(args).dump_times == (0.0, 0.005)
 
 
 def test_chns_variables_are_ignored(monkeypatch):
@@ -61,21 +61,34 @@ def test_chns_variables_are_ignored(monkeypatch):
     assert cfg == RunConfig(test=2)
 
 
+#: the flags of each subcommand, by the RunConfig field each sets
+COMMON_FLAGS = {"scheme", "M", "cp1", "T", "cfl", "nu", "lam", "eps", "g",
+                "gamma", "out"}
+SUBCOMMAND_FLAGS = {
+    "mms": COMMON_FLAGS | {"cp", "dim"},
+    "run": COMMON_FLAGS | {"cp", "test", "seed", "dump_times"},
+    "sweep": COMMON_FLAGS | {"cp_list", "test", "seed"},
+}
+
+
 @pytest.mark.parametrize("command", ["mms", "run", "sweep"])
-def test_every_config_field_has_one_flag(command, capsys):
-    """Each RunConfig field but `command` has exactly one flag, named after
-    it (`--cp` sets sweep's `cp_list`), so every option can be set; the
-    removed `--config` is not among them."""
+def test_each_subcommand_has_exactly_its_flags(command, capsys):
+    """Each subcommand has one flag per RunConfig field that it reads,
+    named after it (`--cp` sets sweep's `cp_list`), and no other; `--test`
+    is required where it is a flag, and the removed `--config` is not
+    among them."""
     parser = build_parser()
     sub = parser._subparsers._group_actions[0].choices[command]
-    flags = {a.dest: a.option_strings for a in sub._actions
-             if a.dest != "help"}
-    fields = [f.name for f in dataclasses.fields(RunConfig)
-              if f.name != "command"]
-    want = {f: ["--" + f.replace("_", "-")] for f in fields}
+    actions = [a for a in sub._actions if a.dest != "help"]
+    flags = {a.dest: a.option_strings for a in actions}
+    want = {f: ["--" + f.replace("_", "-")] for f in SUBCOMMAND_FLAGS[command]}
     if command == "sweep":
-        want["cp_list"] = want.pop("cp")
+        want["cp_list"] = ["--cp"]
     assert flags == want
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(flags) - {"cp_list"} <= fields
+    assert {a.dest for a in actions if a.required} \
+        == {"test"} & set(flags)
     with pytest.raises(SystemExit) as exc:
         parser.parse_args([command, "--help"])
     assert exc.value.code == 0
@@ -146,38 +159,50 @@ def test_run_outputs_and_determinism(tmp_path):
         != (outs[0] / "fields_t0.csv").read_bytes()
 
 
-def test_run_requires_test_flag():
-    with pytest.raises(SystemExit):
-        main(["run", "--M", "16", "--T", "0.001"])
+def test_run_requires_test_flag(capsys):
+    """`run` and `sweep` without `--test` are usage errors."""
+    for command in ("run", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--M", "16", "--T", "0.001"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --test" \
+            in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["--scheme", "rk4"], id="scheme-rk4"),
-    pytest.param(["--linear-solver", "cg"], id="removed-flag"),
-    pytest.param(["--config", "case.conf"], id="config-flag"),
-    pytest.param(["--dim", "1"], id="dim-1"),
-    pytest.param(["--cfl", "0"], id="cfl-0"),
-    pytest.param(["--cfl", "inf"], id="cfl-inf"),
-    pytest.param(["--T", "-1"], id="T-negative"),
-    pytest.param(["--M", ","], id="empty-M"),
-    pytest.param(["--M", "2"], id="M-too-small"),
-    pytest.param(["--M", "8,16"], id="M-list"),
-    pytest.param(["--nu", "0"], id="nu-0"),
-    pytest.param(["--nu", "nan"], id="nu-nan"),
-    pytest.param(["--cp", "inf"], id="cp-inf"),
-    pytest.param(["--seed", "-1"], id="seed-negative"),
-    pytest.param(["--dump-times", "nan"], id="dump-nan"),
-    pytest.param(["--dump-times", "0,-1"], id="dump-negative"),
-    pytest.param(["--dump-times", "inf"], id="dump-inf"),
-    pytest.param(["--dump-times", "0.002"], id="dump-past-T"),
+@pytest.mark.parametrize("command, argv", [
+    pytest.param("run", ["--scheme", "rk4"], id="scheme-rk4"),
+    pytest.param("run", ["--linear-solver", "cg"], id="removed-flag"),
+    pytest.param("run", ["--config", "case.conf"], id="config-flag"),
+    pytest.param("run", ["--dim", "1"], id="dim-1"),
+    pytest.param("run", ["--cfl", "0"], id="cfl-0"),
+    pytest.param("run", ["--cfl", "inf"], id="cfl-inf"),
+    pytest.param("run", ["--T", "-1"], id="T-negative"),
+    pytest.param("run", ["--M", ","], id="empty-M"),
+    pytest.param("run", ["--M", "2"], id="M-too-small"),
+    pytest.param("run", ["--M", "8,16"], id="M-list"),
+    pytest.param("run", ["--nu", "0"], id="nu-0"),
+    pytest.param("run", ["--nu", "nan"], id="nu-nan"),
+    pytest.param("run", ["--cp", "inf"], id="cp-inf"),
+    pytest.param("run", ["--seed", "-1"], id="seed-negative"),
+    pytest.param("run", ["--dump-times", "nan"], id="dump-nan"),
+    pytest.param("run", ["--dump-times", "0,-1"], id="dump-negative"),
+    pytest.param("run", ["--dump-times", "inf"], id="dump-inf"),
+    pytest.param("run", ["--dump-times", "0.002"], id="dump-past-T"),
+    # flags that a subcommand does not read
+    pytest.param("run", ["--dim", "2"], id="run-dim"),
+    pytest.param("sweep", ["--dim", "2"], id="sweep-dim"),
+    pytest.param("mms", ["--test", "1"], id="mms-test"),
+    pytest.param("mms", ["--seed", "0"], id="mms-seed"),
+    pytest.param("sweep", ["--dump-times", "0"], id="sweep-dump-times"),
+    pytest.param("mms", ["--dump-times", "0"], id="mms-dump-times"),
 ])
-def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
-    """A bad value, or a flag that `chns` no longer has, ends in exit
-    status 2 with a message, before any output is written."""
+def test_bad_input_is_a_usage_error(command, argv, tmp_path, capsys):
+    """A bad value, or a flag that the subcommand does not have, ends in
+    exit status 2 with a message, before any output is written."""
     out = tmp_path / "out"
+    test = [] if command == "mms" else ["--test", "2"]
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--test", "2", "--T", "0.001", "--out", str(out)]
-             + argv)
+        main([command, *test, "--T", "0.001", "--out", str(out), *argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
@@ -224,6 +249,19 @@ def test_step_that_gives_up_is_a_run_error(argv, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err == "chns: error: step gave up at t=0.005 after 5 halvings\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cp", ["1e250", "1e300"])
+def test_singular_chord_factor_is_a_run_error(cp, tmp_path, capsys):
+    """At a C_p so large that SuperLU finds the chord's Schur complement
+    singular, the step halves and retries, and the run gives up with
+    status 1 and SuperLU's message, not a traceback."""
+    rc = main(["run", "--test", "2", "--M", "8", "--T", "0.001", "--cp", cp,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chns: error: step at t=0 failed after 5 halvings")
+    assert "Factor is exactly singular" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, table, key, first, failed", [

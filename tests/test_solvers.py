@@ -522,6 +522,24 @@ def test_refresh_rejects_nonpositive_density_diagonal(bad, splu_calls):
     assert hydro.chord is None and stats.factorizations == 0
 
 
+def test_refresh_reports_a_singular_factor_as_solver_failure(monkeypatch):
+    """A Schur complement that SuperLU finds singular is a SolverFailure
+    with SuperLU's message, not its RuntimeError, and leaves no chord."""
+    def singular(S, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    grid = GridSpec(dim=2, M=8)
+    hydro = HydroSolver(grid, PARAMS)
+    z = hydro.spatial.pack(np.ones((grid.M, grid.M)),
+                           np.zeros((grid.M - 1, grid.M)),
+                           np.zeros((grid.M, grid.M - 1)))
+    monkeypatch.setattr(spla, "splu", singular)
+    stats = SolveStats()
+    with pytest.raises(SolverFailure, match="Factor is exactly singular"):
+        hydro._refresh(z, 1e-3, stats)
+    assert hydro.chord is None and stats.factorizations == 0
+
+
 def _csr_nbytes(X) -> int:
     return X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
 

@@ -188,6 +188,17 @@ def test_nonpositive_reconstructed_density_falls_back_to_velocity_bound(
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_sound_warning_flag_is_not_a_constructor_argument():
+    """The once-only sound-speed warning cannot be switched off by a third
+    argument: a new discretization always starts unwarned."""
+    grid = GridSpec(dim=1, M=8)
+    with pytest.raises(TypeError):
+        SpatialDiscretization(grid, PARAMS, True)
+    with pytest.raises(TypeError):
+        SpatialDiscretization(grid, PARAMS, _warned_sound=True)
+    assert SpatialDiscretization(grid, PARAMS)._warned_sound is False
+
+
 # ---------------------------------------------------------------------------
 # capillary forces
 # ---------------------------------------------------------------------------

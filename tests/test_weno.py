@@ -6,6 +6,7 @@ The kernel reconstructs the point value at the interface between the 3rd and
 (standard finite-difference WENO semantics).
 """
 
+import ast
 import ctypes
 import itertools
 import math
@@ -274,6 +275,41 @@ def test_entry_points_take_argument_types_from_their_prototypes():
             args = [0.5 if t is ctypes.c_ssize_t else 0 for t in want]
             with pytest.raises(ctypes.ArgumentError):
                 fn(*args)
+
+
+def test_every_kernel_call_passes_exactly_its_prototype_arguments():
+    """ctypes refuses a call with too few arguments but passes a surplus
+    one to the C code unchecked, so every `lib.<name>(` and `_lib.<name>(`
+    call of the package is read here: it passes exactly as many arguments
+    as the `void name(...)` prototype has, with no keywords, and `*D_LIN`
+    as the len(D_LIN) weights it unpacks to."""
+    text = "".join(source.read_text() for source in kernels.SOURCES)
+    arity = {name: len(params.split(","))
+             for name, params in kernels.PROTOTYPE.findall(text)}
+    sites, written = [], 0
+    package = pathlib.Path(kernels.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        source = module.read_text()
+        written += len(re.findall(r"\b_?lib\.\w+\(", source))
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("lib", "_lib")):
+                continue
+            where = f"{module.name}:{node.lineno} {node.func.attr}"
+            n = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    assert ast.unparse(arg) == "*D_LIN", where
+                    n += len(D_LIN)
+                else:
+                    n += 1
+            assert not node.keywords, where
+            assert n == arity[node.func.attr], where
+            sites.append(node.func.attr)
+    assert len(sites) == written == 12
+    assert set(sites) == set(arity)
 
 
 @pytest.mark.parametrize("cc", [("no-such-cc",), ("cc", "--no-such-flag")])
